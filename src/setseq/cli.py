@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -239,18 +238,14 @@ def _sweep_shard(n: int, shards: int, shard: int) -> tuple[int, list[str]]:
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.shard is not None and args.shards is None:
         parser.error("--shard needs --shards")
-    shards = args.shards or 1
-    if args.shard is not None and not 0 <= args.shard < shards:
+    if args.shards is not None and args.shards < 1:
+        parser.error("--shards must be at least 1")
+    shard = args.shard or 0
+    # Without --shard, every shard runs: one pass over all instances.
+    shards = args.shards if args.shard is not None else 1
+    if not 0 <= shard < shards:
         parser.error(f"--shard must be in 0..{shards - 1}")
-    if args.shard is not None or shards == 1:
-        checked, failures = _sweep_shard(args.n, shards, args.shard or 0)
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            parts = list(
-                pool.map(lambda i: _sweep_shard(args.n, shards, i), range(shards))
-            )
-        checked = sum(c for c, _ in parts)
-        failures = [line for _, lines in parts for line in lines]
+    checked, failures = _sweep_shard(args.n, shards, shard)
     for line in failures:
         print(f"failure: {line}")
     print(f"instances={checked} failures={len(failures)}")

@@ -13,8 +13,13 @@ Three ways to manufacture verified set-sequential labelings:
   sequence along the doubled leaf-to-leaf path and propagating two-bit
   prefixes outward over the four copies.
 
-Every pipeline re-verifies its output and raises InternalSearchFailed
-rather than returning anything unchecked.
+Inside a pipeline, labels are plain ints indexed by vertex id and the
+levels run unchecked.  Each public call verifies its input (the base
+labeling or the bundled fixture) and its final output once, and raises
+InternalSearchFailed rather than returning anything unchecked.  One final
+check is enough: pendant doubling keeps every old label as the 0-prefixed
+part of the new labeling, so the output verifies only if every level below
+it did.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     InternalSearchFailed,
@@ -142,8 +147,34 @@ def load_fixture(name: str) -> tuple[Tree, Labeling]:
     return tree, lab
 
 
-def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[Tree, Labeling, list[int]]:
-    """Fixture tree, labeling, and center path ids for a base degree list.
+#: A labeled tree inside a pipeline: the tree, the label width n, and the
+#: int label of every vertex indexed by vertex id.
+_Labeled = tuple[Tree, int, list[int]]
+
+
+def _int_labels(t: Tree, lab: Labeling) -> list[int]:
+    return [lab.vertex_labels[v].bits for v in range(t.vertex_count)]
+
+
+def _checked(t: Tree, lab: Labeling, what: str) -> tuple[Tree, Labeling]:
+    """Return (t, lab) once it verifies; InternalSearchFailed otherwise."""
+    check = verify_set_sequential(t, lab)
+    if not check.valid:
+        raise InternalSearchFailed(
+            f"{what} produced an invalid labeling: "
+            + "; ".join(str(v) for v in check.violations)
+        )
+    return t, lab
+
+
+def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
+    """Wrap a pipeline's int labels in a Labeling and verify it."""
+    tree, n, labels = labeled
+    return _checked(tree, Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)}), what)
+
+
+def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
+    """Fixture tree and labels, and center path ids, for a base degree list.
 
     Accepts the stored orientation or its reversal; the returned center ids
     follow the caller's orientation either way.
@@ -159,7 +190,7 @@ def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[Tree, Labeling, li
             f"fixture for {spec} does not use the canonical vertex numbering"
         )
     center = list(range(len(degrees)))
-    return tree, lab, center[::-1] if flipped else center
+    return (tree, lab.n, _int_labels(tree, lab)), center[::-1] if flipped else center
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +232,30 @@ class PendantPlan:
         return sum(count for _, count in self.anchors)
 
 
+def _hang_pendants(labeled: _Labeled, plan: PendantPlan) -> _Labeled:
+    """Unchecked pendant doubling on int labels.
+
+    Old labels keep their value (a 0 prefix at width n + 1); the i-th new
+    pendant vertex gets p_i | 2^n, so its edge gets q_i | 2^n, where
+    (p_i, q_i) is the i-th pair of a partition of F_2^n targeted at the
+    anchor labels.  New pendant ids start at |V(base)| and follow the plan's
+    anchor order.
+    """
+    base, n, labels = labeled
+    anchors = [vid for vid, count in plan.anchors for _ in range(count)]
+    try:
+        part, _route = solve_pairing(PairingInstance.of(n, [labels[v] for v in anchors]))
+    except NotCovered as exc:
+        raise PairingNotCovered(str(exc)) from exc
+    first = base.vertex_count
+    tree = Tree.of(
+        first + len(anchors),
+        list(base.edges) + [(vid, first + i) for i, vid in enumerate(anchors)],
+    )
+    top = 1 << n
+    return tree, n + 1, labels + [p | top for p, _q in part.pairs]
+
+
 def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, Labeling]:
     """Double a verified labeling by hanging plan.total() pendant edges.
 
@@ -228,28 +283,8 @@ def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, La
         acc ^= t
     if acc:
         raise TargetSumNonzero(f"anchor labels XOR to {acc:0{n}b}, not zero")
-    try:
-        part, _route = solve_pairing(PairingInstance.of(n, targets))
-    except NotCovered as exc:
-        raise PairingNotCovered(str(exc)) from exc
-    edges = list(base.edges)
-    labels = {v: x.prepend(0) for v, x in lab.vertex_labels.items()}
-    nxt = base.vertex_count
-    for (p, _q), (vid, _) in zip(
-        part.pairs, (a for a in plan.anchors for _ in range(a[1]))
-    ):
-        edges.append((vid, nxt))
-        labels[nxt] = p.prepend(1)
-        nxt += 1
-    out_tree = Tree.of(nxt, edges)
-    out_lab = Labeling(n + 1, labels)
-    check = verify_set_sequential(out_tree, out_lab)
-    if not check.valid:
-        raise InternalSearchFailed(
-            "pendant construction produced an invalid labeling: "
-            + "; ".join(str(v) for v in check.violations)
-        )
-    return out_tree, out_lab
+    labeled = _hang_pendants((base, n, _int_labels(base, lab)), plan)
+    return _finish(labeled, "pendant construction")
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +368,18 @@ def _strip_pads(padded: list[int]) -> tuple[tuple[int, ...], bool, bool]:
 def _rebuild_level(
     degrees: tuple[int, ...],
     removals: list[int],
-    smaller: tuple[Tree, Labeling, list[int]],
+    smaller: tuple[_Labeled, list[int]],
     pads: tuple[bool, bool],
     observer: Callable[[InductionStep], None] | None,
     span_cap: int | None,
-) -> tuple[Tree, Labeling, list[int]]:
+) -> tuple[_Labeled, list[int]]:
     """Hang the removed pendants back onto the smaller labeled caterpillar.
 
-    Returns the bigger tree, its labeling, and its center path vertex ids
-    (the smaller's padded center, whose ids survive add_pendants).
+    Returns the bigger labeled tree and its center path vertex ids (the
+    smaller's padded center, whose ids survive the doubling).
     """
-    sub_tree, sub_lab, sub_center = smaller
+    sub, sub_center = smaller
+    sub_tree, sub_n, sub_labels = sub
     left_pad, right_pad = pads
     center_ids: list[int] = list(sub_center)
     taken: set[int] = set()
@@ -359,9 +395,7 @@ def _rebuild_level(
     if len(center_ids) != len(degrees):
         raise InternalSearchFailed("padded center does not match the target length")
 
-    span = echelon_basis(
-        [sub_lab.vertex_labels[v].bits for v in center_ids], sub_lab.n
-    ).rank
+    span = echelon_basis([sub_labels[v] for v in center_ids], sub_n).rank
     if span_cap is not None and span > span_cap:
         raise InternalSearchFailed(
             f"center-path span dimension {span} exceeds the cap {span_cap}"
@@ -376,13 +410,12 @@ def _rebuild_level(
             if removals[i] > 0
         )
     )
-    tree, lab = add_pendants(sub_tree, sub_lab, plan)
-    return tree, lab, center_ids
+    return _hang_pendants(sub, plan), center_ids
 
 
 def _small_rec(
     degrees: tuple[int, ...], observer: Callable[[InductionStep], None] | None
-) -> tuple[Tree, Labeling, list[int]]:
+) -> tuple[_Labeled, list[int]]:
     if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
         return _load_base_caterpillar(degrees)
     spec = CaterpillarSpec(degrees)
@@ -418,7 +451,7 @@ def label_small_diameter(
 
     Works down from the target: repeatedly remove half the vertices as
     pendant edges of the center path (landing on a bundled base labeling),
-    then rebuild upward with add_pendants, anchoring only center-path
+    then rebuild upward by pendant doubling, anchoring only center-path
     vertices.  The dimension of the span of the center-path labels is
     measured at every rebuild step (reported to the observer, if any) and
     must stay within SPAN_DIM_CAP.
@@ -428,17 +461,17 @@ def label_small_diameter(
         raise OutOfRange(
             f"{spec} has diameter {spec.diameter} > {MAX_SMALL_DIAMETER}"
         )
-    tree, lab, _center = _small_rec(spec.degrees, observer)
-    return tree, lab
+    labeled, _center = _small_rec(spec.degrees, observer)
+    return _finish(labeled, "small-diameter construction")
 
 
-def _large_rec(degrees: tuple[int, ...]) -> tuple[Tree, Labeling, list[int]]:
+def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     spec = CaterpillarSpec(degrees)
     if spec.diameter <= 2 or degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
         return _small_rec(degrees, None)
     if degrees[0] > degrees[-1]:
-        tree, lab, center = _large_rec(degrees[::-1])
-        return tree, lab, center[::-1]
+        labeled, center = _large_rec(degrees[::-1])
+        return labeled, center[::-1]
     k = len(degrees)
     half = spec.vertex_count // 2
     removals = [0] * k
@@ -475,8 +508,8 @@ def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
         raise TooFewVertices(
             f"{spec} has {count} vertices, needs at least 2^{spec.diameter - 1}"
         )
-    tree, lab, _center = _large_rec(spec.degrees)
-    return tree, lab
+    labeled, _center = _large_rec(spec.degrees)
+    return _finish(labeled, "large-caterpillar construction")
 
 
 # ---------------------------------------------------------------------------
@@ -589,23 +622,37 @@ def solve_w_prefixes(k: int) -> list[int]:
             group_mask[g] &= ~(1 << out[pos])
         out[pos] = -1
 
-    def rec(a: int) -> bool:
-        if a == total - 1:
-            return True
-        choices = (fixed[a + 1],) if a + 1 in fixed else (0, 1, 2, 3)
-        for val in choices:
-            if not place(a + 1, val):
-                continue
-            if place(a + 2, out[a] ^ val):
-                if rec(a + 2):
-                    return True
-                unplace(a + 2)
-            unplace(a + 1)
+    def choices(pos: int) -> Iterator[int]:
+        return iter((fixed[pos],) if pos in fixed else (0, 1, 2, 3))
+
+    def extend() -> bool:
+        """Depth-first completion from position 0, with an explicit stack.
+
+        Frame (a, it) has positions 0..a placed and it yields the untried
+        values for position a + 1; each value also forces position a + 2.
+        """
+        stack = [(0, choices(1))]
+        while stack:
+            a, it = stack[-1]
+            if a == total - 1:
+                return True
+            for val in it:
+                if not place(a + 1, val):
+                    continue
+                if place(a + 2, out[a] ^ val):
+                    stack.append((a + 2, choices(a + 3)))
+                    break
+                unplace(a + 1)
+            else:
+                stack.pop()
+                if stack:
+                    unplace(a)
+                    unplace(a - 1)
         return False
 
     for first in range(4):
         if place(0, first):
-            if rec(0):
+            if extend():
                 return out
             unplace(0)
     raise Unsolvable(f"no admissible prefix assignment for k={k}")
@@ -724,11 +771,4 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
             )
 
     out_tree = Tree.of(4 * count, edges)
-    out_lab = Labeling(n + 2, labels)
-    check = verify_set_sequential(out_tree, out_lab)
-    if not check.valid:
-        raise InternalSearchFailed(
-            "four-copies construction produced an invalid labeling: "
-            + "; ".join(str(x) for x in check.violations)
-        )
-    return out_tree, out_lab
+    return _checked(out_tree, Labeling(n + 2, labels), "four-copies construction")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NoSuchSubset, NotFullRank, PreconditionViolated
+from .errors import InternalSearchFailed, NoSuchSubset, NotFullRank, PreconditionViolated
 
 MAX_DIM = 30
 
@@ -185,14 +185,6 @@ class Basis:
         return Basis(self.dim, rows)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """A subspace with the minimal representatives of all its cosets."""
-
-    subspace: Basis
-    translations: tuple[BitVec, ...]
-
-
 def echelon_basis(values: Iterable[int], dim: int) -> Basis:
     """Reduced row-echelon basis of the span of the given vectors.
 
@@ -268,7 +260,7 @@ def _reconstruct_subset(
         cur = (count - 1, x ^ values[i])
         picked.append(i)
     if cur != (0, 0):
-        raise AssertionError("subset reconstruction walked off the table")
+        raise InternalSearchFailed("subset reconstruction walked off the table")
     return tuple(reversed(picked))
 
 
@@ -311,12 +303,12 @@ def zero_sum_subset_of_size(vs: VectorMultiset, size: int) -> tuple[int, ...]:
     return _reconstruct_subset(vs.values, tables, (size, 0))
 
 
-def coset_decompose(n: int, subspace: Basis) -> CosetDecomposition:
-    """All cosets of the subspace, by their numerically smallest representatives.
+def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
+    """The numerically smallest representative of every coset of the subspace.
 
     Representatives are the vectors that vanish on the pivot positions of the
     reduced basis, enumerated in ascending order (so the first is 0).  The
-    result has 2^(n - rank) translations; keep n - rank modest.
+    result has 2^(n - rank) entries; keep n - rank modest.
     """
     if subspace.dim != n:
         raise PreconditionViolated("subspace dimension does not match n")
@@ -330,7 +322,7 @@ def coset_decompose(n: int, subspace: Basis) -> CosetDecomposition:
             if (pattern >> (len(free) - 1 - j)) & 1:
                 v |= 1 << p
         reps.append(v)
-    return CosetDecomposition(subspace, tuple(BitVec(v, n) for v in reps))
+    return tuple(reps)
 
 
 def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
@@ -491,5 +483,5 @@ def solve_parity_system(
         f |= bit << p
     for v, b in constraints:
         if bin(f & v).count("1") & 1 != b:
-            raise AssertionError("parity solver produced an invalid solution")
+            raise InternalSearchFailed("parity solver produced an invalid solution")
     return f

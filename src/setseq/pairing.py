@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BudgetExhausted,
@@ -46,7 +46,6 @@ __all__ = [
     "PairingInstance",
     "PairPartition",
     "SolverRoute",
-    "WorkingSplit",
     "partition_errors",
     "format_instance",
     "parse_instance",
@@ -107,13 +106,14 @@ class PairingInstance:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """2^(n-1) ordered pairs covering F_2^n, one per instance target."""
+    """2^(n-1) ordered pairs covering F_2^n, one per instance target.
+
+    Vectors are plain ints in the gf2 bit convention; format_partition
+    prints them as n-bit strings.
+    """
 
     n: int
-    pairs: tuple[tuple[BitVec, BitVec], ...]
-
-    def int_pairs(self) -> list[tuple[int, int]]:
-        return [(p.bits, q.bits) for p, q in self.pairs]
+    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -126,36 +126,6 @@ class SolverRoute:
     def __post_init__(self) -> None:
         if self.tag not in ROUTE_TAGS:
             raise ValueError(f"unknown route tag {self.tag!r}")
-
-
-@dataclass(frozen=True)
-class WorkingSplit:
-    """Intermediate bookkeeping for the distribution steps of the recursions.
-
-    groups must partition the parent targets; the named index sets (pair
-    slots or value positions, depending on the step) must be disjoint.
-    """
-
-    groups: tuple[VectorMultiset, ...]
-    index_sets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    translation: BitVec | None = None
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for name in sorted(self.index_sets):
-            idx = set(self.index_sets[name])
-            if idx & seen:
-                raise PreconditionViolated(f"index set {name} overlaps another set")
-            seen |= idx
-
-    def check_partitions(self, parent: VectorMultiset) -> None:
-        merged: list[int] = []
-        for g in self.groups:
-            if g.dim != parent.dim:
-                raise PreconditionViolated("group dimension differs from parent")
-            merged.extend(g.values)
-        if sorted(merged) != sorted(parent.values):
-            raise PreconditionViolated("groups do not partition the parent multiset")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +145,7 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     if len(part.pairs) != len(inst.values):
         errs.append(f"expected {len(inst.values)} pairs, got {len(part.pairs)}")
         return errs
-    flat = [v.bits for pq in part.pairs for v in pq]
+    flat = [v for pq in part.pairs for v in pq]
     counts = Counter(flat)
     for x in range(1 << inst.n):
         c = counts.pop(x, 0)
@@ -184,8 +154,8 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     for x in sorted(counts):
         errs.append(f"out-of-range entry {x}")
     for i, ((p, q), v) in enumerate(zip(part.pairs, inst.values)):
-        if p.bits ^ q.bits != v:
-            errs.append(f"pair {i} sums to {p.bits ^ q.bits:0{inst.n}b}, target {v:0{inst.n}b}")
+        if p ^ q != v:
+            errs.append(f"pair {i} sums to {p ^ q:0{inst.n}b}, target {v:0{inst.n}b}")
     return errs
 
 
@@ -213,18 +183,16 @@ def parse_instance(text: str) -> PairingInstance:
 
 
 def format_partition(part: PairPartition) -> str:
-    out = []
-    for p, q in part.pairs:
-        out.append(f"{p} {q} {p ^ q}")
-    return "\n".join(out) + "\n"
+    n = part.n
+    return "\n".join(f"{p:0{n}b} {q:0{n}b} {p ^ q:0{n}b}" for p, q in part.pairs) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # exact backtracking solver
 
 # All internal helpers below work on plain ints and return pair lists aligned
-# with their input target order; BitVec wrapping happens once, at the public
-# boundary.
+# with their input target order; _finish checks the result once, at the
+# public boundary.
 
 
 def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list[tuple[int, int, int]]:
@@ -513,8 +481,7 @@ def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[
         # with its translate.
         v = values[0]
         assert all(x == v for x in values)
-        reps = coset_decompose(n, Basis(n, (v,))).translations
-        return [(t.bits, t.bits ^ v) for t in reps]
+        return [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]
     groups: list[list[int]] = [list(values)]
     while len(groups[0]) > 1 << (k - 1):
         nxt: list[list[int]] = []
@@ -525,7 +492,7 @@ def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[
         groups = nxt
     span = echelon_basis(values, n)
     S = extend_basis(span, k)
-    translations = [t.bits for t in coset_decompose(n, S).translations]
+    translations = coset_decompose(n, S)
     assert len(translations) == len(groups)
     triples: list[tuple[int, int, int]] = []
     for g, t in zip(groups, translations):
@@ -694,7 +661,7 @@ def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int
     groups = _split_three_groups(values, k)
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
     T = extend_basis(span, n - k)
-    translations = [t.bits for t in coset_decompose(n, T).translations]
+    translations = coset_decompose(n, T)
     assert len(translations) == len(groups)
     triples: list[tuple[int, int, int]] = []
     for g, t in zip(groups, translations):
@@ -841,7 +808,7 @@ def _two_coset_recurse(
     span = echelon_basis(values, n)
     assert span.rank <= n - 1
     H = extend_basis(span, n - 1)
-    h = coset_decompose(n, H).translations[1].bits
+    h = coset_decompose(n, H)[1]
     triples: list[tuple[int, int, int]] = []
     for counts, shift in ((side1, 0), (side2, h)):
         sub_vals = _counts_to_list(counts)
@@ -917,15 +884,6 @@ def _exactly_n_even(
     down += [M.apply(v) for v in top_values]
     assert all(0 < v < e1 for v in down)
     trace.append(f"exactly-n-even n={n} top-slots={len(top_slots)} fixes={len(fix_values)}")
-    split = WorkingSplit(
-        groups=(VectorMultiset.of(n, values),),
-        index_sets={
-            "I1": tuple(range(len(rest_slots))),
-            "I2": tuple(range(len(rest_slots), len(rest_slots) + len(fix_values))),
-            "I3": tuple(range(len(rest_slots) + len(fix_values), len(rest_slots) + len(top_slots))),
-        },
-    )
-    split.check_partitions(VectorMultiset.of(n, values))
     solved = _solve_few(n - 1, down, trace)
 
     out: list[tuple[int, int] | None] = [None] * len(values)
@@ -1043,14 +1001,6 @@ def _case_subset_split(
     side1.update(parts[0])
     side2.update(parts[1])
     trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
-    split = WorkingSplit(
-        groups=(
-            VectorMultiset.of(n, _counts_to_list(side1)),
-            VectorMultiset.of(n, _counts_to_list(side2)),
-        ),
-        index_sets={"U": tuple(i for i, u in enumerate(odds) if u in subset)},
-    )
-    split.check_partitions(VectorMultiset.of(n, values))
     return _two_coset_recurse(n, side1, side2, values, trace)
 
 
@@ -1114,7 +1064,7 @@ def _case_three_coset(
     span = echelon_basis(distinct, n)
     assert span.rank <= n - 1
     H = extend_basis(span, n - 1)
-    outside = coset_decompose(n, H).translations[1].bits
+    outside = coset_decompose(n, H)[1]
     lam1 = solve_parity_system([(r, 0) for r in H.rows] + [(outside, 1)], n)
     assert lam1 not in (None, 0)
 
@@ -1193,19 +1143,6 @@ def _case_three_coset(
         f"three-coset n={n} m={m} pair=({a},{b}) sizes=({1 + k1 + len(v1_tail)},"
         f"{1 + len(group2) + len(v2_tail)},{len(v3_vals)})"
     )
-    split = WorkingSplit(
-        groups=(
-            VectorMultiset.of(n, group1 + v1_tail),
-            VectorMultiset.of(n, group2 + v2_tail),
-            VectorMultiset.of(n, v3_vals),
-            VectorMultiset.of(n, [a, b]),
-        ),
-        index_sets={
-            "U1": tuple(i for i, u in enumerate(odds) if u in group1),
-            "U2": tuple(i for i, u in enumerate(odds) if u in group2),
-        },
-    )
-    split.check_partitions(VectorMultiset.of(n, values))
 
     maskq = (1 << (n - 2)) - 1
     maskh = (1 << (n - 1)) - 1
@@ -1281,13 +1218,11 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
 
 
 def _finish(inst: PairingInstance, raw: list[tuple[int, int]]) -> PairPartition:
-    pairs = tuple(
-        (BitVec(min(p, q), inst.n), BitVec(max(p, q), inst.n)) for p, q in raw
-    )
-    part = PairPartition(inst.n, pairs)
+    """The one check of every public solver's output."""
+    part = PairPartition(inst.n, tuple((min(p, q), max(p, q)) for p, q in raw))
     errs = partition_errors(inst, part)
     if errs:
-        raise AssertionError("solver produced an invalid partition: " + "; ".join(errs[:3]))
+        raise InternalSearchFailed("solver produced an invalid partition: " + "; ".join(errs[:3]))
     return part
 
 
@@ -1376,7 +1311,7 @@ def lift_even_pairs(
 
     def base(level: int, vals: list[int]) -> list[tuple[int, int]]:
         sub = PairingInstance.of(level, vals)
-        return base_solver(sub).int_pairs()
+        return list(base_solver(sub).pairs)
 
     trace: list[str] = []
     return _finish(inst, _lift_even(inst.n, inst.values, base, trace))

@@ -20,6 +20,7 @@ from typing import TextIO
 from .errors import (
     BudgetExhausted,
     Infeasible,
+    InternalSearchFailed,
     OutOfRange,
     PreconditionViolated,
 )
@@ -95,7 +96,7 @@ def search_labeling(
     lab = Labeling(n, {v: BitVec(x, n) for v, x in raw.items()})
     report = verify_set_sequential(t, lab)
     if not report.valid:
-        raise AssertionError(
+        raise InternalSearchFailed(
             "search produced an invalid labeling: "
             + "; ".join(str(v) for v in report.violations)
         )

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations_with_replacement
 
 import pytest
 
+from setseq.cli import _sweep_instances
 from setseq.constructors import (
     BASE_CATERPILLARS,
     SPAN_DIM_CAP,
@@ -129,12 +129,7 @@ def test_exhaustive_pairing_at_dimensions_three_and_four():
     start = time.monotonic()
     checked = 0
     for n in (3, 4):
-        for combo in combinations_with_replacement(range(1, 1 << n), 1 << (n - 1)):
-            acc = 0
-            for value in combo:
-                acc ^= value
-            if acc:
-                continue
+        for combo in _sweep_instances(n):
             inst = PairingInstance.of(n, list(combo))
             part = exact_pairing_solver(inst)
             errors = partition_errors(inst, part)
@@ -283,23 +278,22 @@ def test_large_caterpillars():
 
 
 def test_four_copies_chain():
-    # K_{1,3} -> 16 vertices at diameter 11 -> 64 vertices at diameter 47;
-    # the long-path length follows 3 * 4^c - 1 exactly.
+    # K_{1,3} -> 16 vertices at diameter 11 -> 64 at diameter 47 -> ... ->
+    # 16,384 at diameter 12,287; the long-path length follows 3 * 4^c - 1
+    # exactly.  The step to 4,096 vertices threads a path of k = 1,535
+    # labels, the one to 16,384 a path of k = 6,143.
     tree = Tree.of(4, [(0, 1), (0, 2), (0, 3)])
     lab = Labeling.of(3, {0: "001", 1: "010", 2: "100", 3: "110"})
     assert verify_set_sequential(tree, lab).valid
 
-    first, first_lab = four_copies(tree, lab, 1, 2)
-    assert first.vertex_count == 16
-    assert diameter(first) == 11 == 3 * 4 - 1
-    assert verify_set_sequential(first, first_lab).valid
-
-    u = far_vertex(first, 0)
-    v = far_vertex(first, u)
-    second, second_lab = four_copies(first, first_lab, u, v)
-    assert second.vertex_count == 64
-    assert diameter(second) == 47 == 3 * 16 - 1
-    assert verify_set_sequential(second, second_lab).valid
+    u, v = 1, 2
+    for c in range(1, 7):
+        tree, lab = four_copies(tree, lab, u, v)
+        assert tree.vertex_count == 4 ** (c + 1)
+        assert diameter(tree) == 3 * 4**c - 1
+        assert verify_set_sequential(tree, lab).valid
+        u = far_vertex(tree, 0)
+        v = far_vertex(tree, u)
 
 
 def test_even_degree_balance_and_the_four_path():

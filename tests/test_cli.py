@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from setseq import pairing
 from setseq.cli import main, parse_duration
 from setseq.constructors import fixtures_dir
+from setseq.errors import InternalSearchFailed
 from setseq.trees import Labeling, Tree, tree_from_json, tree_to_json, verify_set_sequential
 
 
@@ -80,6 +82,23 @@ def test_pair_solve_route_output_verifies(capsys):
         assert int(p, 2) ^ int(q, 2) == int(v, 2)
         seen.update((int(p, 2), int(q, 2)))
     assert seen == set(range(16))
+
+
+def test_invalid_solver_output_is_internal_search_failed(capsys, monkeypatch):
+    # A solver that hands each pair to the wrong target must be caught by the
+    # final partition check, as a named error rather than a bare assert.
+    exact = pairing._exact_aligned
+    monkeypatch.setattr(
+        pairing, "_exact_aligned", lambda n, values, deadline=None: exact(n, values, deadline)[::-1]
+    )
+    inst = pairing.PairingInstance.of(3, [0b001, 0b010, 0b100, 0b111])
+    with pytest.raises(InternalSearchFailed):
+        pairing.exact_pairing_solver(inst)
+    code, out, err = run(
+        capsys, "pair-solve", "--n", "3", "--targets", "001,010,100,111", "--route", "exact"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error=InternalSearchFailed:")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +308,7 @@ def test_sweep_usage(capsys):
     assert run(
         capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "2", "--shard", "5"
     )[0] == 2
+    assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "0")[0] == 2
 
 
 # ---------------------------------------------------------------------------

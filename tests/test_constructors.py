@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setseq import constructors
 from setseq.constructors import (
     BASE_CATERPILLARS,
     PREFIX_MAP,
@@ -374,6 +375,36 @@ def test_large_sweep():
         assert covers_exactly_once(tree, lab)
         assert diameter(tree) == diam
         assert tree.vertex_count == count
+
+
+# ---------------------------------------------------------------------------
+# verification count
+
+
+@pytest.mark.parametrize(
+    "pipeline, args",
+    [
+        (label_small_diameter, (CaterpillarSpec.parse("T[5,5,5,5,5,3,3,3,3,3]"),)),
+        (label_small_diameter, (CaterpillarSpec((63,)),)),
+        (label_large_caterpillar, (CaterpillarSpec((243, 3, 3, 3, 3, 5)),)),
+        (add_pendants, (*load_fixture("figure1.json"), PendantPlan.parse("2:1,7:1,3:3,4:1,1:2"))),
+    ],
+    ids=["small-diameter", "small-diameter-star", "large", "add-pendants"],
+)
+def test_each_pipeline_verifies_its_input_and_its_output_once(pipeline, args, monkeypatch):
+    # One check of the fixture or base going in, one of the result coming
+    # out; the levels in between run unchecked.
+    calls = []
+
+    def counting(tree, lab):
+        calls.append(tree.vertex_count)
+        return verify_set_sequential(tree, lab)
+
+    monkeypatch.setattr(constructors, "verify_set_sequential", counting)
+    tree, lab = pipeline(*args)
+    assert len(calls) == 2
+    assert calls[-1] == tree.vertex_count
+    assert verify_set_sequential(tree, lab).valid
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,112 @@
+"""Pinned outputs: the constructions and the pairing solver are pure functions.
+
+Each digest is the sha256 of an emitted document (tree JSON or partition
+text).  The digests were recorded before the solvers and constructors
+moved to int labels internally; any change to what comes out first must be
+re-specified, not absorbed here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from collections import deque
+
+import pytest
+
+import instgen
+from setseq.constructors import four_copies, label_large_caterpillar, label_small_diameter
+from setseq.pairing import PairingInstance, format_partition, solve_pairing
+from setseq.trees import CaterpillarSpec, Labeling, Tree, tree_to_json
+
+SMALL_DIAMETER_DIGESTS = {
+    (63,): "6caaae02c430642078f968a41253982d68c66c94e80eddd018da97a3d3e03208",
+    (37, 21, 29, 23, 25, 35, 17, 35, 41): (
+        "6069d635aa043652ef47979287929702ae88319664b7267f82897cf46b773dfb"
+    ),
+    (59, 47, 57, 71, 71, 57, 61, 53, 61, 53, 59, 61, 79, 47, 69, 67, 67): (
+        "4ff963bd8d59bcc6bb3e4a5c75e6fb5d5e816ba742d6d7824230e42ff595237f"
+    ),
+}
+
+LARGE_DEGREES = (359, 315, 361, 383, 345, 287, 353, 317, 323, 359, 369, 335)
+LARGE_DIGEST = "fa95aed85fbe2ac0c709b0ef75ad2ebd567ece9e775f51cba247b8f70a6dfca7"
+
+CHAIN_DIGEST = "1686864da7471148777006b0694580d4dfc62a9c6d5d27ffe294da1785d9942b"
+
+PAIRING_DIGEST = "68e5715239738f8245e94550b53b87b68da9ef04d4cac298660bbbfa6ad0c827"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def far_vertex(tree: Tree, start: int) -> int:
+    """Smallest id among the vertices farthest from start."""
+    adj = tree.adjacency()
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    best = max(dist.values())
+    return min(v for v, d in dist.items() if d == best)
+
+
+def chain_to(size: int) -> tuple[Tree, Labeling]:
+    """Four-copies chain from K_{1,3}, glued between two far leaves each step."""
+    tree = Tree.of(4, [(0, 1), (0, 2), (0, 3)])
+    lab = Labeling.of(3, {0: "001", 1: "010", 2: "100", 3: "110"})
+    u, v = 1, 2
+    while tree.vertex_count < size:
+        tree, lab = four_copies(tree, lab, u, v)
+        u = far_vertex(tree, 0)
+        v = far_vertex(tree, u)
+    return tree, lab
+
+
+def pairing_stream() -> str:
+    """Route and partition text of 20 seeded instances.
+
+    Five come from the low-span generator, five from the span-6 all-even
+    one and ten from the few-values one, whose instances reach the
+    bounded-value recursions.
+    """
+    rng = random.Random(20)
+    gens = (
+        (instgen.dim_le5_instance, range(3, 8)),
+        (instgen.dim6_even_instance, range(7, 12)),
+        (instgen.at_most_n_instance, (7, 8, 9, 10, 11) * 2),
+    )
+    out = []
+    for gen, dims in gens:
+        for n in dims:
+            n, values = gen(rng, n)
+            part, route = solve_pairing(PairingInstance.of(n, values))
+            out.append(f"{route.tag}\n{format_partition(part)}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("degrees", list(SMALL_DIAMETER_DIGESTS))
+def test_small_diameter_output_is_pinned(degrees):
+    tree, lab = label_small_diameter(CaterpillarSpec(degrees))
+    assert sha256(tree_to_json(tree, lab)) == SMALL_DIAMETER_DIGESTS[degrees]
+
+
+def test_large_caterpillar_output_is_pinned():
+    tree, lab = label_large_caterpillar(CaterpillarSpec(LARGE_DEGREES))
+    assert tree.vertex_count == 1 << 12
+    assert sha256(tree_to_json(tree, lab)) == LARGE_DIGEST
+
+
+def test_four_copies_chain_output_is_pinned():
+    tree, lab = chain_to(1024)
+    assert tree.vertex_count == 1024
+    assert sha256(tree_to_json(tree, lab)) == CHAIN_DIGEST
+
+
+def test_pairing_stream_output_is_pinned():
+    assert sha256(pairing_stream()) == PAIRING_DIGEST

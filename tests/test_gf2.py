@@ -312,18 +312,16 @@ def enumerate_subspace(basis):
 
 
 def test_coset_decompose_tiny_cases():
-    d = coset_decompose(2, echelon_basis([0b01], 2))
-    assert [t.bits for t in d.translations] == [0b00, 0b10]
-    d = coset_decompose(3, echelon_basis([0b001, 0b010], 3))
-    assert [t.bits for t in d.translations] == [0b000, 0b100]
+    assert coset_decompose(2, echelon_basis([0b01], 2)) == (0b00, 0b10)
+    assert coset_decompose(3, echelon_basis([0b001, 0b010], 3)) == (0b000, 0b100)
 
 
 def test_coset_decompose_one_dim_subspace_of_four():
-    d = coset_decompose(4, echelon_basis([0b0001], 4))
-    reps = [t.bits for t in d.translations]
+    basis = echelon_basis([0b0001], 4)
+    reps = coset_decompose(4, basis)
     assert len(reps) == 8
     assert reps[0] == 0
-    sub = enumerate_subspace(d.subspace)
+    sub = enumerate_subspace(basis)
     cosets = [{s ^ t for s in sub} for t in reps]
     seen = set()
     for c in cosets:
@@ -338,20 +336,19 @@ def test_coset_decompose_covers_everything_once(n, seed):
     rng = random.Random(seed)
     vals = [rng.randrange(1 << n) for _ in range(rng.randrange(1, n + 1))]
     sub = echelon_basis(vals, n)
-    dec = coset_decompose(n, sub)
-    assert len(dec.translations) == 1 << (n - sub.rank)
-    assert dec.translations[0].bits == 0
+    reps = coset_decompose(n, sub)
+    assert len(reps) == 1 << (n - sub.rank)
+    assert reps[0] == 0
     elems = enumerate_subspace(sub)
     seen = set()
-    for t in dec.translations:
-        coset = {s ^ t.bits for s in elems}
+    for t in reps:
+        coset = {s ^ t for s in elems}
         # Minimal representative of its own coset.
-        assert t.bits == min(coset)
+        assert t == min(coset)
         assert not (coset & seen)
         seen |= coset
     assert seen == set(range(1 << n))
-    trans = [t.bits for t in dec.translations]
-    assert trans == sorted(trans)
+    assert list(reps) == sorted(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from setseq.errors import (
     NotCovered,
     PreconditionViolated,
 )
-from setseq.gf2 import BitVec, VectorMultiset
+from setseq.gf2 import VectorMultiset
 from setseq.pairing import (
     PairingInstance,
     PairPartition,
     SolverRoute,
-    WorkingSplit,
     exact_pairing_solver,
     format_instance,
     format_partition,
@@ -63,7 +62,7 @@ def oracle_errors(n, targets, pairs):
 
 
 def assert_valid(inst, part):
-    errs = oracle_errors(inst.n, list(inst.values), part.int_pairs())
+    errs = oracle_errors(inst.n, list(inst.values), list(part.pairs))
     assert errs == [], errs
 
 
@@ -116,13 +115,13 @@ def test_instance_rejects_nonzero_xor():
 
 def test_partition_checker_flags_broken_pairs():
     inst = build(2, [0b01, 0b01])
-    good = PairPartition(2, ((BitVec(0, 2), BitVec(1, 2)), (BitVec(2, 2), BitVec(3, 2))))
+    good = PairPartition(2, ((0, 1), (2, 3)))
     assert partition_errors(inst, good) == []
-    swapped_sum = PairPartition(2, ((BitVec(0, 2), BitVec(2, 2)), (BitVec(1, 2), BitVec(3, 2))))
+    swapped_sum = PairPartition(2, ((0, 2), (1, 3)))
     assert partition_errors(inst, swapped_sum)
-    duplicated = PairPartition(2, ((BitVec(0, 2), BitVec(1, 2)), (BitVec(0, 2), BitVec(1, 2))))
+    duplicated = PairPartition(2, ((0, 1), (0, 1)))
     assert partition_errors(inst, duplicated)
-    short = PairPartition(2, ((BitVec(0, 2), BitVec(1, 2)),))
+    short = PairPartition(2, ((0, 1),))
     assert partition_errors(inst, short)
 
 
@@ -148,33 +147,18 @@ def test_format_partition_lines():
     assert text.splitlines() == ["00 01 01", "10 11 01"]
 
 
-def test_working_split_rejects_overlapping_index_sets():
-    vm = VectorMultiset.of(3, [1, 1])
-    with pytest.raises(PreconditionViolated):
-        WorkingSplit(groups=(vm,), index_sets={"I1": (0, 1), "I2": (1,)})
-
-
-def test_working_split_checks_partition():
-    parent = VectorMultiset.of(3, [1, 1, 2, 2])
-    ok = WorkingSplit(groups=(VectorMultiset.of(3, [1, 2]), VectorMultiset.of(3, [1, 2])))
-    ok.check_partitions(parent)
-    bad = WorkingSplit(groups=(VectorMultiset.of(3, [1, 1]), VectorMultiset.of(3, [2, 3])))
-    with pytest.raises(PreconditionViolated):
-        bad.check_partitions(parent)
-
-
 # ---------------------------------------------------------------------------
 # exact backtracking solver
 
 
 def test_exact_unique_partition_low_target():
     part = exact_pairing_solver(build(2, [0b01, 0b01]))
-    assert part.int_pairs() == [(0b00, 0b01), (0b10, 0b11)]
+    assert list(part.pairs) == [(0b00, 0b01), (0b10, 0b11)]
 
 
 def test_exact_unique_partition_high_target():
     part = exact_pairing_solver(build(2, [0b11, 0b11]))
-    assert part.int_pairs() == [(0b00, 0b11), (0b01, 0b10)]
+    assert list(part.pairs) == [(0b00, 0b11), (0b01, 0b10)]
 
 
 def test_exact_contract_example_n3():
@@ -182,7 +166,7 @@ def test_exact_contract_example_n3():
     part = exact_pairing_solver(inst)
     assert_valid(inst, part)
     # The search is deterministic, so this particular partition is stable.
-    assert part.int_pairs() == [
+    assert list(part.pairs) == [
         (0b000, 0b001),
         (0b010, 0b011),
         (0b100, 0b110),
@@ -192,7 +176,7 @@ def test_exact_contract_example_n3():
 
 def test_exact_is_deterministic():
     inst = build(4, [1, 2, 3, 7, 7, 1, 2, 3])
-    assert exact_pairing_solver(inst).int_pairs() == exact_pairing_solver(inst).int_pairs()
+    assert exact_pairing_solver(inst).pairs == exact_pairing_solver(inst).pairs
 
 
 def test_exact_exhaustive_n3():
@@ -318,7 +302,7 @@ def test_small_dimension_single_target_value():
     inst = build(4, [0b0001] * 8)
     part = solve_small_dimension(inst, 1)
     assert_valid(inst, part)
-    assert all(p ^ q == 1 for p, q in part.int_pairs())
+    assert all(p ^ q == 1 for p, q in list(part.pairs))
 
 
 def test_small_dimension_single_value_n6():
