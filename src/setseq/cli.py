@@ -15,6 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .constructors import (
+    MAX_SMALL_DIAMETER,
     PendantPlan,
     add_pendants,
     four_copies,
@@ -110,8 +111,7 @@ def _run_pair_solve(args: argparse.Namespace) -> int:
             part = solve_at_most_n_values(inst)
         else:
             part = solve_dim_half_even(inst)
-    text = format_partition(part)
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(format_partition(part))
     print(f"route={flag}")
     return 0
 
@@ -121,7 +121,7 @@ def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
     power_of_two = count & (count - 1) == 0
     all_odd = all(d % 2 for d in spec.degrees)
     if power_of_two and all_odd:
-        if spec.diameter <= 18:
+        if spec.diameter <= MAX_SMALL_DIAMETER:
             return label_small_diameter(spec)
         if count >= 1 << (spec.diameter - 1):
             return label_large_caterpillar(spec)

@@ -156,21 +156,20 @@ def _int_labels(t: Tree, lab: Labeling) -> list[int]:
     return [lab.vertex_labels[v].bits for v in range(t.vertex_count)]
 
 
-def _checked(t: Tree, lab: Labeling, what: str) -> tuple[Tree, Labeling]:
-    """Return (t, lab) once it verifies; InternalSearchFailed otherwise."""
-    check = verify_set_sequential(t, lab)
+def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
+    """Wrap a pipeline's int labels in a Labeling and verify it.
+
+    Raises InternalSearchFailed when the labeling does not verify.
+    """
+    tree, n, labels = labeled
+    lab = Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)})
+    check = verify_set_sequential(tree, lab)
     if not check.valid:
         raise InternalSearchFailed(
             f"{what} produced an invalid labeling: "
             + "; ".join(str(v) for v in check.violations)
         )
-    return t, lab
-
-
-def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
-    """Wrap a pipeline's int labels in a Labeling and verify it."""
-    tree, n, labels = labeled
-    return _checked(tree, Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)}), what)
+    return tree, lab
 
 
 def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
@@ -681,12 +680,13 @@ def build_w_sequence(z: Sequence[BitVec], prefixes: Sequence[int]) -> WSequence:
         raise PreconditionViolated(
             f"need {4 * k + 3} prefixes for k={k}, got {len(prefixes)}"
         )
-    layout = _w_layout(k)
-    w = tuple(
-        BitVec((prefixes[j] << n) | (z[s - 1].bits if s else 0), n + 2)
-        for j, s in enumerate(layout)
-    )
+    w = tuple(BitVec(x, n + 2) for x in _w_values([x.bits for x in z], prefixes, n))
     return WSequence(k, tuple(z), tuple(prefixes), w)
+
+
+def _w_values(z: Sequence[int], prefixes: Sequence[int], n: int) -> list[int]:
+    """The 4k+3 sequence values: each position's prefix over its suffix from z."""
+    return [(prefixes[j] << n) | (z[s - 1] if s else 0) for j, s in enumerate(_w_layout(len(z)))]
 
 
 def _path_between(t: Tree, u: int, v: int) -> list[int]:
@@ -725,16 +725,25 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     report = verify_set_sequential(base, lab)
     if not report.valid:
         raise PreconditionViolated("base labeling does not verify")
+    labeled = _quadruple((base, lab.n, _int_labels(base, lab)), u, v)
+    return _finish(labeled, "four-copies construction")
 
+
+def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
+    """Unchecked four-copies step on int labels, gluing at leaves u and v.
+
+    Copy c of base vertex x gets id c * |V(base)| + x.  The caller's final
+    verification certifies the w-sequence along with everything else.
+    """
+    base, n, base_labels = labeled
     path = _path_between(base, u, v)
-    z: list[BitVec] = []
+    z: list[int] = []
     for i, x in enumerate(path):
         if i:
-            z.append(lab.vertex_labels[path[i - 1]] ^ lab.vertex_labels[x])
-        z.append(lab.vertex_labels[x])
-    seq = build_w_sequence(z, solve_w_prefixes(len(z)))
+            z.append(base_labels[path[i - 1]] ^ base_labels[x])
+        z.append(base_labels[x])
+    w = _w_values(z, solve_w_prefixes(len(z)), n)
 
-    n = lab.n
     count = base.vertex_count
     edges: list[tuple[int, int]] = []
     for c in range(4):
@@ -742,11 +751,11 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
             edges.append((c * count + a, c * count + b))
     edges += [(u, count + u), (count + v, 2 * count + v), (2 * count + u, 3 * count + u)]
 
-    labels: dict[int, BitVec] = {}
+    labels = [0] * (4 * count)
     walk = path[::-1] + path + path[::-1] + path
     span = len(path)
     for s, x in enumerate(walk):
-        labels[(s // span) * count + x] = seq.w[2 * s]
+        labels[(s // span) * count + x] = w[2 * s]
 
     # Propagate prefixes outward from the path, one BFS layer at a time.
     parent: dict[int, int] = {}
@@ -765,10 +774,6 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     for r in order:
         q = parent[r]
         for c in range(4):
-            p = labels[c * count + q].bits >> n
-            labels[c * count + r] = BitVec(
-                (PREFIX_MAP[p] << n) | lab.vertex_labels[r].bits, n + 2
-            )
-
-    out_tree = Tree.of(4 * count, edges)
-    return _checked(out_tree, Labeling(n + 2, labels), "four-copies construction")
+            p = labels[c * count + q] >> n
+            labels[c * count + r] = (PREFIX_MAP[p] << n) | base_labels[r]
+    return Tree.of(4 * count, edges), n + 2, labels

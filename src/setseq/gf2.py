@@ -382,10 +382,6 @@ class LinearMap:
         return y
 
     @classmethod
-    def identity(cls, dim: int) -> LinearMap:
-        return cls(dim, tuple(1 << (dim - 1 - i) for i in range(dim)))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[int], dim: int) -> LinearMap:
         """Map x to the vector of functional values (parity of rows[i] & x).
 
@@ -401,25 +397,6 @@ class LinearMap:
                     img |= 1 << (dim - 1 - i)
             imgs.append(img)
         return cls(dim, tuple(imgs))
-
-    @classmethod
-    def from_frame(
-        cls, frame: Sequence[int], images: Sequence[int], dim: int
-    ) -> LinearMap:
-        """The unique linear map sending frame[i] to images[i].
-
-        The frame must be full rank (NotFullRank otherwise); the images may
-        be anything, so the result need not be invertible.
-        """
-        to_frame = cls(dim, tuple(frame))
-        to_images = cls(dim, tuple(images))
-        return to_images.compose(to_frame.inverse())
-
-    def compose(self, other: LinearMap) -> LinearMap:
-        """self applied after other."""
-        if self.dim != other.dim:
-            raise PreconditionViolated("dimension mismatch in composition")
-        return LinearMap(self.dim, tuple(self.apply(g) for g in other.imgs))
 
     def inverse(self) -> LinearMap:
         n = self.dim

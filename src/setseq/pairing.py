@@ -195,6 +195,12 @@ def format_partition(part: PairPartition) -> str:
 # public boundary.
 
 
+def _ensure(cond: bool, message: str) -> None:
+    """A theory check that also holds under python -O."""
+    if not cond:
+        raise InternalSearchFailed(message)
+
+
 def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list[tuple[int, int, int]]:
     """Triples (p, q, target) in discovery order, or Infeasible/BudgetExhausted.
 
@@ -304,10 +310,10 @@ def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[
     coset solver recurses all the way down.
     """
     size = len(values)
-    assert size >= 2 and size & (size - 1) == 0
+    _ensure(size >= 2 and size & (size - 1) == 0, "halving needs a power-of-two size")
     m = size.bit_length()
     if size == 2:
-        assert values[0] == values[1], "size-2 split needs equal values"
+        _ensure(values[0] == values[1], "size-2 split needs equal values")
         return [values[0]], [values[1]]
     half = size // 2
 
@@ -315,26 +321,21 @@ def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[
         # Embed into F_2^m so the span sits inside the top-bit-0 hyperplane,
         # pair everything exactly, and read the halves off pair membership.
         basis = echelon_basis(values, ambient)
-        assert basis.rank < m
+        _ensure(basis.rank < m, "halving needs a span below the level")
         coords = {v: basis.coords(v) for v in set(values)}
-        triples = _exact(m, [coords[v] for v in values])
-        fifo: dict[int, deque[tuple[int, int]]] = {}
-        for p, q, v in triples:
-            fifo.setdefault(v, deque()).append((p, q))
         low: list[int] = []
         high: list[int] = []
-        for v in values:
-            p, _ = fifo[coords[v]].popleft()
+        for v, (p, _) in zip(values, _exact_aligned(m, [coords[v] for v in values])):
             # Every target has the top coordinate clear, so each pair sits
             # wholly inside one half of F_2^m and each half hosts size/2 pairs.
             (low if p < size else high).append(v)
-        assert len(low) == half and len(high) == half
+        _ensure(len(low) == half and len(high) == half, "exact halving left unequal halves")
         return low, high
 
     hist = Counter(values)
     odds = sorted(u for u, c in hist.items() if c & 1)
     l = len(odds)
-    assert l % 2 == 0
+    _ensure(l % 2 == 0, "a zero-sum multiset has an even number of odd values")
 
     if l <= half:
         first, second = list(odds), []
@@ -347,16 +348,15 @@ def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[
 
     need_first = half - len(first)
     need_second = half - len(second)
-    assert need_first >= 0 and need_second >= 0
-    assert need_first % 2 == 0 and need_second % 2 == 0
-    for u in sorted(hist):
-        extra = hist[u] - (hist[u] & 1)
+    _ensure(need_first >= 0 and need_second >= 0, "odd values overfilled a half")
+    _ensure(need_first % 2 == 0 and need_second % 2 == 0, "odd values left an odd gap")
+    for u, extra in sorted(_even_pool(hist).items()):
         take = min(extra, need_first)
         first.extend([u] * take)
         need_first -= take
         second.extend([u] * (extra - take))
         need_second -= extra - take
-    assert need_first == 0 and need_second == 0
+    _ensure(need_first == 0 and need_second == 0, "even copies did not fill both halves")
     return first, second
 
 
@@ -369,33 +369,23 @@ def _split_odds_level6(odds: list[int], ambient: int, half: int) -> tuple[list[i
     precondition was violated upstream.
     """
     l = len(odds)
-    assert 18 <= l <= 30 and l % 2 == 0
-    if l <= 24:
-        sizes = (8, 10, 12) if l == 24 else (6, 8, 10)
-        vm = VectorMultiset.of(ambient, odds)
-        for s in sizes:
-            try:
-                idx = zero_sum_subset_of_size(vm, s)
-            except NoSuchSubset:
-                continue
-            chosen = set(idx)
-            return (
-                [u for i, u in enumerate(odds) if i not in chosen],
-                [u for i, u in enumerate(odds) if i in chosen],
-            )
-        # Defensive sweep before giving up; not expected to run.
-        for s in range(max(2, l - 16), 17, 2):
-            try:
-                idx = zero_sum_subset_of_size(vm, s)
-            except NoSuchSubset:
-                continue
-            chosen = set(idx)
-            return (
-                [u for i, u in enumerate(odds) if i not in chosen],
-                [u for i, u in enumerate(odds) if i in chosen],
-            )
-        raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6")
-    return _four_block_split(odds, 6, ambient, half)
+    _ensure(18 <= l <= 30 and l % 2 == 0, "level-6 odd split outside 18..30 even values")
+    if l > 24:
+        return _four_block_split(odds, 6, ambient, half)
+    windows = (8, 10, 12) if l == 24 else (6, 8, 10)
+    vm = VectorMultiset.of(ambient, odds)
+    # The counting windows first, then a defensive sweep not expected to run.
+    for s in (*windows, *range(max(2, l - 16), 17, 2)):
+        try:
+            idx = zero_sum_subset_of_size(vm, s)
+        except NoSuchSubset:
+            continue
+        chosen = set(idx)
+        return (
+            [u for i, u in enumerate(odds) if i not in chosen],
+            [u for i, u in enumerate(odds) if i in chosen],
+        )
+    raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6")
 
 
 def _transfer_loop(
@@ -438,7 +428,7 @@ def _four_block_split(
     singles are balanced by the generic transfer loop first.
     """
     span = echelon_basis(odds, ambient)
-    assert span.rank <= m - 1
+    _ensure(span.rank <= m - 1, "dense odd values span the whole level")
     W = extend_basis(span, m - 1)
     by_img: dict[int, int] = {}
     for v in odds:
@@ -456,11 +446,63 @@ def _four_block_split(
         if not blocks:
             raise InternalSearchFailed("ran out of blocks while topping up a half")
         first.extend(blocks.pop())
-    assert len(first) in (half, half - 2)
+    _ensure(len(first) in (half, half - 2), "block top-up missed the half size")
     second = moved + [v for b in blocks for v in b]
     if len(second) > half:
         raise InternalSearchFailed("block split overfilled the second half")
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# the shared reduction steps
+
+
+def _halve_rounds(
+    values: Sequence[int], rounds: int, split: Callable[[list[int]], tuple[list[int], list[int]]]
+) -> list[list[int]]:
+    """Split every group in two, rounds times over, leaving 2^rounds groups."""
+    groups = [list(values)]
+    for _ in range(rounds):
+        groups = [half for g in groups for half in split(g)]
+    return groups
+
+
+def _lift_groups(
+    values: Sequence[int],
+    groups: Sequence[Sequence[int]],
+    frame: Basis,
+    solve: Callable[[list[int]], list[tuple[int, int]]],
+) -> list[tuple[int, int]]:
+    """Solve each group in frame's coordinates and translate it onto its own coset.
+
+    Group i lands on the coset of the frame's span whose smallest
+    representative is coset_decompose(n, frame)[i].
+    """
+    shifts = coset_decompose(frame.dim, frame)
+    _ensure(len(shifts) == len(groups), "one group per coset of the frame")
+    triples: list[tuple[int, int, int]] = []
+    for g, t in zip(groups, shifts):
+        solved = solve([frame.coords(v) for v in g])
+        for (p, q), v in zip(solved, g):
+            triples.append((frame.combine(p) ^ t, frame.combine(q) ^ t, v))
+    return _align(values, triples)
+
+
+def _pair_slots(values: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(value, i, j) for each pair of equal targets, sorted by value.
+
+    Positions i < j are consecutive occurrences of the value, taken from the
+    left; every multiplicity must be even.
+    """
+    positions: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        positions.setdefault(v, []).append(i)
+    return [(v, a, b) for v, idx in sorted(positions.items()) for a, b in zip(idx[::2], idx[1::2])]
+
+
+def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, int]:
+    """The even part of each multiplicity outside skip, zero parts dropped."""
+    return {u: c & ~1 for u, c in hist.items() if c > 1 and u not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -474,36 +516,22 @@ def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[
     solved inside a k-dimensional coordinate frame and lifted onto its own
     coset of a k-dimensional subspace containing the span.
     """
-    assert 1 <= k <= min(6, n)
+    _ensure(1 <= k <= min(6, n), "coset lift needs 1 <= k <= min(6, n)")
     trace.append(f"coset-lift n={n} k={k} groups={1 << (n - k)}")
     if k == 1:
         # Single repeated target: pair every coset representative of {0, v}
         # with its translate.
         v = values[0]
-        assert all(x == v for x in values)
+        _ensure(all(x == v for x in values), "span 1 needs a single repeated target")
         return [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]
-    groups: list[list[int]] = [list(values)]
-    while len(groups[0]) > 1 << (k - 1):
-        nxt: list[list[int]] = []
-        for g in groups:
-            a, b = _split_halves(g, n)
-            nxt.append(a)
-            nxt.append(b)
-        groups = nxt
-    span = echelon_basis(values, n)
-    S = extend_basis(span, k)
-    translations = coset_decompose(n, S)
-    assert len(translations) == len(groups)
-    triples: list[tuple[int, int, int]] = []
-    for g, t in zip(groups, translations):
-        sub = [S.coords(v) for v in g]
+    groups = _halve_rounds(values, n - k, lambda g: _split_halves(g, n))
+
+    def solve(sub: list[int]) -> list[tuple[int, int]]:
         if k <= 5:
-            solved = _exact_aligned(k, sub)
-        else:
-            solved = _lift_even(k, sub, _exact_aligned, trace)
-        for (p, q), v in zip(solved, g):
-            triples.append((S.combine(p) ^ t, S.combine(q) ^ t, v))
-    return _align(values, triples)
+            return _exact_aligned(k, sub)
+        return _lift_even(k, sub, _exact_aligned, trace)
+
+    return _lift_groups(values, groups, extend_basis(echelon_basis(values, n), k), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +564,8 @@ def _lift_even(
     pair expands into two upstairs pairs spanning both halves of the space.
     """
     hist = Counter(values)
-    assert all(c % 2 == 0 for c in hist.values())
-    # slot: one pair of equal targets, tracked by its two positions
-    positions: dict[int, deque[int]] = {}
-    for i, v in enumerate(values):
-        positions.setdefault(v, deque()).append(i)
-    slots: list[tuple[int, int, int]] = []
-    for v in sorted(hist):
-        idx = positions[v]
-        while idx:
-            a = idx.popleft()
-            b = idx.popleft()
-            slots.append((v, a, b))
+    _ensure(all(c % 2 == 0 for c in hist.values()), "even lift needs even multiplicities")
+    slots = _pair_slots(values)
     pair_sum = 0
     for v, _, _ in slots:
         pair_sum ^= v
@@ -561,21 +579,19 @@ def _lift_even(
             f"even-pairs reduction degenerate at n={n} and exact search is out of reach"
         ) from None
     ext = extend_basis(echelon_basis([u], n), n)
-    frame = [u] + [r for r in ext.rows if r != u]
-    units = [1 << (n - 1 - i) for i in range(n)]
-    M = LinearMap.from_frame(frame, units, n)
-    Minv = M.inverse()
+    Minv = LinearMap(n, (u, *(r for r in ext.rows if r != u)))
+    M = Minv.inverse()
     e1 = 1 << (n - 1)
     low = e1 - 1
     special = next(i for i, s in enumerate(slots) if s[0] == u)
     correction = M.apply(pair_sum ^ u) & low
-    assert correction != 0
+    _ensure(correction != 0, "even lift correction vanished")
     down = [correction]
     for j, (v, _, _) in enumerate(slots):
         if j == special:
             continue
         img = M.apply(v) & low
-        assert img != 0
+        _ensure(img != 0, "even lift sent a slot to zero")
         down.append(img)
     trace.append(f"even-lift n={n} slots={len(slots)}")
     solved = base(n - 1, down)
@@ -620,10 +636,10 @@ def _split_three(values: Sequence[int]) -> tuple[list[int], list[int]]:
     donor = order[-1][0]
     donor_side, other = (s1, s2) if len(order) % 2 == 1 else (s2, s1)
     diff = len(donor_side) - len(other)
-    assert diff >= 0, "most frequent value must sit on the larger side"
+    _ensure(diff >= 0, "most frequent value must sit on the larger side")
     shift = diff // 2
     if shift:
-        assert hist[donor] >= shift
+        _ensure(hist[donor] >= shift, "donor value too rare for the rebalancing shift")
         kept: list[int] = []
         removed = 0
         for x in donor_side:
@@ -636,18 +652,6 @@ def _split_three(values: Sequence[int]) -> tuple[list[int], list[int]]:
     return s1, s2
 
 
-def _split_three_groups(values: Sequence[int], k: int) -> list[list[int]]:
-    groups = [list(values)]
-    for _ in range(k):
-        nxt: list[list[int]] = []
-        for g in groups:
-            a, b = _split_three(g)
-            nxt.append(a)
-            nxt.append(b)
-        groups = nxt
-    return groups
-
-
 def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
     """All-even targets spanning at most n/2 dimensions.
 
@@ -657,20 +661,14 @@ def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int
     """
     span = echelon_basis(values, n)
     k = span.rank
-    assert 1 <= k and 2 * k <= n
-    groups = _split_three_groups(values, k)
+    _ensure(1 <= k and 2 * k <= n, "half-dimension case needs 1 <= 2 * span <= n")
+    groups = _halve_rounds(values, k, _split_three)
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
-    T = extend_basis(span, n - k)
-    translations = coset_decompose(n, T)
-    assert len(translations) == len(groups)
-    triples: list[tuple[int, int, int]] = []
-    for g, t in zip(groups, translations):
-        sub = [T.coords(v) for v in g]
-        sub_rank = echelon_basis(sub, n - k).rank
-        solved = _small_dim(n - k, sub, max(sub_rank, 1), trace)
-        for (p, q), v in zip(solved, g):
-            triples.append((T.combine(p) ^ t, T.combine(q) ^ t, v))
-    return _align(values, triples)
+
+    def solve(sub: list[int]) -> list[tuple[int, int]]:
+        return _small_dim(n - k, sub, max(echelon_basis(sub, n - k).rank, 1), trace)
+
+    return _lift_groups(values, groups, extend_basis(span, n - k), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +696,8 @@ def _allocate_even(
     callers that probe several vessel layouts pass a small node_cap.
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert all(c > 0 and c % 2 == 0 for _, c in order)
-    assert sum(c for _, c in order) == sum(v.need for v in vessels)
+    _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
+    _ensure(sum(c for _, c in order) == sum(v.need for v in vessels), "pool and needs differ")
 
     def room(state: list[tuple[int, set[int]]], i: int, u: int) -> bool:
         need, present = state[i]
@@ -785,8 +783,8 @@ def _greedy_fill(pool: dict[int, int], fills: list[int]) -> list[Counter]:
                 out[i][u] += take
                 fills[i] -= take
                 left -= take
-        assert left == 0
-    assert all(f == 0 for f in fills)
+        _ensure(left == 0, "fills too small for the pool")
+    _ensure(all(f == 0 for f in fills), "pool too small for the fills")
     return out
 
 
@@ -799,24 +797,29 @@ def _counts_to_list(counts: Mapping[int, int]) -> list[int]:
 
 def _two_coset_recurse(
     n: int,
-    side1: Mapping[int, int],
-    side2: Mapping[int, int],
+    side1: Counter,
+    side2: Counter,
+    pool: dict[int, int],
     values: Sequence[int],
     trace: list[str],
 ) -> list[tuple[int, int]]:
-    """Solve two half-size sub-instances inside a hyperplane and its coset."""
+    """Fill both sides to 2^(n-2) targets from the even pool and solve them.
+
+    Side one is solved inside a hyperplane containing the span, side two on
+    its other coset.
+    """
+    quarter = 1 << (n - 2)
+    fills = [quarter - sum(side1.values()), quarter - sum(side2.values())]
+    _ensure(min(fills) >= 0, "fixed values overfilled a side")
+    parts = _greedy_fill(pool, fills)
     span = echelon_basis(values, n)
-    assert span.rank <= n - 1
-    H = extend_basis(span, n - 1)
-    h = coset_decompose(n, H)[1]
-    triples: list[tuple[int, int, int]] = []
-    for counts, shift in ((side1, 0), (side2, h)):
-        sub_vals = _counts_to_list(counts)
-        sub = [H.coords(v) for v in sub_vals]
-        solved = _solve_few(n - 1, sub, trace)
-        for (p, q), v in zip(solved, sub_vals):
-            triples.append((H.combine(p) ^ shift, H.combine(q) ^ shift, v))
-    return _align(values, triples)
+    _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
+    return _lift_groups(
+        values,
+        [_counts_to_list(side1 + parts[0]), _counts_to_list(side2 + parts[1])],
+        extend_basis(span, n - 1),
+        lambda sub: _solve_few(n - 1, sub, trace),
+    )
 
 
 def _even_two_split(
@@ -830,16 +833,12 @@ def _even_two_split(
     """
     quarter = 1 << (n - 2)
     seeds = sorted(u for u in hist if hist[u] <= quarter)
-    assert len(seeds) >= 2, "at most one value can exceed half the instance"
+    _ensure(len(seeds) >= 2, "at most one value can exceed half the instance")
     u1, u2 = seeds[0], seeds[1]
     side1 = Counter({u1: hist[u1]})
     side2 = Counter({u2: hist[u2]})
-    pool = {u: hist[u] for u in hist if u not in (u1, u2)}
-    parts = _greedy_fill(pool, [quarter - hist[u1], quarter - hist[u2]])
-    side1.update(parts[0])
-    side2.update(parts[1])
     trace.append(f"even-two-split n={n} l={len(hist)} seeds=({u1},{u2})")
-    return _two_coset_recurse(n, side1, side2, values, trace)
+    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (u1, u2)), values, trace)
 
 
 def _exactly_n_even(
@@ -856,33 +855,21 @@ def _exactly_n_even(
     us = sorted(hist)
     u1 = max(us, key=lambda u: (hist[u], -u))
     frame = [u1] + [u for u in us if u != u1]
-    units = [1 << (n - 1 - i) for i in range(n)]
-    M = LinearMap.from_frame(frame, units, n)
-    Minv = M.inverse()
+    Minv = LinearMap(n, tuple(frame))
+    M = Minv.inverse()
     e1 = 1 << (n - 1)
 
-    positions: dict[int, deque[int]] = {}
-    for i, v in enumerate(values):
-        positions.setdefault(v, deque()).append(i)
-    rest_slots: list[tuple[int, int, int]] = []
-    top_slots: list[tuple[int, int]] = []
-    for v in sorted(hist):
-        idx = positions[v]
-        while idx:
-            a = idx.popleft()
-            b = idx.popleft()
-            if v == u1:
-                top_slots.append((a, b))
-            else:
-                rest_slots.append((v, a, b))
+    slots = _pair_slots(values)
+    rest_slots = [s for s in slots if s[0] != u1]
+    top_slots = [(a, b) for v, a, b in slots if v == u1]
     fix_values = [u for u in us if u != u1 and hist[u] % 4 == 2]
-    assert len(fix_values) <= len(top_slots), "top value too rare for the rebalancing"
+    _ensure(len(fix_values) <= len(top_slots), "top value too rare for the rebalancing")
     filler = frame[1]
     top_values = fix_values + [filler] * (len(top_slots) - len(fix_values))
 
     down: list[int] = [M.apply(v) for v, _, _ in rest_slots]
     down += [M.apply(v) for v in top_values]
-    assert all(0 < v < e1 for v in down)
+    _ensure(all(0 < v < e1 for v in down), "exactly-n reduction left the bottom hyperplane")
     trace.append(f"exactly-n-even n={n} top-slots={len(top_slots)} fixes={len(fix_values)}")
     solved = _solve_few(n - 1, down, trace)
 
@@ -904,15 +891,9 @@ def _case_few_odd(
     One copy of every odd value goes to side one, killing all the odd
     parities at once; side two is filled with even chunks.
     """
-    quarter = 1 << (n - 2)
     side1 = Counter({u: 1 for u in odds})
-    pool = {u: hist[u] - (hist[u] & 1) for u in hist}
-    pool = {u: c for u, c in pool.items() if c}
-    parts = _greedy_fill(pool, [quarter - len(odds), quarter])
-    side1.update(parts[0])
-    side2 = parts[1]
     trace.append(f"odd-singles-split n={n} l={len(hist)} m={len(odds)}")
-    return _two_coset_recurse(n, side1, side2, values, trace)
+    return _two_coset_recurse(n, side1, Counter(), _even_pool(hist), values, trace)
 
 
 def _case_full_small_odd(
@@ -932,21 +913,9 @@ def _case_full_small_odd(
     side1 = Counter({u: 1 for u in odds})
     side1[pinned1] = hist[pinned1]
     side2 = Counter({pinned2: hist[pinned2]})
-    pool = {}
-    for u in hist:
-        if u in (pinned1, pinned2):
-            continue
-        c = hist[u] - (hist[u] & 1)
-        if c:
-            pool[u] = c
-    fill1 = quarter - sum(side1.values())
-    fill2 = quarter - hist[pinned2]
-    assert fill1 >= 0 and fill2 >= 0
-    parts = _greedy_fill(pool, [fill1, fill2])
-    side1.update(parts[0])
-    side2.update(parts[1])
     trace.append(f"pinned-split n={n} m={len(odds)} pin1={pinned1} pin2={pinned2}")
-    return _two_coset_recurse(n, side1, side2, values, trace)
+    pool = _even_pool(hist, (pinned1, pinned2))
+    return _two_coset_recurse(n, side1, side2, pool, values, trace)
 
 
 def _case_subset_split(
@@ -990,18 +959,8 @@ def _case_subset_split(
     side2 = Counter({u: 1 for u in comp})
     side1[x1] += leftover(x1)
     side2[x2] += leftover(x2)
-    pool = {}
-    for u in hist:
-        if u in (x1, x2):
-            continue
-        c = leftover(u)
-        if c:
-            pool[u] = c
-    parts = _greedy_fill(pool, [fill1 - leftover(x1), fill2 - leftover(x2)])
-    side1.update(parts[0])
-    side2.update(parts[1])
     trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
-    return _two_coset_recurse(n, side1, side2, values, trace)
+    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (x1, x2)), values, trace)
 
 
 def _coset_group_splits(
@@ -1062,11 +1021,11 @@ def _case_three_coset(
     distinct = sorted(hist)
 
     span = echelon_basis(distinct, n)
-    assert span.rank <= n - 1
+    _ensure(span.rank <= n - 1, "three-coset case needs a span below full rank")
     H = extend_basis(span, n - 1)
     outside = coset_decompose(n, H)[1]
     lam1 = solve_parity_system([(r, 0) for r in H.rows] + [(outside, 1)], n)
-    assert lam1 not in (None, 0)
+    _ensure(lam1 not in (None, 0), "no functional separates the hyperplane")
 
     c = m // 2 + 1 if m % 4 == 0 else m // 2
     k1 = c - 2
@@ -1085,19 +1044,13 @@ def _case_three_coset(
         if lam2 is None:
             continue
         others = [u for u in odds if u not in (a, b)]
-        pool: dict[int, int] = {}
-        for u in distinct:
-            if u in (a, b):
-                continue
-            c_eff = hist[u] - (hist[u] & 1)
-            if c_eff:
-                pool[u] = c_eff
+        pool = _even_pool(hist, (a, b))
         fills = [
             eighth - (k1 + 1),
             eighth - (m - c + 1),
             quarter - (hist[a] - 1) - (hist[b] - 1),
         ]
-        assert all(f >= 0 and f % 2 == 0 for f in fills)
+        _ensure(all(f >= 0 and f % 2 == 0 for f in fills), "three-coset fills must be even")
         for group1, group2 in _coset_group_splits(others, pool, k1):
             fixed = _fix_heads(group1, group2)
             if fixed is None:
@@ -1133,8 +1086,8 @@ def _case_three_coset(
     def top2(x: int) -> int:
         return x >> (n - 2)
 
-    assert top2(img[a]) == 1 and top2(img[b]) == 1
-    assert all(top2(img[u]) == 0 for u in distinct if u not in (a, b))
+    _ensure(top2(img[a]) == 1 and top2(img[b]) == 1, "separated pair off its quarter")
+    _ensure(all(top2(img[u]) == 0 for u in distinct if u not in (a, b)), "value left the half")
 
     v1_tail = _counts_to_list(alloc[0])
     v2_tail = _counts_to_list(alloc[1])
@@ -1151,7 +1104,7 @@ def _case_three_coset(
     sub1 = [M.apply(v) & maskq for v in order1]
     sub2 = [M.apply(v) & maskq for v in order2]
     sub3 = [M.apply(v) & maskh for v in v3_vals]
-    assert all(sub1) and all(sub2) and all(sub3)
+    _ensure(all(sub1) and all(sub2) and all(sub3), "three-coset reduction produced a zero target")
     p1 = _solve_few(n - 2, sub1, trace)
     p2 = _solve_few(n - 2, sub2, trace)
     p3 = _solve_few(n - 1, sub3, trace)
@@ -1163,7 +1116,7 @@ def _case_three_coset(
     P11, Q11 = lifted1[0]
     P21, Q21 = lifted2[0]
     t = P11 ^ P21 ^ img[a]
-    assert top2(t) == 0
+    _ensure(top2(t) == 0, "stitching translation left the half")
 
     triples: list[tuple[int, int, int]] = [
         (P11, P21 ^ t, a),
@@ -1180,12 +1133,12 @@ def _case_three_coset(
 
 def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
     """Recursion on instances with at most n distinct target values."""
-    assert len(values) == 1 << (n - 1)
+    _ensure(len(values) == 1 << (n - 1), "bounded-value recursion needs 2^(n-1) targets")
     if n <= 5:
         return _exact_aligned(n, values)
     hist = Counter(values)
     l = len(hist)
-    assert l <= n
+    _ensure(l <= n, "bounded-value recursion needs at most n values")
     odds = sorted(u for u in hist if hist[u] & 1)
     m = len(odds)
 
@@ -1200,7 +1153,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
             return _even_two_split(n, values, hist, trace)
         return _exactly_n_even(n, values, hist, trace)
 
-    assert m >= 4 and m % 2 == 0
+    _ensure(m >= 4 and m % 2 == 0, "odd values come in an even count of at least 4")
     if l < n:
         return _case_few_odd(n, values, hist, odds, trace)
     if m <= n - 2:
@@ -1278,9 +1231,9 @@ def split_to_three_values(vs: VectorMultiset, k: int) -> list[VectorMultiset]:
         raise PreconditionViolated(f"k={k} but the span has dimension {dim_span(vs)}")
     if k > n - 1:
         raise PreconditionViolated("span dimension leaves no room for groups")
-    groups = _split_three_groups(vs.values, k)
+    groups = _halve_rounds(vs.values, k, _split_three)
     for g in groups:
-        assert len(set(g)) <= 3, "a group exceeded 3 distinct values"
+        _ensure(len(set(g)) <= 3, "a group exceeded 3 distinct values")
     return [VectorMultiset.of(n, g) for g in groups]
 
 

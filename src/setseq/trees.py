@@ -7,7 +7,8 @@ together cover F_2^n minus zero exactly once, which forces
 
 The verifier is a total function: it never raises on bad labelings, it
 reports findings.  Constructors elsewhere in the package lean on that to
-assert their outputs instead of trusting the theory.
+check their outputs, raising InternalSearchFailed on a bad one, instead of
+trusting the theory.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,19 @@ def test_invalid_solver_output_is_internal_search_failed(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert err.startswith("error=InternalSearchFailed:")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every theory check in the
+    # package must raise a named error instead.
+    package = Path(pairing.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

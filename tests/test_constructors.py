@@ -388,8 +388,9 @@ def test_large_sweep():
         (label_small_diameter, (CaterpillarSpec((63,)),)),
         (label_large_caterpillar, (CaterpillarSpec((243, 3, 3, 3, 3, 5)),)),
         (add_pendants, (*load_fixture("figure1.json"), PendantPlan.parse("2:1,7:1,3:3,4:1,1:2"))),
+        (four_copies, (*load_fixture("figure1.json"), 2, 4)),
     ],
-    ids=["small-diameter", "small-diameter-star", "large", "add-pendants"],
+    ids=["small-diameter", "small-diameter-star", "large", "add-pendants", "four-copies"],
 )
 def test_each_pipeline_verifies_its_input_and_its_output_once(pipeline, args, monkeypatch):
     # One check of the fixture or base going in, one of the result coming

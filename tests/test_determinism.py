@@ -2,8 +2,9 @@
 
 Each digest is the sha256 of an emitted document (tree JSON or partition
 text).  The digests were recorded before the solvers and constructors
-moved to int labels internally; any change to what comes out first must be
-re-specified, not absorbed here.
+moved to int labels internally, and REDUCTION_DIGEST before the pairing
+reductions were folded into shared steps; any change to what comes out
+first must be re-specified, not absorbed here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ import pytest
 
 import instgen
 from setseq.constructors import four_copies, label_large_caterpillar, label_small_diameter
-from setseq.pairing import PairingInstance, format_partition, solve_pairing
+from setseq.gf2 import VectorMultiset
+from setseq.pairing import (
+    PairingInstance,
+    format_partition,
+    solve_at_most_n_values,
+    solve_dim_half_even,
+    solve_pairing,
+    split_zero_sum_halves,
+)
 from setseq.trees import CaterpillarSpec, Labeling, Tree, tree_to_json
 
 SMALL_DIAMETER_DIGESTS = {
@@ -35,6 +44,24 @@ LARGE_DIGEST = "fa95aed85fbe2ac0c709b0ef75ad2ebd567ece9e775f51cba247b8f70a6dfca7
 CHAIN_DIGEST = "1686864da7471148777006b0694580d4dfc62a9c6d5d27ffe294da1785d9942b"
 
 PAIRING_DIGEST = "68e5715239738f8245e94550b53b87b68da9ef04d4cac298660bbbfa6ad0c827"
+
+REDUCTION_DIGEST = "a39fbd52c31c40e22248f552855ff0b996dfbc3e83aa131117a8e8fb0f55ddc1"
+
+#: The fixed instances of the test_at_most_n_* case tests in test_pairing.py.
+AT_MOST_N_CASES = (
+    (4, [1] * 3 + [2, 4] + [7] * 3),
+    (4, [1] * 5 + [2, 4, 7]),
+    (7, [1] * 20 + [2] * 22 + [3] * 22),
+    (7, [v for v, c in zip((1, 2, 4, 8, 16, 32, 64), (10,) * 6 + (4,)) for _ in range(c)]),
+    (8, [v for v, c in zip((1, 2, 4, 8, 16, 32, 64, 128), (18,) * 7 + (2,)) for _ in range(c)]),
+    (7, [v for v, c in zip((1, 2, 4, 8, 16, 32, 63), (10,) * 6 + (4,)) for _ in range(c)]),
+    (7, [1, 2, 4, 7] + [3] * 30 + [1] * 10 + [2] * 10 + [4] * 10),
+    (7, [1, 2, 4, 7] + [8] * 20 + [16] * 20 + [32] * 16 + [1] * 2 + [2] * 2),
+    (8, [v for v, c in zip((1, 2, 4, 7, 8, 16, 32, 56), (15,) * 4 + (17,) * 4) for _ in range(c)]),
+    (7, [1, 2, 4, 8, 16, 31] + [96] * 58),
+    (6, [1, 2, 4] + [8] * 3 + [16] * 3 + [31] * 23),
+    (6, [1, 2, 3, 4, 8] + [12] * 27),
+)
 
 
 def sha256(text: str) -> str:
@@ -90,6 +117,47 @@ def pairing_stream() -> str:
     return "".join(out)
 
 
+def dense_odd_split_inputs():
+    """The inputs of test_split_dense_odd_values_level6/7 in test_pairing.py."""
+    for n, odd_counts in ((6, (18, 20, 22, 24, 26, 28)), (7, (34, 40, 50, 52, 58, 60))):
+        size = 1 << (n - 1)
+        for odd_count in odd_counts:
+            rng = random.Random(odd_count)
+            pool = list(range(1, size))
+            while True:
+                picks = rng.sample(pool, odd_count - 1)
+                last = instgen.xor_all(picks)
+                if last and last < size and last not in picks:
+                    break
+            fillers = [rng.randrange(1, size) for _ in range((size - odd_count) // 2)]
+            values = picks + [last] + [w for w in fillers for _ in (0, 1)]
+            rng.shuffle(values)
+            yield VectorMultiset.of(n, values)
+
+
+def reduction_stream() -> str:
+    """Partition text of the route-forced solvers and the dense-odd halvings.
+
+    solve_pairing sends almost every low-span instance to Dim5Coset, so the
+    half-dimension and bounded-value reductions are reached here through
+    their own public solvers.
+    """
+    rng = random.Random(30)
+    out = []
+    for n in range(4, 13):
+        n, values = instgen.dim_half_even_instance(rng, n)
+        out.append(format_partition(solve_dim_half_even(PairingInstance.of(n, values))))
+    for n in (6, 7, 8, 9, 10, 11) * 3:
+        n, values = instgen.at_most_n_instance(rng, n)
+        out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
+    for n, values in AT_MOST_N_CASES:
+        out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
+    for vs in dense_odd_split_inputs():
+        for half in split_zero_sum_halves(vs):
+            out.append(",".join(map(str, half.values)) + "\n")
+    return "".join(out)
+
+
 @pytest.mark.parametrize("degrees", list(SMALL_DIAMETER_DIGESTS))
 def test_small_diameter_output_is_pinned(degrees):
     tree, lab = label_small_diameter(CaterpillarSpec(degrees))
@@ -110,3 +178,7 @@ def test_four_copies_chain_output_is_pinned():
 
 def test_pairing_stream_output_is_pinned():
     assert sha256(pairing_stream()) == PAIRING_DIGEST
+
+
+def test_reduction_stream_output_is_pinned():
+    assert sha256(reduction_stream()) == REDUCTION_DIGEST

@@ -403,14 +403,6 @@ def test_from_rows_matches_functional_definition():
         assert m.apply(x) == expect
 
 
-def test_from_frame_sends_frame_to_images():
-    frame = [0b110, 0b010, 0b001]
-    images = [0b100, 0b111, 0b001]
-    m = LinearMap.from_frame(frame, images, 3)
-    for f, im in zip(frame, images):
-        assert m.apply(f) == im
-
-
 def test_inverse_requires_full_rank():
     with pytest.raises(NotFullRank):
         LinearMap(3, (0b110, 0b011, 0b101)).inverse()
@@ -426,7 +418,6 @@ def test_linear_map_inverse_roundtrip(n, seed):
         x = rng.randrange(1 << n)
         assert inv.apply(m.apply(x)) == x
         assert m.apply(inv.apply(x)) == x
-    assert m.compose(inv).imgs == LinearMap.identity(n).imgs
 
 
 # ---------------------------------------------------------------------------
