@@ -28,7 +28,7 @@ from .constructors import (
     solve_w_prefixes,
 )
 from .errors import SetseqError
-from .gf2 import BitVec, VectorMultiset, dim_span, echelon_basis
+from .gf2 import BitVec, echelon_basis
 from .pairing import (
     PairingInstance,
     PairPartition,
@@ -64,13 +64,11 @@ __all__ = [
     "SearchConfig",
     "SetseqError",
     "Tree",
-    "VectorMultiset",
     "WSequence",
     "add_pendants",
     "build_caterpillar",
     "build_w_sequence",
     "diameter",
-    "dim_span",
     "echelon_basis",
     "even_degree_label_sum",
     "exact_pairing_solver",

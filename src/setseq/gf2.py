@@ -7,8 +7,8 @@ at bit position n-1-j, so the leftmost character of the printed bitstring
 is the most significant stored bit.  Vector addition is XOR.  Dimensions
 are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
-Containers keep raw ints for speed and expose BitVec views at the edges;
-hot solver loops work on ints exclusively.
+The helpers here take and return plain ints.  BitVec is the fixed-width
+wrapper for parsing and printing bitstrings and for tree labels.
 """
 
 from __future__ import annotations
@@ -65,58 +65,6 @@ class BitVec:
                 f"dimension mismatch: {self.dim} vs {other.dim}"
             )
         return BitVec(self.bits ^ other.bits, self.dim)
-
-    def prepend(self, bit: int) -> BitVec:
-        """Concatenate one new leading coordinate (the new most significant bit)."""
-        if bit not in (0, 1):
-            raise PreconditionViolated(f"bit must be 0 or 1, got {bit}")
-        return BitVec(self.bits | (bit << self.dim), self.dim + 1)
-
-    def concat(self, other: BitVec) -> BitVec:
-        return BitVec((self.bits << other.dim) | other.bits, self.dim + other.dim)
-
-
-@dataclass(frozen=True)
-class VectorMultiset:
-    """An ordered multiset of vectors sharing one dimension.
-
-    Values are stored as raw ints; the items property yields BitVec views.
-    """
-
-    dim: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        for v in self.values:
-            _check_value(v, self.dim)
-
-    @classmethod
-    def of(cls, dim: int, values: Iterable[int | BitVec]) -> VectorMultiset:
-        out: list[int] = []
-        for v in values:
-            out.append(v.bits if isinstance(v, BitVec) else v)
-        return cls(dim, tuple(out))
-
-    @property
-    def items(self) -> tuple[BitVec, ...]:
-        return tuple(BitVec(v, self.dim) for v in self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def histogram(self) -> dict[int, int]:
-        """Multiplicity of each distinct value, keys in ascending order."""
-        out: dict[int, int] = {}
-        for v in sorted(self.values):
-            out[v] = out.get(v, 0) + 1
-        return out
-
-    def xor_sum(self) -> int:
-        total = 0
-        for v in self.values:
-            total ^= v
-        return total
 
 
 @dataclass(frozen=True)
@@ -177,13 +125,6 @@ class Basis:
                 x ^= r
         return x
 
-    def inverse(self) -> Basis:
-        """The basis whose combine equals this basis's coords (full rank only)."""
-        if self.rank != self.dim:
-            raise NotFullRank(f"rank {self.rank} < dimension {self.dim}")
-        rows = tuple(self.coords(1 << (self.dim - 1 - i)) for i in range(self.dim))
-        return Basis(self.dim, rows)
-
 
 def echelon_basis(values: Iterable[int], dim: int) -> Basis:
     """Reduced row-echelon basis of the span of the given vectors.
@@ -207,24 +148,6 @@ def echelon_basis(values: Iterable[int], dim: int) -> Basis:
             idx += 1
         rows.insert(idx, v)
     return Basis(dim, tuple(rows))
-
-
-def dim_span(vs: VectorMultiset) -> int:
-    """Rank of the set of distinct values in the multiset."""
-    return echelon_basis(vs.values, vs.dim).rank
-
-
-def change_of_basis(vs: VectorMultiset, new_basis: Basis) -> VectorMultiset:
-    """Coordinates of every item relative to a full-rank basis.
-
-    The induced map is a bijection of F_2^n; applying the inverse basis
-    (Basis.inverse) restores the original multiset.
-    """
-    if new_basis.rank != new_basis.dim:
-        raise NotFullRank(f"rank {new_basis.rank} < dimension {new_basis.dim}")
-    if new_basis.dim != vs.dim:
-        raise PreconditionViolated("basis and multiset dimensions differ")
-    return VectorMultiset(vs.dim, tuple(new_basis.coords(v) for v in vs.values))
 
 
 def _subset_reach_tables(
@@ -265,7 +188,7 @@ def _reconstruct_subset(
 
 
 def zero_sum_subset(
-    vs: VectorMultiset, max_size: int, parity: str | None = None
+    values: Sequence[int], max_size: int, parity: str | None = None
 ) -> tuple[int, ...]:
     """Indices of a smallest nonempty subset with XOR 0 and size <= max_size.
 
@@ -276,8 +199,8 @@ def zero_sum_subset(
         raise PreconditionViolated(f"max_size must be >= 1, got {max_size}")
     if parity not in (None, "odd", "even"):
         raise PreconditionViolated(f"parity must be None, 'odd' or 'even': {parity!r}")
-    cap = min(max_size, len(vs.values))
-    tables = _subset_reach_tables(vs.values, cap)
+    cap = min(max_size, len(values))
+    tables = _subset_reach_tables(values, cap)
     final = tables[-1]
     for c in range(1, cap + 1):
         if parity == "odd" and c % 2 == 0:
@@ -285,22 +208,22 @@ def zero_sum_subset(
         if parity == "even" and c % 2 == 1:
             continue
         if (c, 0) in final:
-            return _reconstruct_subset(vs.values, tables, (c, 0))
+            return _reconstruct_subset(values, tables, (c, 0))
     raise NoSuchSubset(
         f"no zero-sum subset of size <= {max_size}" + (f" with {parity} size" if parity else "")
     )
 
 
-def zero_sum_subset_of_size(vs: VectorMultiset, size: int) -> tuple[int, ...]:
+def zero_sum_subset_of_size(values: Sequence[int], size: int) -> tuple[int, ...]:
     """Indices of a subset with XOR 0 and exactly the given size."""
     if size < 1:
         raise PreconditionViolated(f"size must be >= 1, got {size}")
-    if size > len(vs.values):
-        raise NoSuchSubset(f"only {len(vs.values)} items, need {size}")
-    tables = _subset_reach_tables(vs.values, size)
+    if size > len(values):
+        raise NoSuchSubset(f"only {len(values)} items, need {size}")
+    tables = _subset_reach_tables(values, size)
     if (size, 0) not in tables[-1]:
         raise NoSuchSubset(f"no zero-sum subset of size exactly {size}")
-    return _reconstruct_subset(vs.values, tables, (size, 0))
+    return _reconstruct_subset(values, tables, (size, 0))
 
 
 def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
@@ -345,14 +268,6 @@ def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
             idx += 1
         rows.insert(idx, unit)
     return Basis(basis.dim, tuple(rows))
-
-
-def hyperplane_containing(values: Iterable[int], n: int) -> Basis:
-    """A rank n-1 subspace containing all the given vectors."""
-    b = echelon_basis(values, n)
-    if b.rank >= n:
-        raise PreconditionViolated("vectors span the whole space")
-    return extend_basis(b, n - 1)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from .gf2 import (
     Basis,
     BitVec,
     LinearMap,
-    VectorMultiset,
     coset_decompose,
-    dim_span,
     echelon_basis,
     extend_basis,
     solve_parity_system,
@@ -63,8 +61,8 @@ __all__ = [
 ROUTE_TAGS = ("ExactSearch", "Dim5Coset", "Dim6EvenCoset", "AtMostNValues", "DimHalfEven")
 
 #: Node budget for the bounded backtracking fallback behind the greedy
-#: distribution steps.
-ALLOCATOR_NODE_CAP = 1_000_000
+#: distribution step of the three-coset case.
+ALLOCATOR_NODE_CAP = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,35 +71,33 @@ ALLOCATOR_NODE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class PairingInstance:
-    """Target multiset for one pair-partition problem."""
+    """Target multiset for one pair-partition problem.
+
+    values holds 2^(n-1) targets, each a nonzero int below 2^n, with XOR 0.
+    """
 
     n: int
-    targets: VectorMultiset
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 2 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be in 2..{MAX_DIM}, got {self.n}")
-        if self.targets.dim != self.n:
-            raise PreconditionViolated(
-                f"targets have dimension {self.targets.dim}, expected {self.n}"
-            )
         want = 1 << (self.n - 1)
-        if len(self.targets) != want:
+        if len(self.values) != want:
             raise PreconditionViolated(
-                f"need exactly {want} targets for n={self.n}, got {len(self.targets)}"
+                f"need exactly {want} targets for n={self.n}, got {len(self.values)}"
             )
-        if any(v == 0 for v in self.targets.values):
-            raise PreconditionViolated("targets must all be nonzero")
-        if self.targets.xor_sum() != 0:
+        total = 0
+        for v in self.values:
+            if not 0 < v < 2 * want:
+                raise PreconditionViolated(f"target {v} outside 1..{2 * want - 1}")
+            total ^= v
+        if total:
             raise PreconditionViolated("targets must XOR to zero")
 
     @classmethod
-    def of(cls, n: int, values: Iterable[int | BitVec]) -> PairingInstance:
-        return cls(n, VectorMultiset.of(n, values))
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return self.targets.values
+    def of(cls, n: int, values: Iterable[int]) -> PairingInstance:
+        return cls(n, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
 
 
 def format_instance(inst: PairingInstance) -> str:
-    line = ",".join(str(v) for v in inst.targets.items)
+    line = ",".join(f"{v:0{inst.n}b}" for v in inst.values)
     return f"n={inst.n}\n{line}\n"
 
 
@@ -176,7 +172,7 @@ def parse_instance(text: str) -> PairingInstance:
         raise ValueError(f"bad dimension line {lines[0]!r}") from exc
     parts = [p.strip() for p in lines[1].split(",")]
     try:
-        values = [BitVec.parse(p, n) for p in parts]
+        values = [BitVec.parse(p, n).bits for p in parts]
     except PreconditionViolated as exc:
         raise ValueError(str(exc)) from exc
     return PairingInstance.of(n, values)
@@ -342,7 +338,7 @@ def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[
     elif m == 6:
         first, second = _split_odds_level6(odds, ambient, half)
     elif l <= (1 << (m - 1)) - 2 * m + 1:
-        first, second = _transfer_loop(odds, [], m, ambient, half)
+        first, second = _transfer_loop(odds, m, half)
     else:
         first, second = _four_block_split(odds, m, ambient, half)
 
@@ -373,11 +369,10 @@ def _split_odds_level6(odds: list[int], ambient: int, half: int) -> tuple[list[i
     if l > 24:
         return _four_block_split(odds, 6, ambient, half)
     windows = (8, 10, 12) if l == 24 else (6, 8, 10)
-    vm = VectorMultiset.of(ambient, odds)
     # The counting windows first, then a defensive sweep not expected to run.
     for s in (*windows, *range(max(2, l - 16), 17, 2)):
         try:
-            idx = zero_sum_subset_of_size(vm, s)
+            idx = zero_sum_subset_of_size(odds, s)
         except NoSuchSubset:
             continue
         chosen = set(idx)
@@ -388,9 +383,7 @@ def _split_odds_level6(odds: list[int], ambient: int, half: int) -> tuple[list[i
     raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6")
 
 
-def _transfer_loop(
-    pool: list[int], already: list[int], m: int, ambient: int, half: int
-) -> tuple[list[int], list[int]]:
+def _transfer_loop(pool: list[int], m: int, half: int) -> tuple[list[int], list[int]]:
     """Move small zero-sum subsets out of pool until it fits in one half.
 
     Any m of the (distinct, sub-maximal-span) values are dependent, so a
@@ -398,15 +391,15 @@ def _transfer_loop(
     odd-size transfer fixes the parity if needed.
     """
     first = list(pool)
-    second = list(already)
+    second: list[int] = []
     while len(first) > half:
-        idx = zero_sum_subset(VectorMultiset.of(ambient, first), max_size=m)
+        idx = zero_sum_subset(first, max_size=m)
         chosen = set(idx)
         second.extend(first[i] for i in idx)
         first = [u for i, u in enumerate(first) if i not in chosen]
     if len(first) & 1:
         try:
-            idx = zero_sum_subset(VectorMultiset.of(ambient, first), max_size=m, parity="odd")
+            idx = zero_sum_subset(first, max_size=m, parity="odd")
         except NoSuchSubset as exc:
             raise InternalSearchFailed("no odd-size parity transfer available") from exc
         chosen = set(idx)
@@ -441,7 +434,7 @@ def _four_block_split(
     blocked = {v for b in blocks for v in b}
     singles = [v for v in odds if v not in blocked]
 
-    first, moved = _transfer_loop(singles, [], m, ambient, half)
+    first, moved = _transfer_loop(singles, m, half)
     while len(first) < half - 2:
         if not blocks:
             raise InternalSearchFailed("ran out of blocks while topping up a half")
@@ -684,16 +677,14 @@ class _Vessel:
     present: set[int]
 
 
-def _allocate_even(
-    pool: Mapping[int, int], vessels: list[_Vessel], node_cap: int = ALLOCATOR_NODE_CAP
-) -> list[Counter]:
+def _allocate_even(pool: Mapping[int, int], vessels: list[_Vessel]) -> list[Counter]:
     """Distribute even per-value counts into vessels with distinct-value caps.
 
     Greedy first (largest counts into the neediest compatible vessel,
-    preferring vessels that already hold the value), then bounded
-    backtracking over per-value even splits.  Raises InternalSearchFailed
-    when the node budget runs out or the instance is genuinely infeasible;
-    callers that probe several vessel layouts pass a small node_cap.
+    preferring vessels that already hold the value), then backtracking over
+    per-value even splits, bounded by ALLOCATOR_NODE_CAP nodes so a caller
+    can move on to its next vessel layout.  Raises InternalSearchFailed when
+    the node budget runs out or the instance is genuinely infeasible.
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
     _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
@@ -736,7 +727,7 @@ def _allocate_even(
         if vi == len(order):
             return all(need == 0 for need, _ in state)
         nodes += 1
-        if nodes > node_cap:
+        if nodes > ALLOCATOR_NODE_CAP:
             raise InternalSearchFailed("distribution backtracking exceeded its node budget")
         u, count = order[vi]
 
@@ -1062,7 +1053,7 @@ def _case_three_coset(
                 _Vessel(fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
             ]
             try:
-                alloc = _allocate_even(pool, vessels, node_cap=50_000)
+                alloc = _allocate_even(pool, vessels)
             except InternalSearchFailed:
                 continue
             chosen = (a, b, lam2, group1, group2, head1, head2, alloc)
@@ -1159,7 +1150,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
     if m <= n - 2:
         return _case_full_small_odd(n, values, hist, odds, trace)
     try:
-        idx = zero_sum_subset(VectorMultiset.of(n, odds), max_size=m - 1, parity="even")
+        idx = zero_sum_subset(odds, max_size=m - 1, parity="even")
     except NoSuchSubset:
         return _case_three_coset(n, values, hist, odds, trace)
     subset = [odds[i] for i in idx]
@@ -1185,64 +1176,53 @@ def exact_pairing_solver(inst: PairingInstance, budget_seconds: float = 60.0) ->
     return _finish(inst, _exact_aligned(inst.n, inst.values, deadline))
 
 
-def split_zero_sum_halves(vs: VectorMultiset) -> tuple[VectorMultiset, VectorMultiset]:
-    """Split 2^(n-1) nonzero vectors with XOR 0 into two zero-sum halves.
+def split_zero_sum_halves(inst: PairingInstance) -> tuple[list[int], list[int]]:
+    """Split the targets into two halves of 2^(n-2) targets, each with XOR 0.
 
     Requires n >= 3 (so each half is even-sized) and a span of dimension
     strictly below n.
     """
-    n = vs.dim
-    if len(vs) != 1 << (n - 1):
-        raise PreconditionViolated(f"need 2^{n - 1} items for dimension {n}, got {len(vs)}")
+    n = inst.n
     if n < 3:
         raise PreconditionViolated(f"need dimension >= 3, got {n}")
-    if any(v == 0 for v in vs.values):
-        raise PreconditionViolated("items must be nonzero")
-    if vs.xor_sum() != 0:
-        raise PreconditionViolated("items must XOR to zero")
-    if dim_span(vs) >= n:
+    if echelon_basis(inst.values, n).rank >= n:
         raise PreconditionViolated("span must have dimension strictly below n")
-    first, second = _split_halves(vs.values, n)
-    return VectorMultiset.of(n, first), VectorMultiset.of(n, second)
+    return _split_halves(inst.values, n)
 
 
 def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     """Coset-lifted solve for targets spanning at most k <= 6 dimensions."""
-    d = dim_span(inst.targets)
+    d = echelon_basis(inst.values, inst.n).rank
     if not 1 <= k <= 6 or k > inst.n:
         raise CaseNotApplicable(f"k must be in 1..min(6, n), got {k}")
     if d > k:
         raise CaseNotApplicable(f"targets span {d} dimensions, more than k={k}")
-    if k == 6 and any(c % 2 for c in inst.targets.histogram().values()):
+    if k == 6 and any(c % 2 for c in Counter(inst.values).values()):
         raise CaseNotApplicable("k=6 needs every multiplicity even")
     trace: list[str] = []
     return _finish(inst, _small_dim(inst.n, inst.values, k, trace))
 
 
-def split_to_three_values(vs: VectorMultiset, k: int) -> list[VectorMultiset]:
-    """Split an all-even multiset into 2^k groups of at most 3 distinct values."""
-    n = vs.dim
-    if len(vs) != 1 << (n - 1):
-        raise PreconditionViolated(f"need 2^{n - 1} items for dimension {n}, got {len(vs)}")
-    hist = vs.histogram()
-    if any(c % 2 for c in hist.values()):
+def split_to_three_values(inst: PairingInstance, k: int) -> list[list[int]]:
+    """Split all-even targets into 2^k groups of at most 3 distinct values."""
+    if any(c % 2 for c in Counter(inst.values).values()):
         raise PreconditionViolated("every multiplicity must be even")
-    if k != dim_span(vs):
-        raise PreconditionViolated(f"k={k} but the span has dimension {dim_span(vs)}")
-    if k > n - 1:
+    d = echelon_basis(inst.values, inst.n).rank
+    if k != d:
+        raise PreconditionViolated(f"k={k} but the span has dimension {d}")
+    if k > inst.n - 1:
         raise PreconditionViolated("span dimension leaves no room for groups")
-    groups = _halve_rounds(vs.values, k, _split_three)
+    groups = _halve_rounds(inst.values, k, _split_three)
     for g in groups:
         _ensure(len(set(g)) <= 3, "a group exceeded 3 distinct values")
-    return [VectorMultiset.of(n, g) for g in groups]
+    return groups
 
 
 def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
     """All-even targets spanning at most n/2 dimensions."""
-    hist = inst.targets.histogram()
-    if any(c % 2 for c in hist.values()):
+    if any(c % 2 for c in Counter(inst.values).values()):
         raise CaseNotApplicable("every multiplicity must be even")
-    d = dim_span(inst.targets)
+    d = echelon_basis(inst.values, inst.n).rank
     if 2 * d > inst.n:
         raise CaseNotApplicable(f"span dimension {d} exceeds n/2")
     trace: list[str] = []
@@ -1258,8 +1238,7 @@ def lift_even_pairs(
     degenerate reduction (no usable multiplicity-2 value) falls back to exact
     search for n <= 6 and raises NotCovered beyond that.
     """
-    hist = inst.targets.histogram()
-    if any(c % 2 for c in hist.values()):
+    if any(c % 2 for c in Counter(inst.values).values()):
         raise CaseNotApplicable("every multiplicity must be even")
 
     def base(level: int, vals: list[int]) -> list[tuple[int, int]]:
@@ -1272,7 +1251,7 @@ def lift_even_pairs(
 
 def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:
     """Recursion for instances with at most n distinct target values."""
-    l = len(inst.targets.histogram())
+    l = len(set(inst.values))
     if l > inst.n:
         raise CaseNotApplicable(f"{l} distinct values exceed n={inst.n}")
     trace: list[str] = []
@@ -1282,8 +1261,8 @@ def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:
 def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
     """Try the constructive hypotheses in order, then exact search for n <= 6."""
     values = inst.values
-    hist = inst.targets.histogram()
-    d = dim_span(inst.targets)
+    hist = Counter(values)
+    d = echelon_basis(values, inst.n).rank
     all_even = all(c % 2 == 0 for c in hist.values())
     trace: list[str] = []
     if d <= 5:

@@ -24,8 +24,8 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .gf2 import MAX_DIM, BitVec
-from .trees import Labeling, Tree, verify_set_sequential
+from .gf2 import BitVec
+from .trees import Labeling, Tree, _label_width, verify_set_sequential
 
 __all__ = [
     "GREEDY_RESTART",
@@ -63,16 +63,6 @@ class SearchConfig:
             raise PreconditionViolated(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-
-
-def _label_width(t: Tree) -> int:
-    total = 2 * t.vertex_count - 1
-    n = total.bit_length()
-    if (1 << n) - 1 != total or n > MAX_DIM:
-        raise PreconditionViolated(
-            f"|V| + |E| = {total} is not 2^n - 1 for any supported n"
-        )
-    return n
 
 
 def search_labeling(

@@ -14,8 +14,8 @@ trusting the theory.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NonCanonical, PreconditionViolated
@@ -367,35 +367,31 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
             )
         )
 
-    entries: list[tuple[str, int]] = []
-    for v in range(t.vertex_count):
-        if v in lab.vertex_labels:
-            entries.append((f"vertex {v}", lab.vertex_labels[v].bits))
-    for a, b in t.edges:
-        if a in lab.vertex_labels and b in lab.vertex_labels:
-            entries.append(
-                (f"edge {a}-{b}", lab.vertex_labels[a].bits ^ lab.vertex_labels[b].bits)
-            )
+    labels = lab.vertex_labels
+    bits = {v: labels[v].bits for v in range(t.vertex_count) if v in labels}
+    edges = [(a, b) for a, b in t.edges if a in bits and b in bits]
+    counts = Counter(bits.values())
+    counts.update(bits[a] ^ bits[b] for a, b in edges)
 
-    by_value: dict[int, list[str]] = {}
-    for where, value in entries:
-        by_value.setdefault(value, []).append(where)
-
-    zero_spots = by_value.pop(0, [])
-    if zero_spots:
-        violations.append(
-            Violation("ZeroLabel", value=BitVec(0, n), locations=tuple(zero_spots))
-        )
-    for value in sorted(by_value):
-        spots = by_value[value]
-        if len(spots) > 1:
-            violations.append(
-                Violation("DuplicateValue", value=BitVec(value, n), locations=tuple(spots))
-            )
-    if total == expected and not unlabeled:
-        for value in range(1, 1 << n):
-            if value not in by_value:
-                violations.append(Violation("MissingValue", value=BitVec(value, n)))
+    # Locations are spelled out only for the zero and the repeated values.
+    spots: dict[int, list[str]] = {x: [] for x, c in counts.items() if c > 1 or x == 0}
+    if spots:
+        for v, x in bits.items():
+            if x in spots:
+                spots[x].append(f"vertex {v}")
+        for a, b in edges:
+            x = bits[a] ^ bits[b]
+            if x in spots:
+                spots[x].append(f"edge {a}-{b}")
+    for x in sorted(spots):
+        kind = "ZeroLabel" if x == 0 else "DuplicateValue"
+        violations.append(Violation(kind, value=BitVec(x, n), locations=tuple(spots[x])))
+    # With 2^n - 1 entries, a value can only be missing where a zero or a
+    # repeat took its place.
+    if total == expected and not unlabeled and spots:
+        for x in range(1, 1 << n):
+            if x not in counts:
+                violations.append(Violation("MissingValue", value=BitVec(x, n)))
 
     return VerifierReport.of(violations)
 
@@ -420,6 +416,17 @@ def even_degree_label_sum(t: Tree, lab: Labeling) -> BitVec:
 # interchange formats
 
 
+def _label_width(t: Tree) -> int:
+    """The n with |V| + |E| = 2^n - 1: the label width t needs."""
+    total = 2 * t.vertex_count - 1
+    n = total.bit_length()
+    if (1 << n) - 1 != total or n > MAX_DIM:
+        raise PreconditionViolated(
+            f"|V| + |E| = {total} is not 2^n - 1 for any supported n"
+        )
+    return n
+
+
 def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) -> str:
     """Labeled-tree JSON document; see tree_from_json for the schema.
 
@@ -431,12 +438,7 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
     elif n is not None:
         width = n
     else:
-        total = 2 * t.vertex_count - 1
-        width = total.bit_length()
-        if (1 << width) - 1 != total:
-            raise PreconditionViolated(
-                f"cannot infer n: {t.vertex_count} vertices do not fit 2^n - 1 labels"
-            )
+        width = _label_width(t)
     vertices = []
     for v in range(t.vertex_count):
         doc: dict[str, object] = {"id": v}

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import setseq
 from setseq import pairing
 from setseq.cli import main, parse_duration
 from setseq.constructors import fixtures_dir
@@ -114,6 +117,20 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    modules = [setseq] + [
+        importlib.import_module(f"setseq.{info.name}")
+        for info in pkgutil.iter_modules(setseq.__path__)
+    ]
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert stale == []
 
 
 # ---------------------------------------------------------------------------

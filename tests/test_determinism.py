@@ -17,7 +17,6 @@ import pytest
 
 import instgen
 from setseq.constructors import four_copies, label_large_caterpillar, label_small_diameter
-from setseq.gf2 import VectorMultiset
 from setseq.pairing import (
     PairingInstance,
     format_partition,
@@ -132,7 +131,7 @@ def dense_odd_split_inputs():
             fillers = [rng.randrange(1, size) for _ in range((size - odd_count) // 2)]
             values = picks + [last] + [w for w in fillers for _ in (0, 1)]
             rng.shuffle(values)
-            yield VectorMultiset.of(n, values)
+            yield PairingInstance.of(n, values)
 
 
 def reduction_stream() -> str:
@@ -152,9 +151,9 @@ def reduction_stream() -> str:
         out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
     for n, values in AT_MOST_N_CASES:
         out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
-    for vs in dense_odd_split_inputs():
-        for half in split_zero_sum_halves(vs):
-            out.append(",".join(map(str, half.values)) + "\n")
+    for inst in dense_odd_split_inputs():
+        for half in split_zero_sum_halves(inst):
+            out.append(",".join(map(str, half)) + "\n")
     return "".join(out)
 
 

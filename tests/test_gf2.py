@@ -19,13 +19,9 @@ from setseq.gf2 import (
     Basis,
     BitVec,
     LinearMap,
-    VectorMultiset,
-    change_of_basis,
     coset_decompose,
-    dim_span,
     echelon_basis,
     extend_basis,
-    hyperplane_containing,
     solve_parity_system,
     zero_sum_subset,
     zero_sum_subset_of_size,
@@ -105,13 +101,6 @@ def test_bitvec_xor_requires_matching_dims():
         BitVec(1, 3) ^ BitVec(1, 4)
 
 
-def test_bitvec_prepend_is_new_most_significant_bit():
-    p = BitVec.parse("011")
-    assert str(p.prepend(1)) == "1011"
-    assert str(p.prepend(0)) == "0011"
-    assert str(BitVec.parse("10").concat(BitVec.parse("011"))) == "10011"
-
-
 @given(st.integers(1, 12), st.data())
 def test_bitvec_xor_commutes_and_self_cancels(n, data):
     x = data.draw(st.integers(0, (1 << n) - 1))
@@ -122,28 +111,27 @@ def test_bitvec_xor_commutes_and_self_cancels(n, data):
 
 
 # ---------------------------------------------------------------------------
-# dim_span
+# dimension of the span: echelon_basis(values, n).rank
 
 
 def test_dim_span_empty_multiset():
-    assert dim_span(VectorMultiset(4, ())) == 0
+    assert echelon_basis([], 4).rank == 0
 
 
 def test_dim_span_toy_dependency():
-    vs = VectorMultiset.of(4, [0b0001, 0b0010, 0b0011])
-    assert dim_span(vs) == 2
+    assert echelon_basis([0b0001, 0b0010, 0b0011], 4).rank == 2
 
 
 def test_dim_span_figure_labels_match_oracle():
     vals = [int(s, 2) for s in FIGURE_LABELS]
     assert rank_oracle(vals, 4) == 4
-    assert dim_span(VectorMultiset.of(4, vals)) == 4
+    assert echelon_basis(vals, 4).rank == 4
 
 
 @given(st.integers(1, 10), st.lists(st.integers(0, (1 << 10) - 1), max_size=30))
 def test_dim_span_agrees_with_oracle(n, raw):
     vals = [v & ((1 << n) - 1) for v in raw]
-    assert dim_span(VectorMultiset.of(n, vals)) == rank_oracle(vals, n)
+    assert echelon_basis(vals, n).rank == rank_oracle(vals, n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +169,6 @@ def test_basis_membership_matches_exhaustive_span(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# change_of_basis
-
-
-def test_change_of_basis_identity():
-    vs = VectorMultiset.of(3, [0b101, 0b010, 0b101])
-    ident = Basis(3, (0b100, 0b010, 0b001))
-    assert change_of_basis(vs, ident) == vs
-
-
-def test_change_of_basis_small_worked_example():
-    # Coordinates of 11 over rows (11, 01): 11 = 1*(11) + 0*(01).
-    b = Basis(2, (0b11, 0b01))
-    out = change_of_basis(VectorMultiset.of(2, [0b11]), b)
-    assert out.values == (0b10,)
-
-
-def test_change_of_basis_requires_full_rank():
-    with pytest.raises(NotFullRank):
-        change_of_basis(VectorMultiset.of(3, [0b001]), Basis(3, (0b100,)))
-
-
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_change_of_basis_roundtrip_and_span_invariance(n, seed):
-    rng = random.Random(seed)
-    basis = random_full_rank_basis(n, rng)
-    vals = [rng.randrange(1 << n) for _ in range(rng.randrange(0, 10))]
-    vs = VectorMultiset.of(n, vals)
-    out = change_of_basis(vs, basis)
-    assert change_of_basis(out, basis.inverse()) == vs
-    assert dim_span(out) == dim_span(vs)
-    # The induced map is a bijection of the full space.
-    everything = VectorMultiset.of(n, range(1 << n))
-    image = change_of_basis(everything, basis)
-    assert sorted(image.values) == list(range(1 << n))
-
-
-# ---------------------------------------------------------------------------
 # zero_sum_subset
 
 
@@ -232,21 +183,18 @@ def brute_force_zero_subsets(values, max_size):
 
 
 def test_zero_sum_subset_known_cases():
-    vs = VectorMultiset.of(4, [0b0001, 0b0010, 0b0011])
-    assert zero_sum_subset(vs, 3) == (0, 1, 2)
-    dup = VectorMultiset.of(4, [0b0101, 0b0101])
-    assert zero_sum_subset(dup, 2) == (0, 1)
-    indep = VectorMultiset.of(3, [0b001, 0b010, 0b100])
+    assert zero_sum_subset([0b0001, 0b0010, 0b0011], 3) == (0, 1, 2)
+    assert zero_sum_subset([0b0101, 0b0101], 2) == (0, 1)
     with pytest.raises(NoSuchSubset):
-        zero_sum_subset(indep, 3)
+        zero_sum_subset([0b001, 0b010, 0b100], 3)
 
 
 def test_zero_sum_subset_rejects_bad_arguments():
-    vs = VectorMultiset.of(3, [0b001, 0b001])
+    values = [0b001, 0b001]
     with pytest.raises(PreconditionViolated):
-        zero_sum_subset(vs, 0)
+        zero_sum_subset(values, 0)
     with pytest.raises(PreconditionViolated):
-        zero_sum_subset(vs, 2, parity="sideways")
+        zero_sum_subset(values, 2, parity="sideways")
 
 
 @given(
@@ -258,14 +206,13 @@ def test_zero_sum_subset_rejects_bad_arguments():
 @settings(max_examples=200)
 def test_zero_sum_subset_matches_brute_force(n, raw, max_size, parity):
     values = [v & ((1 << n) - 1) for v in raw]
-    vs = VectorMultiset.of(n, values)
     witnesses = brute_force_zero_subsets(values, max_size)
     if parity == "odd":
         witnesses = [w for w in witnesses if len(w) % 2 == 1]
     elif parity == "even":
         witnesses = [w for w in witnesses if len(w) % 2 == 0]
     if witnesses:
-        got = zero_sum_subset(vs, max_size, parity=parity)
+        got = zero_sum_subset(values, max_size, parity=parity)
         assert xor_all(values[i] for i in got) == 0
         assert 1 <= len(got) <= max_size
         assert len(set(got)) == len(got)
@@ -276,7 +223,7 @@ def test_zero_sum_subset_matches_brute_force(n, raw, max_size, parity):
         assert len(got) == min(len(w) for w in witnesses)
     else:
         with pytest.raises(NoSuchSubset):
-            zero_sum_subset(vs, max_size, parity=parity)
+            zero_sum_subset(values, max_size, parity=parity)
 
 
 @given(
@@ -287,17 +234,16 @@ def test_zero_sum_subset_matches_brute_force(n, raw, max_size, parity):
 @settings(max_examples=150)
 def test_zero_sum_subset_of_size_matches_brute_force(n, raw, size):
     values = [v & ((1 << n) - 1) for v in raw]
-    vs = VectorMultiset.of(n, values)
     witnesses = [
         w for w in brute_force_zero_subsets(values, size) if len(w) == size
     ]
     if witnesses:
-        got = zero_sum_subset_of_size(vs, size)
+        got = zero_sum_subset_of_size(values, size)
         assert len(got) == size
         assert xor_all(values[i] for i in got) == 0
     else:
         with pytest.raises(NoSuchSubset):
-            zero_sum_subset_of_size(vs, size)
+            zero_sum_subset_of_size(values, size)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +298,7 @@ def test_coset_decompose_covers_everything_once(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# extend_basis / hyperplane_containing
+# extend_basis
 
 
 def test_extend_basis_reaches_requested_rank():
@@ -364,14 +310,6 @@ def test_extend_basis_reaches_requested_rank():
     assert seven.rank == 2
     with pytest.raises(PreconditionViolated):
         extend_basis(b, 0)
-
-
-def test_hyperplane_containing_span():
-    h = hyperplane_containing([0b0011, 0b0101], 4)
-    assert h.rank == 3
-    assert 0b0011 in h and 0b0101 in h and (0b0011 ^ 0b0101) in h
-    with pytest.raises(PreconditionViolated):
-        hyperplane_containing([0b0001, 0b0010, 0b0100, 0b1000], 4)
 
 
 @given(st.integers(2, 9), st.integers(0, 2**32 - 1))

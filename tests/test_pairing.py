@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from setseq.errors import (
     NotCovered,
     PreconditionViolated,
 )
-from setseq.gf2 import VectorMultiset
 from setseq.pairing import (
     PairingInstance,
     PairPartition,
@@ -66,11 +66,11 @@ def assert_valid(inst, part):
     assert errs == [], errs
 
 
-def assert_valid_split(vs, first, second):
-    assert len(first) == len(second) == len(vs) // 2
-    assert instgen.xor_all(first.values) == 0
-    assert instgen.xor_all(second.values) == 0
-    assert sorted(first.values + second.values) == sorted(vs.values)
+def assert_valid_split(inst, first, second):
+    assert len(first) == len(second) == len(inst.values) // 2
+    assert instgen.xor_all(first) == 0
+    assert instgen.xor_all(second) == 0
+    assert sorted(first + second) == sorted(inst.values)
 
 
 def distinct_zero_sum(rng, pool, count):
@@ -106,6 +106,11 @@ def test_instance_rejects_wrong_count():
 def test_instance_rejects_zero_target():
     with pytest.raises(PreconditionViolated):
         build(3, [0, 1, 2, 3])
+    # The same range check rejects targets outside 1..2^n - 1 at either end.
+    with pytest.raises(PreconditionViolated):
+        build(2, [0b100, 0b100])
+    with pytest.raises(PreconditionViolated):
+        build(2, [-1, -1])
 
 
 def test_instance_rejects_nonzero_xor():
@@ -216,55 +221,55 @@ def test_exact_random_instances_n4(seed):
 
 
 def test_split_contract_example_two_values():
-    vs = VectorMultiset.of(3, [0b001, 0b001, 0b010, 0b010])
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(3, [0b001, 0b001, 0b010, 0b010])
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
 
 
 def test_split_contract_example_single_value():
-    vs = VectorMultiset.of(3, [0b001] * 4)
-    first, second = split_zero_sum_halves(vs)
-    assert first.values == (0b001, 0b001)
-    assert second.values == (0b001, 0b001)
+    inst = build(3, [0b001] * 4)
+    first, second = split_zero_sum_halves(inst)
+    assert first == [0b001, 0b001]
+    assert second == [0b001, 0b001]
 
 
 def test_split_contract_example_n4():
-    vs = VectorMultiset.of(4, [0b0011, 0b0101, 0b0110, 0b0011, 0b0101, 0b0110, 0b0110, 0b0110])
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(4, [0b0011, 0b0101, 0b0110, 0b0011, 0b0101, 0b0110, 0b0110, 0b0110])
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
 
 
 def test_split_rejects_bad_inputs():
     with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(VectorMultiset.of(2, [0b01, 0b01]))  # n < 3
+        split_zero_sum_halves(build(2, [0b01, 0b01]))  # n < 3
     with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(VectorMultiset.of(3, [1, 1, 2]))  # wrong size
+        split_zero_sum_halves(build(3, [1, 1, 2]))  # wrong size
     with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(VectorMultiset.of(3, [0, 0, 1, 1]))  # zero entry
+        split_zero_sum_halves(build(3, [0, 0, 1, 1]))  # zero entry
     with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(VectorMultiset.of(3, [1, 2, 3, 1]))  # xor != 0
+        split_zero_sum_halves(build(3, [1, 2, 3, 1]))  # xor != 0
     with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(VectorMultiset.of(3, [1, 2, 4, 7]))  # full span
+        split_zero_sum_halves(build(3, [1, 2, 4, 7]))  # full span
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_random_low_dimension(seed):
     n, values = instgen.dim_le5_instance(random.Random(seed), 6)
-    vs = VectorMultiset.of(n, values)
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(n, values)
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_preserves_even_multiplicities(seed):
     n, values = instgen.dim6_even_instance(random.Random(seed), 7)
-    vs = VectorMultiset.of(n, values)
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(n, values)
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
     for half in (first, second):
-        assert all(c % 2 == 0 for c in half.histogram().values())
+        assert all(c % 2 == 0 for c in Counter(half).values())
 
 
 # The complement of the odd-value set inside the spanned subspace also XORs
@@ -277,9 +282,9 @@ def test_split_dense_odd_values_level6(odd_count):
     fillers = [rng.randrange(1, 32) for _ in range((32 - odd_count) // 2)]
     values = singles + [w for w in fillers for _ in (0, 1)]
     rng.shuffle(values)
-    vs = VectorMultiset.of(6, values)
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(6, values)
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
 
 
 @pytest.mark.parametrize("odd_count", [34, 40, 50, 52, 58, 60])
@@ -289,9 +294,9 @@ def test_split_dense_odd_values_level7(odd_count):
     fillers = [rng.randrange(1, 64) for _ in range((64 - odd_count) // 2)]
     values = singles + [w for w in fillers for _ in (0, 1)]
     rng.shuffle(values)
-    vs = VectorMultiset.of(7, values)
-    first, second = split_zero_sum_halves(vs)
-    assert_valid_split(vs, first, second)
+    inst = build(7, values)
+    first, second = split_zero_sum_halves(inst)
+    assert_valid_split(inst, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +356,48 @@ def test_small_dimension_even_rank6(seed, n):
 
 
 def test_split_three_contract_pair_of_values():
-    vs = VectorMultiset.of(4, [0b0001] * 4 + [0b0010] * 4)
-    groups = split_to_three_values(vs, 2)
+    inst = build(4, [0b0001] * 4 + [0b0010] * 4)
+    groups = split_to_three_values(inst, 2)
     assert len(groups) == 4
     assert all(len(g) == 2 for g in groups)
-    assert all(len(set(g.values)) == 1 for g in groups)
-    merged = sorted(v for g in groups for v in g.values)
-    assert merged == sorted(vs.values)
+    assert all(len(set(g)) == 1 for g in groups)
+    merged = sorted(v for g in groups for v in g)
+    assert merged == sorted(inst.values)
 
 
 def test_split_three_contract_single_value():
-    vs = VectorMultiset.of(4, [0b0001] * 8)
-    groups = split_to_three_values(vs, 1)
+    inst = build(4, [0b0001] * 8)
+    groups = split_to_three_values(inst, 1)
     assert len(groups) == 2
-    assert all(g.values == (0b0001,) * 4 for g in groups)
+    assert all(g == [0b0001] * 4 for g in groups)
 
 
 def test_split_three_rejects_bad_inputs():
     with pytest.raises(PreconditionViolated):
-        split_to_three_values(VectorMultiset.of(4, [1, 1, 1, 2, 2, 3, 3, 3]), 2)
+        split_to_three_values(build(4, [1, 1, 1, 2, 2, 3, 3, 3]), 2)
     with pytest.raises(PreconditionViolated):
-        split_to_three_values(VectorMultiset.of(4, [1, 1, 2, 2, 3, 3, 1, 1]), 3)
+        split_to_three_values(build(4, [1, 1, 2, 2, 3, 3, 1, 1]), 3)
     with pytest.raises(PreconditionViolated):
-        split_to_three_values(VectorMultiset.of(4, [1, 1, 2, 2]), 2)
+        split_to_three_values(build(4, [1, 1, 2, 2]), 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(5, 9))
 def test_split_three_postconditions(seed, n):
     nn, values = instgen.dim_half_even_instance(random.Random(seed), n)
-    vs = VectorMultiset.of(nn, values)
+    inst = build(nn, values)
     k = instgen.rank_of(values)
-    groups = split_to_three_values(vs, k)
+    groups = split_to_three_values(inst, k)
     assert len(groups) == 1 << k
     merged = []
     for g in groups:
-        assert len(g) == len(vs) >> k
-        hist = g.histogram()
+        assert len(g) == len(values) >> k
+        hist = Counter(g)
         assert len(hist) <= 3
         if len(g) >= 2:
             assert all(c % 2 == 0 for c in hist.values())
-        merged.extend(g.values)
-    assert sorted(merged) == sorted(vs.values)
+        merged.extend(g)
+    assert sorted(merged) == sorted(values)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +572,7 @@ def test_at_most_n_full_with_small_odd_count_n7():
     odds = [1, 2, 4, 7]
     values = list(odds) + [8] * 20 + [16] * 20 + [32] * 16 + [1] * 2 + [2] * 2
     inst = build(7, values)
-    assert len(inst.targets.histogram()) == 7
+    assert len(set(inst.values)) == 7
     assert_valid(inst, solve_at_most_n_values(inst))
 
 
@@ -607,7 +612,7 @@ def test_at_most_n_odd_subset_only_case_n6():
     # three-coset construction takes over.
     values = [1, 2, 3, 4, 8] + [12] * 27
     inst = build(6, values)
-    assert len(inst.targets.histogram()) == 6
+    assert len(set(inst.values)) == 6
     assert_valid(inst, solve_at_most_n_values(inst))
 
 
@@ -674,7 +679,7 @@ def test_route_dim_half_even():
     picks += [rng.choice(pool) for _ in range(4096 - len(picks))]
     values = [v for v in picks for _ in (0, 1)]
     inst = build(14, values)
-    assert len(inst.targets.histogram()) > 14
+    assert len(set(inst.values)) > 14
     part, route = solve_pairing(inst)
     assert_valid(inst, part)
     assert route.tag == "DimHalfEven"
@@ -684,7 +689,7 @@ def test_route_exact_search_n6():
     singles = [1, 2, 4, 8, 16, 32, 33, 30]
     values = singles + [5] * 24
     inst = build(6, values)
-    assert len(inst.targets.histogram()) == 9
+    assert len(set(inst.values)) == 9
     part, route = solve_pairing(inst)
     assert_valid(inst, part)
     assert route.tag == "ExactSearch"
@@ -694,7 +699,7 @@ def test_route_not_covered_n7():
     singles = [1, 2, 4, 8, 16, 32, 64, 127]
     values = singles + [3] * 56
     inst = build(7, values)
-    assert len(inst.targets.histogram()) == 9
+    assert len(set(inst.values)) == 9
     with pytest.raises(NotCovered):
         solve_pairing(inst)
 

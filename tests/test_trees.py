@@ -394,6 +394,21 @@ def test_violation_str_is_readable():
     assert "DuplicateValue value=011 at edge 0-1, edge 2-3" in text
 
 
+def test_verifier_report_text_is_pinned():
+    # A zero on a vertex and an edge, two duplicated values, four missing.
+    lab = Labeling.of(3, {0: "011", 1: "011", 2: "001", 3: "000"})
+    report = verify_set_sequential(path(4), lab)
+    assert [str(v) for v in report.violations] == [
+        "ZeroLabel value=000 at vertex 3, edge 0-1",
+        "DuplicateValue value=001 at vertex 2, edge 2-3",
+        "DuplicateValue value=011 at vertex 0, vertex 1",
+        "MissingValue value=100",
+        "MissingValue value=101",
+        "MissingValue value=110",
+        "MissingValue value=111",
+    ]
+
+
 def test_report_consistency_is_enforced():
     with pytest.raises(PreconditionViolated):
         from setseq.trees import VerifierReport, Violation
