@@ -4,6 +4,12 @@ The greedy strategy regenerates the bundled base-case labelings and attacks
 arbitrary small trees; the exhaustive strategy doubles as a non-existence
 prover for trees with at most 16 vertices.
 
+The exhaustive search enumerates one labeling per GL(n,2) orbit: invertible
+linear maps of F_2^n carry labelings to labelings, and it keeps only those
+whose every label lies in the span of the earlier ones or is the next unit
+vector.  The lexicographically first labeling is of that kind, so it is
+still the one returned, and Infeasible still means that none exists.
+
 Restart r draws from random.Random(seed + r) (Python's Mersenne Twister, so
 fixtures are reproducible across platforms).  Restarts run in increasing
 order and the first success wins; a parallel runner fanning restarts out to
@@ -98,38 +104,6 @@ def _emit(progress: TextIO | None, **fields: int) -> None:
         progress.write(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
 
 
-def _try_assign(
-    cand: int, v: int, adj: list[list[int]], labels: dict[int, int], used: bytearray
-) -> bool:
-    """Commit cand as v's label if it and all induced edge labels are fresh.
-
-    Two new edge labels can never collide with each other (that would force
-    two equal neighbor labels), so per-edge freshness is the whole check.
-    """
-    if used[cand]:
-        return False
-    fresh = []
-    for u in adj[v]:
-        if u in labels:
-            e = cand ^ labels[u]
-            if used[e]:
-                return False
-            fresh.append(e)
-    used[cand] = 1
-    for e in fresh:
-        used[e] = 1
-    labels[v] = cand
-    return True
-
-
-def _unassign(v: int, adj: list[list[int]], labels: dict[int, int], used: bytearray) -> None:
-    cand = labels.pop(v)
-    used[cand] = 0
-    for u in adj[v]:
-        if u in labels:
-            used[cand ^ labels[u]] = 0
-
-
 def _greedy_restarts(
     t: Tree, cfg: SearchConfig, n: int, progress: TextIO | None
 ) -> dict[int, int]:
@@ -155,8 +129,19 @@ def _greedy_restarts(
         labels: dict[int, int] = {}
         used = bytearray(size)
         for v in order:
-            if not any(_try_assign(c, v, adj, labels, used) for c in candidates):
+            # First fit: c and its edge to each labeled neighbor must be fresh
+            # (two new edges never collide; that would need equal neighbors).
+            # any() over a list beats a generator for so few neighbors.
+            near = [labels[u] for u in adj[v] if u in labels]
+            for c in candidates:
+                if not used[c] and not any([used[c ^ x] for x in near]):
+                    break
+            else:
                 break
+            used[c] = 1
+            for x in near:
+                used[c ^ x] = 1
+            labels[v] = c
         if len(labels) == t.vertex_count:
             _emit(progress, restarts=restart + 1, best_depth=t.vertex_count)
             return labels
@@ -174,41 +159,55 @@ def _backtracking(
 ) -> dict[int, int]:
     adj = t.adjacency()
     deg = t.degrees()
-    # Deterministic connectivity-first order: start at the highest-degree
-    # vertex and grow outward so every later vertex sees a labeled neighbor.
+    # Deterministic connectivity-first order: breadth first from the
+    # highest-degree vertex, so every later vertex has exactly one earlier
+    # neighbor, its parent, and each step adds exactly one edge label.
     root = max(range(t.vertex_count), key=lambda v: (deg[v], -v))
     order = [root]
+    parent = [0]  # position in order of each vertex's parent; unused for the root
     seen = {root}
-    i = 0
-    while i < len(order):
-        for u in sorted(adj[order[i]], key=lambda u: (-deg[u], u)):
+    for i, v in enumerate(order):  # order grows while it is walked
+        for u in sorted(adj[v], key=lambda u: (-deg[u], u)):
             if u not in seen:
                 seen.add(u)
                 order.append(u)
-        i += 1
+                parent.append(i)
     deadline = time.monotonic() + cfg.budget_seconds
     size = 1 << n
-    labels: dict[int, int] = {}
+    count = len(order)
+    # One labeling per GL(n,2) orbit, still the lexicographically first (see
+    # the module docstring): each label lies in the span of the earlier ones,
+    # the vectors below 1 << rank, or is 1 << rank, so the root takes 1.
+    labels = [1] + [0] * (count - 1)
     used = bytearray(size)
+    used[1] = 1
     nodes = 0
+    best_depth = 1
 
-    def rec(depth: int) -> bool:
-        nonlocal nodes
-        if depth == len(order):
+    def rec(depth: int, rank: int) -> bool:
+        nonlocal nodes, best_depth
+        if depth == count:
             return True
         nodes += 1
+        best_depth = max(best_depth, depth)
         if nodes & 1023 == 0 and time.monotonic() > deadline:
+            _emit(progress, nodes=nodes, best_depth=best_depth)
             raise BudgetExhausted(f"exhaustive search timed out after {nodes} nodes")
-        v = order[depth]
-        for cand in range(1, size):
-            if _try_assign(cand, v, adj, labels, used):
-                if rec(depth + 1):
-                    return True
-                _unassign(v, adj, labels, used)
+        near = labels[parent[depth]]
+        fresh = 1 << rank
+        for cand in range(1, min(size, fresh + 1)):
+            edge = cand ^ near
+            if used[cand] or used[edge]:
+                continue
+            used[cand] = used[edge] = 1
+            labels[depth] = cand
+            if rec(depth + 1, rank + (cand == fresh)):
+                return True
+            used[cand] = used[edge] = 0
         return False
 
-    if rec(0):
+    if rec(1, 1):
         _emit(progress, nodes=nodes, result=1)
-        return labels
+        return dict(zip(order, labels))
     _emit(progress, nodes=nodes, result=0)
     raise Infeasible("exhaustive search rejected every assignment")

@@ -16,7 +16,15 @@ from setseq import pairing
 from setseq.cli import main, parse_duration
 from setseq.constructors import fixtures_dir
 from setseq.errors import InternalSearchFailed
-from setseq.trees import Labeling, Tree, tree_from_json, tree_to_json, verify_set_sequential
+from setseq.trees import (
+    CaterpillarSpec,
+    Labeling,
+    Tree,
+    build_caterpillar,
+    tree_from_json,
+    tree_to_json,
+    verify_set_sequential,
+)
 
 
 FIGURE = str(fixtures_dir() / "figure1.json")
@@ -285,6 +293,21 @@ def test_search_exhaustive_detects_infeasible(capsys, tmp_path):
     )
     assert code == 1
     assert err.splitlines()[-1].startswith("error=Infeasible:")
+
+
+def test_search_exhaustive_timeout_reports_progress(capsys, tmp_path):
+    # The deadline is checked every 1,024 nodes; this tree needs more.
+    tree = build_caterpillar(CaterpillarSpec((3, 3, 3, 2, 2, 2, 2, 2, 2, 3)))
+    doc = tmp_path / "caterpillar16.json"
+    doc.write_text(tree_to_json(tree))
+    argv = ("--tree", str(doc), "--strategy", "exhaustive", "--budget", "0.000000001s")
+    code, _, err = run(capsys, "search", *argv)
+    assert code == 1
+    progress, error = err.splitlines()
+    assert error.startswith("error=BudgetExhausted:")
+    fields = dict(field.split("=") for field in progress.split())
+    assert set(fields) == {"nodes", "best_depth"}
+    assert all(value.isdigit() for value in fields.values())
 
 
 def test_search_accepts_minute_budgets(capsys, tmp_path):

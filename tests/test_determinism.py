@@ -2,14 +2,16 @@
 
 Each digest is the sha256 of an emitted document (tree JSON or partition
 text).  The digests were recorded before the solvers and constructors
-moved to int labels internally, and REDUCTION_DIGEST before the pairing
-reductions were folded into shared steps; any change to what comes out
-first must be re-specified, not absorbed here.
+moved to int labels internally, REDUCTION_DIGEST before the pairing
+reductions were folded into shared steps, and EXHAUSTIVE_DIGEST before the
+exhaustive search learned to skip labelings equivalent under GL(n,2); any
+change to what comes out first must be re-specified, not absorbed here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import deque
 
@@ -17,6 +19,7 @@ import pytest
 
 import instgen
 from setseq.constructors import four_copies, label_large_caterpillar, label_small_diameter
+from setseq.errors import Infeasible
 from setseq.pairing import (
     PairingInstance,
     format_partition,
@@ -25,6 +28,7 @@ from setseq.pairing import (
     solve_pairing,
     split_zero_sum_halves,
 )
+from setseq.search import BACKTRACKING, SearchConfig, search_labeling
 from setseq.trees import CaterpillarSpec, Labeling, Tree, tree_to_json
 
 SMALL_DIAMETER_DIGESTS = {
@@ -45,6 +49,8 @@ CHAIN_DIGEST = "1686864da7471148777006b0694580d4dfc62a9c6d5d27ffe294da1785d9942b
 PAIRING_DIGEST = "68e5715239738f8245e94550b53b87b68da9ef04d4cac298660bbbfa6ad0c827"
 
 REDUCTION_DIGEST = "a39fbd52c31c40e22248f552855ff0b996dfbc3e83aa131117a8e8fb0f55ddc1"
+
+EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae1b315"
 
 #: The fixed instances of the test_at_most_n_* case tests in test_pairing.py.
 AT_MOST_N_CASES = (
@@ -157,6 +163,43 @@ def reduction_stream() -> str:
     return "".join(out)
 
 
+def prufer_tree(count: int, code) -> Tree:
+    """The labeled tree on count vertices with the given Pruefer code."""
+    degree = [1] * count
+    for x in code:
+        degree[x] += 1
+    edges = []
+    for x in code:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(count) if degree[v] == 1))
+    return Tree.of(count, edges)
+
+
+def exhaustive_stream() -> str:
+    """Exhaustive-search outcome, one line per tree.
+
+    The trees are all 17 labeled trees on 2 and 4 vertices and 40 seeded
+    labeled trees on 8 vertices (6 of them have a labeling).  A line holds
+    the labels as vertex:bits, or "Infeasible"; node counts are left out.
+    """
+    trees = [prufer_tree(2, ())]
+    trees += [prufer_tree(4, code) for code in itertools.product(range(4), repeat=2)]
+    rng = random.Random(8)
+    trees += [prufer_tree(8, [rng.randrange(8) for _ in range(6)]) for _ in range(40)]
+    out = []
+    for tree in trees:
+        try:
+            lab = search_labeling(tree, SearchConfig(strategy=BACKTRACKING))
+        except Infeasible:
+            out.append("Infeasible\n")
+            continue
+        out.append(" ".join(f"{v}:{x.bits}" for v, x in sorted(lab.vertex_labels.items())) + "\n")
+    return "".join(out)
+
+
 @pytest.mark.parametrize("degrees", list(SMALL_DIAMETER_DIGESTS))
 def test_small_diameter_output_is_pinned(degrees):
     tree, lab = label_small_diameter(CaterpillarSpec(degrees))
@@ -181,3 +224,7 @@ def test_pairing_stream_output_is_pinned():
 
 def test_reduction_stream_output_is_pinned():
     assert sha256(reduction_stream()) == REDUCTION_DIGEST
+
+
+def test_exhaustive_search_output_is_pinned():
+    assert sha256(exhaustive_stream()) == EXHAUSTIVE_DIGEST

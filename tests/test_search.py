@@ -161,15 +161,35 @@ def test_backtracking_vertex_cap():
 
 
 def test_backtracking_time_budget():
-    # The 16-vertex star forces a deep dive; a tiny budget must interrupt it.
+    # The deadline is checked every 1,024 nodes, and this 16-vertex
+    # caterpillar needs more than that, so a budget this small always ends
+    # it; the search reports how far it got before it raises.
     t = build_caterpillar(CaterpillarSpec((3, 3, 3, 2, 2, 2, 2, 2, 2, 3)))
-    try:
+    out = io.StringIO()
+    with pytest.raises(BudgetExhausted):
         search_labeling(
-            t, SearchConfig(seed=0, budget_seconds=0.05, strategy=BACKTRACKING)
+            t,
+            SearchConfig(seed=0, budget_seconds=1e-9, strategy=BACKTRACKING),
+            progress=out,
         )
-    except BudgetExhausted:
-        pass  # the expected outcome on any normal machine
-    # finishing inside the budget is acceptable too; nothing to assert
+    fields = dict(field.split("=") for field in out.getvalue().split())
+    assert set(fields) == {"nodes", "best_depth"}
+    assert all(value.isdigit() for value in fields.values())
+    assert int(fields["nodes"]) >= 1024
+    assert 1 <= int(fields["best_depth"]) < t.vertex_count
+
+
+def test_backtracking_proves_eight_vertex_infeasible_in_few_nodes():
+    # One labeling per GL(4,2) orbit: the proof for this tree (the
+    # benchmark's infeasible 8-vertex shape) visits a few dozen nodes, where
+    # a search blind to the symmetry visits hundreds of thousands.
+    t = Tree.of(8, [(0, 5), (0, 6), (0, 1), (1, 2), (2, 3), (3, 4), (4, 7)])
+    out = io.StringIO()
+    with pytest.raises(Infeasible):
+        search_labeling(t, SearchConfig(strategy=BACKTRACKING), progress=out)
+    fields = dict(field.split("=") for field in out.getvalue().split())
+    assert fields["result"] == "0"
+    assert int(fields["nodes"]) <= 1000
 
 
 @given(st.integers(min_value=0, max_value=2**16))
