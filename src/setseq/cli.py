@@ -23,7 +23,6 @@ from .constructors import (
     label_small_diameter,
 )
 from .errors import PreconditionViolated, SetseqError
-from .gf2 import echelon_basis
 from .pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -104,8 +103,7 @@ def _run_pair_solve(args: argparse.Namespace) -> int:
         if flag == "exact":
             part = exact_pairing_solver(inst)
         elif flag == "dim5":
-            rank = echelon_basis(inst.values, inst.n).rank
-            part = solve_small_dimension(inst, max(1, min(5, rank)))
+            part = solve_small_dimension(inst, min(5, inst.n))
         elif flag == "dim6-even":
             part = solve_small_dimension(inst, 6)
         elif flag == "n-values":

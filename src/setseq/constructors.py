@@ -13,13 +13,14 @@ Three ways to manufacture verified set-sequential labelings:
   sequence along the doubled leaf-to-leaf path and propagating two-bit
   prefixes outward over the four copies.
 
-Inside a pipeline, labels are plain ints indexed by vertex id and the
-levels run unchecked.  Each public call verifies its input (the base
-labeling or the bundled fixture) and its final output once, and raises
-InternalSearchFailed rather than returning anything unchecked.  One final
-check is enough: pendant doubling keeps every old label as the 0-prefixed
-part of the new labeling, so the output verifies only if every level below
-it did.
+Inside a pipeline, labels are plain ints indexed by vertex id, and no
+intermediate labeling is verified; each level's pairing still goes through
+solve_pairing, which validates its instance and checks its partition.
+Each public call verifies its input (the base labeling or the bundled
+fixture) and its final output once, and raises InternalSearchFailed rather
+than returning anything unchecked.  One final check is enough: pendant
+doubling keeps every old label as the 0-prefixed part of the new labeling,
+so the output verifies only if every level below it did.
 """
 
 from __future__ import annotations

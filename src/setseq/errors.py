@@ -28,7 +28,6 @@ __all__ = [
     "TooSmall",
     "InvalidPath",
     "Unsolvable",
-    "DegenerateSwap",
 ]
 
 
@@ -118,7 +117,3 @@ class InvalidPath(SetseqError):
 
 class Unsolvable(SetseqError):
     """The prefix chain constraints admit no assignment."""
-
-
-class DegenerateSwap(SetseqError):
-    """Internal: no pair swap avoids a degenerate reduced instance."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExhausted,
     CaseNotApplicable,
-    DegenerateSwap,
     Infeasible,
     InternalSearchFailed,
     NoSuchSubset,
@@ -300,17 +299,12 @@ def _exact_aligned(n: int, values: Sequence[int], deadline: float | None = None)
 def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[int]]:
     """Split a zero-sum multiset of size 2^(m-1) into two zero-sum halves.
 
-    The level m is read off the size; the vectors themselves live in
-    F_2^ambient and must span strictly less than m dimensions.  Size-2 inputs
-    {v, v} are allowed here (the public wrapper forbids them) because the
-    coset solver recurses all the way down.
+    The level m >= 3 is read off the size; the vectors themselves live in
+    F_2^ambient and must span strictly less than m dimensions.
     """
     size = len(values)
-    _ensure(size >= 2 and size & (size - 1) == 0, "halving needs a power-of-two size")
+    _ensure(size >= 4 and size & (size - 1) == 0, "halving needs a power-of-two size >= 4")
     m = size.bit_length()
-    if size == 2:
-        _ensure(values[0] == values[1], "size-2 split needs equal values")
-        return [values[0]], [values[1]]
     half = size // 2
 
     if m <= 5:
@@ -503,36 +497,38 @@ def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, i
 
 
 def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[tuple[int, int]]:
-    """Solve an instance whose targets span at most k <= 6 dimensions.
+    """Solve an instance whose targets span at most k dimensions, k in {5, 6}.
 
-    Repeated halving yields 2^(n-k) zero-sum groups of size 2^(k-1); each is
-    solved inside a k-dimensional coordinate frame and lifted onto its own
-    coset of a k-dimensional subspace containing the span.
+    Halving down to level = min(k, n) yields 2^(n-level) zero-sum groups of
+    size 2^(level-1).  Each group is solved once, inside a level-dimensional
+    frame containing the span (exactly at level <= 5, by the even lift at
+    level 6), and lifted onto its own coset of the frame.
     """
-    _ensure(1 <= k <= min(6, n), "coset lift needs 1 <= k <= min(6, n)")
-    trace.append(f"coset-lift n={n} k={k} groups={1 << (n - k)}")
-    if k == 1:
+    _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
+    v = values[0]
+    if all(x == v for x in values):
         # Single repeated target: pair every coset representative of {0, v}
         # with its translate.
-        v = values[0]
-        _ensure(all(x == v for x in values), "span 1 needs a single repeated target")
+        trace.append(f"coset-lift n={n} k=1 groups={1 << (n - 1)}")
         return [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]
-    groups = _halve_rounds(values, n - k, lambda g: _split_halves(g, n))
+    level = min(k, n)
+    trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
+    groups = _halve_rounds(values, n - level, lambda g: _split_halves(g, n))
 
     def solve(sub: list[int]) -> list[tuple[int, int]]:
-        if k <= 5:
-            return _exact_aligned(k, sub)
-        return _lift_even(k, sub, _exact_aligned, trace)
+        if level <= 5:
+            return _exact_aligned(level, sub)
+        return _lift_even(level, sub, _exact_aligned, trace)
 
-    return _lift_groups(values, groups, extend_basis(echelon_basis(values, n), k), solve)
+    return _lift_groups(values, groups, extend_basis(echelon_basis(values, n), level), solve)
 
 
 # ---------------------------------------------------------------------------
 # even-pairs lifting
 
 
-def _special_pair_value(hist: Counter, pair_sum: int) -> int:
-    """The value whose two copies anchor the even-pairs reduction.
+def _special_pair_value(hist: Counter, pair_sum: int) -> int | None:
+    """The value whose two copies anchor the even-pairs reduction, if any.
 
     Needs multiplicity exactly 2 and a value distinct from the XOR of all
     pair values; otherwise the reduced instance would contain a zero.
@@ -541,7 +537,7 @@ def _special_pair_value(hist: Counter, pair_sum: int) -> int:
         for u in sorted(hist):
             if hist[u] == 2 and u != pair_sum:
                 return u
-    raise DegenerateSwap("every candidate swap leaves a zero in the reduced targets")
+    return None
 
 
 def _lift_even(
@@ -562,15 +558,14 @@ def _lift_even(
     pair_sum = 0
     for v, _, _ in slots:
         pair_sum ^= v
-    try:
-        u = _special_pair_value(hist, pair_sum)
-    except DegenerateSwap:
+    u = _special_pair_value(hist, pair_sum)
+    if u is None:
         if n <= 6:
             trace.append(f"even-lift n={n} degenerate, exact fallback")
             return _exact_aligned(n, values)
         raise NotCovered(
             f"even-pairs reduction degenerate at n={n} and exact search is out of reach"
-        ) from None
+        )
     ext = extend_basis(echelon_basis([u], n), n)
     Minv = LinearMap(n, (u, *(r for r in ext.rows if r != u)))
     M = Minv.inverse()
@@ -659,7 +654,7 @@ def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
 
     def solve(sub: list[int]) -> list[tuple[int, int]]:
-        return _small_dim(n - k, sub, max(echelon_basis(sub, n - k).rank, 1), trace)
+        return _small_dim(n - k, sub, 5, trace)
 
     return _lift_groups(values, groups, extend_basis(span, n - k), solve)
 
@@ -1138,8 +1133,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
             trace.append("even-base level=6")
             return _lift_even(6, values, _exact_aligned, trace)
         if l <= 2:
-            rank = echelon_basis(values, n).rank
-            return _small_dim(n, values, max(rank, 1), trace)
+            return _small_dim(n, values, 5, trace)
         if l < n or echelon_basis(values, n).rank < n:
             return _even_two_split(n, values, hist, trace)
         return _exactly_n_even(n, values, hist, trace)
@@ -1191,7 +1185,11 @@ def split_zero_sum_halves(inst: PairingInstance) -> tuple[list[int], list[int]]:
 
 
 def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
-    """Coset-lifted solve for targets spanning at most k <= 6 dimensions."""
+    """Coset-lifted solve for targets spanning at most k <= 6 dimensions.
+
+    k only gates the hypothesis: every k <= 5 lifts at level min(5, n), so
+    it returns the same partition.
+    """
     d = echelon_basis(inst.values, inst.n).rank
     if not 1 <= k <= 6 or k > inst.n:
         raise CaseNotApplicable(f"k must be in 1..min(6, n), got {k}")
@@ -1200,7 +1198,7 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     if k == 6 and any(c % 2 for c in Counter(inst.values).values()):
         raise CaseNotApplicable("k=6 needs every multiplicity even")
     trace: list[str] = []
-    return _finish(inst, _small_dim(inst.n, inst.values, k, trace))
+    return _finish(inst, _small_dim(inst.n, inst.values, 6 if k == 6 else 5, trace))
 
 
 def split_to_three_values(inst: PairingInstance, k: int) -> list[list[int]]:
@@ -1267,7 +1265,7 @@ def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
     trace: list[str] = []
     if d <= 5:
         tag = "Dim5Coset"
-        raw = _small_dim(inst.n, values, max(d, 1), trace)
+        raw = _small_dim(inst.n, values, 5, trace)
     elif d == 6 and all_even:
         tag = "Dim6EvenCoset"
         raw = _small_dim(inst.n, values, 6, trace)

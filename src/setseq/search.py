@@ -147,9 +147,9 @@ def _greedy_restarts(
             return labels
         if len(labels) > best_depth:
             best_depth = len(labels)
-            _emit(progress, restart=restart, best_depth=best_depth)
+            _emit(progress, restarts=restart + 1, best_depth=best_depth)
         elif restart and restart % 1000 == 0:
-            _emit(progress, restart=restart, best_depth=best_depth)
+            _emit(progress, restarts=restart + 1, best_depth=best_depth)
     _emit(progress, restarts=cfg.max_restarts, best_depth=best_depth)
     raise BudgetExhausted(f"no labeling within {cfg.max_restarts} restarts")
 

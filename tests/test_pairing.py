@@ -351,6 +351,28 @@ def test_small_dimension_even_rank6(seed, n):
     assert_valid(inst, part)
 
 
+def span2_instance(n, a, b, seed):
+    """2^(n-1) shuffled copies of a, b and a ^ b, every count even."""
+    third = (1 << (n - 1)) // 3 & ~1
+    values = [a] * third + [b] * third + [a ^ b] * ((1 << (n - 1)) - 2 * third)
+    random.Random(seed).shuffle(values)
+    return build(n, values)
+
+
+def test_coset_lift_solves_low_span_groups_at_level_five():
+    inst = span2_instance(10, 0b1000000001, 0b0110000010, 1)
+    part, route = solve_pairing(inst)
+    assert_valid(inst, part)
+    assert route.trace == ("coset-lift n=10 k=5 groups=32",)
+
+
+def test_small_dimension_output_does_not_depend_on_k_below_six():
+    inst = span2_instance(8, 0b10010011, 0b01100101, 2)
+    parts = [solve_small_dimension(inst, k) for k in range(2, 6)]
+    assert_valid(inst, parts[0])
+    assert all(part.pairs == parts[0].pairs for part in parts)
+
+
 # ---------------------------------------------------------------------------
 # three-value splitting
 

@@ -111,13 +111,15 @@ def test_greedy_path_four_exhausts_restarts():
 def test_greedy_emits_progress_lines():
     out = io.StringIO()
     with pytest.raises(BudgetExhausted):
-        search_labeling(path(4), SearchConfig(seed=0, max_restarts=25), progress=out)
+        search_labeling(path(4), SearchConfig(seed=0, max_restarts=1001), progress=out)
     lines = [ln for ln in out.getvalue().splitlines() if ln]
-    assert lines
+    # The first-depth line, the periodic line after restart 1000, the final line.
+    assert len(lines) == 3
     for ln in lines:
-        for field in ln.split():
-            key, _, value = field.partition("=")
-            assert key and value.lstrip("-").isdigit()
+        fields = dict(field.split("=") for field in ln.split())
+        assert set(fields) == {"restarts", "best_depth"}
+        assert all(value.isdigit() for value in fields.values())
+    assert lines[-1] == "restarts=1001 best_depth=3"
 
 
 def test_greedy_time_budget():
