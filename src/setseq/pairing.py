@@ -205,6 +205,14 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
     as soon as some target has fewer disjoint candidate pairs left than
     copies to place.  Pruning only discards dead branches, so the first
     partition found is a pure function of the input multiset.
+
+    Availability is kept per distinct target as one bitmask: masks[i] holds
+    the free vectors a whose partner a ^ vals[i] is free too (none for a
+    zero target).  Placing a pair clears at most four bits of each mask, so
+    a node costs a few int operations per target rather than a scan of
+    every free vector against every target.  The masks change only how a
+    node is evaluated: the search tree, its node count and the first
+    partition are those of that scan.
     """
     counts = Counter(values)
     out: list[tuple[int, int, int]] = []
@@ -212,19 +220,17 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
     full = (1 << (1 << n)) - 1
     nodes = 0
 
-    def rec(used: int) -> bool:
+    def rec(free: int, vals: list[int], cnts: list[int], masks: list[int]) -> bool:
         nonlocal nodes
         if len(out) == total:
             return True
         nodes += 1
         if deadline is not None and nodes & 255 == 1 and time.monotonic() > deadline:
             raise BudgetExhausted(f"no partition found within budget ({nodes} nodes)")
-        free = full & ~used
-        dvals = sorted(counts)
 
-        if len(dvals) == 1:
+        if len(vals) == 1:
             # One target left: the pairing is forced, walk it in one sweep.
-            v = dvals[0]
+            v = vals[0]
             chain: list[tuple[int, int, int]] = []
             m = free
             while m:
@@ -238,44 +244,54 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
             out.extend(chain)
             return True
 
-        nd = len(dvals)
-        avail = [0] * nd
-        best_x = -1
-        best_opts = 1 << 30
-        m = free
-        while m:
-            bit = m & -m
-            m ^= bit
-            a = bit.bit_length() - 1
-            opts = 0
-            for i in range(nd):
-                if free >> (a ^ dvals[i]) & 1:
-                    avail[i] += 1
-                    opts += 1
-            if opts == 0:
+        # Count each free vector's usable targets in binary, one bit-plane
+        # mask per binary digit (planes[j] holds digit j of every count).
+        planes: list[int] = []
+        usable = 0
+        for m, c in zip(masks, cnts):
+            if m.bit_count() >> 1 < c:
                 return False
-            if opts < best_opts:
-                best_opts = opts
-                best_x = a
-        for i in range(nd):
-            if avail[i] >> 1 < counts[dvals[i]]:
-                return False
-        x = best_x
-        for v in dvals:
-            y = x ^ v
-            if y == x or not free >> y & 1:
+            usable |= m
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ m
+                m &= plane
+                if not m:
+                    break
+            else:
+                planes.append(m)
+        if usable != free:
+            return False
+        # Narrow to the vectors of least count, most significant digit first.
+        fewest = free
+        for plane in reversed(planes):
+            if fewest & ~plane:
+                fewest &= ~plane
+        xbit = fewest & -fewest
+        x = xbit.bit_length() - 1
+
+        for i, m in enumerate(masks):
+            if not m & xbit:
                 continue
-            counts[v] -= 1
-            if not counts[v]:
-                del counts[v]
+            v = vals[i]
+            y = x ^ v
+            drop = xbit | 1 << y
+            child = [w & ~(drop | 1 << (x ^ u) | 1 << (y ^ u)) for w, u in zip(masks, vals)]
+            if cnts[i] == 1:
+                del child[i]
+                child_vals = vals[:i] + vals[i + 1 :]
+                child_cnts = cnts[:i] + cnts[i + 1 :]
+            else:
+                child_vals = vals
+                child_cnts = cnts[:]
+                child_cnts[i] -= 1
             out.append((x, y, v))
-            if rec(used | 1 << x | 1 << y):
+            if rec(free ^ drop, child_vals, child_cnts, child):
                 return True
-            counts[v] = counts.get(v, 0) + 1
             out.pop()
         return False
 
-    if not rec(0):
+    vals = sorted(counts)
+    if not rec(full, vals, [counts[v] for v in vals], [full if v else 0 for v in vals]):
         raise Infeasible(f"search space exhausted for n={n} after {nodes} nodes")
     return out
 
@@ -467,11 +483,12 @@ def _lift_groups(
     """
     shifts = coset_decompose(frame.dim, frame)
     _ensure(len(shifts) == len(groups), "one group per coset of the frame")
+    span = [frame.combine(c) for c in range(1 << len(frame.rows))]
     triples: list[tuple[int, int, int]] = []
     for g, t in zip(groups, shifts):
         solved = solve([frame.coords(v) for v in g])
         for (p, q), v in zip(solved, g):
-            triples.append((frame.combine(p) ^ t, frame.combine(q) ^ t, v))
+            triples.append((span[p] ^ t, span[q] ^ t, v))
     return _align(values, triples)
 
 

@@ -115,9 +115,13 @@ def _greedy_restarts(
     deadline = time.monotonic() + cfg.budget_seconds
     size = 1 << n
     best_depth = 0
+    # Restarts run as of the last progress line: a closing line that would
+    # repeat it is left out.
+    reported = -1
     for restart in range(cfg.max_restarts):
         if time.monotonic() > deadline:
-            _emit(progress, restarts=restart, best_depth=best_depth)
+            if reported != restart:
+                _emit(progress, restarts=restart, best_depth=best_depth)
             raise BudgetExhausted(
                 f"no labeling within {cfg.budget_seconds:g}s ({restart} restarts)"
             )
@@ -145,12 +149,12 @@ def _greedy_restarts(
         if len(labels) == t.vertex_count:
             _emit(progress, restarts=restart + 1, best_depth=t.vertex_count)
             return labels
-        if len(labels) > best_depth:
-            best_depth = len(labels)
+        if len(labels) > best_depth or (restart and restart % 1000 == 0):
+            best_depth = max(best_depth, len(labels))
             _emit(progress, restarts=restart + 1, best_depth=best_depth)
-        elif restart and restart % 1000 == 0:
-            _emit(progress, restarts=restart + 1, best_depth=best_depth)
-    _emit(progress, restarts=cfg.max_restarts, best_depth=best_depth)
+            reported = restart + 1
+    if reported != cfg.max_restarts:
+        _emit(progress, restarts=cfg.max_restarts, best_depth=best_depth)
     raise BudgetExhausted(f"no labeling within {cfg.max_restarts} restarts")
 
 

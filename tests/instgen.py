@@ -8,6 +8,7 @@ under test.  Each generator returns (n, values) with values a list of ints.
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 
 def xor_all(values) -> int:
@@ -15,6 +16,17 @@ def xor_all(values) -> int:
     for v in values:
         total ^= v
     return total
+
+
+def zero_sum_multisets(n: int):
+    """Every multiset of 2^(n-1) nonzero targets with XOR 0, in lexicographic order.
+
+    The plain filter over all combinations with replacement; the reference
+    for the sweep's own enumeration.
+    """
+    for combo in combinations_with_replacement(range(1, 1 << n), 1 << (n - 1)):
+        if xor_all(combo) == 0:
+            yield combo
 
 
 def rank_of(values) -> int:

@@ -7,13 +7,15 @@ import importlib
 import io
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import instgen
 import setseq
 from setseq import pairing
-from setseq.cli import main, parse_duration
+from setseq.cli import _sweep_instances, main, parse_duration
 from setseq.constructors import fixtures_dir
 from setseq.errors import InternalSearchFailed
 from setseq.trees import (
@@ -357,6 +359,35 @@ def test_sweep_shards_partition_the_space(capsys):
     assert int(fanned.strip().splitlines()[-1].split()[0].split("=")[1]) == total
 
 
+@pytest.mark.parametrize("n, count", [(2, 3), (3, 35), (4, 20295)])
+def test_sweep_enumerates_zero_sum_multisets_in_order(n, count):
+    # Shard ranks index this sequence, so its order is part of the contract.
+    expected = list(instgen.zero_sum_multisets(n))
+    assert len(expected) == count
+    assert list(_sweep_instances(n)) == expected
+
+
+def test_sweep_reports_invalid_solver_output(capsys, monkeypatch):
+    # The sweep checks each partition once, inside the solver: a wrong answer
+    # still surfaces as a failure line, never as a pass.
+    exact = pairing._exact_aligned
+    monkeypatch.setattr(
+        pairing, "_exact_aligned", lambda n, values, deadline=None: exact(n, values, deadline)[::-1]
+    )
+    code, out, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")
+    lines = out.strip().splitlines()
+    assert code == 1
+    failures = lines[:-1]
+    # 28 of the 35 instances: reversing is harmless where all targets agree.
+    assert len(failures) == 28 and lines[-1] == "instances=35 failures=28"
+    for line in failures:
+        assert re.fullmatch(
+            r"failure: [01]{3}(,[01]{3}){3} -> InternalSearchFailed: "
+            r"solver produced an invalid partition: .+",
+            line,
+        ), line
+
+
 def test_sweep_usage(capsys):
     assert run(capsys, "sweep", "--n", "3")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shard", "0")[0] == 2
@@ -364,6 +395,8 @@ def test_sweep_usage(capsys):
         capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "2", "--shard", "5"
     )[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "0")[0] == 2
+    assert run(capsys, "sweep", "--conjecture2", "--n", "0")[0] == 2
+    assert run(capsys, "sweep", "--conjecture2", "--n", "1")[1] == "instances=0 failures=0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ level min(5, n): every low-span pairing of more than one distinct target
 now comes out of a different, equally valid first partition.  The star
 digest, CHAIN_DIGEST and EXHAUSTIVE_DIGEST did not move.  Any further
 change to what comes out first must be re-specified, not absorbed here.
+
+EXACT_DIGEST and the node counts of EXHAUSTED_TREES were recorded before
+the exact kernel began keeping one availability mask per target; they pin
+its search tree, not only its first answers.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from setseq.constructors import four_copies, label_large_caterpillar, label_smal
 from setseq.errors import Infeasible
 from setseq.pairing import (
     PairingInstance,
+    _exact,
+    exact_pairing_solver,
     format_partition,
     solve_at_most_n_values,
     solve_dim_half_even,
@@ -58,6 +64,19 @@ PAIRING_DIGEST = "a5eb3c713cfa07c99e8c70508034100fcfa84f6a01d23d4d07b8bdd225206e
 REDUCTION_DIGEST = "03ddfa27bd424e89f04f678b4f60369480a17423718712fc4896c48390ee6eb2"
 
 EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae1b315"
+
+EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
+
+#: Raw multisets with nonzero XOR: no partition exists, so _exact walks its
+#: whole search tree and the node count pins the tree, not just one branch.
+EXHAUSTED_TREES = (
+    (3, [1, 1, 1, 2], 6),
+    (3, [1, 2, 3, 4], 10),
+    (4, [1, 2, 3, 4, 5, 6, 7, 8], 352),
+    (4, [1, 2, 4, 8, 3, 5, 6, 14], 1029),
+    (4, [3, 3, 3, 3, 5, 5, 6, 1], 41),
+    (5, [3] * 8 + [5] * 7 + [1], 513),
+)
 
 #: The fixed instances of the test_at_most_n_* case tests in test_pairing.py.
 AT_MOST_N_CASES = (
@@ -126,6 +145,23 @@ def pairing_stream() -> str:
             n, values = gen(rng, n)
             part, route = solve_pairing(PairingInstance.of(n, values))
             out.append(f"{route.tag}\n{format_partition(part)}")
+    return "".join(out)
+
+
+def exact_stream() -> str:
+    """Exact-solver partition text of sweep and generic instances.
+
+    The full n=3 sweep, every 7th instance of the n=4 sweep and 40 seeded
+    generic n=5 instances.
+    """
+    out = []
+    for n, step in ((3, 1), (4, 7)):
+        for combo in itertools.islice(instgen.zero_sum_multisets(n), 0, None, step):
+            out.append(format_partition(exact_pairing_solver(PairingInstance.of(n, list(combo)))))
+    rng = random.Random(5)
+    for _ in range(40):
+        n, values = instgen.any_valid_instance(rng, 5)
+        out.append(format_partition(exact_pairing_solver(PairingInstance.of(n, values))))
     return "".join(out)
 
 
@@ -231,6 +267,17 @@ def test_pairing_stream_output_is_pinned():
 
 def test_reduction_stream_output_is_pinned():
     assert sha256(reduction_stream()) == REDUCTION_DIGEST
+
+
+def test_exact_output_is_pinned():
+    assert sha256(exact_stream()) == EXACT_DIGEST
+
+
+@pytest.mark.parametrize("n, values, nodes", EXHAUSTED_TREES)
+def test_exact_search_tree_is_pinned(n, values, nodes):
+    with pytest.raises(Infeasible) as info:
+        _exact(n, values)
+    assert str(info.value) == f"search space exhausted for n={n} after {nodes} nodes"
 
 
 def test_exhaustive_search_output_is_pinned():

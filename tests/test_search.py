@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setseq import search
 from setseq.errors import (
     BudgetExhausted,
     Infeasible,
@@ -108,18 +109,35 @@ def test_greedy_path_four_exhausts_restarts():
         search_labeling(path(4), SearchConfig(seed=0, max_restarts=40))
 
 
-def test_greedy_emits_progress_lines():
+def greedy_progress(max_restarts: int) -> list[str]:
     out = io.StringIO()
     with pytest.raises(BudgetExhausted):
-        search_labeling(path(4), SearchConfig(seed=0, max_restarts=1001), progress=out)
-    lines = [ln for ln in out.getvalue().splitlines() if ln]
+        search_labeling(path(4), SearchConfig(seed=0, max_restarts=max_restarts), progress=out)
+    return [ln for ln in out.getvalue().splitlines() if ln]
+
+
+def test_greedy_emits_progress_lines():
+    lines = greedy_progress(1002)
     # The first-depth line, the periodic line after restart 1000, the final line.
     assert len(lines) == 3
     for ln in lines:
         fields = dict(field.split("=") for field in ln.split())
         assert set(fields) == {"restarts", "best_depth"}
         assert all(value.isdigit() for value in fields.values())
-    assert lines[-1] == "restarts=1001 best_depth=3"
+    assert lines[1:] == ["restarts=1001 best_depth=3", "restarts=1002 best_depth=3"]
+    assert all(a != b for a, b in zip(lines, lines[1:]))
+
+
+def test_greedy_reports_the_last_restart_once(monkeypatch):
+    # Restart 1000 is due a periodic line and restart 0 improves the depth;
+    # when either is the last restart, its line is also the closing line.
+    assert greedy_progress(1001) == ["restarts=1 best_depth=3", "restarts=1001 best_depth=3"]
+    assert greedy_progress(1) == ["restarts=1 best_depth=3"]
+    # The same when the time budget runs out right after an improvement:
+    # the clock passes the deadline from its third reading, at restart 1.
+    readings = iter([0.0, 0.0])
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(readings, 1e9))
+    assert greedy_progress(10) == ["restarts=1 best_depth=3"]
 
 
 def test_greedy_time_budget():
