@@ -5,14 +5,14 @@ Labeling caterpillars by induction
 Two pipelines cover odd-degree caterpillars whose vertex count is a
 power of two.  The small-diameter one (diameter up to 18) sheds leaves
 down to a bundled base labeling and grows back up, doubling the vertex
-count per level; an observer can watch each level go by.  The other
-pipeline handles any diameter once the tree is large enough, at least
-2^(diameter-1) vertices.
+count per level.  The other pipeline handles any diameter once the tree
+is large enough, at least 2^(diameter-1) vertices.
 """
 
 from setseq import (
     CaterpillarSpec,
     diameter,
+    echelon_basis,
     label_large_caterpillar,
     label_small_diameter,
     verify_set_sequential,
@@ -21,11 +21,11 @@ from setseq import (
 spec = CaterpillarSpec.parse("T[23,21,23,21,21,23]")
 print(f"{spec}: {spec.vertex_count} vertices, diameter {spec.diameter}")
 
-steps = []
-tree, lab = label_small_diameter(spec, observer=steps.append)
-print("levels, innermost first:")
-for step in steps:
-    print(f"  {CaterpillarSpec(step.degrees)}  span dim {step.anchor_span_dim}")
+tree, lab = label_small_diameter(spec)
+deg = tree.degrees()
+center = [lab.label(v).bits for v in range(tree.vertex_count) if deg[v] > 1]
+print("labels in F_2^n for n =", lab.n)
+print("span dim of the center-path labels:", echelon_basis(center, lab.n).rank)
 print("valid:", verify_set_sequential(tree, lab).valid)
 print()
 

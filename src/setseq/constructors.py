@@ -5,30 +5,34 @@ Three ways to manufacture verified set-sequential labelings:
 * add_pendants doubles a labeled tree by hanging 2^(n-1) new pendant edges
   on chosen anchors; the fresh vertex/edge labels come from a pair
   partition of F_2^n whose targets are the anchor labels.
-* label_small_diameter and label_large_caterpillar drive add_pendants
-  inductively: halve the target caterpillar down to a bundled base
-  labeling (small diameters) or strip one end bare and recurse (large
-  vertex counts), then rebuild level by level.
+* label_small_diameter and label_large_caterpillar apply the same
+  pendant doubling inductively: halve the target caterpillar down to a
+  bundled base labeling (small diameters) or strip one end bare and
+  recurse (large vertex counts), then rebuild level by level, anchoring
+  the pendants of each level on center path vertices.
 * four_copies quadruples a labeled tree by threading a prefix/suffix
   sequence along the doubled leaf-to-leaf path and propagating two-bit
   prefixes outward over the four copies.
 
-Inside a pipeline, labels are plain ints indexed by vertex id, and no
-intermediate labeling is verified; each level's pairing still goes through
-solve_pairing, which validates its instance and checks its partition.
-Each public call verifies its input (the base labeling or the bundled
-fixture) and its final output once, and raises InternalSearchFailed rather
-than returning anything unchecked.  One final check is enough: pendant
-doubling keeps every old label as the 0-prefixed part of the new labeling,
-so the output verifies only if every level below it did.
+Inside a pipeline, a labeled tree is a plain edge list, the label width n
+and one int label per vertex id (so the vertex count is the label count).
+No intermediate tree or labeling is built or verified; each level's pairing
+still goes through solve_pairing, which validates its instance and checks
+its partition.  Each public call verifies its input (the base labeling or
+the bundled fixture) once, then builds and verifies the one Tree and
+Labeling it returns, raising InternalSearchFailed rather than returning
+anything unchecked.  One final check is enough: pendant doubling keeps
+every old label as the 0-prefixed part of the new labeling, so the output
+verifies only if every level below it did.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -66,7 +70,6 @@ __all__ = [
     "BASE_CATERPILLARS",
     "PendantPlan",
     "WSequence",
-    "InductionStep",
     "fixtures_dir",
     "load_fixture",
     "add_pendants",
@@ -82,8 +85,8 @@ __all__ = [
 #: makes the four copies of every off-path value pairwise distinct.
 PREFIX_MAP = {0b00: 0b00, 0b01: 0b10, 0b10: 0b11, 0b11: 0b01}
 
-#: Hard ceiling on dim(span(center-path labels)) across every halving
-#: induction step; exceeding it means the construction left its theory.
+#: Hard ceiling on dim(span(center-path labels)) at every rebuild step of
+#: label_small_diameter; exceeding it means the construction left its theory.
 SPAN_DIM_CAP = 6
 
 #: Largest diameter label_small_diameter covers.
@@ -148,9 +151,9 @@ def load_fixture(name: str) -> tuple[Tree, Labeling]:
     return tree, lab
 
 
-#: A labeled tree inside a pipeline: the tree, the label width n, and the
-#: int label of every vertex indexed by vertex id.
-_Labeled = tuple[Tree, int, list[int]]
+#: A labeled tree inside a pipeline: its edge list, the label width n, and
+#: the int label of every vertex indexed by vertex id.
+_Labeled = tuple[list[tuple[int, int]], int, list[int]]
 
 
 def _int_labels(t: Tree, lab: Labeling) -> list[int]:
@@ -158,11 +161,16 @@ def _int_labels(t: Tree, lab: Labeling) -> list[int]:
 
 
 def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
-    """Wrap a pipeline's int labels in a Labeling and verify it.
+    """Build the pipeline's one Tree and Labeling, and verify them.
 
-    Raises InternalSearchFailed when the labeling does not verify.
+    Raises InternalSearchFailed when the edges do not form a tree or the
+    labeling does not verify.
     """
-    tree, n, labels = labeled
+    edges, n, labels = labeled
+    try:
+        tree = Tree(len(labels), tuple(edges))
+    except PreconditionViolated as exc:
+        raise InternalSearchFailed(f"{what} produced an invalid tree: {exc}") from exc
     lab = Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)})
     check = verify_set_sequential(tree, lab)
     if not check.valid:
@@ -174,7 +182,7 @@ def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
 
 
 def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
-    """Fixture tree and labels, and center path ids, for a base degree list.
+    """Fixture edges and labels, and center path ids, for a base degree list.
 
     Accepts the stored orientation or its reversal; the returned center ids
     follow the caller's orientation either way.
@@ -190,7 +198,8 @@ def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int
             f"fixture for {spec} does not use the canonical vertex numbering"
         )
     center = list(range(len(degrees)))
-    return (tree, lab.n, _int_labels(tree, lab)), center[::-1] if flipped else center
+    labeled = (list(tree.edges), lab.n, _int_labels(tree, lab))
+    return labeled, center[::-1] if flipped else center
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +241,27 @@ class PendantPlan:
         return sum(count for _, count in self.anchors)
 
 
-def _hang_pendants(labeled: _Labeled, plan: PendantPlan) -> _Labeled:
-    """Unchecked pendant doubling on int labels.
+def _hang_pendants(labeled: _Labeled, anchors: list[int]) -> _Labeled:
+    """Unchecked pendant doubling on int labels, one new pendant per anchor.
 
     Old labels keep their value (a 0 prefix at width n + 1); the i-th new
     pendant vertex gets p_i | 2^n, so its edge gets q_i | 2^n, where
     (p_i, q_i) is the i-th pair of a partition of F_2^n targeted at the
-    anchor labels.  New pendant ids start at |V(base)| and follow the plan's
+    anchor labels.  New pendant ids start at |V(base)| and follow the
     anchor order.
     """
-    base, n, labels = labeled
-    anchors = [vid for vid, count in plan.anchors for _ in range(count)]
+    edges, n, labels = labeled
     try:
         part, _route = solve_pairing(PairingInstance.of(n, [labels[v] for v in anchors]))
     except NotCovered as exc:
         raise PairingNotCovered(str(exc)) from exc
-    first = base.vertex_count
-    tree = Tree.of(
-        first + len(anchors),
-        list(base.edges) + [(vid, first + i) for i, vid in enumerate(anchors)],
-    )
+    first = len(labels)
     top = 1 << n
-    return tree, n + 1, labels + [p | top for p, _q in part.pairs]
+    return (
+        edges + [(vid, first + i) for i, vid in enumerate(anchors)],
+        n + 1,
+        labels + [p | top for p, _q in part.pairs],
+    )
 
 
 def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, Labeling]:
@@ -275,15 +283,14 @@ def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, La
         raise PlanSizeMismatch(
             f"pendant counts sum to {plan.total()}, need 2^{n - 1} = {1 << (n - 1)}"
         )
-    targets = [
-        lab.vertex_labels[vid].bits for vid, count in plan.anchors for _ in range(count)
-    ]
+    anchors = [vid for vid, count in plan.anchors for _ in range(count)]
+    labels = _int_labels(base, lab)
     acc = 0
-    for t in targets:
-        acc ^= t
+    for vid in anchors:
+        acc ^= labels[vid]
     if acc:
         raise TargetSumNonzero(f"anchor labels XOR to {acc:0{n}b}, not zero")
-    labeled = _hang_pendants((base, n, _int_labels(base, lab)), plan)
+    labeled = _hang_pendants((list(base.edges), n, labels), anchors)
     return _finish(labeled, "pendant construction")
 
 
@@ -291,17 +298,11 @@ def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, La
 # caterpillar halving recursions
 
 
-@dataclass(frozen=True)
-class InductionStep:
-    """One rebuild level, reported to label_small_diameter observers."""
-
-    degrees: tuple[int, ...]
-    anchor_span_dim: int
-
-
-def _pendant_neighbors(t: Tree, vertex: int) -> list[int]:
-    deg = t.degrees()
-    return sorted(x for x in t.adjacency()[vertex] if deg[x] == 1)
+def _pendant_neighbors(edges: list[tuple[int, int]], vertex: int) -> list[int]:
+    """The leaves adjacent to vertex, smallest id first."""
+    deg = Counter(chain.from_iterable(edges))
+    nbrs = (b if a == vertex else a for a, b in edges if vertex in (a, b))
+    return sorted(x for x in nbrs if deg[x] == 1)
 
 
 def _greedy_shed(degrees: tuple[int, ...], caps: list[int], amount: int) -> list[int]:
@@ -358,64 +359,46 @@ def _fixture_shed(degrees: tuple[int, ...], target: tuple[int, ...]) -> list[int
     )
 
 
-def _strip_pads(padded: list[int]) -> tuple[tuple[int, ...], bool, bool]:
+def _smaller_level(
+    degrees: tuple[int, ...],
+    removals: list[int],
+    rec: Callable[[tuple[int, ...]], tuple[_Labeled, list[int]]],
+) -> tuple[_Labeled, list[int]]:
+    """Label what the removals leave, via rec, and find the target's center in it.
+
+    An end entry the removals take down to 1 is a pad: rec labels it as a
+    leaf of the smaller caterpillar's end center vertex, and it rejoins the
+    center path once its pendants are hung back.
+    """
+    padded = [d - r for d, r in zip(degrees, removals)]
     left = len(padded) > 1 and padded[0] == 1
     right = len(padded) > 1 and padded[-1] == 1
     core = padded[1 if left else 0 : len(padded) - 1 if right else len(padded)]
-    return tuple(core), left, right
+    sub, sub_center = rec(tuple(core))
+    center = list(sub_center)
+    if left:
+        center.insert(0, _pendant_neighbors(sub[0], sub_center[0])[0])
+    if right:
+        leaves = _pendant_neighbors(sub[0], sub_center[-1])
+        center.append([x for x in leaves if x not in center][0])
+    if len(center) != len(degrees):
+        raise InternalSearchFailed("padded center does not match the target length")
+    return sub, center
 
 
 def _rebuild_level(
-    degrees: tuple[int, ...],
-    removals: list[int],
-    smaller: tuple[_Labeled, list[int]],
-    pads: tuple[bool, bool],
-    observer: Callable[[InductionStep], None] | None,
-    span_cap: int | None,
+    sub: _Labeled, center: list[int], removals: list[int]
 ) -> tuple[_Labeled, list[int]]:
-    """Hang the removed pendants back onto the smaller labeled caterpillar.
+    """Hang the removed pendants back onto their center path vertices.
 
-    Returns the bigger labeled tree and its center path vertex ids (the
-    smaller's padded center, whose ids survive the doubling).
+    Returns the bigger labeled tree and its center path ids, which survive
+    the doubling.
     """
-    sub, sub_center = smaller
-    sub_tree, sub_n, sub_labels = sub
-    left_pad, right_pad = pads
-    center_ids: list[int] = list(sub_center)
-    taken: set[int] = set()
-    if left_pad:
-        leaf = _pendant_neighbors(sub_tree, sub_center[0])[0]
-        taken.add(leaf)
-        center_ids.insert(0, leaf)
-    if right_pad:
-        options = [
-            x for x in _pendant_neighbors(sub_tree, sub_center[-1]) if x not in taken
-        ]
-        center_ids.append(options[0])
-    if len(center_ids) != len(degrees):
-        raise InternalSearchFailed("padded center does not match the target length")
-
-    span = echelon_basis([sub_labels[v] for v in center_ids], sub_n).rank
-    if span_cap is not None and span > span_cap:
-        raise InternalSearchFailed(
-            f"center-path span dimension {span} exceeds the cap {span_cap}"
-        )
-    if observer is not None:
-        observer(InductionStep(degrees, span))
-
-    plan = PendantPlan(
-        tuple(
-            (center_ids[i], removals[i])
-            for i in range(len(degrees))
-            if removals[i] > 0
-        )
-    )
-    return _hang_pendants(sub, plan), center_ids
+    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
+    return _hang_pendants(sub, anchors), center
 
 
-def _small_rec(
-    degrees: tuple[int, ...], observer: Callable[[InductionStep], None] | None
-) -> tuple[_Labeled, list[int]]:
+def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
         return _load_base_caterpillar(degrees)
     spec = CaterpillarSpec(degrees)
@@ -423,12 +406,13 @@ def _small_rec(
         removals = _fixture_shed(degrees, _SHED_TARGETS[spec.diameter])
     else:
         removals = _odd_shed(degrees)
-    padded = [d - r for d, r in zip(degrees, removals)]
-    core, left, right = _strip_pads(padded)
-    smaller = _small_rec(core, observer)
-    return _rebuild_level(
-        degrees, removals, smaller, (left, right), observer, SPAN_DIM_CAP
-    )
+    sub, center = _smaller_level(degrees, removals, _small_rec)
+    span = echelon_basis([sub[2][v] for v in center], sub[1]).rank
+    if span > SPAN_DIM_CAP:
+        raise InternalSearchFailed(
+            f"center-path span dimension {span} exceeds the cap {SPAN_DIM_CAP}"
+        )
+    return _rebuild_level(sub, center, removals)
 
 
 def _validate_odd_power(spec: CaterpillarSpec) -> int:
@@ -443,32 +427,29 @@ def _validate_odd_power(spec: CaterpillarSpec) -> int:
     return count
 
 
-def label_small_diameter(
-    spec: CaterpillarSpec,
-    observer: Callable[[InductionStep], None] | None = None,
-) -> tuple[Tree, Labeling]:
+def label_small_diameter(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
     """Verified labeling of an all-odd caterpillar with diameter <= 18.
 
     Works down from the target: repeatedly remove half the vertices as
     pendant edges of the center path (landing on a bundled base labeling),
     then rebuild upward by pendant doubling, anchoring only center-path
-    vertices.  The dimension of the span of the center-path labels is
-    measured at every rebuild step (reported to the observer, if any) and
-    must stay within SPAN_DIM_CAP.
+    vertices.  Before each rebuild step the dimension of the span of the
+    center-path labels is measured; above SPAN_DIM_CAP the call raises
+    InternalSearchFailed.  Only the finished tree is built and verified.
     """
     _validate_odd_power(spec)
     if spec.diameter > MAX_SMALL_DIAMETER:
         raise OutOfRange(
             f"{spec} has diameter {spec.diameter} > {MAX_SMALL_DIAMETER}"
         )
-    labeled, _center = _small_rec(spec.degrees, observer)
+    labeled, _center = _small_rec(spec.degrees)
     return _finish(labeled, "small-diameter construction")
 
 
 def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     spec = CaterpillarSpec(degrees)
     if spec.diameter <= 2 or degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
-        return _small_rec(degrees, None)
+        return _small_rec(degrees)
     if degrees[0] > degrees[-1]:
         labeled, center = _large_rec(degrees[::-1])
         return labeled, center[::-1]
@@ -489,10 +470,8 @@ def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
             caps = [max(c, 0) for c in keep[:-1]] + [degrees[-1] - 1]
         extra = _greedy_shed(degrees, caps, rest)
         removals = [r + e for r, e in zip(removals, extra)]
-    padded = [d - r for d, r in zip(degrees, removals)]
-    core, left, right = _strip_pads(padded)
-    smaller = _large_rec(core)
-    return _rebuild_level(degrees, removals, smaller, (left, right), None, None)
+    sub, center = _smaller_level(degrees, removals, _large_rec)
+    return _rebuild_level(sub, center, removals)
 
 
 def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
@@ -690,8 +669,7 @@ def _w_values(z: Sequence[int], prefixes: Sequence[int], n: int) -> list[int]:
     return [(prefixes[j] << n) | (z[s - 1] if s else 0) for j, s in enumerate(_w_layout(len(z)))]
 
 
-def _path_between(t: Tree, u: int, v: int) -> list[int]:
-    adj = t.adjacency()
+def _path_between(adj: list[list[int]], u: int, v: int) -> list[int]:
     parent = {u: u}
     queue = deque([u])
     while queue:
@@ -726,7 +704,7 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     report = verify_set_sequential(base, lab)
     if not report.valid:
         raise PreconditionViolated("base labeling does not verify")
-    labeled = _quadruple((base, lab.n, _int_labels(base, lab)), u, v)
+    labeled = _quadruple((list(base.edges), lab.n, _int_labels(base, lab)), u, v)
     return _finish(labeled, "four-copies construction")
 
 
@@ -736,8 +714,13 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
     Copy c of base vertex x gets id c * |V(base)| + x.  The caller's final
     verification certifies the w-sequence along with everything else.
     """
-    base, n, base_labels = labeled
-    path = _path_between(base, u, v)
+    base_edges, n, base_labels = labeled
+    count = len(base_labels)
+    adj: list[list[int]] = [[] for _ in range(count)]
+    for a, b in base_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    path = _path_between(adj, u, v)
     z: list[int] = []
     for i, x in enumerate(path):
         if i:
@@ -745,10 +728,9 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
         z.append(base_labels[x])
     w = _w_values(z, solve_w_prefixes(len(z)), n)
 
-    count = base.vertex_count
     edges: list[tuple[int, int]] = []
     for c in range(4):
-        for a, b in base.edges:
+        for a, b in base_edges:
             edges.append((c * count + a, c * count + b))
     edges += [(u, count + u), (count + v, 2 * count + v), (2 * count + u, 3 * count + u)]
 
@@ -761,7 +743,6 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
     # Propagate prefixes outward from the path, one BFS layer at a time.
     parent: dict[int, int] = {}
     order: list[int] = []
-    adj = base.adjacency()
     queue = deque(path)
     seen = set(path)
     while queue:
@@ -777,4 +758,4 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
         for c in range(4):
             p = labels[c * count + q] >> n
             labels[c * count + r] = (PREFIX_MAP[p] << n) | base_labels[r]
-    return Tree.of(4 * count, edges), n + 2, labels
+    return edges, n + 2, labels

@@ -11,11 +11,10 @@ import time
 
 import pytest
 
+import instgen
 from setseq.cli import _sweep_instances
 from setseq.constructors import (
     BASE_CATERPILLARS,
-    SPAN_DIM_CAP,
-    InductionStep,
     PendantPlan,
     add_pendants,
     build_w_sequence,
@@ -31,6 +30,8 @@ from setseq.pairing import (
     PairingInstance,
     exact_pairing_solver,
     partition_errors,
+    solve_at_most_n_values,
+    solve_dim_half_even,
     solve_pairing,
 )
 from setseq.search import BACKTRACKING, SearchConfig, search_labeling
@@ -230,6 +231,32 @@ def test_constructive_routes_on_random_instances():
     assert elapsed < 600, f"took {elapsed:.0f}s"
 
 
+def test_route_forced_solvers_on_high_span_instances():
+    # solve_pairing sends almost every span <= 5 instance to Dim5Coset, so
+    # the half-dimension and bounded-value solvers are called directly here,
+    # on 20 instances per dimension whose targets span more than 5
+    # dimensions; every partition checked independently, under a minute.
+    rng = random.Random(20261018)
+    cases = [
+        (solve_dim_half_even, instgen.dim_half_even_instance, (12, 13, 14)),
+        (solve_at_most_n_values, instgen.at_most_n_instance, (8, 10, 12)),
+    ]
+    start = time.monotonic()
+    for solver, gen, dims in cases:
+        for n in dims:
+            solved = 0
+            while solved < 20:
+                _, values = gen(rng, n)
+                if instgen.rank_of(values) <= 5:
+                    continue
+                inst = PairingInstance.of(n, values)
+                errors = partition_errors(inst, solver(inst))
+                assert not errors, (solver.__name__, n, values, errors)
+                solved += 1
+    elapsed = time.monotonic() - start
+    assert elapsed < 60, f"took {elapsed:.0f}s"
+
+
 def test_search_regenerates_every_base_labeling():
     # The randomized greedy search rebuilds each bundled base caterpillar
     # labeling from scratch at the documented seed, within 60 seconds each,
@@ -250,9 +277,9 @@ def test_search_regenerates_every_base_labeling():
 
 def test_small_diameter_band():
     # Twenty random all-odd caterpillars per diameter 2..18 all label and
-    # verify; the center-path span dimension stays capped at every step.
+    # verify; the center-path span dimension stays capped at every step,
+    # or label_small_diameter raises InternalSearchFailed.
     rng = random.Random(181)
-    spans: list[int] = []
     for diam in range(2, 19):
         floor = 4
         while floor < 2 * diam:
@@ -260,12 +287,9 @@ def test_small_diameter_band():
         for _ in range(20):
             count = min(1024, floor << rng.randrange(3))
             spec = odd_caterpillar(count, diam, rng)
-            steps: list[InductionStep] = []
-            tree, lab = label_small_diameter(spec, observer=steps.append)
+            tree, lab = label_small_diameter(spec)
             assert verify_set_sequential(tree, lab).valid
             assert diameter(tree) == diam
-            spans += [s.anchor_span_dim for s in steps]
-    assert spans and max(spans) <= SPAN_DIM_CAP
 
 
 def test_large_caterpillars():

@@ -396,6 +396,7 @@ def test_sweep_usage(capsys):
     )[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "0")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "0")[0] == 2
+    assert run(capsys, "sweep", "--conjecture2", "--n", "5")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "1")[1] == "instances=0 failures=0\n"
 
 

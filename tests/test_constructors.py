@@ -13,8 +13,6 @@ from setseq import constructors
 from setseq.constructors import (
     BASE_CATERPILLARS,
     PREFIX_MAP,
-    SPAN_DIM_CAP,
-    InductionStep,
     PendantPlan,
     add_pendants,
     build_w_sequence,
@@ -25,6 +23,7 @@ from setseq.constructors import (
     solve_w_prefixes,
 )
 from setseq.errors import (
+    InternalSearchFailed,
     InvalidPath,
     NotLeaf,
     NotOddDegree,
@@ -45,6 +44,7 @@ from setseq.trees import (
     diameter,
     verify_set_sequential,
 )
+from test_determinism import LARGE_DEGREES
 
 
 def covers_exactly_once(tree: Tree, lab: Labeling) -> bool:
@@ -302,14 +302,12 @@ def test_fixture_shed_band():
         assert diameter(tree) == diam
 
 
-def test_observer_sees_capped_spans():
-    steps: list[InductionStep] = []
-    spec = CaterpillarSpec((5,) * 15 + (3,))
-    tree, lab = label_small_diameter(spec, observer=steps.append)
-    assert covers_exactly_once(tree, lab)
-    assert steps, "a 64-vertex build must pass through rebuild steps"
-    assert all(s.anchor_span_dim <= SPAN_DIM_CAP for s in steps)
-    assert steps[-1].degrees == spec.degrees
+def test_center_span_cap_is_enforced(monkeypatch):
+    # The 64-vertex build rebuilds through levels whose center paths span
+    # more than two dimensions, so a cap of 2 must stop it by name.
+    monkeypatch.setattr(constructors, "SPAN_DIM_CAP", 2)
+    with pytest.raises(InternalSearchFailed, match="exceeds the cap 2"):
+        label_small_diameter(CaterpillarSpec((5,) * 15 + (3,)))
 
 
 def test_small_diameter_sweep():
@@ -406,6 +404,23 @@ def test_each_pipeline_verifies_its_input_and_its_output_once(pipeline, args, mo
     assert len(calls) == 2
     assert calls[-1] == tree.vertex_count
     assert verify_set_sequential(tree, lab).valid
+
+
+def test_a_pipeline_builds_one_tree_beyond_its_fixture(monkeypatch):
+    # Parsing the fixture and checking its canonical numbering build one
+    # Tree each; the levels in between build none, the result one more.
+    built = []
+    check = Tree.__post_init__
+
+    def counting(self):
+        built.append(self.vertex_count)
+        check(self)
+
+    monkeypatch.setattr(Tree, "__post_init__", counting)
+    tree, _ = label_large_caterpillar(CaterpillarSpec(LARGE_DEGREES))
+    assert tree.vertex_count == 1 << 12
+    assert len(built) <= 3
+    assert built[-1] == tree.vertex_count
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ change to what comes out first must be re-specified, not absorbed here.
 EXACT_DIGEST and the node counts of EXHAUSTED_TREES were recorded before
 the exact kernel began keeping one availability mask per target; they pin
 its search tree, not only its first answers.
+
+PENDANT_DIGESTS were recorded before the pipelines stopped building a Tree
+per level: one plan hangs every pendant on a single anchor, the other
+spreads them over five.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from collections import deque
 import pytest
 
 import instgen
-from setseq.constructors import four_copies, label_large_caterpillar, label_small_diameter
+from setseq.constructors import (
+    PendantPlan,
+    add_pendants,
+    four_copies,
+    label_large_caterpillar,
+    label_small_diameter,
+    load_fixture,
+)
 from setseq.errors import Infeasible
 from setseq.pairing import (
     PairingInstance,
@@ -56,6 +67,15 @@ SMALL_DIAMETER_DIGESTS = {
 
 LARGE_DEGREES = (359, 315, 361, 383, 345, 287, 353, 317, 323, 359, 369, 335)
 LARGE_DIGEST = "53cdbb24a68cf99d1d077a075b393ad1d01cb58ce7c764db7eaa25c2319b0b63"
+
+PENDANT_DIGESTS = {
+    ("T[5,3,3,3,3,3].json", "0:16"): (
+        "a46945b5ca5fd4be6b4d09518d93b4efcffa39d95dec7318016c7031a34ef23a"
+    ),
+    ("figure1.json", "2:1,7:1,3:3,4:1,1:2"): (
+        "e9c6d52952fbf76789c97141a049d7688fc08a87270b403a5b81c388eecb45c2"
+    ),
+}
 
 CHAIN_DIGEST = "1686864da7471148777006b0694580d4dfc62a9c6d5d27ffe294da1785d9942b"
 
@@ -253,6 +273,12 @@ def test_large_caterpillar_output_is_pinned():
     tree, lab = label_large_caterpillar(CaterpillarSpec(LARGE_DEGREES))
     assert tree.vertex_count == 1 << 12
     assert sha256(tree_to_json(tree, lab)) == LARGE_DIGEST
+
+
+@pytest.mark.parametrize("fixture, plan", list(PENDANT_DIGESTS))
+def test_add_pendants_output_is_pinned(fixture, plan):
+    tree, lab = add_pendants(*load_fixture(fixture), PendantPlan.parse(plan))
+    assert sha256(tree_to_json(tree, lab)) == PENDANT_DIGESTS[fixture, plan]
 
 
 def test_four_copies_chain_output_is_pinned():
