@@ -17,7 +17,6 @@ from __future__ import annotations
 from .constructors import (
     BASE_CATERPILLARS,
     PendantPlan,
-    WSequence,
     add_pendants,
     build_w_sequence,
     fixtures_dir,
@@ -64,7 +63,6 @@ __all__ = [
     "SearchConfig",
     "SetseqError",
     "Tree",
-    "WSequence",
     "add_pendants",
     "build_caterpillar",
     "build_w_sequence",

@@ -10,9 +10,9 @@ Three ways to manufacture verified set-sequential labelings:
   bundled base labeling (small diameters) or strip one end bare and
   recurse (large vertex counts), then rebuild level by level, anchoring
   the pendants of each level on center path vertices.
-* four_copies quadruples a labeled tree by threading a prefix/suffix
-  sequence along the doubled leaf-to-leaf path and propagating two-bit
-  prefixes outward over the four copies.
+* four_copies quadruples a labeled tree: the 4k+3 w-sequence, closed-form
+  two-bit prefixes over the k labels of the u-v path, labels the long path
+  through the four copies, and two-bit prefixes propagate outward from it.
 
 Inside a pipeline, a labeled tree is a plain edge list, the label width n
 and one int label per vertex id (so the vertex count is the label count).
@@ -29,12 +29,12 @@ verifies only if every level below it did.
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     InternalSearchFailed,
@@ -50,7 +50,6 @@ from .errors import (
     TargetSumNonzero,
     TooFewVertices,
     TooSmall,
-    Unsolvable,
 )
 from .gf2 import BitVec, echelon_basis
 from .pairing import PairingInstance, solve_pairing
@@ -69,7 +68,6 @@ __all__ = [
     "MAX_SMALL_DIAMETER",
     "BASE_CATERPILLARS",
     "PendantPlan",
-    "WSequence",
     "fixtures_dir",
     "load_fixture",
     "add_pendants",
@@ -514,176 +512,56 @@ def _w_layout(k: int) -> list[int]:
     return out
 
 
-#: Fixed two-bit prefixes of the three separator rows, by 0-based position.
-def _fixed_prefixes(k: int) -> dict[int, int]:
-    return {k: 0b10, 2 * k + 1: 0b11, 3 * k + 2: 0b01}
-
-
-@dataclass(frozen=True)
-class WSequence:
-    """The 4k+3 labels threading four tree copies along their long path.
-
-    Validates every structural invariant on construction: the alternating
-    chain w[2i-1] = w[2i-2] xor w[2i] (1-based), global distinctness, the
-    fixed separator rows, and all four prefixes on each suffix group.
-    """
-
-    k: int
-    z: tuple[BitVec, ...]
-    prefixes: tuple[int, ...]
-    w: tuple[BitVec, ...]
-
-    def __post_init__(self) -> None:
-        k = self.k
-        if k < 5 or k % 2 == 0:
-            raise PreconditionViolated(f"k must be odd and >= 5, got {k}")
-        if len(self.z) != k or len(self.prefixes) != 4 * k + 3 or len(self.w) != 4 * k + 3:
-            raise PreconditionViolated("w-sequence field lengths disagree with k")
-        n = self.z[0].dim
-        layout = _w_layout(k)
-        for j, (p, vec) in enumerate(zip(self.prefixes, self.w)):
-            if not 0 <= p < 4:
-                raise PreconditionViolated(f"prefix {p} at position {j} is not two bits")
-            suffix = self.z[layout[j] - 1].bits if layout[j] else 0
-            if vec.dim != n + 2 or vec.bits != (p << n) | suffix:
-                raise PreconditionViolated(f"w[{j}] does not match its prefix/suffix")
-        for pos, want in _fixed_prefixes(k).items():
-            if self.prefixes[pos] != want:
-                raise PreconditionViolated(
-                    f"separator prefix at position {pos} is {self.prefixes[pos]:02b}, "
-                    f"not {want:02b}"
-                )
-        for a in range(0, 4 * k + 1, 2):
-            if self.w[a].bits ^ self.w[a + 2].bits != self.w[a + 1].bits:
-                raise PreconditionViolated(f"chain relation fails at positions {a}..{a + 2}")
-        if len({vec.bits for vec in self.w}) != 4 * k + 3:
-            raise PreconditionViolated("w-sequence values are not distinct")
-        groups: dict[int, set[int]] = {}
-        for j, s in enumerate(layout):
-            if s:
-                groups.setdefault(s, set()).add(self.prefixes[j])
-        if any(g != {0, 1, 2, 3} for g in groups.values()):
-            raise PreconditionViolated("some suffix group misses a prefix")
-
-
 def solve_w_prefixes(k: int) -> list[int]:
-    """Two-bit prefixes for the 4k+3 sequence positions, by backtracking.
+    """Two-bit prefixes for the 4k+3 sequence positions, in closed form.
 
-    Free choices are the first position and the non-separator even
-    (1-based) positions; each odd position after the first is forced by
-    the chain relation.  Within each suffix group the four prefixes must
-    be pairwise distinct, which alongside the separators pins the search.
+    Block 1 (the k positions before the first separator) is all 0, the
+    separators are 2, 3 and 1, and blocks 2-4 each repeat a period-4 word
+    between a short head and tail that depend on k mod 4.  Each word puts
+    two nonzero prefixes x and y in turn on the even (0-based) positions
+    and x ^ y on the odd ones, so the chain relation p[a] ^ p[a+2] = p[a+1]
+    holds along it; the separators, heads and tails keep it across each
+    joint.  Blocks 2 and 4 read the path labels forward and block 3
+    backward (see _w_layout), and the period-4 words line up so that every
+    suffix gets 1, 2 and 3 in some order there and 0 in block 1: the four
+    copies of each suffix take four distinct prefixes.  PREFIX_DIGEST in
+    the determinism tests pins this to the backtracking search it replaced,
+    for every odd k up to 1,999.
     """
     if k < 5 or k % 2 == 0:
         raise PreconditionViolated(f"k must be odd and >= 5, got {k}")
-    layout = _w_layout(k)
-    fixed = _fixed_prefixes(k)
-    total = 4 * k + 3
-    out = [-1] * total
-    group_mask = [0] * (k + 1)
-
-    def place(pos: int, val: int) -> bool:
-        want = fixed.get(pos)
-        if want is not None and val != want:
-            return False
-        g = layout[pos]
-        if g:
-            bit = 1 << val
-            if group_mask[g] & bit:
-                return False
-            group_mask[g] |= bit
-        out[pos] = val
-        return True
-
-    def unplace(pos: int) -> None:
-        g = layout[pos]
-        if g:
-            group_mask[g] &= ~(1 << out[pos])
-        out[pos] = -1
-
-    def choices(pos: int) -> Iterator[int]:
-        return iter((fixed[pos],) if pos in fixed else (0, 1, 2, 3))
-
-    def extend() -> bool:
-        """Depth-first completion from position 0, with an explicit stack.
-
-        Frame (a, it) has positions 0..a placed and it yields the untried
-        values for position a + 1; each value also forces position a + 2.
-        """
-        stack = [(0, choices(1))]
-        while stack:
-            a, it = stack[-1]
-            if a == total - 1:
-                return True
-            for val in it:
-                if not place(a + 1, val):
-                    continue
-                if place(a + 2, out[a] ^ val):
-                    stack.append((a + 2, choices(a + 3)))
-                    break
-                unplace(a + 1)
-            else:
-                stack.pop()
-                if stack:
-                    unplace(a)
-                    unplace(a - 1)
-        return False
-
-    for first in range(4):
-        if place(0, first):
-            if extend():
-                return out
-            unplace(0)
-    raise Unsolvable(f"no admissible prefix assignment for k={k}")
+    r = (k - 5) // 4
+    if k % 4 == 1:
+        b2 = "2131" * (r + 1) + "2"
+        b3 = "1323" * r + "13213"
+        b4 = "23" + "1232" * r + "132"
+    else:
+        b2 = "2131" * (r + 1) + "231"
+        b3 = "2132" + "1232" * r + "132"
+        b4 = "3123" + "1323" * r + "132"
+    return [int(c) for c in "0" * k + "2" + b2 + "3" + b3 + "1" + b4]
 
 
-def build_w_sequence(z: Sequence[BitVec], prefixes: Sequence[int]) -> WSequence:
-    """Assemble and validate the 4k+3 vectors from path labels and prefixes.
+def build_w_sequence(z: Sequence[int], n: int) -> list[int]:
+    """The 4k+3 n+2-bit values threading four tree copies along their long path.
 
-    z must alternate vertex and edge labels of one path: z[2i-1] is the
-    XOR of its neighbors z[2i-2] and z[2i] (0-based), all entries nonzero.
+    z lists the n-bit labels of one path, vertex and edge in turn: z[2i+1]
+    is the XOR of its neighbors z[2i] and z[2i+2] (0-based), all nonzero.
+    Position j takes solve_w_prefixes(k)[j] over its suffix from _w_layout.
+    Raises InvalidPath when a label is zero or the chain breaks.
     """
     k = len(z)
     if k < 5 or k % 2 == 0:
         raise PreconditionViolated(f"need an odd number of path labels >= 5, got {k}")
-    n = z[0].dim
-    if any(x.dim != n for x in z):
-        raise PreconditionViolated("path labels must share one dimension")
-    if any(x.bits == 0 for x in z):
+    if n < 1 or any(x < 0 or x >> n for x in z):
+        raise PreconditionViolated(f"path labels must be {n}-bit ints")
+    if 0 in z:
         raise InvalidPath("zero label on the path")
     for a in range(0, k - 2, 2):
-        if z[a].bits ^ z[a + 2].bits != z[a + 1].bits:
-            raise InvalidPath(
-                f"path labels break the chain at entries {a}..{a + 2}"
-            )
-    if len(prefixes) != 4 * k + 3:
-        raise PreconditionViolated(
-            f"need {4 * k + 3} prefixes for k={k}, got {len(prefixes)}"
-        )
-    w = tuple(BitVec(x, n + 2) for x in _w_values([x.bits for x in z], prefixes, n))
-    return WSequence(k, tuple(z), tuple(prefixes), w)
-
-
-def _w_values(z: Sequence[int], prefixes: Sequence[int], n: int) -> list[int]:
-    """The 4k+3 sequence values: each position's prefix over its suffix from z."""
-    return [(prefixes[j] << n) | (z[s - 1] if s else 0) for j, s in enumerate(_w_layout(len(z)))]
-
-
-def _path_between(adj: list[list[int]], u: int, v: int) -> list[int]:
-    parent = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return path[::-1]
+        if z[a] ^ z[a + 2] != z[a + 1]:
+            raise InvalidPath(f"path labels break the chain at entries {a}..{a + 2}")
+    prefixes = solve_w_prefixes(k)
+    return [(prefixes[j] << n) | (z[s - 1] if s else 0) for j, s in enumerate(_w_layout(k))]
 
 
 def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeling]:
@@ -720,13 +598,27 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
     for a, b in base_edges:
         adj[a].append(b)
         adj[b].append(a)
-    path = _path_between(adj, u, v)
+    # One walk from u: each off-path vertex's neighbor toward u is also its
+    # neighbor toward the u-v path, so these parents give both the path and
+    # the outward order in which prefixes propagate.
+    parent = [-1] * count
+    parent[u] = u
+    order = [u]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    path.reverse()
     z: list[int] = []
     for i, x in enumerate(path):
         if i:
             z.append(base_labels[path[i - 1]] ^ base_labels[x])
         z.append(base_labels[x])
-    w = _w_values(z, solve_w_prefixes(len(z)), n)
+    w = build_w_sequence(z, n)
 
     edges: list[tuple[int, int]] = []
     for c in range(4):
@@ -740,20 +632,10 @@ def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
     for s, x in enumerate(walk):
         labels[(s // span) * count + x] = w[2 * s]
 
-    # Propagate prefixes outward from the path, one BFS layer at a time.
-    parent: dict[int, int] = {}
-    order: list[int] = []
-    queue = deque(path)
-    seen = set(path)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
+    on_path = set(path)
     for r in order:
+        if r in on_path:
+            continue
         q = parent[r]
         for c in range(4):
             p = labels[c * count + q] >> n

@@ -27,7 +27,6 @@ __all__ = [
     "NotLeaf",
     "TooSmall",
     "InvalidPath",
-    "Unsolvable",
 ]
 
 
@@ -113,7 +112,3 @@ class TooSmall(SetseqError):
 
 class InvalidPath(SetseqError):
     """A label sequence is not a valid alternating path chain."""
-
-
-class Unsolvable(SetseqError):
-    """The prefix chain constraints admit no assignment."""

@@ -513,8 +513,12 @@ def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, i
 # coset lifting for small span
 
 
-def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[tuple[int, int]]:
+def _small_dim(
+    n: int, values: Sequence[int], span: Basis, k: int, trace: list[str]
+) -> list[tuple[int, int]]:
     """Solve an instance whose targets span at most k dimensions, k in {5, 6}.
+
+    span is the caller's echelon_basis(values, n).
 
     Halving down to level = min(k, n) yields 2^(n-level) zero-sum groups of
     size 2^(level-1).  Each group is solved once, inside a level-dimensional
@@ -537,7 +541,7 @@ def _small_dim(n: int, values: Sequence[int], k: int, trace: list[str]) -> list[
             return _exact_aligned(level, sub)
         return _lift_even(level, sub, _exact_aligned, trace)
 
-    return _lift_groups(values, groups, extend_basis(echelon_basis(values, n), level), solve)
+    return _lift_groups(values, groups, extend_basis(span, level), solve)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +675,7 @@ def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
 
     def solve(sub: list[int]) -> list[tuple[int, int]]:
-        return _small_dim(n - k, sub, 5, trace)
+        return _small_dim(n - k, sub, echelon_basis(sub, n - k), 5, trace)
 
     return _lift_groups(values, groups, extend_basis(span, n - k), solve)
 
@@ -1150,7 +1154,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
             trace.append("even-base level=6")
             return _lift_even(6, values, _exact_aligned, trace)
         if l <= 2:
-            return _small_dim(n, values, 5, trace)
+            return _small_dim(n, values, echelon_basis(values, n), 5, trace)
         if l < n or echelon_basis(values, n).rank < n:
             return _even_two_split(n, values, hist, trace)
         return _exactly_n_even(n, values, hist, trace)
@@ -1207,7 +1211,8 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     k only gates the hypothesis: every k <= 5 lifts at level min(5, n), so
     it returns the same partition.
     """
-    d = echelon_basis(inst.values, inst.n).rank
+    span = echelon_basis(inst.values, inst.n)
+    d = span.rank
     if not 1 <= k <= 6 or k > inst.n:
         raise CaseNotApplicable(f"k must be in 1..min(6, n), got {k}")
     if d > k:
@@ -1215,7 +1220,7 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     if k == 6 and any(c % 2 for c in Counter(inst.values).values()):
         raise CaseNotApplicable("k=6 needs every multiplicity even")
     trace: list[str] = []
-    return _finish(inst, _small_dim(inst.n, inst.values, 6 if k == 6 else 5, trace))
+    return _finish(inst, _small_dim(inst.n, inst.values, span, 6 if k == 6 else 5, trace))
 
 
 def split_to_three_values(inst: PairingInstance, k: int) -> list[list[int]]:
@@ -1277,15 +1282,16 @@ def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
     """Try the constructive hypotheses in order, then exact search for n <= 6."""
     values = inst.values
     hist = Counter(values)
-    d = echelon_basis(values, inst.n).rank
+    span = echelon_basis(values, inst.n)
+    d = span.rank
     all_even = all(c % 2 == 0 for c in hist.values())
     trace: list[str] = []
     if d <= 5:
         tag = "Dim5Coset"
-        raw = _small_dim(inst.n, values, 5, trace)
+        raw = _small_dim(inst.n, values, span, 5, trace)
     elif d == 6 and all_even:
         tag = "Dim6EvenCoset"
-        raw = _small_dim(inst.n, values, 6, trace)
+        raw = _small_dim(inst.n, values, span, 6, trace)
     elif len(hist) <= inst.n:
         tag = "AtMostNValues"
         raw = _solve_few(inst.n, values, trace)

@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NonCanonical, PreconditionViolated
+from .errors import NonCanonical, OutOfRange, PreconditionViolated
 from .gf2 import MAX_DIM, BitVec
 
 __all__ = [
@@ -116,7 +116,9 @@ class CaterpillarSpec:
 
     Canonical means either the single-edge case [1] or every entry >= 2.
     Padded forms with degree-1 entries at the ends are handled as raw degree
-    lists via pad_spec, never through this type.
+    lists via pad_spec, never through this type.  A spec has at most
+    2^(MAX_DIM-1) vertices, the most a labeling of width MAX_DIM covers, so
+    an oversized one raises OutOfRange before anything is built.
     """
 
     degrees: tuple[int, ...]
@@ -127,6 +129,10 @@ class CaterpillarSpec:
         if self.degrees != (1,) and any(d < 2 for d in self.degrees):
             raise NonCanonical(
                 f"degrees must all be >= 2 (or the list be exactly [1]): {list(self.degrees)}"
+            )
+        if self.vertex_count > 1 << (MAX_DIM - 1):
+            raise OutOfRange(
+                f"caterpillar has {self.vertex_count} vertices, more than 2^{MAX_DIM - 1}"
             )
 
     @classmethod
@@ -470,15 +476,20 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
         if key not in doc:
             raise ValueError(f"missing required field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIM:
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
         raise ValueError(f"field 'n' must be an integer in 1..{MAX_DIM}")
+    for key in ("vertices", "edges"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"field {key!r} must be a list")
     labels: dict[int, BitVec] = {}
     ids: list[int] = []
     for entry in doc["vertices"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise ValueError(f"bad vertex entry {entry!r}")
         ids.append(entry["id"])
         if "label" in entry:
+            if not isinstance(entry["label"], str):
+                raise ValueError(f"label of vertex {entry['id']} is not a string")
             try:
                 labels[entry["id"]] = BitVec.parse(entry["label"], n)
             except PreconditionViolated as exc:
@@ -488,9 +499,9 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     edges: list[tuple[int, int]] = []
     for entry in doc["edges"]:
         if (
-            not isinstance(entry, (list, tuple))
+            not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or any(type(x) is not int for x in entry)
         ):
             raise ValueError(f"bad edge entry {entry!r}")
         edges.append((entry[0], entry[1]))

@@ -22,10 +22,9 @@ from setseq.constructors import (
     label_large_caterpillar,
     label_small_diameter,
     load_fixture,
-    solve_w_prefixes,
 )
 from setseq.errors import Infeasible
-from setseq.gf2 import BitVec, echelon_basis
+from setseq.gf2 import echelon_basis
 from setseq.pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -359,7 +358,6 @@ def test_long_path_sequence_invariants():
     # relation, and all four prefixes on every suffix, in under a second.
     for k in (5, 7, 9, 11):
         start = time.monotonic()
-        prefixes = solve_w_prefixes(k)
         n = 5
         rng = random.Random(k)
         while True:
@@ -371,17 +369,16 @@ def test_long_path_sequence_invariants():
                 z.append(x)
             if 0 not in z and len(set(z)) == k:
                 break
-        seq = build_w_sequence([BitVec(x, n) for x in z], prefixes)
+        words = build_w_sequence(z, n)
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"k={k} took {elapsed:.2f}s"
 
-        words = [w.bits for w in seq.w]
         assert len(words) == 4 * k + 3
         assert len(set(words)) == 4 * k + 3
         for a in range(0, 4 * k + 1, 2):
             assert words[a] ^ words[a + 2] == words[a + 1]
         groups: dict[int, set[int]] = {}
-        for w in seq.w:
-            groups.setdefault(w.bits & ((1 << n) - 1), set()).add(w.bits >> n)
+        for w in words:
+            groups.setdefault(w & ((1 << n) - 1), set()).add(w >> n)
         assert groups.pop(0) == {0b01, 0b10, 0b11}
         assert all(g == {0, 1, 2, 3} for g in groups.values())

@@ -1,4 +1,8 @@
-"""End-to-end runs of the command-line surface, in process."""
+"""End-to-end runs of the command-line surface, in process.
+
+One test runs `python -m setseq.cli` in a subprocess, to see that a
+malformed document ends in an error line rather than a traceback.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,12 @@ import ast
 import importlib
 import io
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,6 +38,7 @@ from setseq.trees import (
 
 
 FIGURE = str(fixtures_dir() / "figure1.json")
+SRC = str(Path(setseq.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -198,6 +207,14 @@ def test_label_domain_error(capsys):
     assert err.startswith("error=NotOddDegree:")
 
 
+def test_label_rejects_oversized_caterpillars_at_once(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "label", "--caterpillar", "T[2147483647]")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert err.startswith("error=OutOfRange:")
+
+
 def test_label_usage_errors(capsys):
     assert run(capsys, "label")[0] == 2
     assert run(capsys, "label", "--caterpillar", "T[3]", "--tree", "x.json")[0] == 2
@@ -218,6 +235,23 @@ def test_verify_reports_violations(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(doc))
     assert code == 1
     assert any("DuplicateValue" in line for line in out.splitlines())
+
+
+def test_verify_reports_malformed_documents_without_a_traceback(tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text('{"n": 2, "vertices": [{"id": 0, "label": 5}, {"id": 1}], "edges": null}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "setseq.cli", "verify", str(doc)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error=PreconditionViolated:")
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_unlabeled_document(capsys, tmp_path):

@@ -36,7 +36,7 @@ from setseq.errors import (
     TooFewVertices,
     TooSmall,
 )
-from setseq.gf2 import BitVec, echelon_basis
+from setseq.gf2 import echelon_basis
 from setseq.trees import (
     CaterpillarSpec,
     Labeling,
@@ -439,7 +439,7 @@ def test_prefix_solver_rejects_even_or_small_k():
             solve_w_prefixes(k)
 
 
-@pytest.mark.parametrize("k", [5, 7, 9, 11])
+@pytest.mark.parametrize("k", range(5, 402, 2))
 def test_prefix_solver_invariants(k):
     prefixes = solve_w_prefixes(k)
     assert len(prefixes) == 4 * k + 3
@@ -448,9 +448,14 @@ def test_prefix_solver_invariants(k):
     assert prefixes[3 * k + 2] == 0b01
     for a in range(0, 4 * k + 1, 2):
         assert prefixes[a] ^ prefixes[a + 2] == prefixes[a + 1]
+    groups: dict[int, set[int]] = {}
+    for p, s in zip(prefixes, constructors._w_layout(k)):
+        groups.setdefault(s, set()).add(p)
+    assert groups.pop(0) == {0b01, 0b10, 0b11}
+    assert all(g == {0, 1, 2, 3} for g in groups.values())
 
 
-def chain_labels(k: int, n: int) -> list[BitVec]:
+def chain_labels(k: int, n: int) -> list[int]:
     """Path labels z_1..z_k off a labeled path with alternating XOR entries."""
     rng = random.Random(k * 101 + n)
     while True:
@@ -461,57 +466,50 @@ def chain_labels(k: int, n: int) -> list[BitVec]:
                 z.append(verts[i - 1] ^ x)
             z.append(x)
         if 0 not in z and len(set(z)) == k:
-            return [BitVec(x, n) for x in z]
+            return z
 
 
 @pytest.mark.parametrize("k", [5, 9])
 def test_w_sequence_construction(k):
-    z = chain_labels(k, 5)
-    seq = build_w_sequence(z, solve_w_prefixes(k))
     n = 5
+    z = chain_labels(k, n)
+    w = build_w_sequence(z, n)
     mask = (1 << n) - 1
-    suffixes = [w.bits & mask for w in seq.w]
+    suffixes = [x & mask for x in w]
     assert [suffixes[i] for i in (k, 2 * k + 1, 3 * k + 2)] == [0, 0, 0]
-    assert suffixes[:k] == [x.bits for x in reversed(z)]
-    assert suffixes[3 * k + 3 :] == [z[1].bits, z[0].bits] + [
-        x.bits for x in z[2:]
-    ]
-    assert len({w.bits for w in seq.w}) == 4 * k + 3
+    assert suffixes[:k] == z[::-1]
+    assert suffixes[3 * k + 3 :] == [z[1], z[0]] + z[2:]
+    assert [x >> n for x in w] == solve_w_prefixes(k)
+    assert len(set(w)) == 4 * k + 3
 
 
 def test_w_sequence_rejects_broken_chains():
     z = chain_labels(5, 5)
-    prefixes = solve_w_prefixes(5)
     broken = list(z)
-    broken[1] = BitVec(broken[1].bits ^ 1, 5)
-    if broken[1].bits in (0, broken[0].bits ^ broken[2].bits):
-        broken[1] = BitVec(broken[0].bits ^ broken[2].bits ^ 2, 5)
+    broken[1] ^= 1
+    if broken[1] in (0, broken[0] ^ broken[2]):
+        broken[1] = broken[0] ^ broken[2] ^ 2
     with pytest.raises(InvalidPath):
-        build_w_sequence(broken, prefixes)
+        build_w_sequence(broken, 5)
+    with pytest.raises(InvalidPath):
+        build_w_sequence([0] + z[1:], 5)
     with pytest.raises(PreconditionViolated):
-        build_w_sequence(z, prefixes[:-1])
-
-
-def test_w_sequence_rejects_tampered_prefixes():
-    z = chain_labels(7, 4)
-    prefixes = solve_w_prefixes(7)
-    tampered = list(prefixes)
-    tampered[0], tampered[2] = tampered[2], tampered[0]
-    if tampered == prefixes:
-        tampered[0] ^= 0b11
+        build_w_sequence(z[:-1], 5)
     with pytest.raises(PreconditionViolated):
-        build_w_sequence(z, tampered)
+        build_w_sequence(z, max(z).bit_length() - 1)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([5, 7, 9, 11]), st.integers(min_value=4, max_value=7))
 def test_w_sequence_group_structure(k, n):
     z = chain_labels(k, n)
-    seq = build_w_sequence(z, solve_w_prefixes(k))
+    w = build_w_sequence(z, n)
+    for a in range(0, 4 * k + 1, 2):
+        assert w[a] ^ w[a + 2] == w[a + 1]
     mask = (1 << n) - 1
     by_suffix: dict[int, set[int]] = {}
-    for w in seq.w:
-        by_suffix.setdefault(w.bits & mask, set()).add(w.bits >> n)
+    for x in w:
+        by_suffix.setdefault(x & mask, set()).add(x >> n)
     assert by_suffix.pop(0) == {0b01, 0b10, 0b11}
     assert all(group == {0, 1, 2, 3} for group in by_suffix.values())
 

@@ -21,6 +21,10 @@ its search tree, not only its first answers.
 PENDANT_DIGESTS were recorded before the pipelines stopped building a Tree
 per level: one plan hangs every pendant on a single anchor, the other
 spreads them over five.
+
+PREFIX_DIGEST was recorded while solve_w_prefixes was still a backtracking
+search, before it became a closed form: it pins the four-copies prefixes
+for every odd k from 5 to 1,999 to what that search found.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from setseq.constructors import (
     label_large_caterpillar,
     label_small_diameter,
     load_fixture,
+    solve_w_prefixes,
 )
 from setseq.errors import Infeasible
 from setseq.pairing import (
@@ -84,6 +89,8 @@ PAIRING_DIGEST = "a5eb3c713cfa07c99e8c70508034100fcfa84f6a01d23d4d07b8bdd225206e
 REDUCTION_DIGEST = "03ddfa27bd424e89f04f678b4f60369480a17423718712fc4896c48390ee6eb2"
 
 EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae1b315"
+
+PREFIX_DIGEST = "105dd7d72c82b4195093fd4beaba014cf0117784e6794db4fe72432d0ce2e183"
 
 EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
 
@@ -241,6 +248,13 @@ def prufer_tree(count: int, code) -> Tree:
     return Tree.of(count, edges)
 
 
+def prefix_stream() -> str:
+    """The four-copies prefixes for every odd k from 5 to 1,999, one line per k."""
+    return "".join(
+        "".join(map(str, solve_w_prefixes(k))) + "\n" for k in range(5, 2000, 2)
+    )
+
+
 def exhaustive_stream() -> str:
     """Exhaustive-search outcome, one line per tree.
 
@@ -285,6 +299,10 @@ def test_four_copies_chain_output_is_pinned():
     tree, lab = chain_to(1024)
     assert tree.vertex_count == 1024
     assert sha256(tree_to_json(tree, lab)) == CHAIN_DIGEST
+
+
+def test_prefix_output_is_pinned():
+    assert sha256(prefix_stream()) == PREFIX_DIGEST
 
 
 def test_pairing_stream_output_is_pinned():

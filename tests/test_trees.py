@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setseq.errors import NonCanonical, PreconditionViolated
+from setseq.errors import NonCanonical, OutOfRange, PreconditionViolated
 from setseq.gf2 import BitVec
 from setseq.trees import (
     CaterpillarSpec,
@@ -154,6 +155,15 @@ def test_spec_rejects_non_canonical():
         CaterpillarSpec((0,))
     with pytest.raises(NonCanonical):
         CaterpillarSpec(())
+
+
+def test_spec_rejects_more_vertices_than_any_labeling_covers():
+    start = time.monotonic()
+    for degrees in ((2**31 - 1,), (2**28, 2**28 + 2)):
+        with pytest.raises(OutOfRange):
+            CaterpillarSpec(degrees)
+    assert time.monotonic() - start < 1.0
+    assert CaterpillarSpec((2**29 - 1,)).vertex_count == 2**29
 
 
 def test_spec_single_edge_is_canonical():
@@ -516,6 +526,32 @@ def test_json_parse_errors():
         tree_from_json("not json at all")
     with pytest.raises(ValueError):
         tree_from_json("[1, 2, 3]")
+
+
+EDGE_DOC = {
+    "n": 2,
+    "vertices": [{"id": 0, "label": "01"}, {"id": 1, "label": "11"}],
+    "edges": [[0, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**EDGE_DOC, "vertices": [{"id": 0, "label": 5}, {"id": 1, "label": "11"}]},
+        {**EDGE_DOC, "vertices": [{"id": 0, "label": ["0", "1"]}, {"id": 1, "label": "11"}]},
+        {**EDGE_DOC, "vertices": 5},
+        {**EDGE_DOC, "edges": None},
+        {"n": True, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
+        {**EDGE_DOC, "vertices": [{"id": False, "label": "01"}, {"id": 1, "label": "11"}]},
+        {**EDGE_DOC, "edges": [[0, True]]},
+    ],
+    ids=["int-label", "list-label", "int-vertices", "null-edges", "bool-n", "bool-id", "bool-end"],
+)
+def test_json_rejects_wrongly_typed_fields(doc):
+    tree_from_json(json.dumps(EDGE_DOC))
+    with pytest.raises(ValueError):
+        tree_from_json(json.dumps(doc))
 
 
 def test_dot_export_annotates_labels_and_xors():
