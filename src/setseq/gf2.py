@@ -22,13 +22,13 @@ MAX_DIM = 30
 
 
 def _check_dim(dim: int) -> None:
-    if not 1 <= dim <= MAX_DIM:
-        raise PreconditionViolated(f"dimension must be in 1..{MAX_DIM}, got {dim}")
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise PreconditionViolated(f"dimension must be an int in 1..{MAX_DIM}, got {dim!r}")
 
 
 def _check_value(bits: int, dim: int) -> None:
-    if not 0 <= bits < (1 << dim):
-        raise PreconditionViolated(f"value {bits} out of range for dimension {dim}")
+    if type(bits) is not int or not 0 <= bits < (1 << dim):
+        raise PreconditionViolated(f"value {bits!r} is not an int in range for dimension {dim}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class BitVec:
 
         If dim is given, the text must have exactly that width.
         """
-        if not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or any(c not in "01" for c in text):
             raise PreconditionViolated(f"not a bitstring: {text!r}")
         if dim is not None and len(text) != dim:
             raise PreconditionViolated(

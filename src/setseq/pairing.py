@@ -3,10 +3,13 @@
 Given targets v_1 .. v_{2^(n-1)} (all nonzero, XOR 0), the task is to split
 the 2^n vectors of the space into pairs (p_i, q_i) with p_i ^ q_i = v_i.
 A backtracking solver settles small n outright; beyond that, structural
-reductions (coset lifting, zero-sum halving, even-pair lifting and a family
-of recursions on the number of distinct values) cover the tractable
-hypotheses.  solve_pairing routes an instance to the cheapest applicable
-solver and reports which hypothesis fired.
+reductions (coset lifting, three-value splitting and a family of
+recursions on the number of distinct values) cover the tractable
+hypotheses.  The coset lift halves low-span targets into zero-sum groups
+and solves each group at level 5, or by even-pair lifting at level 6;
+those two steps serve only the lift and have no public entry point.
+solve_pairing routes an instance to the cheapest applicable solver and
+reports which hypothesis fired.
 """
 
 from __future__ import annotations
@@ -48,11 +51,9 @@ __all__ = [
     "parse_instance",
     "format_partition",
     "exact_pairing_solver",
-    "split_zero_sum_halves",
     "solve_small_dimension",
     "split_to_three_values",
     "solve_dim_half_even",
-    "lift_even_pairs",
     "solve_at_most_n_values",
     "solve_pairing",
 ]
@@ -79,8 +80,8 @@ class PairingInstance:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n <= MAX_DIM:
-            raise PreconditionViolated(f"n must be in 2..{MAX_DIM}, got {self.n}")
+        if type(self.n) is not int or not 2 <= self.n <= MAX_DIM:
+            raise PreconditionViolated(f"n must be an int in 2..{MAX_DIM}, got {self.n!r}")
         want = 1 << (self.n - 1)
         if len(self.values) != want:
             raise PreconditionViolated(
@@ -88,8 +89,8 @@ class PairingInstance:
             )
         total = 0
         for v in self.values:
-            if not 0 < v < 2 * want:
-                raise PreconditionViolated(f"target {v} outside 1..{2 * want - 1}")
+            if type(v) is not int or not 0 < v < 2 * want:
+                raise PreconditionViolated(f"target {v!r} is not an int in 1..{2 * want - 1}")
             total ^= v
         if total:
             raise PreconditionViolated("targets must XOR to zero")
@@ -312,49 +313,31 @@ def _exact_aligned(n: int, values: Sequence[int], deadline: float | None = None)
 # zero-sum halving
 
 
-def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[int]]:
+def _split_halves(values: Sequence[int]) -> tuple[list[int], list[int]]:
     """Split a zero-sum multiset of size 2^(m-1) into two zero-sum halves.
 
-    The level m >= 3 is read off the size; the vectors themselves live in
-    F_2^ambient and must span strictly less than m dimensions.
+    One copy of every odd-multiplicity value goes to the first half, and
+    even chunks fill up both.  The coset lift halves only groups that are
+    all even or span at most 5 dimensions, at levels m >= 6.  A 5-dimensional
+    span holds at most 28 distinct values of odd multiplicity, so those
+    outnumber half the group only at level 6, where _split_odds_level6
+    balances them.
     """
     size = len(values)
     _ensure(size >= 4 and size & (size - 1) == 0, "halving needs a power-of-two size >= 4")
-    m = size.bit_length()
     half = size // 2
-
-    if m <= 5:
-        # Embed into F_2^m so the span sits inside the top-bit-0 hyperplane,
-        # pair everything exactly, and read the halves off pair membership.
-        basis = echelon_basis(values, ambient)
-        _ensure(basis.rank < m, "halving needs a span below the level")
-        coords = {v: basis.coords(v) for v in set(values)}
-        low: list[int] = []
-        high: list[int] = []
-        for v, (p, _) in zip(values, _exact_aligned(m, [coords[v] for v in values])):
-            # Every target has the top coordinate clear, so each pair sits
-            # wholly inside one half of F_2^m and each half hosts size/2 pairs.
-            (low if p < size else high).append(v)
-        _ensure(len(low) == half and len(high) == half, "exact halving left unequal halves")
-        return low, high
 
     hist = Counter(values)
     odds = sorted(u for u, c in hist.items() if c & 1)
-    l = len(odds)
-    _ensure(l % 2 == 0, "a zero-sum multiset has an even number of odd values")
-
-    if l <= half:
-        first, second = list(odds), []
-    elif m == 6:
-        first, second = _split_odds_level6(odds, ambient, half)
-    elif l <= (1 << (m - 1)) - 2 * m + 1:
-        first, second = _transfer_loop(odds, m, half)
+    _ensure(len(odds) % 2 == 0, "a zero-sum multiset has an even number of odd values")
+    if len(odds) <= half:
+        first, second = odds, []
     else:
-        first, second = _four_block_split(odds, m, ambient, half)
+        _ensure(size == 32, "odd values outnumber half a group only at level 6")
+        first, second = _split_odds_level6(odds)
 
     need_first = half - len(first)
     need_second = half - len(second)
-    _ensure(need_first >= 0 and need_second >= 0, "odd values overfilled a half")
     _ensure(need_first % 2 == 0 and need_second % 2 == 0, "odd values left an odd gap")
     for u, extra in sorted(_even_pool(hist).items()):
         take = min(extra, need_first)
@@ -366,21 +349,18 @@ def _split_halves(values: Sequence[int], ambient: int) -> tuple[list[int], list[
     return first, second
 
 
-def _split_odds_level6(odds: list[int], ambient: int, half: int) -> tuple[list[int], list[int]]:
-    """Balance 18..30 distinct odd values at level 6.
+def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
+    """Balance 18..28 distinct odd values at level 6 into two sets of at most 16.
 
-    For up to 24 values one transferred zero-sum subset of a known exact size
-    suffices; beyond that the block method takes over.  The size windows come
-    from a counting argument over the 4-vector blocks, so a miss here means a
-    precondition was violated upstream.
+    A zero-sum subset of even size s in max(6, l - 16)..16 moves to the
+    second half.  Every zero-sum set of 26 or 28 distinct nonzero vectors of
+    F_2^5 has one of size l - 16, and for l <= 24 a counting argument over
+    4-vector blocks gives one of size 6..12, so a miss means a precondition
+    was violated upstream.
     """
     l = len(odds)
-    _ensure(18 <= l <= 30 and l % 2 == 0, "level-6 odd split outside 18..30 even values")
-    if l > 24:
-        return _four_block_split(odds, 6, ambient, half)
-    windows = (8, 10, 12) if l == 24 else (6, 8, 10)
-    # The counting windows first, then a defensive sweep not expected to run.
-    for s in (*windows, *range(max(2, l - 16), 17, 2)):
+    _ensure(18 <= l <= 28 and l % 2 == 0, "level-6 odd split outside 18..28 even values")
+    for s in range(max(6, l - 16), 17, 2):
         try:
             idx = zero_sum_subset_of_size(odds, s)
         except NoSuchSubset:
@@ -391,69 +371,6 @@ def _split_odds_level6(odds: list[int], ambient: int, half: int) -> tuple[list[i
             [u for i, u in enumerate(odds) if i in chosen],
         )
     raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6")
-
-
-def _transfer_loop(pool: list[int], m: int, half: int) -> tuple[list[int], list[int]]:
-    """Move small zero-sum subsets out of pool until it fits in one half.
-
-    Any m of the (distinct, sub-maximal-span) values are dependent, so a
-    transfer of size <= m always exists while the pool is oversized.  A final
-    odd-size transfer fixes the parity if needed.
-    """
-    first = list(pool)
-    second: list[int] = []
-    while len(first) > half:
-        idx = zero_sum_subset(first, max_size=m)
-        chosen = set(idx)
-        second.extend(first[i] for i in idx)
-        first = [u for i, u in enumerate(first) if i not in chosen]
-    if len(first) & 1:
-        try:
-            idx = zero_sum_subset(first, max_size=m, parity="odd")
-        except NoSuchSubset as exc:
-            raise InternalSearchFailed("no odd-size parity transfer available") from exc
-        chosen = set(idx)
-        second.extend(first[i] for i in idx)
-        first = [u for i, u in enumerate(first) if i not in chosen]
-    if len(second) > half:
-        raise InternalSearchFailed("transfer loop overfilled the second half")
-    return first, second
-
-
-def _four_block_split(
-    odds: list[int], m: int, ambient: int, half: int
-) -> tuple[list[int], list[int]]:
-    """Halving for very dense odd sets, via complete 4-vector blocks.
-
-    In coordinates of an (m-1)-dimensional space containing the values, a
-    block is a quadruple agreeing except in the last two bits.  Blocks are
-    zero-sum, so they can shuttle between the halves in chunks of 4; the
-    singles are balanced by the generic transfer loop first.
-    """
-    span = echelon_basis(odds, ambient)
-    _ensure(span.rank <= m - 1, "dense odd values span the whole level")
-    W = extend_basis(span, m - 1)
-    by_img: dict[int, int] = {}
-    for v in odds:
-        by_img[W.coords(v)] = v
-    blocks: list[list[int]] = []
-    for g in range(1, 1 << (m - 3)):
-        quad = [4 * g, 4 * g + 1, 4 * g + 2, 4 * g + 3]
-        if all(c in by_img for c in quad):
-            blocks.append([by_img[c] for c in quad])
-    blocked = {v for b in blocks for v in b}
-    singles = [v for v in odds if v not in blocked]
-
-    first, moved = _transfer_loop(singles, m, half)
-    while len(first) < half - 2:
-        if not blocks:
-            raise InternalSearchFailed("ran out of blocks while topping up a half")
-        first.extend(blocks.pop())
-    _ensure(len(first) in (half, half - 2), "block top-up missed the half size")
-    second = moved + [v for b in blocks for v in b]
-    if len(second) > half:
-        raise InternalSearchFailed("block split overfilled the second half")
-    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +438,11 @@ def _small_dim(
     span is the caller's echelon_basis(values, n).
 
     Halving down to level = min(k, n) yields 2^(n-level) zero-sum groups of
-    size 2^(level-1).  Each group is solved once, inside a level-dimensional
-    frame containing the span (exactly at level <= 5, by the even lift at
-    level 6), and lifted onto its own coset of the frame.
+    size 2^(level-1); every group the halving sees is all even (k = 6) or
+    spans at most 5 dimensions (k = 5), which is all _split_halves covers.
+    Each group is solved once, inside a level-dimensional frame containing
+    the span (exactly at level <= 5, by the even lift at level 6), and
+    lifted onto its own coset of the frame.
     """
     _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
     v = values[0]
@@ -534,12 +453,12 @@ def _small_dim(
         return [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]
     level = min(k, n)
     trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
-    groups = _halve_rounds(values, n - level, lambda g: _split_halves(g, n))
+    groups = _halve_rounds(values, n - level, _split_halves)
 
     def solve(sub: list[int]) -> list[tuple[int, int]]:
         if level <= 5:
             return _exact_aligned(level, sub)
-        return _lift_even(level, sub, _exact_aligned, trace)
+        return _lift_even(level, sub, trace)
 
     return _lift_groups(values, groups, extend_basis(span, level), solve)
 
@@ -561,18 +480,16 @@ def _special_pair_value(hist: Counter, pair_sum: int) -> int | None:
     return None
 
 
-def _lift_even(
-    n: int,
-    values: Sequence[int],
-    base: Callable[[int, list[int]], list[tuple[int, int]]],
-    trace: list[str],
-) -> list[tuple[int, int]]:
-    """Reduce an all-even instance at level n to one instance at level n - 1.
+def _lift_even(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
+    """Reduce an all-even instance at level n <= 6 to one instance at level n - 1.
 
     Pairs of equal targets collapse to single representatives; one target of
     multiplicity 2 is rotated onto the top unit vector, and each downstairs
     pair expands into two upstairs pairs spanning both halves of the space.
+    The downstairs instance, and a degenerate one with no such target, are
+    solved by exact search.
     """
+    _ensure(n <= 6, "even lift solves by exact search, so needs n <= 6")
     hist = Counter(values)
     _ensure(all(c % 2 == 0 for c in hist.values()), "even lift needs even multiplicities")
     slots = _pair_slots(values)
@@ -581,12 +498,8 @@ def _lift_even(
         pair_sum ^= v
     u = _special_pair_value(hist, pair_sum)
     if u is None:
-        if n <= 6:
-            trace.append(f"even-lift n={n} degenerate, exact fallback")
-            return _exact_aligned(n, values)
-        raise NotCovered(
-            f"even-pairs reduction degenerate at n={n} and exact search is out of reach"
-        )
+        trace.append(f"even-lift n={n} degenerate, exact fallback")
+        return _exact_aligned(n, values)
     ext = extend_basis(echelon_basis([u], n), n)
     Minv = LinearMap(n, (u, *(r for r in ext.rows if r != u)))
     M = Minv.inverse()
@@ -603,7 +516,7 @@ def _lift_even(
         _ensure(img != 0, "even lift sent a slot to zero")
         down.append(img)
     trace.append(f"even-lift n={n} slots={len(slots)}")
-    solved = base(n - 1, down)
+    solved = _exact_aligned(n - 1, down)
     out: list[tuple[int, int] | None] = [None] * len(values)
     p0, q0 = solved[0]
     _, a, b = slots[special]
@@ -1152,7 +1065,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
     if m == 0:
         if n == 6:
             trace.append("even-base level=6")
-            return _lift_even(6, values, _exact_aligned, trace)
+            return _lift_even(6, values, trace)
         if l <= 2:
             return _small_dim(n, values, echelon_basis(values, n), 5, trace)
         if l < n or echelon_basis(values, n).rank < n:
@@ -1189,20 +1102,6 @@ def exact_pairing_solver(inst: PairingInstance, budget_seconds: float = 60.0) ->
     """Plain backtracking over uncovered vectors; intended for n <= 6."""
     deadline = time.monotonic() + budget_seconds
     return _finish(inst, _exact_aligned(inst.n, inst.values, deadline))
-
-
-def split_zero_sum_halves(inst: PairingInstance) -> tuple[list[int], list[int]]:
-    """Split the targets into two halves of 2^(n-2) targets, each with XOR 0.
-
-    Requires n >= 3 (so each half is even-sized) and a span of dimension
-    strictly below n.
-    """
-    n = inst.n
-    if n < 3:
-        raise PreconditionViolated(f"need dimension >= 3, got {n}")
-    if echelon_basis(inst.values, n).rank >= n:
-        raise PreconditionViolated("span must have dimension strictly below n")
-    return _split_halves(inst.values, n)
 
 
 def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
@@ -1247,26 +1146,6 @@ def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
         raise CaseNotApplicable(f"span dimension {d} exceeds n/2")
     trace: list[str] = []
     return _finish(inst, _dim_half(inst.n, inst.values, trace))
-
-
-def lift_even_pairs(
-    inst: PairingInstance, base_solver: Callable[[PairingInstance], PairPartition]
-) -> PairPartition:
-    """Reduce an all-even instance one level using the given base solver.
-
-    base_solver must handle arbitrary valid instances one dimension down; the
-    degenerate reduction (no usable multiplicity-2 value) falls back to exact
-    search for n <= 6 and raises NotCovered beyond that.
-    """
-    if any(c % 2 for c in Counter(inst.values).values()):
-        raise CaseNotApplicable("every multiplicity must be even")
-
-    def base(level: int, vals: list[int]) -> list[tuple[int, int]]:
-        sub = PairingInstance.of(level, vals)
-        return list(base_solver(sub).pairs)
-
-    trace: list[str] = []
-    return _finish(inst, _lift_even(inst.n, inst.values, base, trace))
 
 
 def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:

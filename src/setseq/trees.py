@@ -182,8 +182,8 @@ class Labeling:
     vertex_labels: Mapping[int, BitVec]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIM:
-            raise PreconditionViolated(f"n must be in 1..{MAX_DIM}, got {self.n}")
+        if type(self.n) is not int or not 1 <= self.n <= MAX_DIM:
+            raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {self.n!r}")
         for v, lab in self.vertex_labels.items():
             if lab.dim != self.n:
                 raise PreconditionViolated(
@@ -470,6 +470,8 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("not valid JSON: nesting too deep") from exc
     if not isinstance(doc, dict):
         raise ValueError("top level must be an object")
     for key in ("n", "vertices", "edges"):

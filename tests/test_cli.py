@@ -237,21 +237,35 @@ def test_verify_reports_violations(capsys, tmp_path):
     assert any("DuplicateValue" in line for line in out.splitlines())
 
 
-def test_verify_reports_malformed_documents_without_a_traceback(tmp_path):
-    doc = tmp_path / "bad.json"
-    doc.write_text('{"n": 2, "vertices": [{"id": 0, "label": 5}, {"id": 1}], "edges": null}')
+def verify_in_subprocess(doc):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "setseq.cli", "verify", str(doc)],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_verify_reports_malformed_documents_without_a_traceback(tmp_path):
+    doc = tmp_path / "bad.json"
+    doc.write_text('{"n": 2, "vertices": [{"id": 0, "label": 5}, {"id": 1}], "edges": null}')
+    done = verify_in_subprocess(doc)
     assert done.returncode == 1
     assert done.stderr.startswith("error=PreconditionViolated:")
     assert "Traceback" not in done.stderr
+
+
+def test_verify_reports_deeply_nested_json_in_one_line(tmp_path):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000)
+    done = verify_in_subprocess(doc)
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error=PreconditionViolated:")
+    assert line.endswith("not valid JSON: nesting too deep")
 
 
 def test_verify_unlabeled_document(capsys, tmp_path):

@@ -86,6 +86,17 @@ def test_bitvec_parse_rejects_garbage():
         BitVec.parse("011", dim=4)
 
 
+def test_bitvec_rejects_wrongly_typed_input():
+    with pytest.raises(PreconditionViolated):
+        BitVec.parse(5)
+    with pytest.raises(PreconditionViolated):
+        BitVec.parse(["0", "1"])
+    with pytest.raises(PreconditionViolated):
+        BitVec(1.5, 3)
+    with pytest.raises(PreconditionViolated):
+        BitVec(1, 3.0)
+
+
 def test_bitvec_dim_bounds():
     with pytest.raises(PreconditionViolated):
         BitVec(0, 0)

@@ -20,6 +20,7 @@ from setseq.errors import (
     BudgetExhausted,
     CaseNotApplicable,
     Infeasible,
+    InternalSearchFailed,
     NotCovered,
     PreconditionViolated,
 )
@@ -30,7 +31,6 @@ from setseq.pairing import (
     exact_pairing_solver,
     format_instance,
     format_partition,
-    lift_even_pairs,
     parse_instance,
     partition_errors,
     solve_at_most_n_values,
@@ -38,9 +38,10 @@ from setseq.pairing import (
     solve_pairing,
     solve_small_dimension,
     split_to_three_values,
-    split_zero_sum_halves,
 )
-from setseq.pairing import _exact  # tested directly for the infeasible branch
+# Tested directly: the infeasible branch, and the coset lift's halving and
+# even-lift steps, which no public call exposes on their own.
+from setseq.pairing import _exact, _lift_even, _split_halves, _split_odds_level6
 
 
 def build(n, values):
@@ -66,11 +67,17 @@ def assert_valid(inst, part):
     assert errs == [], errs
 
 
-def assert_valid_split(inst, first, second):
-    assert len(first) == len(second) == len(inst.values) // 2
+def assert_valid_split(values, first, second):
+    assert len(first) == len(second) == len(values) // 2
     assert instgen.xor_all(first) == 0
     assert instgen.xor_all(second) == 0
-    assert sorted(first + second) == sorted(inst.values)
+    assert sorted(first + second) == sorted(values)
+
+
+def assert_valid_lift(n, values):
+    pairs = _lift_even(n, values, [])
+    errs = oracle_errors(n, values, pairs)
+    assert errs == [], errs
 
 
 def distinct_zero_sum(rng, pool, count):
@@ -111,6 +118,13 @@ def test_instance_rejects_zero_target():
         build(2, [0b100, 0b100])
     with pytest.raises(PreconditionViolated):
         build(2, [-1, -1])
+
+
+def test_instance_rejects_wrongly_typed_input():
+    with pytest.raises(PreconditionViolated):
+        build(2, [1.0, 1.0])
+    with pytest.raises(PreconditionViolated):
+        build(2.0, [1, 1])
 
 
 def test_instance_rejects_nonzero_xor():
@@ -217,59 +231,54 @@ def test_exact_random_instances_n4(seed):
 
 
 # ---------------------------------------------------------------------------
-# zero-sum halving
+# zero-sum halving (the coset lift's step, called directly)
 
 
 def test_split_contract_example_two_values():
-    inst = build(3, [0b001, 0b001, 0b010, 0b010])
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
+    values = [0b001, 0b001, 0b010, 0b010]
+    first, second = _split_halves(values)
+    assert_valid_split(values, first, second)
 
 
 def test_split_contract_example_single_value():
-    inst = build(3, [0b001] * 4)
-    first, second = split_zero_sum_halves(inst)
+    first, second = _split_halves([0b001] * 4)
     assert first == [0b001, 0b001]
     assert second == [0b001, 0b001]
 
 
 def test_split_contract_example_n4():
-    inst = build(4, [0b0011, 0b0101, 0b0110, 0b0011, 0b0101, 0b0110, 0b0110, 0b0110])
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
-
-
-def test_split_rejects_bad_inputs():
-    with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(build(2, [0b01, 0b01]))  # n < 3
-    with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(build(3, [1, 1, 2]))  # wrong size
-    with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(build(3, [0, 0, 1, 1]))  # zero entry
-    with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(build(3, [1, 2, 3, 1]))  # xor != 0
-    with pytest.raises(PreconditionViolated):
-        split_zero_sum_halves(build(3, [1, 2, 4, 7]))  # full span
+    values = [0b0011, 0b0101, 0b0110, 0b0011, 0b0101, 0b0110, 0b0110, 0b0110]
+    first, second = _split_halves(values)
+    assert_valid_split(values, first, second)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_random_low_dimension(seed):
-    n, values = instgen.dim_le5_instance(random.Random(seed), 6)
-    inst = build(n, values)
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
+    _, values = instgen.dim_le5_instance(random.Random(seed), 6)
+    first, second = _split_halves(values)
+    assert_valid_split(values, first, second)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_split_preserves_even_multiplicities(seed):
-    n, values = instgen.dim6_even_instance(random.Random(seed), 7)
-    inst = build(n, values)
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
+    _, values = instgen.dim6_even_instance(random.Random(seed), 7)
+    first, second = _split_halves(values)
+    assert_valid_split(values, first, second)
     for half in (first, second):
         assert all(c % 2 == 0 for c in Counter(half).values())
+
+
+def dense_odd_values(level, odd_count):
+    """odd_count distinct zero-sum singles plus pairs of fillers, 2^(level-1) in all."""
+    size = 1 << (level - 1)
+    rng = random.Random(odd_count)
+    singles = distinct_zero_sum(rng, list(range(1, size)), odd_count)
+    fillers = [rng.randrange(1, size) for _ in range((size - odd_count) // 2)]
+    values = singles + [w for w in fillers for _ in (0, 1)]
+    rng.shuffle(values)
+    return values
 
 
 # The complement of the odd-value set inside the spanned subspace also XORs
@@ -277,26 +286,38 @@ def test_split_preserves_even_multiplicities(seed):
 # 2^(m-1) - 4 for a level-m split.
 @pytest.mark.parametrize("odd_count", [18, 20, 22, 24, 26, 28])
 def test_split_dense_odd_values_level6(odd_count):
-    rng = random.Random(odd_count)
-    singles = distinct_zero_sum(rng, list(range(1, 32)), odd_count)
-    fillers = [rng.randrange(1, 32) for _ in range((32 - odd_count) // 2)]
-    values = singles + [w for w in fillers for _ in (0, 1)]
-    rng.shuffle(values)
-    inst = build(6, values)
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
+    values = dense_odd_values(6, odd_count)
+    first, second = _split_halves(values)
+    assert_valid_split(values, first, second)
 
 
+# Above level 6 the coset lift halves only groups spanning at most 5
+# dimensions, whose at most 28 odd values fit in one half; more odd values
+# than half a group means the caller broke that precondition.
 @pytest.mark.parametrize("odd_count", [34, 40, 50, 52, 58, 60])
 def test_split_dense_odd_values_level7(odd_count):
-    rng = random.Random(odd_count)
-    singles = distinct_zero_sum(rng, list(range(1, 64)), odd_count)
-    fillers = [rng.randrange(1, 64) for _ in range((64 - odd_count) // 2)]
-    values = singles + [w for w in fillers for _ in (0, 1)]
-    rng.shuffle(values)
-    inst = build(7, values)
-    first, second = split_zero_sum_halves(inst)
-    assert_valid_split(inst, first, second)
+    with pytest.raises(InternalSearchFailed):
+        _split_halves(dense_odd_values(7, odd_count))
+
+
+def test_split_odds_level6_balances_every_densest_set():
+    # A zero-sum set of 26 (28) distinct nonzero vectors of F_2^5 is the
+    # complement of 5 (3) nonzero vectors with XOR 0.  Every one of them
+    # must split into two zero-sum sets of at most 16 values.
+    nonzero = range(1, 32)
+    checked = 0
+    for missing in (3, 5):
+        for gone in itertools.combinations(nonzero, missing):
+            if instgen.xor_all(gone):
+                continue
+            odds = [u for u in nonzero if u not in gone]
+            first, second = _split_odds_level6(odds)
+            assert len(first) <= 16 and len(second) <= 16
+            assert len(first) % 2 == 0
+            assert instgen.xor_all(first) == 0 and instgen.xor_all(second) == 0
+            assert sorted(first + second) == odds
+            checked += 1
+    assert checked == 155 + 5208
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +492,14 @@ def test_dim_half_random(seed, n):
 # even-pairs lifting
 
 
-def _exact_base(inst):
-    return exact_pairing_solver(inst)
-
-
 def test_lift_even_contract_example():
-    inst = build(3, [0b001, 0b001, 0b110, 0b110])
-    part = lift_even_pairs(inst, _exact_base)
-    assert_valid(inst, part)
+    assert_valid_lift(3, [0b001, 0b001, 0b110, 0b110])
 
 
 def test_lift_even_random_n6():
     rng = random.Random(3)
     picks = [rng.randrange(1, 64) for _ in range(16)]
-    inst = build(6, [v for v in picks for _ in (0, 1)])
-    part = lift_even_pairs(inst, _exact_base)
-    assert_valid(inst, part)
+    assert_valid_lift(6, [v for v in picks for _ in (0, 1)])
 
 
 def test_lift_even_rejects_zero_target_at_construction():
@@ -495,32 +508,31 @@ def test_lift_even_rejects_zero_target_at_construction():
 
 
 def test_lift_even_rejects_odd_multiplicities():
-    inst = build(3, [1, 2, 4, 7])
-    with pytest.raises(CaseNotApplicable):
-        lift_even_pairs(inst, _exact_base)
+    with pytest.raises(InternalSearchFailed):
+        _lift_even(3, [1, 2, 4, 7], [])
 
 
 def test_lift_even_degenerate_pair_sum_falls_back():
     # All pair values cancel, so no usable special value exists.
-    inst = build(3, [0b001] * 4)
-    part = lift_even_pairs(inst, _exact_base)
-    assert_valid(inst, part)
+    trace = []
+    pairs = _lift_even(3, [0b001] * 4, trace)
+    assert oracle_errors(3, [0b001] * 4, pairs) == []
+    assert trace == ["even-lift n=3 degenerate, exact fallback"]
 
 
 def test_lift_even_only_candidate_is_excluded():
     # The lone multiplicity-2 value equals the XOR of all pair values, which
     # forces the fallback; n = 6 still succeeds through exact search.
     values = [0b000001] * 6 + [0b000010] * 6 + [0b000011] * 6 + [0b000100] * 2 + [0b000101] * 12
-    inst = build(6, values)
-    part = lift_even_pairs(inst, _exact_base)
-    assert_valid(inst, part)
+    assert_valid_lift(6, values)
 
 
 def test_lift_even_degenerate_out_of_reach_n7():
+    # The lift solves by exact search, so it refuses any level above 6
+    # rather than start a search out of reach.
     values = [1] * 6 + [2] * 6 + [3] * 6 + [4] * 2 + [5] * 44
-    inst = build(7, values)
-    with pytest.raises(NotCovered):
-        lift_even_pairs(inst, _exact_base)
+    with pytest.raises(InternalSearchFailed):
+        _lift_even(7, values, [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -528,9 +540,7 @@ def test_lift_even_degenerate_out_of_reach_n7():
 def test_lift_even_random_pairs(seed):
     rng = random.Random(seed)
     picks = [rng.randrange(1, 32) for _ in range(8)]
-    inst = build(5, [v for v in picks for _ in (0, 1)])
-    part = lift_even_pairs(inst, _exact_base)
-    assert_valid(inst, part)
+    assert_valid_lift(5, [v for v in picks for _ in (0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,18 @@ def test_json_rejects_wrongly_typed_fields(doc):
         tree_from_json(json.dumps(doc))
 
 
+def test_json_rejects_deeply_nested_documents():
+    with pytest.raises(ValueError, match="nesting too deep"):
+        tree_from_json("[" * 100_000)
+
+
+def test_labeling_rejects_wrongly_typed_labels():
+    with pytest.raises(PreconditionViolated):
+        Labeling.of(3, {0: 2.0})
+    with pytest.raises(PreconditionViolated):
+        Labeling.of(3.0, {0: "001"})
+
+
 def test_dot_export_annotates_labels_and_xors():
     dot = tree_to_dot(figure_tree(), figure_labeling())
     assert '0 [label="0001"];' in dot
