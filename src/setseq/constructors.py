@@ -213,6 +213,8 @@ class PendantPlan:
     def __post_init__(self) -> None:
         seen: set[int] = set()
         for vid, count in self.anchors:
+            if type(vid) is not int or type(count) is not int:
+                raise PreconditionViolated(f"anchor ({vid!r}, {count!r}) is not a pair of ints")
             if vid < 0:
                 raise PreconditionViolated(f"negative anchor id {vid}")
             if count < 1:

@@ -235,16 +235,16 @@ def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
     """
     if subspace.dim != n:
         raise PreconditionViolated("subspace dimension does not match n")
-    reduced = echelon_basis(subspace.rows, n)
-    pivots = {r.bit_length() - 1 for r in reduced.rows}
-    free = [p for p in range(n - 1, -1, -1) if p not in pivots]
-    reps: list[int] = []
-    for pattern in range(1 << len(free)):
-        v = 0
-        for j, p in enumerate(free):
-            if (pattern >> (len(free) - 1 - j)) & 1:
-                v |= 1 << p
-        reps.append(v)
+    # Echelon rows have distinct leading bits, and those are the pivots of
+    # the reduced basis too.  Bit i of a pattern selects the i-th lowest
+    # free position, so patterns in ascending order give ascending vectors;
+    # each vector is its pattern's lower bits plus one more free bit.
+    pivots = {r.bit_length() - 1 for r in subspace.rows}
+    free = [p for p in range(n) if p not in pivots]
+    reps = [0] * (1 << len(free))
+    for pattern in range(1, len(reps)):
+        low = pattern & -pattern
+        reps[pattern] = reps[pattern ^ low] | 1 << free[low.bit_length() - 1]
     return tuple(reps)
 
 

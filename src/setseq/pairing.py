@@ -10,14 +10,22 @@ and solves each group at level 5, or by even-pair lifting at level 6;
 those two steps serve only the lift and have no public entry point.
 solve_pairing routes an instance to the cheapest applicable solver and
 reports which hypothesis fired.
+
+The lift layers work on multisets, not lists.  A group is a Counter of
+targets, and its solution is a function of that histogram alone: a map
+from each target to its queue of pairs.  Solving a group never looks at
+the order its targets were listed in, so a lift solves each distinct group
+once.  Target order is restored once, at the public boundary: the k-th
+occurrence of a target takes the k-th pair of its queue.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     BudgetExhausted,
@@ -133,6 +141,8 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
 
     Checks only the two defining invariants (flat coverage of the space and
     per-index pair sums), with no reference to how the pairs were found.
+    A valid partition passes one set-based coverage test and one list
+    comparison of the pair sums; only a failing one is walked entry by entry.
     """
     errs: list[str] = []
     if part.n != inst.n:
@@ -141,17 +151,21 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     if len(part.pairs) != len(inst.values):
         errs.append(f"expected {len(inst.values)} pairs, got {len(part.pairs)}")
         return errs
-    flat = [v for pq in part.pairs for v in pq]
-    counts = Counter(flat)
-    for x in range(1 << inst.n):
-        c = counts.pop(x, 0)
-        if c != 1:
-            errs.append(f"vector {x:0{inst.n}b} covered {c} times")
-    for x in sorted(counts):
-        errs.append(f"out-of-range entry {x}")
-    for i, ((p, q), v) in enumerate(zip(part.pairs, inst.values)):
-        if p ^ q != v:
-            errs.append(f"pair {i} sums to {p ^ q:0{inst.n}b}, target {v:0{inst.n}b}")
+    size = 1 << inst.n
+    flat = list(chain.from_iterable(part.pairs))
+    if not (len(flat) == len(set(flat)) == size and min(flat) >= 0 and max(flat) < size):
+        counts = Counter(flat)
+        for x in range(size):
+            c = counts.pop(x, 0)
+            if c != 1:
+                errs.append(f"vector {x:0{inst.n}b} covered {c} times")
+        for x in sorted(counts):
+            errs.append(f"out-of-range entry {x}")
+    sums = [p ^ q for p, q in part.pairs]
+    if sums != list(inst.values):
+        for i, (s, v) in enumerate(zip(sums, inst.values)):
+            if s != v:
+                errs.append(f"pair {i} sums to {s:0{inst.n}b}, target {v:0{inst.n}b}")
     return errs
 
 
@@ -186,8 +200,10 @@ def format_partition(part: PairPartition) -> str:
 # ---------------------------------------------------------------------------
 # exact backtracking solver
 
-# All internal helpers below work on plain ints and return pair lists aligned
-# with their input target order; _finish checks the result once, at the
+# All internal helpers below work on plain ints.  The lift layers take target
+# histograms and return per-target queues of pairs; the exact search, the
+# even lift and the bounded-value recursions take target lists and return
+# pair lists aligned with them.  _finish checks the result once, at the
 # public boundary.
 
 
@@ -297,12 +313,35 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
     return out
 
 
+#: Each target's pairs in queue order; the solution of one group.
+_Queues = dict[int, list[tuple[int, int]]]
+
+
+def _queues(triples: Iterable[tuple[int, int, int]]) -> _Queues:
+    """Collect (p, q, target) triples into per-target queues, keeping their order."""
+    out: _Queues = {}
+    for p, q, v in triples:
+        if v in out:
+            out[v].append((p, q))
+        else:
+            out[v] = [(p, q)]
+    return out
+
+
+def _by_target(values: Sequence[int], pairs: Iterable[tuple[int, int]]) -> _Queues:
+    """_Queues of a pair list aligned with values."""
+    return _queues((p, q, v) for (p, q), v in zip(pairs, values))
+
+
+def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
+    """Target order, restored: the k-th occurrence of a target takes the k-th pair of its queue."""
+    heads = {v: iter(q) for v, q in queues.items()}
+    return [next(heads[v]) for v in values]
+
+
 def _align(values: Sequence[int], triples: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """Reorder (p, q, target) triples to follow the instance target order."""
-    queues: dict[int, deque[tuple[int, int]]] = {}
-    for p, q, v in triples:
-        queues.setdefault(v, deque()).append((p, q))
-    return [queues[v].popleft() for v in values]
+    return _restore(values, _queues(triples))
 
 
 def _exact_aligned(n: int, values: Sequence[int], deadline: float | None = None) -> list[tuple[int, int]]:
@@ -313,7 +352,7 @@ def _exact_aligned(n: int, values: Sequence[int], deadline: float | None = None)
 # zero-sum halving
 
 
-def _split_halves(values: Sequence[int]) -> tuple[list[int], list[int]]:
+def _split_halves(hist: Counter) -> tuple[Counter, Counter]:
     """Split a zero-sum multiset of size 2^(m-1) into two zero-sum halves.
 
     One copy of every odd-multiplicity value goes to the first half, and
@@ -323,28 +362,35 @@ def _split_halves(values: Sequence[int]) -> tuple[list[int], list[int]]:
     outnumber half the group only at level 6, where _split_odds_level6
     balances them.
     """
-    size = len(values)
+    size = hist.total()
     _ensure(size >= 4 and size & (size - 1) == 0, "halving needs a power-of-two size >= 4")
     half = size // 2
 
-    hist = Counter(values)
     odds = sorted(u for u, c in hist.items() if c & 1)
     _ensure(len(odds) % 2 == 0, "a zero-sum multiset has an even number of odd values")
     if len(odds) <= half:
-        first, second = odds, []
+        first_odds, second_odds = odds, []
     else:
         _ensure(size == 32, "odd values outnumber half a group only at level 6")
-        first, second = _split_odds_level6(odds)
+        first_odds, second_odds = _split_odds_level6(odds)
+    first: Counter = Counter()
+    second: Counter = Counter()
+    for u in first_odds:
+        first[u] = 1
+    for u in second_odds:
+        second[u] = 1
 
-    need_first = half - len(first)
-    need_second = half - len(second)
+    need_first = half - len(first_odds)
+    need_second = half - len(second_odds)
     _ensure(need_first % 2 == 0 and need_second % 2 == 0, "odd values left an odd gap")
     for u, extra in sorted(_even_pool(hist).items()):
         take = min(extra, need_first)
-        first.extend([u] * take)
-        need_first -= take
-        second.extend([u] * (extra - take))
-        need_second -= extra - take
+        if take:
+            first[u] += take
+            need_first -= take
+        if extra > take:
+            second[u] += extra - take
+            need_second -= extra - take
     _ensure(need_first == 0 and need_second == 0, "even copies did not fill both halves")
     return first, second
 
@@ -378,35 +424,56 @@ def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _halve_rounds(
-    values: Sequence[int], rounds: int, split: Callable[[list[int]], tuple[list[int], list[int]]]
-) -> list[list[int]]:
+    hist: Counter, rounds: int, split: Callable[[Counter], tuple[Counter, Counter]]
+) -> list[Counter]:
     """Split every group in two, rounds times over, leaving 2^rounds groups."""
-    groups = [list(values)]
+    groups = [hist]
     for _ in range(rounds):
         groups = [half for g in groups for half in split(g)]
     return groups
 
 
 def _lift_groups(
-    values: Sequence[int],
-    groups: Sequence[Sequence[int]],
-    frame: Basis,
-    solve: Callable[[list[int]], list[tuple[int, int]]],
-) -> list[tuple[int, int]]:
+    groups: Sequence[Counter], frame: Basis, solve: Callable[[Counter], _Queues], trace: list[str]
+) -> _Queues:
     """Solve each group in frame's coordinates and translate it onto its own coset.
 
     Group i lands on the coset of the frame's span whose smallest
-    representative is coset_decompose(n, frame)[i].
+    representative is coset_decompose(n, frame)[i].  A group's solution is
+    a function of its histogram, so each distinct group, keyed on its sorted
+    frame-coordinate histogram, is solved once per call; a repeat replays
+    the trace entries its first solve wrote.  Each target's queue holds its
+    pairs group by group, in group order, and the k-th occurrence of the
+    target takes the k-th pair of it once the caller restores target order.
     """
     shifts = coset_decompose(frame.dim, frame)
     _ensure(len(shifts) == len(groups), "one group per coset of the frame")
-    span = [frame.combine(c) for c in range(1 << len(frame.rows))]
-    triples: list[tuple[int, int, int]] = []
+    # span[c] is frame.combine(c): bit i of c selects rows[top - i], so each
+    # entry is an earlier one plus the row of its lowest set bit.
+    rows = frame.rows
+    top = len(rows) - 1
+    span = [0] * (1 << len(rows))
+    for c in range(1, len(span)):
+        span[c] = span[c & (c - 1)] ^ rows[top - ((c & -c).bit_length() - 1)]
+    coords = {v: frame.coords(v) for v in set().union(*groups)}
+    solved: dict[tuple[tuple[int, int], ...], tuple[_Queues, list[str]]] = {}
+    out: _Queues = {}
     for g, t in zip(groups, shifts):
-        solved = solve([frame.coords(v) for v in g])
-        for (p, q), v in zip(solved, g):
-            triples.append((span[p] ^ t, span[q] ^ t, v))
-    return _align(values, triples)
+        key = tuple(sorted((coords[v], c) for v, c in g.items()))
+        hit = solved.get(key)
+        if hit is None:
+            mark = len(trace)
+            hit = solved[key] = (solve(Counter(dict(key))), trace[mark:])
+        else:
+            trace.extend(hit[1])
+        sub = hit[0]
+        for v in g:
+            lifted = [(span[p] ^ t, span[q] ^ t) for p, q in sub[coords[v]]]
+            if v in out:
+                out[v] += lifted
+            else:
+                out[v] = lifted
+    return out
 
 
 def _pair_slots(values: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -430,37 +497,36 @@ def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, i
 # coset lifting for small span
 
 
-def _small_dim(
-    n: int, values: Sequence[int], span: Basis, k: int, trace: list[str]
-) -> list[tuple[int, int]]:
-    """Solve an instance whose targets span at most k dimensions, k in {5, 6}.
+def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> _Queues:
+    """Solve a target histogram whose span has at most k dimensions, k in {5, 6}.
 
-    span is the caller's echelon_basis(values, n).
+    span is the caller's echelon_basis of the targets.
 
     Halving down to level = min(k, n) yields 2^(n-level) zero-sum groups of
     size 2^(level-1); every group the halving sees is all even (k = 6) or
     spans at most 5 dimensions (k = 5), which is all _split_halves covers.
-    Each group is solved once, inside a level-dimensional frame containing
-    the span (exactly at level <= 5, by the even lift at level 6), and
-    lifted onto its own coset of the frame.
+    Each distinct group is solved once, inside a level-dimensional frame
+    containing the span (exactly at level <= 5, by the even lift at level
+    6), and lifted onto its own coset of the frame.
     """
     _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
-    v = values[0]
-    if all(x == v for x in values):
+    if len(hist) == 1:
         # Single repeated target: pair every coset representative of {0, v}
         # with its translate.
+        (v,) = hist
         trace.append(f"coset-lift n={n} k=1 groups={1 << (n - 1)}")
-        return [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]
+        return {v: [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]}
     level = min(k, n)
     trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
-    groups = _halve_rounds(values, n - level, _split_halves)
+    groups = _halve_rounds(hist, n - level, _split_halves)
 
-    def solve(sub: list[int]) -> list[tuple[int, int]]:
+    def solve(sub: Counter) -> _Queues:
+        values = list(sub.elements())
         if level <= 5:
-            return _exact_aligned(level, sub)
-        return _lift_even(level, sub, trace)
+            return _queues(_exact(level, values))
+        return _by_target(values, _lift_even(level, values, trace))
 
-    return _lift_groups(values, groups, extend_basis(span, level), solve)
+    return _lift_groups(groups, extend_basis(span, level), solve, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +607,7 @@ def _lift_even(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
 # three-value splitting and the half-dimension case
 
 
-def _split_three(values: Sequence[int]) -> tuple[list[int], list[int]]:
+def _split_three(hist: Counter) -> tuple[Counter, Counter]:
     """One halving step that roughly alternates values by multiplicity.
 
     Sorting distinct values by (count, value) and dealing them out
@@ -549,48 +615,39 @@ def _split_three(values: Sequence[int]) -> tuple[list[int], list[int]]:
     copies of the most frequent value always rebalances; with all counts even
     and size >= 4 the shift is even too, preserving parity.
     """
-    hist = Counter(values)
     order = sorted(hist.items(), key=lambda kv: (kv[1], kv[0]))
-    s1: list[int] = []
-    s2: list[int] = []
-    for i, (u, c) in enumerate(order):
-        (s1 if i % 2 == 0 else s2).extend([u] * c)
+    s1: Counter = Counter(dict(order[0::2]))
+    s2: Counter = Counter(dict(order[1::2]))
     donor = order[-1][0]
     donor_side, other = (s1, s2) if len(order) % 2 == 1 else (s2, s1)
-    diff = len(donor_side) - len(other)
+    diff = donor_side.total() - other.total()
     _ensure(diff >= 0, "most frequent value must sit on the larger side")
     shift = diff // 2
     if shift:
         _ensure(hist[donor] >= shift, "donor value too rare for the rebalancing shift")
-        kept: list[int] = []
-        removed = 0
-        for x in donor_side:
-            if x == donor and removed < shift:
-                removed += 1
-            else:
-                kept.append(x)
-        donor_side[:] = kept
-        other.extend([donor] * shift)
+        donor_side[donor] -= shift
+        if not donor_side[donor]:
+            del donor_side[donor]
+        other[donor] += shift
     return s1, s2
 
 
-def _dim_half(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
+def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
     """All-even targets spanning at most n/2 dimensions.
 
-    k splitting rounds leave 2^k groups with at most 3 distinct values each;
-    group i is solved inside coset i of an (n-k)-dimensional subspace
-    containing the span.
+    span is the caller's echelon_basis of the targets.  k splitting rounds
+    leave 2^k groups with at most 3 distinct values each; group i is solved
+    inside coset i of an (n-k)-dimensional subspace containing the span.
     """
-    span = echelon_basis(values, n)
     k = span.rank
     _ensure(1 <= k and 2 * k <= n, "half-dimension case needs 1 <= 2 * span <= n")
-    groups = _halve_rounds(values, k, _split_three)
+    groups = _halve_rounds(hist, k, _split_three)
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
 
-    def solve(sub: list[int]) -> list[tuple[int, int]]:
+    def solve(sub: Counter) -> _Queues:
         return _small_dim(n - k, sub, echelon_basis(sub, n - k), 5, trace)
 
-    return _lift_groups(values, groups, extend_basis(span, n - k), solve)
+    return _lift_groups(groups, extend_basis(span, n - k), solve, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +789,15 @@ def _two_coset_recurse(
     fills = [quarter - sum(side1.values()), quarter - sum(side2.values())]
     _ensure(min(fills) >= 0, "fixed values overfilled a side")
     parts = _greedy_fill(pool, fills)
-    span = echelon_basis(values, n)
+    groups = [side1 + parts[0], side2 + parts[1]]
+    span = echelon_basis([*groups[0], *groups[1]], n)
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
-    return _lift_groups(
-        values,
-        [_counts_to_list(side1 + parts[0]), _counts_to_list(side2 + parts[1])],
-        extend_basis(span, n - 1),
-        lambda sub: _solve_few(n - 1, sub, trace),
-    )
+
+    def solve(sub: Counter) -> _Queues:
+        sub_values = list(sub.elements())
+        return _by_target(sub_values, _solve_few(n - 1, sub_values, trace))
+
+    return _restore(values, _lift_groups(groups, extend_basis(span, n - 1), solve, trace))
 
 
 def _even_two_split(
@@ -1067,8 +1125,8 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
             trace.append("even-base level=6")
             return _lift_even(6, values, trace)
         if l <= 2:
-            return _small_dim(n, values, echelon_basis(values, n), 5, trace)
-        if l < n or echelon_basis(values, n).rank < n:
+            return _restore(values, _small_dim(n, hist, echelon_basis(hist, n), 5, trace))
+        if l < n or echelon_basis(hist, n).rank < n:
             return _even_two_split(n, values, hist, trace)
         return _exactly_n_even(n, values, hist, trace)
 
@@ -1091,7 +1149,7 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
 
 def _finish(inst: PairingInstance, raw: list[tuple[int, int]]) -> PairPartition:
     """The one check of every public solver's output."""
-    part = PairPartition(inst.n, tuple((min(p, q), max(p, q)) for p, q in raw))
+    part = PairPartition(inst.n, tuple([(p, q) if p < q else (q, p) for p, q in raw]))
     errs = partition_errors(inst, part)
     if errs:
         raise InternalSearchFailed("solver produced an invalid partition: " + "; ".join(errs[:3]))
@@ -1110,42 +1168,49 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     k only gates the hypothesis: every k <= 5 lifts at level min(5, n), so
     it returns the same partition.
     """
-    span = echelon_basis(inst.values, inst.n)
+    hist = Counter(inst.values)
+    span = echelon_basis(hist, inst.n)
     d = span.rank
     if not 1 <= k <= 6 or k > inst.n:
         raise CaseNotApplicable(f"k must be in 1..min(6, n), got {k}")
     if d > k:
         raise CaseNotApplicable(f"targets span {d} dimensions, more than k={k}")
-    if k == 6 and any(c % 2 for c in Counter(inst.values).values()):
+    if k == 6 and any(c % 2 for c in hist.values()):
         raise CaseNotApplicable("k=6 needs every multiplicity even")
     trace: list[str] = []
-    return _finish(inst, _small_dim(inst.n, inst.values, span, 6 if k == 6 else 5, trace))
+    queues = _small_dim(inst.n, hist, span, 6 if k == 6 else 5, trace)
+    return _finish(inst, _restore(inst.values, queues))
 
 
 def split_to_three_values(inst: PairingInstance, k: int) -> list[list[int]]:
-    """Split all-even targets into 2^k groups of at most 3 distinct values."""
-    if any(c % 2 for c in Counter(inst.values).values()):
+    """Split all-even targets into 2^k groups of at most 3 distinct values.
+
+    Each group is listed in ascending order.
+    """
+    hist = Counter(inst.values)
+    if any(c % 2 for c in hist.values()):
         raise PreconditionViolated("every multiplicity must be even")
-    d = echelon_basis(inst.values, inst.n).rank
+    d = echelon_basis(hist, inst.n).rank
     if k != d:
         raise PreconditionViolated(f"k={k} but the span has dimension {d}")
     if k > inst.n - 1:
         raise PreconditionViolated("span dimension leaves no room for groups")
-    groups = _halve_rounds(inst.values, k, _split_three)
+    groups = _halve_rounds(hist, k, _split_three)
     for g in groups:
-        _ensure(len(set(g)) <= 3, "a group exceeded 3 distinct values")
-    return groups
+        _ensure(len(g) <= 3, "a group exceeded 3 distinct values")
+    return [_counts_to_list(g) for g in groups]
 
 
 def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
     """All-even targets spanning at most n/2 dimensions."""
-    if any(c % 2 for c in Counter(inst.values).values()):
+    hist = Counter(inst.values)
+    if any(c % 2 for c in hist.values()):
         raise CaseNotApplicable("every multiplicity must be even")
-    d = echelon_basis(inst.values, inst.n).rank
-    if 2 * d > inst.n:
-        raise CaseNotApplicable(f"span dimension {d} exceeds n/2")
+    span = echelon_basis(hist, inst.n)
+    if 2 * span.rank > inst.n:
+        raise CaseNotApplicable(f"span dimension {span.rank} exceeds n/2")
     trace: list[str] = []
-    return _finish(inst, _dim_half(inst.n, inst.values, trace))
+    return _finish(inst, _restore(inst.values, _dim_half(inst.n, hist, span, trace)))
 
 
 def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:
@@ -1161,22 +1226,22 @@ def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
     """Try the constructive hypotheses in order, then exact search for n <= 6."""
     values = inst.values
     hist = Counter(values)
-    span = echelon_basis(values, inst.n)
+    span = echelon_basis(hist, inst.n)
     d = span.rank
     all_even = all(c % 2 == 0 for c in hist.values())
     trace: list[str] = []
     if d <= 5:
         tag = "Dim5Coset"
-        raw = _small_dim(inst.n, values, span, 5, trace)
+        raw = _restore(values, _small_dim(inst.n, hist, span, 5, trace))
     elif d == 6 and all_even:
         tag = "Dim6EvenCoset"
-        raw = _small_dim(inst.n, values, span, 6, trace)
+        raw = _restore(values, _small_dim(inst.n, hist, span, 6, trace))
     elif len(hist) <= inst.n:
         tag = "AtMostNValues"
         raw = _solve_few(inst.n, values, trace)
     elif all_even and 2 * d <= inst.n:
         tag = "DimHalfEven"
-        raw = _dim_half(inst.n, values, trace)
+        raw = _restore(values, _dim_half(inst.n, hist, span, trace))
     elif inst.n <= 6:
         tag = "ExactSearch"
         raw = _exact_aligned(inst.n, values, time.monotonic() + 60.0)

@@ -58,6 +58,8 @@ class Tree:
 
     def __post_init__(self) -> None:
         v = self.vertex_count
+        if type(v) is not int:
+            raise PreconditionViolated(f"vertex count must be an int, got {v!r}")
         if v < 2:
             raise PreconditionViolated(f"need at least 2 vertices, got {v}")
         if len(self.edges) != v - 1:
@@ -66,6 +68,8 @@ class Tree:
             )
         seen: set[tuple[int, int]] = set()
         for a, b in self.edges:
+            if type(a) is not int or type(b) is not int:
+                raise PreconditionViolated(f"edge ({a!r}, {b!r}) has a non-int vertex id")
             if not (0 <= a < v and 0 <= b < v):
                 raise PreconditionViolated(f"edge ({a}, {b}) out of range")
             if a >= b:
@@ -126,6 +130,9 @@ class CaterpillarSpec:
     def __post_init__(self) -> None:
         if not self.degrees:
             raise NonCanonical("degree list is empty")
+        for d in self.degrees:
+            if type(d) is not int:
+                raise PreconditionViolated(f"degree {d!r} is not an int")
         if self.degrees != (1,) and any(d < 2 for d in self.degrees):
             raise NonCanonical(
                 f"degrees must all be >= 2 (or the list be exactly [1]): {list(self.degrees)}"

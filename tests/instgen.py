@@ -116,6 +116,16 @@ def dim_half_even_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     return n, values
 
 
+def even_span_instance(rng: random.Random, n: int, d: int) -> tuple[int, list[int]]:
+    """All-even targets spanning exactly d dimensions."""
+    basis = random_independent(rng, n, d)
+    pool = [x for x in span_of(basis) if x]
+    picks = basis + [rng.choice(pool) for _ in range((1 << (n - 2)) - d)]
+    values = [v for v in picks for _ in (0, 1)]
+    rng.shuffle(values)
+    return n, values
+
+
 def at_most_n_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     """At most n distinct values; odd multiplicities appear in valid patterns."""
     assert n >= 4

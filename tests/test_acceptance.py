@@ -6,12 +6,14 @@ conftest hook prints a PASS/FAIL line per test after the run.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
 import pytest
 
 import instgen
+from setseq import constructors
 from setseq.cli import _sweep_instances
 from setseq.constructors import (
     BASE_CATERPILLARS,
@@ -41,11 +43,16 @@ from setseq.trees import (
     build_caterpillar,
     diameter,
     even_degree_label_sum,
+    tree_to_json,
     verify_set_sequential,
 )
 
 #: Search seed that regenerates every bundled base labeling within budget.
 DOCUMENTED_SEED = 0
+
+#: sha256 of the concatenated JSON documents of the high-diameter large
+#: labels, recorded before the coset lift moved to target histograms.
+HIGH_DIAMETER_DIGEST = "dd43cbb715bd945f59ec561d9eb1f3c0263d54c1cd9d890d388a6aee7f4b4d30"
 
 
 def entry_table(tree: Tree, lab: Labeling) -> list[int]:
@@ -301,6 +308,31 @@ def test_large_caterpillars():
         tree, lab = label_large_caterpillar(spec)
         assert verify_set_sequential(tree, lab).valid
         assert diameter(tree) == diam
+
+
+def test_large_caterpillars_reach_the_bounded_value_route(monkeypatch):
+    # At diameter 14-15 and 2^13-2^14 vertices the large pipeline pairs a
+    # level through AtMostNValues, whose two-coset split lifts each side
+    # onto a hyperplane coset; one caterpillar per seed, output pinned.
+    routes: list[str] = []
+    solve = constructors.solve_pairing
+
+    def recording(inst):
+        part, route = solve(inst)
+        routes.append(route.tag)
+        return part, route
+
+    monkeypatch.setattr(constructors, "solve_pairing", recording)
+    docs = []
+    for seed, (exponent, diam) in enumerate(((13, 14), (14, 14), (14, 15))):
+        spec = odd_caterpillar(1 << exponent, diam, random.Random(seed))
+        routes.clear()
+        tree, lab = label_large_caterpillar(spec)
+        assert "AtMostNValues" in routes, (spec, routes)
+        assert verify_set_sequential(tree, lab).valid
+        assert diameter(tree) == diam
+        docs.append(tree_to_json(tree, lab))
+    assert hashlib.sha256("".join(docs).encode()).hexdigest() == HIGH_DIAMETER_DIGEST
 
 
 def test_four_copies_chain():

@@ -121,6 +121,11 @@ def test_plan_rejects_bad_anchors():
         PendantPlan(((-1, 2),))
 
 
+def test_plan_rejects_non_int_counts():
+    with pytest.raises(PreconditionViolated):
+        PendantPlan(((0, 1.5),))
+
+
 # ---------------------------------------------------------------------------
 # add_pendants
 

@@ -32,6 +32,14 @@ spreads them over five.
 PREFIX_DIGEST was recorded while solve_w_prefixes was still a backtracking
 search, before it became a closed form: it pins the four-copies prefixes
 for every odd k from 5 to 1,999 to what that search found.
+
+TRACE_DIGEST and REDUCTION_DIGEST were recorded before the lift layers
+began to work on target histograms and to solve each distinct group once.
+TRACE_DIGEST pins every route trace entry, so a lift that skips a repeated
+group must still replay the entries that group wrote.  The halvings in
+REDUCTION_DIGEST are printed as sorted halves, since a halving now returns
+two histograms; the digest was recorded from the list-based halving with
+each half sorted, so the pinned multisets are the same.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -93,7 +101,9 @@ CHAIN_DIGEST = "1686864da7471148777006b0694580d4dfc62a9c6d5d27ffe294da1785d9942b
 
 PAIRING_DIGEST = "a5eb3c713cfa07c99e8c70508034100fcfa84f6a01d23d4d07b8bdd225206e60"
 
-REDUCTION_DIGEST = "b2459aa6a5f225430b8d1384d49af9e0ef97a7524120b6fb955c2f4525d752d4"
+REDUCTION_DIGEST = "5c505b22d36b2ba8c65379572669565724bd1d2c6c68db792cb65edccbd5179f"
+
+TRACE_DIGEST = "56abe48640f35eb93f71d3737f8da8d91a64c10dadf5eb74aff2d370630ee191"
 
 EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae1b315"
 
@@ -160,8 +170,8 @@ def chain_to(size: int) -> tuple[Tree, Labeling]:
     return tree, lab
 
 
-def pairing_stream() -> str:
-    """Route and partition text of 20 seeded instances.
+def pairing_instances():
+    """20 seeded instances as (n, values).
 
     Five come from the low-span generator, five from the span-6 all-even
     one and ten from the few-values one, whose instances reach the
@@ -173,12 +183,44 @@ def pairing_stream() -> str:
         (instgen.dim6_even_instance, range(7, 12)),
         (instgen.at_most_n_instance, (7, 8, 9, 10, 11) * 2),
     )
-    out = []
     for gen, dims in gens:
         for n in dims:
-            n, values = gen(rng, n)
-            part, route = solve_pairing(PairingInstance.of(n, values))
-            out.append(f"{route.tag}\n{format_partition(part)}")
+            yield gen(rng, n)
+
+
+def pairing_stream() -> str:
+    """Route and partition text of the pairing_instances."""
+    out = []
+    for n, values in pairing_instances():
+        part, route = solve_pairing(PairingInstance.of(n, values))
+        out.append(f"{route.tag}\n{format_partition(part)}")
+    return "".join(out)
+
+
+#: (seed, n) of few-values instances that solve_pairing lifts at level 6
+#: with a repeated group whose even lift writes trace entries.
+REPEATED_GROUP_CASES = ((15, 11), (58, 11), (59, 10))
+
+
+def trace_stream() -> str:
+    """Route tag and trace of the pairing_instances and six more.
+
+    Three are REPEATED_GROUP_CASES.  The other three are n=14 all-even
+    instances spanning 7 dimensions: solve_pairing sends nothing to
+    DimHalfEven below n=14, since the route needs a span of at least 7
+    dimensions.  Their partition text follows their trace.
+    """
+    out = []
+    cases = [instgen.at_most_n_instance(random.Random(s), n) for s, n in REPEATED_GROUP_CASES]
+    for n, values in [*pairing_instances(), *cases]:
+        _, route = solve_pairing(PairingInstance.of(n, values))
+        out.append("\n".join((route.tag,) + route.trace) + "\n")
+    rng = random.Random(14)
+    for _ in range(3):
+        n, values = instgen.even_span_instance(rng, 14, 7)
+        part, route = solve_pairing(PairingInstance.of(n, values))
+        assert route.tag == "DimHalfEven"
+        out.append("\n".join((route.tag,) + route.trace) + "\n" + format_partition(part))
     return "".join(out)
 
 
@@ -233,8 +275,8 @@ def reduction_stream() -> str:
     for n, values in AT_MOST_N_CASES:
         out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
     for values in dense_odd_split_inputs():
-        for half in _split_halves(values):
-            out.append(",".join(map(str, half)) + "\n")
+        for half in _split_halves(Counter(values)):
+            out.append(",".join(map(str, sorted(half.elements()))) + "\n")
     return "".join(out)
 
 
@@ -316,6 +358,10 @@ def test_pairing_stream_output_is_pinned():
 
 def test_reduction_stream_output_is_pinned():
     assert sha256(reduction_stream()) == REDUCTION_DIGEST
+
+
+def test_route_traces_are_pinned():
+    assert sha256(trace_stream()) == TRACE_DIGEST
 
 
 def test_exact_output_is_pinned():

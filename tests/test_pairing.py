@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instgen
+from setseq import pairing
 from setseq.errors import (
     BudgetExhausted,
     CaseNotApplicable,
@@ -68,10 +69,11 @@ def assert_valid(inst, part):
 
 
 def assert_valid_split(values, first, second):
-    assert len(first) == len(second) == len(values) // 2
-    assert instgen.xor_all(first) == 0
-    assert instgen.xor_all(second) == 0
-    assert sorted(first + second) == sorted(values)
+    # Halves are target histograms.
+    assert first.total() == second.total() == len(values) // 2
+    assert instgen.xor_all(first.elements()) == 0
+    assert instgen.xor_all(second.elements()) == 0
+    assert first + second == Counter(values)
 
 
 def assert_valid_lift(n, values):
@@ -142,6 +144,38 @@ def test_partition_checker_flags_broken_pairs():
     assert partition_errors(inst, duplicated)
     short = PairPartition(2, ((0, 1),))
     assert partition_errors(inst, short)
+
+
+def test_partition_checker_messages():
+    # A broken partition is reported entry by entry: coverage in vector
+    # order, then out-of-range entries, then pair sums in pair order.
+    inst = build(3, [0b001, 0b010, 0b100, 0b111])
+    broken = PairPartition(3, ((0, 1), (2, 0), (4, 9), (3, 4)))
+    assert partition_errors(inst, broken) == [
+        "vector 000 covered 2 times",
+        "vector 100 covered 2 times",
+        "vector 101 covered 0 times",
+        "vector 110 covered 0 times",
+        "vector 111 covered 0 times",
+        "out-of-range entry 9",
+        "pair 2 sums to 1101, target 100",
+    ]
+    shifted = PairPartition(3, ((-1, 0), (8, 10), (2, 6), (3, 4)))
+    assert partition_errors(inst, shifted) == [
+        "vector 001 covered 0 times",
+        "vector 101 covered 0 times",
+        "vector 111 covered 0 times",
+        "out-of-range entry -1",
+        "out-of-range entry 8",
+        "out-of-range entry 10",
+        "pair 0 sums to -01, target 001",
+    ]
+    sums_only = PairPartition(3, ((0, 1), (2, 3), (4, 5), (6, 7)))
+    assert partition_errors(inst, sums_only) == [
+        "pair 1 sums to 001, target 010",
+        "pair 2 sums to 001, target 100",
+        "pair 3 sums to 001, target 111",
+    ]
 
 
 def test_instance_text_roundtrip():
@@ -236,19 +270,18 @@ def test_exact_random_instances_n4(seed):
 
 def test_split_contract_example_two_values():
     values = [0b001, 0b001, 0b010, 0b010]
-    first, second = _split_halves(values)
+    first, second = _split_halves(Counter(values))
     assert_valid_split(values, first, second)
 
 
 def test_split_contract_example_single_value():
-    first, second = _split_halves([0b001] * 4)
-    assert first == [0b001, 0b001]
-    assert second == [0b001, 0b001]
+    first, second = _split_halves(Counter([0b001] * 4))
+    assert first == second == Counter({0b001: 2})
 
 
 def test_split_contract_example_n4():
     values = [0b0011, 0b0101, 0b0110, 0b0011, 0b0101, 0b0110, 0b0110, 0b0110]
-    first, second = _split_halves(values)
+    first, second = _split_halves(Counter(values))
     assert_valid_split(values, first, second)
 
 
@@ -256,7 +289,7 @@ def test_split_contract_example_n4():
 @given(st.integers(0, 10**6))
 def test_split_random_low_dimension(seed):
     _, values = instgen.dim_le5_instance(random.Random(seed), 6)
-    first, second = _split_halves(values)
+    first, second = _split_halves(Counter(values))
     assert_valid_split(values, first, second)
 
 
@@ -264,10 +297,10 @@ def test_split_random_low_dimension(seed):
 @given(st.integers(0, 10**6))
 def test_split_preserves_even_multiplicities(seed):
     _, values = instgen.dim6_even_instance(random.Random(seed), 7)
-    first, second = _split_halves(values)
+    first, second = _split_halves(Counter(values))
     assert_valid_split(values, first, second)
     for half in (first, second):
-        assert all(c % 2 == 0 for c in Counter(half).values())
+        assert all(c % 2 == 0 for c in half.values())
 
 
 def dense_odd_values(level, odd_count):
@@ -287,7 +320,7 @@ def dense_odd_values(level, odd_count):
 @pytest.mark.parametrize("odd_count", [18, 20, 22, 24, 26, 28])
 def test_split_dense_odd_values_level6(odd_count):
     values = dense_odd_values(6, odd_count)
-    first, second = _split_halves(values)
+    first, second = _split_halves(Counter(values))
     assert_valid_split(values, first, second)
 
 
@@ -297,7 +330,7 @@ def test_split_dense_odd_values_level6(odd_count):
 @pytest.mark.parametrize("odd_count", [34, 40, 50, 52, 58, 60])
 def test_split_dense_odd_values_level7(odd_count):
     with pytest.raises(InternalSearchFailed):
-        _split_halves(dense_odd_values(7, odd_count))
+        _split_halves(Counter(dense_odd_values(7, odd_count)))
 
 
 def test_split_odds_level6_balances_every_densest_set():
@@ -486,6 +519,44 @@ def test_dim_half_random(seed, n):
     inst = build(nn, values)
     part = solve_dim_half_even(inst)
     assert_valid(inst, part)
+
+
+def test_lift_solves_each_distinct_group_once(monkeypatch):
+    # One n=14 span-7 DimHalfEven solve: each coset lift hands every distinct
+    # frame-coordinate group to its solver once, and the exact search runs
+    # once per group so handed over at level 5, not once per group.
+    lift, exact = pairing._lift_groups, pairing._exact
+    lifts = []
+    exact_calls = 0
+
+    def counting_lift(groups, frame, solve, trace):
+        solved = []
+        lifts.append((len(groups), solved))
+
+        def recording(sub):
+            solved.append(tuple(sorted(sub.items())))
+            return solve(sub)
+
+        return lift(groups, frame, recording, trace)
+
+    def counting_exact(*args):
+        nonlocal exact_calls
+        exact_calls += 1
+        return exact(*args)
+
+    monkeypatch.setattr(pairing, "_lift_groups", counting_lift)
+    monkeypatch.setattr(pairing, "_exact", counting_exact)
+    inst = build(*instgen.even_span_instance(random.Random(14), 14, 7))
+    part, route = solve_pairing(inst)
+    assert route.tag == "DimHalfEven"
+    assert_valid(inst, part)
+    for _, solved in lifts:
+        assert len(solved) == len(set(solved))
+    # The first lift is the half-dimension one; every later one lifts a
+    # three-value group at level 5 and calls the exact search per solve.
+    inner = lifts[1:]
+    assert exact_calls == sum(len(solved) for _, solved in inner)
+    assert exact_calls < sum(groups for groups, _ in inner)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ def test_tree_rejects_out_of_range_ids():
         Tree.of(3, [(0, 1), (1, 3)])
 
 
+def test_tree_rejects_non_int_vertex_count():
+    with pytest.raises(PreconditionViolated):
+        Tree.of(2.0, [(0, 1)])
+
+
+def test_tree_rejects_non_int_vertex_ids():
+    with pytest.raises(PreconditionViolated):
+        Tree.of(2, [(0, 1.0)])
+
+
 def test_tree_of_normalizes_orientation():
     t = Tree.of(3, [(1, 0), (2, 1)])
     assert t.edges == ((0, 1), (1, 2))
@@ -155,6 +165,12 @@ def test_spec_rejects_non_canonical():
         CaterpillarSpec((0,))
     with pytest.raises(NonCanonical):
         CaterpillarSpec(())
+
+
+def test_spec_rejects_non_int_degrees():
+    # A float degree used to be accepted and printed as T[3.0].
+    with pytest.raises(PreconditionViolated):
+        CaterpillarSpec((3.0,))
 
 
 def test_spec_rejects_more_vertices_than_any_labeling_covers():
