@@ -31,7 +31,7 @@ def _check_value(bits: int, dim: int) -> None:
         raise PreconditionViolated(f"value {bits!r} is not an int in range for dimension {dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """A fixed-width vector over GF(2)."""
 
@@ -48,7 +48,7 @@ class BitVec:
 
         If dim is given, the text must have exactly that width.
         """
-        if not isinstance(text, str) or not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or text.strip("01"):
             raise PreconditionViolated(f"not a bitstring: {text!r}")
         if dim is not None and len(text) != dim:
             raise PreconditionViolated(

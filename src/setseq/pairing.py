@@ -60,7 +60,6 @@ __all__ = [
     "format_partition",
     "exact_pairing_solver",
     "solve_small_dimension",
-    "split_to_three_values",
     "solve_dim_half_even",
     "solve_at_most_n_values",
     "solve_pairing",
@@ -1180,25 +1179,6 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     trace: list[str] = []
     queues = _small_dim(inst.n, hist, span, 6 if k == 6 else 5, trace)
     return _finish(inst, _restore(inst.values, queues))
-
-
-def split_to_three_values(inst: PairingInstance, k: int) -> list[list[int]]:
-    """Split all-even targets into 2^k groups of at most 3 distinct values.
-
-    Each group is listed in ascending order.
-    """
-    hist = Counter(inst.values)
-    if any(c % 2 for c in hist.values()):
-        raise PreconditionViolated("every multiplicity must be even")
-    d = echelon_basis(hist, inst.n).rank
-    if k != d:
-        raise PreconditionViolated(f"k={k} but the span has dimension {d}")
-    if k > inst.n - 1:
-        raise PreconditionViolated("span dimension leaves no room for groups")
-    groups = _halve_rounds(hist, k, _split_three)
-    for g in groups:
-        _ensure(len(g) <= 3, "a group exceeded 3 distinct values")
-    return [_counts_to_list(g) for g in groups]
 
 
 def solve_dim_half_even(inst: PairingInstance) -> PairPartition:

@@ -9,6 +9,11 @@ The verifier is a total function: it never raises on bad labelings, it
 reports findings.  Constructors elsewhere in the package lean on that to
 check their outputs, raising InternalSearchFailed on a bad one, instead of
 trusting the theory.
+
+Labeled trees travel as JSON documents with keys in the order n, vertices,
+edges and one space of indent per level, the layout of json.dumps with
+indent=1.  The tests pin digests of emitted documents, so the layout is
+behaviour; tree_to_json writes it directly.
 """
 
 from __future__ import annotations
@@ -29,10 +34,7 @@ __all__ = [
     "VerifierReport",
     "build_caterpillar",
     "caterpillar_from_degrees",
-    "pad_spec",
     "diameter",
-    "degree_parities",
-    "all_odd_degrees",
     "verify_set_sequential",
     "even_degree_label_sum",
     "tree_to_json",
@@ -66,20 +68,23 @@ class Tree:
             raise PreconditionViolated(
                 f"a tree on {v} vertices has {v - 1} edges, got {len(self.edges)}"
             )
-        seen: set[tuple[int, int]] = set()
+        # v - 1 in-range edges that never join two vertices already joined
+        # form a tree: one union-find pass (path halving) checks it.  On any
+        # failure a second walk finds the message.
+        parent = list(range(v))
         for a, b in self.edges:
-            if type(a) is not int or type(b) is not int:
-                raise PreconditionViolated(f"edge ({a!r}, {b!r}) has a non-int vertex id")
-            if not (0 <= a < v and 0 <= b < v):
-                raise PreconditionViolated(f"edge ({a}, {b}) out of range")
-            if a >= b:
-                raise PreconditionViolated(f"edge ({a}, {b}) not stored small-id first")
-            if (a, b) in seen:
-                raise PreconditionViolated(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-        # v-1 distinct edges and full reachability together rule out cycles.
-        if len(self._reachable_from_zero()) != v:
-            raise PreconditionViolated("edges do not connect all vertices")
+            if type(a) is not int or type(b) is not int or not 0 <= a < b < v:
+                break
+            while (p := parent[a]) != a:
+                parent[a] = a = parent[p]
+            while (p := parent[b]) != b:
+                parent[b] = b = parent[p]
+            if a == b:
+                break
+            parent[b] = a
+        else:
+            return
+        raise PreconditionViolated(_tree_error(v, self.edges))
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Tree:
@@ -101,17 +106,25 @@ class Tree:
             deg[b] += 1
         return deg
 
-    def _reachable_from_zero(self) -> set[int]:
-        adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+
+def _tree_error(v: int, edges: Iterable[tuple[int, int]]) -> str:
+    """The first finding against v - 1 edges that do not form a tree.
+
+    Per-edge findings come in edge order.  Distinct valid edges that fail
+    the check close a cycle, so some vertex is left unconnected.
+    """
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            return f"edge ({a!r}, {b!r}) has a non-int vertex id"
+        if not (0 <= a < v and 0 <= b < v):
+            return f"edge ({a}, {b}) out of range"
+        if a >= b:
+            return f"edge ({a}, {b}) not stored small-id first"
+        if (a, b) in seen:
+            return f"duplicate edge ({a}, {b})"
+        seen.add((a, b))
+    return "edges do not connect all vertices"
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,9 @@ class CaterpillarSpec:
 
     Canonical means either the single-edge case [1] or every entry >= 2.
     Padded forms with degree-1 entries at the ends are handled as raw degree
-    lists via pad_spec, never through this type.  A spec has at most
-    2^(MAX_DIM-1) vertices, the most a labeling of width MAX_DIM covers, so
-    an oversized one raises OutOfRange before anything is built.
+    lists by caterpillar_from_degrees, never through this type.  A spec has
+    at most 2^(MAX_DIM-1) vertices, the most a labeling of width MAX_DIM
+    covers, so an oversized one raises OutOfRange before anything is built.
     """
 
     degrees: tuple[int, ...]
@@ -264,9 +277,10 @@ def build_caterpillar(spec: CaterpillarSpec) -> Tree:
 def caterpillar_from_degrees(degrees: Sequence[int]) -> Tree:
     """build_caterpillar on a raw degree list, padded forms included.
 
-    Entries of 1 are only meaningful at the ends (degree-1 path vertices,
-    i.e. the padding pad_spec produces); an interior entry below 2 cannot be
-    realized and raises.
+    Entries of 1 are only meaningful at the ends: a degree-1 path vertex is a
+    pendant leaf of its neighbour promoted to the path, so the padded list
+    describes the same tree.  An interior entry below 2 cannot be realized
+    and raises.
     """
     k = len(degrees)
     if k == 0:
@@ -293,22 +307,6 @@ def caterpillar_from_degrees(degrees: Sequence[int]) -> Tree:
     return Tree.of(nxt, edges)
 
 
-def pad_spec(spec: CaterpillarSpec, left: int = 0, right: int = 0) -> tuple[int, ...]:
-    """Degree list with degree-1 entries prepended/appended.
-
-    The result describes the same tree as the spec: each pad names an
-    existing pendant leaf at that end, promoted to a path position.  Returned
-    as a raw tuple because padded forms are not canonical.
-    """
-    if not (0 <= left <= 1 and 0 <= right <= 1):
-        raise PreconditionViolated("pad counts must be 0 or 1 per side")
-    if left and (spec.degrees == (1,) or spec.degrees[0] < 2):
-        raise PreconditionViolated("no pendant leaf to promote on the left end")
-    if right and len(spec.degrees) > 1 and spec.degrees[-1] < 2:
-        raise PreconditionViolated("no pendant leaf to promote on the right end")
-    return (1,) * left + spec.degrees + (1,) * right
-
-
 # ---------------------------------------------------------------------------
 # structural queries
 
@@ -333,15 +331,6 @@ def diameter(t: Tree) -> int:
     far = first.index(max(first))
     second = _bfs_distances(adj, far)
     return max(second)
-
-
-def degree_parities(t: Tree) -> list[int]:
-    """Per-vertex degree mod 2."""
-    return [d & 1 for d in t.degrees()]
-
-
-def all_odd_degrees(t: Tree) -> bool:
-    return all(d & 1 for d in t.degrees())
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +433,28 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
     """Labeled-tree JSON document; see tree_from_json for the schema.
 
     When no labeling is supplied, n may be passed explicitly; otherwise it
-    is inferred from |V| + |E| = 2^n - 1.
+    is inferred from |V| + |E| = 2^n - 1.  The text is what
+    json.dumps(doc, indent=1) gives, plus a newline: keys in the order n,
+    vertices, edges, one space of indent per level.  Digests of it are
+    pinned, so the layout is behaviour.
     """
+    if n is not None and (type(n) is not int or not 1 <= n <= MAX_DIM):
+        raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {n!r}")
     if lab is not None:
         width = lab.n
     elif n is not None:
         width = n
     else:
         width = _label_width(t)
-    vertices = []
-    for v in range(t.vertex_count):
-        doc: dict[str, object] = {"id": v}
-        if lab is not None and v in lab.vertex_labels:
-            doc["label"] = str(lab.vertex_labels[v])
-        vertices.append(doc)
-    payload = {
-        "n": width,
-        "vertices": vertices,
-        "edges": [[a, b] for a, b in t.edges],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    get = (lab.vertex_labels if lab is not None else {}).get
+    vertices = ",\n".join(
+        f'  {{\n   "id": {v}\n  }}'
+        if (x := get(v)) is None
+        else f'  {{\n   "id": {v},\n   "label": "{x.bits:0{width}b}"\n  }}'
+        for v in range(t.vertex_count)
+    )
+    edges = ",\n".join(f"  [\n   {a},\n   {b}\n  ]" for a, b in t.edges)
+    return f'{{\n "n": {width},\n "vertices": [\n{vertices}\n ],\n "edges": [\n{edges}\n ]\n}}\n'
 
 
 def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
@@ -493,14 +484,15 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     labels: dict[int, BitVec] = {}
     ids: list[int] = []
     for entry in doc["vertices"]:
-        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
+        if type(entry) is not dict or type(v := entry.get("id")) is not int:
             raise ValueError(f"bad vertex entry {entry!r}")
-        ids.append(entry["id"])
+        ids.append(v)
         if "label" in entry:
-            if not isinstance(entry["label"], str):
-                raise ValueError(f"label of vertex {entry['id']} is not a string")
+            label = entry["label"]
+            if type(label) is not str:
+                raise ValueError(f"label of vertex {v} is not a string")
             try:
-                labels[entry["id"]] = BitVec.parse(entry["label"], n)
+                labels[v] = BitVec.parse(label, n)
             except PreconditionViolated as exc:
                 raise ValueError(str(exc)) from exc
     if sorted(ids) != list(range(len(ids))):
@@ -508,14 +500,16 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     edges: list[tuple[int, int]] = []
     for entry in doc["edges"]:
         if (
-            not isinstance(entry, list)
+            type(entry) is not list
             or len(entry) != 2
-            or any(type(x) is not int for x in entry)
+            or type(entry[0]) is not int
+            or type(entry[1]) is not int
         ):
             raise ValueError(f"bad edge entry {entry!r}")
-        edges.append((entry[0], entry[1]))
+        a, b = entry
+        edges.append((a, b) if a < b else (b, a))
     try:
-        tree = Tree.of(len(ids), edges)
+        tree = Tree(len(ids), tuple(edges))
     except PreconditionViolated as exc:
         raise ValueError(str(exc)) from exc
     return tree, (Labeling(n, labels) if labels else None)

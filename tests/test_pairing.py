@@ -38,11 +38,18 @@ from setseq.pairing import (
     solve_dim_half_even,
     solve_pairing,
     solve_small_dimension,
-    split_to_three_values,
 )
-# Tested directly: the infeasible branch, and the coset lift's halving and
-# even-lift steps, which no public call exposes on their own.
-from setseq.pairing import _exact, _lift_even, _split_halves, _split_odds_level6
+# Tested directly: the infeasible branch, the coset lift's halving and
+# even-lift steps, and the half-dimension case's three-value splitting,
+# which no public call exposes on their own.
+from setseq.pairing import (
+    _exact,
+    _halve_rounds,
+    _lift_even,
+    _split_halves,
+    _split_odds_level6,
+    _split_three,
+)
 
 
 def build(n, values):
@@ -431,39 +438,33 @@ def test_small_dimension_output_does_not_depend_on_k_below_six():
 # three-value splitting
 
 
+def three_value_groups(values, k):
+    """What solve_dim_half_even splits its targets into, as sorted lists."""
+    return [sorted(g.elements()) for g in _halve_rounds(Counter(values), k, _split_three)]
+
+
 def test_split_three_contract_pair_of_values():
-    inst = build(4, [0b0001] * 4 + [0b0010] * 4)
-    groups = split_to_three_values(inst, 2)
+    values = [0b0001] * 4 + [0b0010] * 4
+    groups = three_value_groups(values, 2)
     assert len(groups) == 4
     assert all(len(g) == 2 for g in groups)
     assert all(len(set(g)) == 1 for g in groups)
     merged = sorted(v for g in groups for v in g)
-    assert merged == sorted(inst.values)
+    assert merged == sorted(values)
 
 
 def test_split_three_contract_single_value():
-    inst = build(4, [0b0001] * 8)
-    groups = split_to_three_values(inst, 1)
+    groups = three_value_groups([0b0001] * 8, 1)
     assert len(groups) == 2
     assert all(g == [0b0001] * 4 for g in groups)
-
-
-def test_split_three_rejects_bad_inputs():
-    with pytest.raises(PreconditionViolated):
-        split_to_three_values(build(4, [1, 1, 1, 2, 2, 3, 3, 3]), 2)
-    with pytest.raises(PreconditionViolated):
-        split_to_three_values(build(4, [1, 1, 2, 2, 3, 3, 1, 1]), 3)
-    with pytest.raises(PreconditionViolated):
-        split_to_three_values(build(4, [1, 1, 2, 2]), 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(5, 9))
 def test_split_three_postconditions(seed, n):
-    nn, values = instgen.dim_half_even_instance(random.Random(seed), n)
-    inst = build(nn, values)
+    _, values = instgen.dim_half_even_instance(random.Random(seed), n)
     k = instgen.rank_of(values)
-    groups = split_to_three_values(inst, k)
+    groups = three_value_groups(values, k)
     assert len(groups) == 1 << k
     merged = []
     for g in groups:

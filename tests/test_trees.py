@@ -23,13 +23,10 @@ from setseq.trees import (
     CaterpillarSpec,
     Labeling,
     Tree,
-    all_odd_degrees,
     build_caterpillar,
     caterpillar_from_degrees,
-    degree_parities,
     diameter,
     even_degree_label_sum,
-    pad_spec,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -87,46 +84,91 @@ def random_tree(rng, count):
 # Tree invariants
 
 
+# Messages recorded before the check became one union-find pass.  Per-edge
+# findings come in edge order and take precedence over connectivity.
+
+
+def rejection(count, edges):
+    with pytest.raises(PreconditionViolated) as info:
+        Tree.of(count, edges)
+    return str(info.value)
+
+
 def test_tree_rejects_single_vertex():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(1, [])
+    assert rejection(1, []) == "need at least 2 vertices, got 1"
 
 
 def test_tree_rejects_wrong_edge_count():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(3, [(0, 1)])
+    assert rejection(3, [(0, 1)]) == "a tree on 3 vertices has 2 edges, got 1"
 
 
 def test_tree_rejects_cycle_with_isolated_vertex():
     # Three distinct edges on four vertices must either connect everything
-    # or close a cycle and strand someone; reachability catches it.
-    with pytest.raises(PreconditionViolated):
-        Tree.of(4, [(0, 1), (0, 2), (1, 2)])
+    # or close a cycle and strand someone.
+    assert rejection(4, [(0, 1), (0, 2), (1, 2)]) == "edges do not connect all vertices"
+    assert rejection(5, [(0, 1), (2, 3), (3, 4), (2, 4)]) == "edges do not connect all vertices"
 
 
 def test_tree_rejects_duplicate_edge():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(4, [(0, 1), (1, 0), (2, 3)])
+    assert rejection(4, [(0, 1), (1, 0), (2, 3)]) == "duplicate edge (0, 1)"
 
 
 def test_tree_rejects_loop_edge():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(3, [(0, 0), (1, 2)])
+    assert rejection(3, [(0, 0), (1, 2)]) == "edge (0, 0) not stored small-id first"
+
+
+def test_tree_rejects_edges_not_stored_small_id_first():
+    with pytest.raises(PreconditionViolated) as info:
+        Tree(3, ((1, 0), (1, 2)))
+    assert str(info.value) == "edge (1, 0) not stored small-id first"
 
 
 def test_tree_rejects_out_of_range_ids():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(3, [(0, 1), (1, 3)])
+    assert rejection(3, [(0, 1), (1, 3)]) == "edge (1, 3) out of range"
+    assert rejection(3, [(-1, 1), (1, 2)]) == "edge (-1, 1) out of range"
 
 
 def test_tree_rejects_non_int_vertex_count():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(2.0, [(0, 1)])
+    assert rejection(2.0, [(0, 1)]) == "vertex count must be an int, got 2.0"
 
 
 def test_tree_rejects_non_int_vertex_ids():
-    with pytest.raises(PreconditionViolated):
-        Tree.of(2, [(0, 1.0)])
+    assert rejection(2, [(0, 1.0)]) == "edge (0, 1.0) has a non-int vertex id"
+
+
+def test_tree_rejection_precedence():
+    # A duplicate named before a later out-of-range edge; a cycle only
+    # once every edge has passed its own checks.
+    assert rejection(4, [(0, 1), (0, 1), (2, 7)]) == "duplicate edge (0, 1)"
+    assert rejection(5, [(0, 1), (1, 2), (0, 2), (3, 9)]) == "edge (3, 9) out of range"
+
+
+def is_tree_oracle(count, edges):
+    """Connected with count - 1 edges, by breadth-first search."""
+    adj = {v: [] for v in range(count)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    queue = [0]
+    while queue:
+        for y in adj[queue.pop()]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(edges) == count - 1 and len(seen) == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 9))
+def test_tree_accepts_exactly_the_trees(data, count):
+    ends = st.integers(0, count - 1)
+    edges = data.draw(st.lists(st.tuples(ends, ends), min_size=count - 1, max_size=count - 1))
+    if is_tree_oracle(count, edges):
+        assert Tree.of(count, edges).vertex_count == count
+    else:
+        with pytest.raises(PreconditionViolated):
+            Tree.of(count, edges)
 
 
 def test_tree_of_normalizes_orientation():
@@ -257,24 +299,12 @@ def test_caterpillar_from_degrees_rejects_small_interior():
         caterpillar_from_degrees((3, 1, 3))
 
 
-def test_pad_spec():
-    spec = CaterpillarSpec((3, 3, 3))
-    assert pad_spec(spec, 1, 1) == (1, 3, 3, 3, 1)
-    assert pad_spec(spec) == (3, 3, 3)
-    assert pad_spec(CaterpillarSpec((3,)), right=1) == (3, 1)
-
-
-def test_pad_spec_rejects_unpromotable_ends():
-    with pytest.raises(PreconditionViolated):
-        pad_spec(CaterpillarSpec((1,)), left=1)
-    with pytest.raises(PreconditionViolated):
-        pad_spec(CaterpillarSpec((3, 3)), left=2)
-
-
 def test_padded_and_canonical_builds_are_isomorphic():
-    # Same degree multiset and same diameter is enough evidence here.
+    # A degree-1 end entry promotes an existing pendant leaf to the path, so
+    # the padded list describes the same tree.  Same degree multiset and
+    # same diameter is enough evidence here.
     spec = CaterpillarSpec((3, 4, 3))
-    padded = caterpillar_from_degrees(pad_spec(spec, 1, 1))
+    padded = caterpillar_from_degrees((1, 3, 4, 3, 1))
     plain = build_caterpillar(spec)
     assert padded.vertex_count == plain.vertex_count
     assert sorted(padded.degrees()) == sorted(plain.degrees())
@@ -301,18 +331,15 @@ def test_diameter_matches_oracle_on_random_trees():
 
 def test_degree_parities_star_and_path():
     star = build_caterpillar(CaterpillarSpec((3,)))
-    assert degree_parities(star) == [1, 1, 1, 1]
-    assert all_odd_degrees(star)
-    p4 = path(4)
-    assert degree_parities(p4) == [1, 0, 0, 1]
-    assert not all_odd_degrees(p4)
+    assert [d & 1 for d in star.degrees()] == [1, 1, 1, 1]
+    assert [d & 1 for d in path(4).degrees()] == [1, 0, 0, 1]
 
 
 def test_degree_parities_base_sixteen_vertex_case():
     t = build_caterpillar(CaterpillarSpec((3, 3, 3, 2, 2, 2, 2, 2, 2, 3)))
-    parities = degree_parities(t)
+    parities = [d & 1 for d in t.degrees()]
     assert parities.count(0) == 6
-    assert [p for p in parities[:10]] == [1, 1, 1, 0, 0, 0, 0, 0, 0, 1]
+    assert parities[:10] == [1, 1, 1, 0, 0, 0, 0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -524,24 +551,88 @@ def test_json_unlabeled_needs_explicit_n_for_odd_sizes():
     assert doc["n"] == 5
 
 
+@pytest.mark.parametrize("n", [0, True, 31, 2.0], ids=["zero", "bool", "too-wide", "float"])
+def test_json_writer_rejects_an_n_its_parser_rejects(n):
+    with pytest.raises(PreconditionViolated):
+        tree_to_json(path(2), n=n)
+
+
+def reference_json(t, lab, n):
+    """The layout the writer emits, built with the json module."""
+    vertices = []
+    for v in range(t.vertex_count):
+        doc = {"id": v}
+        if lab is not None and v in lab.vertex_labels:
+            doc["label"] = str(lab.vertex_labels[v])
+        vertices.append(doc)
+    payload = {"n": n, "vertices": vertices, "edges": [[a, b] for a, b in t.edges]}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 64),
+    st.sampled_from(["full", "partial", "none"]),
+    st.integers(1, 30),
+    st.booleans(),
+)
+def test_json_writer_emits_the_json_module_layout(seed, count, labels, width, infer):
+    # An unlabeled tree on 2^k vertices may leave n = k + 1 to inference.
+    rng = random.Random(seed)
+    t = random_tree(rng, count)
+    infer = infer and count & (count - 1) == 0
+    n = count.bit_length() if infer else width
+    lab = None
+    if labels != "none":
+        keep = 1.0 if labels == "full" else 0.5
+        lab = Labeling(
+            n, {v: BitVec(rng.randrange(1 << n), n) for v in range(count) if rng.random() < keep}
+        )
+        text = tree_to_json(t, lab)
+    elif infer:
+        text = tree_to_json(t)
+    else:
+        text = tree_to_json(t, n=n)
+    assert text == reference_json(t, lab, n)
+
+
+GENERATED_FIXTURES = sorted(
+    p.name
+    for p in resources.files("setseq").joinpath("fixtures").iterdir()
+    if p.name != "figure1.json"
+)
+
+
+@pytest.mark.parametrize("name", GENERATED_FIXTURES)
+def test_generated_fixtures_re_emit_byte_for_byte(name):
+    # figure1.json is laid out by hand; every other fixture is writer output.
+    text = fixture_text(name)
+    assert tree_to_json(*tree_from_json(text)) == text
+
+
 def test_json_parse_errors():
+    # Messages recorded before the reader validated in one loop per list.
     good = json.loads(tree_to_json(figure_tree(), figure_labeling()))
-    for mangle in (
-        lambda d: d.pop("edges"),
-        lambda d: d["vertices"].pop(),
-        lambda d: d["vertices"][0].update(label="01"),
-        lambda d: d["vertices"][0].update(id=99),
-        lambda d: d["edges"].append([0, 0]),
-        lambda d: d.update(n="four"),
+    for mangle, message in (
+        (lambda d: d.pop("edges"), "missing required field 'edges'"),
+        (lambda d: d["vertices"].pop(), "a tree on 7 vertices has 6 edges, got 7"),
+        (lambda d: d["vertices"][0].update(label="01"), "expected width 4, got 2: '01'"),
+        (lambda d: d["vertices"][0].update(id=99), "vertex ids must be exactly 0..count-1"),
+        (lambda d: d["edges"].append([0, 0]), "a tree on 8 vertices has 7 edges, got 8"),
+        (lambda d: d.update(n="four"), "field 'n' must be an integer in 1..30"),
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             tree_from_json(json.dumps(doc))
-    with pytest.raises(ValueError):
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
         tree_from_json("not json at all")
-    with pytest.raises(ValueError):
+    assert str(info.value) == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    with pytest.raises(ValueError) as info:
         tree_from_json("[1, 2, 3]")
+    assert str(info.value) == "top level must be an object"
 
 
 EDGE_DOC = {
@@ -552,22 +643,52 @@ EDGE_DOC = {
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,message",
     [
-        {**EDGE_DOC, "vertices": [{"id": 0, "label": 5}, {"id": 1, "label": "11"}]},
-        {**EDGE_DOC, "vertices": [{"id": 0, "label": ["0", "1"]}, {"id": 1, "label": "11"}]},
-        {**EDGE_DOC, "vertices": 5},
-        {**EDGE_DOC, "edges": None},
-        {"n": True, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
-        {**EDGE_DOC, "vertices": [{"id": False, "label": "01"}, {"id": 1, "label": "11"}]},
-        {**EDGE_DOC, "edges": [[0, True]]},
+        (
+            {**EDGE_DOC, "vertices": [{"id": 0, "label": 5}, {"id": 1, "label": "11"}]},
+            "label of vertex 0 is not a string",
+        ),
+        (
+            {**EDGE_DOC, "vertices": [{"id": 0, "label": ["0", "1"]}, {"id": 1, "label": "11"}]},
+            "label of vertex 0 is not a string",
+        ),
+        ({**EDGE_DOC, "vertices": 5}, "field 'vertices' must be a list"),
+        ({**EDGE_DOC, "edges": None}, "field 'edges' must be a list"),
+        (
+            {"n": True, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1]]},
+            "field 'n' must be an integer in 1..30",
+        ),
+        (
+            {**EDGE_DOC, "vertices": [{"id": False, "label": "01"}, {"id": 1, "label": "11"}]},
+            "bad vertex entry {'id': False, 'label': '01'}",
+        ),
+        ({**EDGE_DOC, "edges": [[0, True]]}, "bad edge entry [0, True]"),
+        (
+            {**EDGE_DOC, "vertices": [{"id": 0, "label": "0a"}, {"id": 1, "label": "11"}]},
+            "not a bitstring: '0a'",
+        ),
+        ({**EDGE_DOC, "edges": [[1, 0, 2]]}, "bad edge entry [1, 0, 2]"),
+        ({**EDGE_DOC, "edges": [[0, 5]]}, "edge (0, 5) out of range"),
     ],
-    ids=["int-label", "list-label", "int-vertices", "null-edges", "bool-n", "bool-id", "bool-end"],
+    ids=[
+        "int-label",
+        "list-label",
+        "int-vertices",
+        "null-edges",
+        "bool-n",
+        "bool-id",
+        "bool-end",
+        "bad-char",
+        "long-edge",
+        "out-of-range",
+    ],
 )
-def test_json_rejects_wrongly_typed_fields(doc):
+def test_json_rejects_wrongly_typed_fields(doc, message):
     tree_from_json(json.dumps(EDGE_DOC))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         tree_from_json(json.dumps(doc))
+    assert str(info.value) == message
 
 
 def test_json_rejects_deeply_nested_documents():
