@@ -90,7 +90,7 @@ def _parse_targets(n: int, text: str) -> PairingInstance:
     values = []
     for token in text.split(","):
         token = token.strip()
-        if len(token) != n or set(token) - {"0", "1"}:
+        if not token or len(token) != n or set(token) - {"0", "1"}:
             raise PreconditionViolated(f"target {token!r} is not an {n}-bit string")
         values.append(int(token, 2))
     return PairingInstance.of(n, values)

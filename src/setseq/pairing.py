@@ -67,11 +67,6 @@ __all__ = [
 
 ROUTE_TAGS = ("ExactSearch", "Dim5Coset", "Dim6EvenCoset", "AtMostNValues", "DimHalfEven")
 
-#: Node budget for the bounded backtracking fallback behind the greedy
-#: distribution step of the three-coset case.
-ALLOCATOR_NODE_CAP = 50_000
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -653,99 +648,38 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
 # bounded-value recursions (at most n distinct targets)
 
 
-@dataclass
-class _Vessel:
-    """One destination of an even-chunk distribution step."""
+def _allocate_even(
+    pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]]
+) -> list[Counter]:
+    """Deal even per-value counts into vessels (need, cap, present) in one greedy pass.
 
-    need: int
-    max_distinct: int | None
-    present: set[int]
-
-
-def _allocate_even(pool: Mapping[int, int], vessels: list[_Vessel]) -> list[Counter]:
-    """Distribute even per-value counts into vessels with distinct-value caps.
-
-    Greedy first (largest counts into the neediest compatible vessel,
-    preferring vessels that already hold the value), then backtracking over
-    per-value even splits, bounded by ALLOCATOR_NODE_CAP nodes so a caller
-    can move on to its next vessel layout.  Raises InternalSearchFailed when
-    the node budget runs out or the instance is genuinely infeasible.
+    Largest counts go first, each into a compatible vessel with need left:
+    one already holding the value, else the neediest with fewer than cap
+    distinct values.  There is no backtracking: a value that finds no vessel
+    raises InternalSearchFailed, and the caller moves on to its next layout.
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
     _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
-    _ensure(sum(c for _, c in order) == sum(v.need for v in vessels), "pool and needs differ")
-
-    def room(state: list[tuple[int, set[int]]], i: int, u: int) -> bool:
-        need, present = state[i]
-        if need <= 0:
-            return False
-        cap = vessels[i].max_distinct
-        return u in present or cap is None or len(present) < cap
-
-    def greedy() -> list[Counter] | None:
-        state = [(v.need, set(v.present)) for v in vessels]
-        alloc = [Counter() for _ in vessels]
-        for u, count in order:
-            left = count
-            while left:
-                choices = [i for i in range(len(vessels)) if room(state, i, u)]
-                if not choices:
-                    return None
-                choices.sort(key=lambda i: (u not in state[i][1], -state[i][0], i))
-                i = choices[0]
-                take = min(left, state[i][0])
-                alloc[i][u] += take
-                state[i] = (state[i][0] - take, state[i][1] | {u})
-                left -= take
-        if any(need for need, _ in state):
-            return None
-        return alloc
-
-    got = greedy()
-    if got is not None:
-        return got
-
-    nodes = 0
-
-    def backtrack(vi: int, state: list[tuple[int, set[int]]], alloc: list[Counter]) -> bool:
-        nonlocal nodes
-        if vi == len(order):
-            return all(need == 0 for need, _ in state)
-        nodes += 1
-        if nodes > ALLOCATOR_NODE_CAP:
-            raise InternalSearchFailed("distribution backtracking exceeded its node budget")
-        u, count = order[vi]
-
-        def splits(remaining: int, idx: int, parts: list[int]) -> Iterable[list[int]]:
-            if idx == len(vessels) - 1:
-                if remaining <= state[idx][0] and (remaining == 0 or room(state, idx, u)):
-                    yield parts + [remaining]
-                return
-            top = min(remaining, state[idx][0])
-            if not room(state, idx, u):
-                top = 0
-            for a in range(top - top % 2, -1, -2):
-                yield from splits(remaining - a, idx + 1, parts + [a])
-
-        for parts in splits(count, 0, []):
-            saved = list(state)
-            for i, a in enumerate(parts):
-                if a:
-                    alloc[i][u] += a
-                    state[i] = (state[i][0] - a, state[i][1] | {u})
-            if backtrack(vi + 1, state, alloc):
-                return True
-            for i, a in enumerate(parts):
-                if a:
-                    alloc[i][u] -= a
-            state[:] = saved
-        return False
-
-    state = [(v.need, set(v.present)) for v in vessels]
-    alloc: list[Counter] = [Counter() for _ in vessels]
-    if not backtrack(0, state, alloc):
-        raise InternalSearchFailed("no even-chunk distribution satisfies the caps")
-    return [Counter({u: c for u, c in a.items() if c}) for a in alloc]
+    needs = [need for need, _, _ in vessels]
+    _ensure(sum(c for _, c in order) == sum(needs), "pool and needs differ")
+    present = [set(p) for _, _, p in vessels]
+    alloc = [Counter() for _ in vessels]
+    for u, left in order:
+        while left:
+            choices = [
+                i
+                for i, (_, cap, _) in enumerate(vessels)
+                if needs[i] and (u in present[i] or len(present[i]) < cap)
+            ]
+            if not choices:
+                raise InternalSearchFailed(f"no vessel has room for value {u}")
+            i = min(choices, key=lambda i: (u not in present[i], -needs[i], i))
+            take = min(left, needs[i])
+            alloc[i][u] += take
+            needs[i] -= take
+            present[i].add(u)
+            left -= take
+    return alloc
 
 
 def _greedy_fill(pool: dict[int, int], fills: list[int]) -> list[Counter]:
@@ -942,11 +876,13 @@ def _case_subset_split(
 
 def _coset_group_splits(
     others: list[int], pool: Mapping[int, int], k1: int
-) -> Iterable[tuple[list[int], list[int]]]:
-    """Candidate size-(k1, rest) splits of the unseparated odd values.
+) -> Iterable[tuple[list[int], list[int], int, int]]:
+    """Candidate size-(k1, rest) splits of the unseparated odd values, with their XORs.
 
     Rotating a heaviest-leftover-first ordering moves each heavy value
     through both groups, which is what allocation feasibility depends on.
+    Each group's XOR heads its quarter instance, so a split with a zero XOR
+    on either side is skipped.
     """
     base = sorted(others, key=lambda u: (-pool.get(u, 0), u))
     seen = set()
@@ -957,29 +893,13 @@ def _coset_group_splits(
         if key in seen:
             continue
         seen.add(key)
-        yield g1, g2
-
-
-def _fix_heads(
-    group1: list[int], group2: list[int]
-) -> tuple[list[int], list[int], int, int] | None:
-    """Make both group XORs nonzero, swapping one element across if needed."""
-    s1 = 0
-    for u in group1:
-        s1 ^= u
-    s2 = 0
-    for u in group2:
-        s2 ^= u
-    if s1 and s2:
-        return group1, group2, s1, s2
-    for i, x in enumerate(group1):
-        for j, y in enumerate(group2):
-            ns1, ns2 = s1 ^ x ^ y, s2 ^ x ^ y
-            if ns1 and ns2:
-                g1, g2 = list(group1), list(group2)
-                g1[i], g2[j] = y, x
-                return g1, g2, ns1, ns2
-    return None
+        s1 = s2 = 0
+        for u in g1:
+            s1 ^= u
+        for u in g2:
+            s2 ^= u
+        if s1 and s2:
+            yield g1, g2, s1, s2
 
 
 def _case_three_coset(
@@ -1009,8 +929,11 @@ def _case_three_coset(
 
     # The pair choice and the assignment of the remaining odd values to the
     # two quarter-sized groups interact with the fill allocation: a value
-    # with many leftover copies needs a side that can absorb them.  Probe
-    # candidate layouts with a small allocator budget until one fits.
+    # with many leftover copies needs a side that can absorb them.  Each
+    # candidate layout gets one greedy fill; if that leaves a value without
+    # a vessel, the next layout is tried.  Enumeration at n = 6 (every
+    # odd-count composition of a dozen value sets) and samples at n = 7 and
+    # 8 found no instance that this order leaves unsolved.
     chosen = None
     pairs = [(a, b) for i, a in enumerate(odds) for b in odds[i + 1 :]]
     pairs.sort(key=lambda ab: (hist[ab[0]] + hist[ab[1]], ab))
@@ -1028,15 +951,11 @@ def _case_three_coset(
             quarter - (hist[a] - 1) - (hist[b] - 1),
         ]
         _ensure(all(f >= 0 and f % 2 == 0 for f in fills), "three-coset fills must be even")
-        for group1, group2 in _coset_group_splits(others, pool, k1):
-            fixed = _fix_heads(group1, group2)
-            if fixed is None:
-                continue
-            group1, group2, head1, head2 = fixed
+        for group1, group2, head1, head2 in _coset_group_splits(others, pool, k1):
             vessels = [
-                _Vessel(fills[0], n - 2, set(group1) | {head1}),
-                _Vessel(fills[1], n - 2, set(group2) | {head2}),
-                _Vessel(fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
+                (fills[0], n - 2, set(group1) | {head1}),
+                (fills[1], n - 2, set(group2) | {head2}),
+                (fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
             ]
             try:
                 alloc = _allocate_even(pool, vessels)

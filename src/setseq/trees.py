@@ -88,9 +88,19 @@ class Tree:
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Tree:
-        """Build from any iterable of id pairs, normalizing orientation."""
-        norm = tuple((a, b) if a < b else (b, a) for a, b in edges)
-        return cls(vertex_count, norm)
+        """Build from any iterable of id pairs, normalizing orientation.
+
+        Only int pairs are reoriented; any other pair is passed on as given
+        for the tree check to name.
+        """
+        norm = []
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise PreconditionViolated(f"edge {edge!r} is not a pair of vertex ids") from None
+            norm.append((b, a) if type(a) is int and type(b) is int and b < a else (a, b))
+        return cls(vertex_count, tuple(norm))
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -433,7 +443,8 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
     """Labeled-tree JSON document; see tree_from_json for the schema.
 
     When no labeling is supplied, n may be passed explicitly; otherwise it
-    is inferred from |V| + |E| = 2^n - 1.  The text is what
+    is inferred from |V| + |E| = 2^n - 1.  With a labeling, an explicit n
+    must equal its width.  The text is what
     json.dumps(doc, indent=1) gives, plus a newline: keys in the order n,
     vertices, edges, one space of indent per level.  Digests of it are
     pinned, so the layout is behaviour.
@@ -441,6 +452,8 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
     if n is not None and (type(n) is not int or not 1 <= n <= MAX_DIM):
         raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {n!r}")
     if lab is not None:
+        if n is not None and n != lab.n:
+            raise PreconditionViolated(f"n={n} differs from the labeling's width {lab.n}")
         width = lab.n
     elif n is not None:
         width = n

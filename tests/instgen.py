@@ -8,7 +8,7 @@ under test.  Each generator returns (n, values) with values a list of ints.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 
 def xor_all(values) -> int:
@@ -186,6 +186,42 @@ def at_most_n_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
         assert len(values) == size and xor_all(values) == 0
         rng.shuffle(values)
         return n, values
+
+
+def has_even_zero_sum_subset(values) -> bool:
+    """Some proper subset of even size >= 2 has XOR 0."""
+    return any(
+        xor_all(sub) == 0
+        for size in range(2, len(values), 2)
+        for sub in combinations(values, size)
+    )
+
+
+def three_coset_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
+    """An at-most-n-values instance of the three-coset shape, 6 <= n <= 8.
+
+    m = n (even n) or n - 1 (odd n) distinct odd-multiplicity values with
+    XOR 0 and no even-size proper zero-sum subset; at odd n one more value
+    of even multiplicity makes l = n.  The extra copies pile up on a random
+    few values, which is what strains the even-chunk allocation.
+    """
+    assert 6 <= n <= 8
+    m = n - n % 2
+    while True:
+        odd_set = rng.sample(range(1, 1 << n), m - 1)
+        last = xor_all(odd_set)
+        if last and last not in odd_set and not has_even_zero_sum_subset(odd_set + [last]):
+            odd_set.append(last)
+            break
+    counts = {u: 1 for u in odd_set}
+    if n % 2:
+        counts[rng.choice([v for v in range(1, 1 << n) if v not in counts])] = 2
+    heavy = rng.sample(list(counts), rng.randint(1, len(counts)))
+    for _ in range(((1 << (n - 1)) - sum(counts.values())) // 2):
+        counts[rng.choice(heavy)] += 2
+    values = [u for u in counts for _ in range(counts[u])]
+    rng.shuffle(values)
+    return n, values
 
 
 def any_valid_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -260,6 +261,27 @@ def test_route_forced_solvers_on_high_span_instances():
                 assert not errors, (solver.__name__, n, values, errors)
                 solved += 1
     elapsed = time.monotonic() - start
+    assert elapsed < 60, f"took {elapsed:.0f}s"
+
+
+def test_three_coset_case_on_every_odd_count_composition_at_n6():
+    # Six values with XOR 0 and no even-size proper zero-sum subset, in
+    # every odd-multiplicity pattern of 32 targets: 13 extra pairs dealt
+    # onto the six singles gives all 8,568 instances.  Each goes to the
+    # three-coset case, which solves it with a greedy fill of some layout;
+    # every partition checked independently, under a minute.
+    singles = [8, 21, 33, 42, 43, 61]
+    assert instgen.xor_all(singles) == 0
+    assert not instgen.has_even_zero_sum_subset(singles)
+    start = time.monotonic()
+    checked = 0
+    for extra in combinations_with_replacement(singles, 13):
+        inst = PairingInstance.of(6, singles + [u for u in extra for _ in (0, 1)])
+        errors = partition_errors(inst, solve_at_most_n_values(inst))
+        assert not errors, (extra, errors)
+        checked += 1
+    elapsed = time.monotonic() - start
+    assert checked == 8568
     assert elapsed < 60, f"took {elapsed:.0f}s"
 
 

@@ -6,7 +6,9 @@ malformed document ends in an error line rather than a traceback.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import importlib
 import io
 import json
@@ -19,11 +21,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import instgen
 import setseq
 from setseq import pairing
-from setseq.cli import _sweep_instances, main, parse_duration
+from setseq.cli import _sweep_instances, build_parser, main, parse_duration
 from setseq.constructors import fixtures_dir
 from setseq.errors import InternalSearchFailed
 from setseq.trees import (
@@ -471,3 +475,64 @@ def test_emitted_json_round_trips(capsys, monkeypatch):
     assert run(capsys, "verify", "-")[0] == 0
     parsed = json.loads(out)
     assert {"n", "vertices", "edges"} <= parsed.keys()
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing
+
+
+# No "-" (stdin) and no existing path; "4" is left out because a sweep at
+# n = 4 runs 20,295 solves.  Specs stay small so a search finishes at once.
+JUNK = [
+    "", "x", "0", "1", "3", "-1", "1.5", "5m", "--", "-x", "--nope", "T[3,3,3]",
+    "T[3]", "T[1]", "T[", "0:1", "0:1,1:1", "01,10", "0,0", ",", "001,001,010,010",
+    "no-such-dir/doc.json",
+]
+
+
+def action_tokens(action: argparse.Action):
+    """Tokens for one argument: its flag (if any) and a value of its kind."""
+    values = st.sampled_from(JUNK)
+    if action.choices:
+        values |= st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        values |= st.sampled_from(["-1", "0", "1", "2", "3", "7", "31", "99"])
+    if not action.option_strings:
+        return values.map(lambda v: [v])
+    flags = st.sampled_from(action.option_strings)
+    if action.nargs == 0:
+        return flags.map(lambda f: [f])
+    return st.tuples(flags, values).map(list)
+
+
+def argv_strategy(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Argv lists for parser: a subcommand path, then arguments of its kinds."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return st.one_of(
+                *[argv_strategy(sub, path + (name,)) for name, sub in action.choices.items()]
+            )
+    args = st.lists(st.one_of(*[action_tokens(a) for a in parser._actions]), max_size=5)
+    return args.map(lambda chunks: [*path, *(t for chunk in chunks for t in chunk)])
+
+
+ARGVS = argv_strategy(build_parser()) | st.lists(st.sampled_from(JUNK), max_size=4)
+
+
+@pytest.fixture(scope="module")
+def empty_cwd(tmp_path_factory):
+    """An empty working directory, so no bare token names a real file."""
+    old = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("argv"))
+    yield
+    os.chdir(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS)
+@example(argv=["pair-solve", "--n", "0", "--targets", ""])
+def test_any_argv_exits_with_a_status_code(empty_cwd, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)

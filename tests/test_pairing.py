@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +41,11 @@ from setseq.pairing import (
     solve_small_dimension,
 )
 # Tested directly: the infeasible branch, the coset lift's halving and
-# even-lift steps, and the half-dimension case's three-value splitting,
-# which no public call exposes on their own.
+# even-lift steps, the half-dimension case's three-value splitting and the
+# three-coset case's layout candidates, which no public call exposes on
+# their own.
 from setseq.pairing import (
+    _coset_group_splits,
     _exact,
     _halve_rounds,
     _lift_even,
@@ -718,6 +721,82 @@ def test_at_most_n_odd_subset_only_case_n6():
     inst = build(6, values)
     assert len(set(inst.values)) == 6
     assert_valid(inst, solve_at_most_n_values(inst))
+
+
+def counting_allocator(monkeypatch):
+    """Wrap the three-coset allocator; the returned list grows by one per call."""
+    calls = []
+    real = pairing._allocate_even
+
+    def counting(pool, vessels):
+        calls.append(pool)
+        return real(pool, vessels)
+
+    monkeypatch.setattr(pairing, "_allocate_even", counting)
+    return calls
+
+
+def from_histogram(n, hist):
+    return build(n, [u for u, c in hist.items() for _ in range(c)])
+
+
+@pytest.mark.parametrize(
+    "n, hist",
+    [
+        (6, {8: 3, 21: 3, 33: 3, 42: 3, 43: 7, 61: 13}),
+        (7, {8: 1, 11: 1, 12: 2, 109: 1, 111: 1, 122: 57, 123: 1}),
+    ],
+)
+def test_three_coset_moves_on_when_the_greedy_fill_fails(n, hist, monkeypatch):
+    # The greedy fill of the first layout leaves a value with no vessel, so
+    # the case tries its next layout instead of searching inside the first.
+    calls = counting_allocator(monkeypatch)
+    inst = from_histogram(n, hist)
+    assert_valid(inst, solve_at_most_n_values(inst))
+    assert len(calls) >= 2
+
+
+@pytest.mark.parametrize(
+    "n, hist",
+    [
+        (6, {7: 1, 14: 9, 36: 1, 42: 1, 59: 1, 60: 19}),
+        (8, {12: 17, 36: 23, 42: 15, 47: 13, 99: 9, 100: 21, 144: 13, 186: 17}),
+    ],
+)
+def test_three_coset_skips_a_layout_with_a_zero_group_xor(n, hist, monkeypatch):
+    # The first layout has a group with XOR 0, which cannot head a quarter
+    # instance; it is skipped before any allocation, and the next one fills.
+    calls = counting_allocator(monkeypatch)
+    inst = from_histogram(n, hist)
+    assert_valid(inst, solve_at_most_n_values(inst))
+    assert len(calls) == 1
+
+
+def test_coset_group_splits_skip_zero_xor_groups():
+    # Rotation 0 puts {1, 2, 3} in group one, whose XOR is 0.
+    assert list(_coset_group_splits([1, 2, 3, 8, 16], {}, 3)) == [
+        ([2, 3, 8], [1, 16], 9, 17),
+        ([3, 8, 16], [1, 2], 27, 3),
+        ([1, 8, 16], [2, 3], 25, 1),
+        ([1, 2, 16], [3, 8], 19, 11),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(6, 8))
+def test_three_coset_instances_reach_the_case(seed, n):
+    n, values = instgen.three_coset_instance(random.Random(seed), n)
+    inst = build(n, values)
+    traces = []
+    real = pairing._case_three_coset
+
+    def spy(n, values, hist, odds, trace):
+        traces.append(trace)
+        return real(n, values, hist, odds, trace)
+
+    with mock.patch.object(pairing, "_case_three_coset", spy):
+        assert_valid(inst, solve_at_most_n_values(inst))
+    assert any(entry.startswith("three-coset ") for entry in traces[0])
 
 
 @settings(max_examples=60, deadline=None)

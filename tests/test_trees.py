@@ -134,6 +134,15 @@ def test_tree_rejects_non_int_vertex_count():
 
 def test_tree_rejects_non_int_vertex_ids():
     assert rejection(2, [(0, 1.0)]) == "edge (0, 1.0) has a non-int vertex id"
+    # Ids that do not compare with an int are not reoriented first.
+    assert rejection(2, [(0, "x")]) == "edge (0, 'x') has a non-int vertex id"
+    assert rejection(2, [("x", 0)]) == "edge ('x', 0) has a non-int vertex id"
+
+
+def test_tree_of_rejects_entries_that_are_not_pairs():
+    assert rejection(2, [None]) == "edge None is not a pair of vertex ids"
+    assert rejection(2, [(0, 1, 2)]) == "edge (0, 1, 2) is not a pair of vertex ids"
+    assert rejection(2, [(0,)]) == "edge (0,) is not a pair of vertex ids"
 
 
 def test_tree_rejection_precedence():
@@ -555,6 +564,13 @@ def test_json_unlabeled_needs_explicit_n_for_odd_sizes():
 def test_json_writer_rejects_an_n_its_parser_rejects(n):
     with pytest.raises(PreconditionViolated):
         tree_to_json(path(2), n=n)
+
+
+def test_json_writer_rejects_an_n_that_differs_from_the_labeling():
+    tree, lab = path(2), Labeling.of(2, {0: "01", 1: "10"})
+    with pytest.raises(PreconditionViolated, match="n=5 differs from the labeling's width 2"):
+        tree_to_json(tree, lab, n=5)
+    assert tree_to_json(tree, lab, n=2) == tree_to_json(tree, lab)
 
 
 def reference_json(t, lab, n):
