@@ -576,7 +576,12 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     """
     if base.vertex_count < 3:
         raise TooSmall("base must have at least 3 vertices")
-    if not (0 <= u < base.vertex_count and 0 <= v < base.vertex_count) or u == v:
+    if (
+        type(u) is not int
+        or type(v) is not int
+        or not (0 <= u < base.vertex_count and 0 <= v < base.vertex_count)
+        or u == v
+    ):
         raise PreconditionViolated("u and v must be distinct vertices of the base")
     deg = base.degrees()
     if deg[u] != 1 or deg[v] != 1:

@@ -11,11 +11,11 @@ those two steps serve only the lift and have no public entry point.
 solve_pairing routes an instance to the cheapest applicable solver and
 reports which hypothesis fired.
 
-The lift layers work on multisets, not lists.  A group is a Counter of
-targets, and its solution is a function of that histogram alone: a map
-from each target to its queue of pairs.  Solving a group never looks at
-the order its targets were listed in, so a lift solves each distinct group
-once.  Target order is restored once, at the public boundary: the k-th
+Every internal solver works on a multiset, not a list.  It takes a
+Counter of targets and returns a function of that histogram alone: a map
+from each target to its queue of pairs.  Solving never looks at the order
+the targets were listed in, so a lift solves each distinct group once.
+Target order is restored once, at the public boundary: the k-th
 occurrence of a target takes the k-th pair of its queue.
 """
 
@@ -194,11 +194,13 @@ def format_partition(part: PairPartition) -> str:
 # ---------------------------------------------------------------------------
 # exact backtracking solver
 
-# All internal helpers below work on plain ints.  The lift layers take target
-# histograms and return per-target queues of pairs; the exact search, the
-# even lift and the bounded-value recursions take target lists and return
-# pair lists aligned with them.  _finish checks the result once, at the
-# public boundary.
+# All internal helpers below work on plain ints.  Every solver takes a target
+# histogram and returns per-target queues of pairs; _finish restores the
+# instance's target order and checks the result once, at the public boundary.
+
+
+#: Each target's pairs in queue order; the solution of one instance or group.
+_Queues = dict[int, list[tuple[int, int]]]
 
 
 def _ensure(cond: bool, message: str) -> None:
@@ -207,8 +209,8 @@ def _ensure(cond: bool, message: str) -> None:
         raise InternalSearchFailed(message)
 
 
-def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list[tuple[int, int, int]]:
-    """Triples (p, q, target) in discovery order, or Infeasible/BudgetExhausted.
+def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
+    """Each target's pairs in discovery order, or Infeasible/BudgetExhausted.
 
     Backtracking with fail-first ordering: each node pairs the uncovered
     vector with the fewest usable targets (smallest such vector on ties) and
@@ -225,9 +227,8 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
     node is evaluated: the search tree, its node count and the first
     partition are those of that scan.
     """
-    counts = Counter(values)
     out: list[tuple[int, int, int]] = []
-    total = len(values)
+    total = hist.total()
     full = (1 << (1 << n)) - 1
     nodes = 0
 
@@ -301,14 +302,10 @@ def _exact(n: int, values: Sequence[int], deadline: float | None = None) -> list
             out.pop()
         return False
 
-    vals = sorted(counts)
-    if not rec(full, vals, [counts[v] for v in vals], [full if v else 0 for v in vals]):
+    vals = sorted(hist)
+    if not rec(full, vals, [hist[v] for v in vals], [full if v else 0 for v in vals]):
         raise Infeasible(f"search space exhausted for n={n} after {nodes} nodes")
-    return out
-
-
-#: Each target's pairs in queue order; the solution of one group.
-_Queues = dict[int, list[tuple[int, int]]]
+    return _queues(out)
 
 
 def _queues(triples: Iterable[tuple[int, int, int]]) -> _Queues:
@@ -322,24 +319,16 @@ def _queues(triples: Iterable[tuple[int, int, int]]) -> _Queues:
     return out
 
 
-def _by_target(values: Sequence[int], pairs: Iterable[tuple[int, int]]) -> _Queues:
-    """_Queues of a pair list aligned with values."""
-    return _queues((p, q, v) for (p, q), v in zip(pairs, values))
-
-
 def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
     """Target order, restored: the k-th occurrence of a target takes the k-th pair of its queue."""
     heads = {v: iter(q) for v, q in queues.items()}
     return [next(heads[v]) for v in values]
 
 
-def _align(values: Sequence[int], triples: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
-    """Reorder (p, q, target) triples to follow the instance target order."""
-    return _restore(values, _queues(triples))
-
-
-def _exact_aligned(n: int, values: Sequence[int], deadline: float | None = None) -> list[tuple[int, int]]:
-    return _align(values, _exact(n, values, deadline))
+def _through(lm: LinearMap, queues: _Queues) -> _Queues:
+    """The queues with both vectors of every pair mapped through lm."""
+    apply = lm.apply
+    return {v: [(apply(p), apply(q)) for p, q in qs] for v, qs in queues.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +459,6 @@ def _lift_groups(
     return out
 
 
-def _pair_slots(values: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(value, i, j) for each pair of equal targets, sorted by value.
-
-    Positions i < j are consecutive occurrences of the value, taken from the
-    left; every multiplicity must be even.
-    """
-    positions: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        positions.setdefault(v, []).append(i)
-    return [(v, a, b) for v, idx in sorted(positions.items()) for a, b in zip(idx[::2], idx[1::2])]
-
-
 def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, int]:
     """The even part of each multiplicity outside skip, zero parts dropped."""
     return {u: c & ~1 for u, c in hist.items() if c > 1 and u not in skip}
@@ -515,10 +492,7 @@ def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> 
     groups = _halve_rounds(hist, n - level, _split_halves)
 
     def solve(sub: Counter) -> _Queues:
-        values = list(sub.elements())
-        if level <= 5:
-            return _queues(_exact(level, values))
-        return _by_target(values, _lift_even(level, values, trace))
+        return _exact(level, sub) if level <= 5 else _lift_even(level, sub, trace)
 
     return _lift_groups(groups, extend_basis(span, level), solve, trace)
 
@@ -540,61 +514,49 @@ def _special_pair_value(hist: Counter, pair_sum: int) -> int | None:
     return None
 
 
-def _lift_even(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
-    """Reduce an all-even instance at level n <= 6 to one instance at level n - 1.
+def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
+    """Reduce an all-even histogram at level n <= 6 to one instance at level n - 1.
 
-    Pairs of equal targets collapse to single representatives; one target of
-    multiplicity 2 is rotated onto the top unit vector, and each downstairs
-    pair expands into two upstairs pairs spanning both halves of the space.
-    The downstairs instance, and a degenerate one with no such target, are
-    solved by exact search.
+    Each pair of equal targets (a slot, taken in value order) collapses to
+    one downstairs target; one target of multiplicity 2 is rotated onto the
+    top unit vector, and each downstairs pair expands into the slot's two
+    upstairs pairs, spanning both halves of the space.  The downstairs
+    instance, and a degenerate histogram with no such target, are solved by
+    exact search.
     """
     _ensure(n <= 6, "even lift solves by exact search, so needs n <= 6")
-    hist = Counter(values)
     _ensure(all(c % 2 == 0 for c in hist.values()), "even lift needs even multiplicities")
-    slots = _pair_slots(values)
     pair_sum = 0
-    for v, _, _ in slots:
-        pair_sum ^= v
+    for v, c in hist.items():
+        if c & 2:
+            pair_sum ^= v
     u = _special_pair_value(hist, pair_sum)
     if u is None:
         trace.append(f"even-lift n={n} degenerate, exact fallback")
-        return _exact_aligned(n, values)
+        return _exact(n, hist)
     ext = extend_basis(echelon_basis([u], n), n)
     Minv = LinearMap(n, (u, *(r for r in ext.rows if r != u)))
     M = Minv.inverse()
     e1 = 1 << (n - 1)
     low = e1 - 1
-    special = next(i for i, s in enumerate(slots) if s[0] == u)
     correction = M.apply(pair_sum ^ u) & low
     _ensure(correction != 0, "even lift correction vanished")
-    down = [correction]
-    for j, (v, _, _) in enumerate(slots):
-        if j == special:
-            continue
-        img = M.apply(v) & low
-        _ensure(img != 0, "even lift sent a slot to zero")
-        down.append(img)
-    trace.append(f"even-lift n={n} slots={len(slots)}")
-    solved = _exact_aligned(n - 1, down)
-    out: list[tuple[int, int] | None] = [None] * len(values)
-    p0, q0 = solved[0]
-    _, a, b = slots[special]
-    out[a] = (p0, p0 ^ e1)
-    out[b] = (q0, q0 ^ e1)
-    ptr = 1
-    for j, (v, a, b) in enumerate(slots):
-        if j == special:
-            continue
-        p, q = solved[ptr]
-        ptr += 1
-        if M.apply(v) & e1:
-            out[a] = (p, q ^ e1)
-            out[b] = (q, p ^ e1)
+    # u has multiplicity 2, so its one slot is the anchor and every other
+    # slot has its own downstairs target.
+    rest = [v for v in sorted(hist) if v != u for _ in range(hist[v] // 2)]
+    img = {v: M.apply(v) for v in hist}
+    down = [correction] + [img[v] & low for v in rest]
+    _ensure(all(down), "even lift sent a slot to zero")
+    trace.append(f"even-lift n={n} slots={len(rest) + 1}")
+    (p0, q0), *solved = _restore(down, _exact(n - 1, Counter(down)))
+    out: _Queues = {u: [(p0, p0 ^ e1), (q0, q0 ^ e1)]}
+    for v, (p, q) in zip(rest, solved):
+        if img[v] & e1:
+            pairs = [(p, q ^ e1), (q, p ^ e1)]
         else:
-            out[a] = (p, q)
-            out[b] = (p ^ e1, q ^ e1)
-    return [(Minv.apply(p), Minv.apply(q)) for p, q in out]  # type: ignore[misc]
+            pairs = [(p, q), (p ^ e1, q ^ e1)]
+        out.setdefault(v, []).extend(pairs)
+    return _through(Minv, out)
 
 
 # ---------------------------------------------------------------------------
@@ -698,21 +660,9 @@ def _greedy_fill(pool: dict[int, int], fills: list[int]) -> list[Counter]:
     return out
 
 
-def _counts_to_list(counts: Mapping[int, int]) -> list[int]:
-    out: list[int] = []
-    for u in sorted(counts):
-        out.extend([u] * counts[u])
-    return out
-
-
 def _two_coset_recurse(
-    n: int,
-    side1: Counter,
-    side2: Counter,
-    pool: dict[int, int],
-    values: Sequence[int],
-    trace: list[str],
-) -> list[tuple[int, int]]:
+    n: int, side1: Counter, side2: Counter, pool: dict[int, int], trace: list[str]
+) -> _Queues:
     """Fill both sides to 2^(n-2) targets from the even pool and solve them.
 
     Side one is solved inside a hyperplane containing the span, side two on
@@ -727,15 +677,12 @@ def _two_coset_recurse(
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
 
     def solve(sub: Counter) -> _Queues:
-        sub_values = list(sub.elements())
-        return _by_target(sub_values, _solve_few(n - 1, sub_values, trace))
+        return _solve_few(n - 1, sub, trace)
 
-    return _restore(values, _lift_groups(groups, extend_basis(span, n - 1), solve, trace))
+    return _lift_groups(groups, extend_basis(span, n - 1), solve, trace)
 
 
-def _even_two_split(
-    n: int, values: Sequence[int], hist: Counter, trace: list[str]
-) -> list[tuple[int, int]]:
+def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
     """All multiplicities even, 3 <= l distinct values, span below full rank.
 
     Two values of multiplicity at most 2^(n-2) each seed one side; the rest
@@ -749,19 +696,19 @@ def _even_two_split(
     side1 = Counter({u1: hist[u1]})
     side2 = Counter({u2: hist[u2]})
     trace.append(f"even-two-split n={n} l={len(hist)} seeds=({u1},{u2})")
-    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (u1, u2)), values, trace)
+    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (u1, u2)), trace)
 
 
-def _exactly_n_even(
-    n: int, values: Sequence[int], hist: Counter, trace: list[str]
-) -> list[tuple[int, int]]:
+def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     """All even, exactly n distinct values, full-rank span.
 
     After a basis change the values are the n units with the most frequent
-    one on top.  Pairs of non-top targets keep their downstairs pair and its
-    top-translate; pairs of top targets split across the top coordinate, with
-    downstairs values chosen to restore even multiplicities (one extra copy
-    for every value whose count is 2 mod 4).
+    one on top.  Each pair of equal targets (a slot, taken in value order)
+    has one downstairs target.  A slot of a non-top value keeps its
+    downstairs pair and the pair's top-translate; a slot of the top value
+    splits its pair across the top coordinate, with downstairs values chosen
+    to restore even multiplicities (one extra copy for every value whose
+    count is 2 mod 4).
     """
     us = sorted(hist)
     u1 = max(us, key=lambda u: (hist[u], -u))
@@ -770,33 +717,25 @@ def _exactly_n_even(
     M = Minv.inverse()
     e1 = 1 << (n - 1)
 
-    slots = _pair_slots(values)
-    rest_slots = [s for s in slots if s[0] != u1]
-    top_slots = [(a, b) for v, a, b in slots if v == u1]
+    rest = [v for v in us if v != u1 for _ in range(hist[v] // 2)]
+    tops = hist[u1] // 2
     fix_values = [u for u in us if u != u1 and hist[u] % 4 == 2]
-    _ensure(len(fix_values) <= len(top_slots), "top value too rare for the rebalancing")
-    filler = frame[1]
-    top_values = fix_values + [filler] * (len(top_slots) - len(fix_values))
+    _ensure(len(fix_values) <= tops, "top value too rare for the rebalancing")
+    top_values = fix_values + [frame[1]] * (tops - len(fix_values))
 
-    down: list[int] = [M.apply(v) for v, _, _ in rest_slots]
-    down += [M.apply(v) for v in top_values]
+    down = [M.apply(v) for v in rest + top_values]
     _ensure(all(0 < v < e1 for v in down), "exactly-n reduction left the bottom hyperplane")
-    trace.append(f"exactly-n-even n={n} top-slots={len(top_slots)} fixes={len(fix_values)}")
-    solved = _solve_few(n - 1, down, trace)
+    trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
+    solved = _restore(down, _solve_few(n - 1, Counter(down), trace))
 
-    out: list[tuple[int, int] | None] = [None] * len(values)
-    for (v, a, b), (p, q) in zip(rest_slots, solved[: len(rest_slots)]):
-        out[a] = (p, q)
-        out[b] = (p ^ e1, q ^ e1)
-    for (a, b), (p, q) in zip(top_slots, solved[len(rest_slots) :]):
-        out[a] = (p, p ^ e1)
-        out[b] = (q, q ^ e1)
-    return [(Minv.apply(p), Minv.apply(q)) for p, q in out]  # type: ignore[misc]
+    out: _Queues = {}
+    for v, (p, q) in zip(rest, solved):
+        out.setdefault(v, []).extend([(p, q), (p ^ e1, q ^ e1)])
+    out[u1] = [pq for p, q in solved[len(rest) :] for pq in ((p, p ^ e1), (q, q ^ e1))]
+    return _through(Minv, out)
 
 
-def _case_few_odd(
-    n: int, values: Sequence[int], hist: Counter, odds: list[int], trace: list[str]
-) -> list[tuple[int, int]]:
+def _case_few_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
     """Odd multiplicities present, fewer than n distinct values.
 
     One copy of every odd value goes to side one, killing all the odd
@@ -804,12 +743,10 @@ def _case_few_odd(
     """
     side1 = Counter({u: 1 for u in odds})
     trace.append(f"odd-singles-split n={n} l={len(hist)} m={len(odds)}")
-    return _two_coset_recurse(n, side1, Counter(), _even_pool(hist), values, trace)
+    return _two_coset_recurse(n, side1, Counter(), _even_pool(hist), trace)
 
 
-def _case_full_small_odd(
-    n: int, values: Sequence[int], hist: Counter, odds: list[int], trace: list[str]
-) -> list[tuple[int, int]]:
+def _case_full_small_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
     """Exactly n distinct values, 4 <= m <= n - 2 odd ones.
 
     One even value small enough to fit is pinned entirely to side two and a
@@ -826,17 +763,12 @@ def _case_full_small_odd(
     side2 = Counter({pinned2: hist[pinned2]})
     trace.append(f"pinned-split n={n} m={len(odds)} pin1={pinned1} pin2={pinned2}")
     pool = _even_pool(hist, (pinned1, pinned2))
-    return _two_coset_recurse(n, side1, side2, pool, values, trace)
+    return _two_coset_recurse(n, side1, side2, pool, trace)
 
 
 def _case_subset_split(
-    n: int,
-    values: Sequence[int],
-    hist: Counter,
-    odds: list[int],
-    subset: list[int],
-    trace: list[str],
-) -> list[tuple[int, int]]:
+    n: int, hist: Counter, odds: list[int], subset: list[int], trace: list[str]
+) -> _Queues:
     """m >= n - 1 odd values containing a proper even-size zero-sum subset.
 
     Singles of the subset and its complement seed the two sides; one value
@@ -871,7 +803,7 @@ def _case_subset_split(
     side1[x1] += leftover(x1)
     side2[x2] += leftover(x2)
     trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
-    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (x1, x2)), values, trace)
+    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (x1, x2)), trace)
 
 
 def _coset_group_splits(
@@ -902,9 +834,7 @@ def _coset_group_splits(
             yield g1, g2, s1, s2
 
 
-def _case_three_coset(
-    n: int, values: Sequence[int], hist: Counter, odds: list[int], trace: list[str]
-) -> list[tuple[int, int]]:
+def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
     """m >= n - 1 odd values with no even-size proper zero-sum subset.
 
     A pair of odd values is separated from the rest by a functional, the
@@ -985,9 +915,9 @@ def _case_three_coset(
     _ensure(top2(img[a]) == 1 and top2(img[b]) == 1, "separated pair off its quarter")
     _ensure(all(top2(img[u]) == 0 for u in distinct if u not in (a, b)), "value left the half")
 
-    v1_tail = _counts_to_list(alloc[0])
-    v2_tail = _counts_to_list(alloc[1])
-    v3_vals = [a] * (hist[a] - 1) + [b] * (hist[b] - 1) + _counts_to_list(alloc[2])
+    v1_tail = sorted(alloc[0].elements())
+    v2_tail = sorted(alloc[1].elements())
+    v3_vals = [a] * (hist[a] - 1) + [b] * (hist[b] - 1) + sorted(alloc[2].elements())
     trace.append(
         f"three-coset n={n} m={m} pair=({a},{b}) sizes=({1 + k1 + len(v1_tail)},"
         f"{1 + len(group2) + len(v2_tail)},{len(v3_vals)})"
@@ -1001,9 +931,11 @@ def _case_three_coset(
     sub2 = [M.apply(v) & maskq for v in order2]
     sub3 = [M.apply(v) & maskh for v in v3_vals]
     _ensure(all(sub1) and all(sub2) and all(sub3), "three-coset reduction produced a zero target")
-    p1 = _solve_few(n - 2, sub1, trace)
-    p2 = _solve_few(n - 2, sub2, trace)
-    p3 = _solve_few(n - 1, sub3, trace)
+    # The stitching below reads each sub-solution by position.
+    p1, p2, p3 = (
+        _restore(sub, _solve_few(k, Counter(sub), trace))
+        for k, sub in ((n - 2, sub1), (n - 2, sub2), (n - 1, sub3))
+    )
 
     t1 = 0b10 << (n - 2)
     t2 = 0b11 << (n - 2)
@@ -1024,15 +956,14 @@ def _case_three_coset(
         triples.append((p ^ t, q ^ t, v))
     for (p, q), v in zip(p3, v3_vals):
         triples.append((p, q, v))
-    return _align(values, [(Minv.apply(p), Minv.apply(q), v) for p, q, v in triples])
+    return _through(Minv, _queues(triples))
 
 
-def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[int, int]]:
-    """Recursion on instances with at most n distinct target values."""
-    _ensure(len(values) == 1 << (n - 1), "bounded-value recursion needs 2^(n-1) targets")
+def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
+    """Recursion on target histograms with at most n distinct values."""
+    _ensure(hist.total() == 1 << (n - 1), "bounded-value recursion needs 2^(n-1) targets")
     if n <= 5:
-        return _exact_aligned(n, values)
-    hist = Counter(values)
+        return _exact(n, hist)
     l = len(hist)
     _ensure(l <= n, "bounded-value recursion needs at most n values")
     odds = sorted(u for u in hist if hist[u] & 1)
@@ -1041,32 +972,36 @@ def _solve_few(n: int, values: Sequence[int], trace: list[str]) -> list[tuple[in
     if m == 0:
         if n == 6:
             trace.append("even-base level=6")
-            return _lift_even(6, values, trace)
+            return _lift_even(6, hist, trace)
         if l <= 2:
-            return _restore(values, _small_dim(n, hist, echelon_basis(hist, n), 5, trace))
+            return _small_dim(n, hist, echelon_basis(hist, n), 5, trace)
         if l < n or echelon_basis(hist, n).rank < n:
-            return _even_two_split(n, values, hist, trace)
-        return _exactly_n_even(n, values, hist, trace)
+            return _even_two_split(n, hist, trace)
+        return _exactly_n_even(n, hist, trace)
 
     _ensure(m >= 4 and m % 2 == 0, "odd values come in an even count of at least 4")
     if l < n:
-        return _case_few_odd(n, values, hist, odds, trace)
+        return _case_few_odd(n, hist, odds, trace)
     if m <= n - 2:
-        return _case_full_small_odd(n, values, hist, odds, trace)
+        return _case_full_small_odd(n, hist, odds, trace)
     try:
         idx = zero_sum_subset(odds, max_size=m - 1, parity="even")
     except NoSuchSubset:
-        return _case_three_coset(n, values, hist, odds, trace)
+        return _case_three_coset(n, hist, odds, trace)
     subset = [odds[i] for i in idx]
-    return _case_subset_split(n, values, hist, odds, subset, trace)
+    return _case_subset_split(n, hist, odds, subset, trace)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def _finish(inst: PairingInstance, raw: list[tuple[int, int]]) -> PairPartition:
-    """The one check of every public solver's output."""
+def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
+    """The one check of every public solver's output, put in target order first."""
+    try:
+        raw = _restore(inst.values, queues)
+    except (KeyError, StopIteration):
+        raise InternalSearchFailed("solver left a target without a pair") from None
     part = PairPartition(inst.n, tuple([(p, q) if p < q else (q, p) for p, q in raw]))
     errs = partition_errors(inst, part)
     if errs:
@@ -1076,8 +1011,10 @@ def _finish(inst: PairingInstance, raw: list[tuple[int, int]]) -> PairPartition:
 
 def exact_pairing_solver(inst: PairingInstance, budget_seconds: float = 60.0) -> PairPartition:
     """Plain backtracking over uncovered vectors; intended for n <= 6."""
+    if type(budget_seconds) not in (int, float) or not budget_seconds >= 0:
+        raise PreconditionViolated(f"budget must be a number >= 0, got {budget_seconds!r}")
     deadline = time.monotonic() + budget_seconds
-    return _finish(inst, _exact_aligned(inst.n, inst.values, deadline))
+    return _finish(inst, _exact(inst.n, Counter(inst.values), deadline))
 
 
 def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
@@ -1086,6 +1023,8 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     k only gates the hypothesis: every k <= 5 lifts at level min(5, n), so
     it returns the same partition.
     """
+    if type(k) is not int:
+        raise PreconditionViolated(f"k must be an int, got {k!r}")
     hist = Counter(inst.values)
     span = echelon_basis(hist, inst.n)
     d = span.rank
@@ -1096,8 +1035,7 @@ def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
     if k == 6 and any(c % 2 for c in hist.values()):
         raise CaseNotApplicable("k=6 needs every multiplicity even")
     trace: list[str] = []
-    queues = _small_dim(inst.n, hist, span, 6 if k == 6 else 5, trace)
-    return _finish(inst, _restore(inst.values, queues))
+    return _finish(inst, _small_dim(inst.n, hist, span, 6 if k == 6 else 5, trace))
 
 
 def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
@@ -1109,41 +1047,40 @@ def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
     if 2 * span.rank > inst.n:
         raise CaseNotApplicable(f"span dimension {span.rank} exceeds n/2")
     trace: list[str] = []
-    return _finish(inst, _restore(inst.values, _dim_half(inst.n, hist, span, trace)))
+    return _finish(inst, _dim_half(inst.n, hist, span, trace))
 
 
 def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:
     """Recursion for instances with at most n distinct target values."""
-    l = len(set(inst.values))
-    if l > inst.n:
-        raise CaseNotApplicable(f"{l} distinct values exceed n={inst.n}")
+    hist = Counter(inst.values)
+    if len(hist) > inst.n:
+        raise CaseNotApplicable(f"{len(hist)} distinct values exceed n={inst.n}")
     trace: list[str] = []
-    return _finish(inst, _solve_few(inst.n, inst.values, trace))
+    return _finish(inst, _solve_few(inst.n, hist, trace))
 
 
 def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
     """Try the constructive hypotheses in order, then exact search for n <= 6."""
-    values = inst.values
-    hist = Counter(values)
+    hist = Counter(inst.values)
     span = echelon_basis(hist, inst.n)
     d = span.rank
     all_even = all(c % 2 == 0 for c in hist.values())
     trace: list[str] = []
     if d <= 5:
         tag = "Dim5Coset"
-        raw = _restore(values, _small_dim(inst.n, hist, span, 5, trace))
+        queues = _small_dim(inst.n, hist, span, 5, trace)
     elif d == 6 and all_even:
         tag = "Dim6EvenCoset"
-        raw = _restore(values, _small_dim(inst.n, hist, span, 6, trace))
+        queues = _small_dim(inst.n, hist, span, 6, trace)
     elif len(hist) <= inst.n:
         tag = "AtMostNValues"
-        raw = _solve_few(inst.n, values, trace)
+        queues = _solve_few(inst.n, hist, trace)
     elif all_even and 2 * d <= inst.n:
         tag = "DimHalfEven"
-        raw = _restore(values, _dim_half(inst.n, hist, span, trace))
+        queues = _dim_half(inst.n, hist, span, trace)
     elif inst.n <= 6:
         tag = "ExactSearch"
-        raw = _exact_aligned(inst.n, values, time.monotonic() + 60.0)
+        queues = _exact(inst.n, hist, time.monotonic() + 60.0)
     else:
         raise NotCovered(f"no constructive case applies and n={inst.n} > 6")
-    return _finish(inst, raw), SolverRoute(tag, tuple(trace))
+    return _finish(inst, queues), SolverRoute(tag, tuple(trace))

@@ -59,12 +59,14 @@ class SearchConfig:
     strategy: str = GREEDY_RESTART
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 1 << 64:
-            raise PreconditionViolated("seed must fit in 64 bits")
-        if not self.budget_seconds > 0:
-            raise PreconditionViolated("budget must be positive")
-        if self.max_restarts < 1:
-            raise PreconditionViolated("max_restarts must be at least 1")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise PreconditionViolated(f"seed must be an int in 0..2**64-1, got {self.seed!r}")
+        if type(self.budget_seconds) not in (int, float) or not self.budget_seconds > 0:
+            raise PreconditionViolated(f"budget must be a number > 0, got {self.budget_seconds!r}")
+        if type(self.max_restarts) is not int or self.max_restarts < 1:
+            raise PreconditionViolated(
+                f"max_restarts must be an int of at least 1, got {self.max_restarts!r}"
+            )
         if self.strategy not in STRATEGIES:
             raise PreconditionViolated(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"

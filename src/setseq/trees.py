@@ -64,6 +64,8 @@ class Tree:
             raise PreconditionViolated(f"vertex count must be an int, got {v!r}")
         if v < 2:
             raise PreconditionViolated(f"need at least 2 vertices, got {v}")
+        if type(self.edges) is not tuple:
+            raise PreconditionViolated(f"edges must be a tuple, got {type(self.edges).__name__}")
         if len(self.edges) != v - 1:
             raise PreconditionViolated(
                 f"a tree on {v} vertices has {v - 1} edges, got {len(self.edges)}"
@@ -72,7 +74,10 @@ class Tree:
         # form a tree: one union-find pass (path halving) checks it.  On any
         # failure a second walk finds the message.
         parent = list(range(v))
-        for a, b in self.edges:
+        for edge in self.edges:
+            if type(edge) is not tuple or len(edge) != 2:
+                break
+            a, b = edge
             if type(a) is not int or type(b) is not int or not 0 <= a < b < v:
                 break
             while (p := parent[a]) != a:
@@ -124,7 +129,10 @@ def _tree_error(v: int, edges: Iterable[tuple[int, int]]) -> str:
     the check close a cycle, so some vertex is left unconnected.
     """
     seen: set[tuple[int, int]] = set()
-    for a, b in edges:
+    for edge in edges:
+        if type(edge) is not tuple or len(edge) != 2:
+            return f"edge {edge!r} is not a pair of vertex ids"
+        a, b = edge
         if type(a) is not int or type(b) is not int:
             return f"edge ({a!r}, {b!r}) has a non-int vertex id"
         if not (0 <= a < v and 0 <= b < v):

@@ -115,10 +115,8 @@ def test_pair_solve_route_output_verifies(capsys):
 def test_invalid_solver_output_is_internal_search_failed(capsys, monkeypatch):
     # A solver that hands each pair to the wrong target must be caught by the
     # final partition check, as a named error rather than a bare assert.
-    exact = pairing._exact_aligned
-    monkeypatch.setattr(
-        pairing, "_exact_aligned", lambda n, values, deadline=None: exact(n, values, deadline)[::-1]
-    )
+    restore = pairing._restore
+    monkeypatch.setattr(pairing, "_restore", lambda values, queues: restore(values, queues)[::-1])
     inst = pairing.PairingInstance.of(3, [0b001, 0b010, 0b100, 0b111])
     with pytest.raises(InternalSearchFailed):
         pairing.exact_pairing_solver(inst)
@@ -422,10 +420,8 @@ def test_sweep_enumerates_zero_sum_multisets_in_order(n, count):
 def test_sweep_reports_invalid_solver_output(capsys, monkeypatch):
     # The sweep checks each partition once, inside the solver: a wrong answer
     # still surfaces as a failure line, never as a pass.
-    exact = pairing._exact_aligned
-    monkeypatch.setattr(
-        pairing, "_exact_aligned", lambda n, values, deadline=None: exact(n, values, deadline)[::-1]
-    )
+    restore = pairing._restore
+    monkeypatch.setattr(pairing, "_restore", lambda values, queues: restore(values, queues)[::-1])
     code, out, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")
     lines = out.strip().splitlines()
     assert code == 1

@@ -574,6 +574,10 @@ def test_four_copies_needs_distinct_leaves():
     tree, lab = three_star()
     with pytest.raises(PreconditionViolated):
         four_copies(tree, lab, 1, 1)
+    # Vertex ids are ints: no float, str or bool stands in for one.
+    for u, v in ((1.0, 2), ("1", 2), (True, 2), (1, 2.0), (1, None)):
+        with pytest.raises(PreconditionViolated):
+            four_copies(tree, lab, u, v)
     with pytest.raises(NotLeaf):
         four_copies(tree, lab, 0, 2)
 

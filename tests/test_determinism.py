@@ -371,7 +371,7 @@ def test_exact_output_is_pinned():
 @pytest.mark.parametrize("n, values, nodes", EXHAUSTED_TREES)
 def test_exact_search_tree_is_pinned(n, values, nodes):
     with pytest.raises(Infeasible) as info:
-        _exact(n, values)
+        _exact(n, Counter(values))
     assert str(info.value) == f"search space exhausted for n={n} after {nodes} nodes"
 
 

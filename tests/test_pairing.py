@@ -49,6 +49,7 @@ from setseq.pairing import (
     _exact,
     _halve_rounds,
     _lift_even,
+    _restore,
     _split_halves,
     _split_odds_level6,
     _split_three,
@@ -87,7 +88,7 @@ def assert_valid_split(values, first, second):
 
 
 def assert_valid_lift(n, values):
-    pairs = _lift_even(n, values, [])
+    pairs = _restore(values, _lift_even(n, Counter(values), []))
     errs = oracle_errors(n, values, pairs)
     assert errs == [], errs
 
@@ -259,11 +260,36 @@ def test_exact_budget_exhaustion():
         exact_pairing_solver(inst, budget_seconds=0.0)
 
 
+def test_exact_rejects_bad_budgets():
+    # A NaN deadline is never passed, so it would leave the search unbounded.
+    inst = build(3, [0b001, 0b001, 0b010, 0b010])
+    for budget in (float("nan"), -1, -0.5, "5", None, True):
+        with pytest.raises(PreconditionViolated):
+            exact_pairing_solver(inst, budget)
+    assert_valid(inst, exact_pairing_solver(inst, 5))
+
+
+def test_short_solver_output_is_internal_search_failed(monkeypatch):
+    # A solver that leaves a target short of pairs, or with no queue at all,
+    # is caught while target order is restored, as a named error.
+    exact = pairing._exact
+    inst = build(3, [0b001, 0b001, 0b010, 0b010])
+    for corrupt in (
+        lambda queues: {v: pairs[:-1] for v, pairs in queues.items()},
+        lambda queues: {v: pairs for v, pairs in queues.items() if v != 0b001},
+    ):
+        monkeypatch.setattr(
+            pairing, "_exact", lambda n, hist, deadline=None: corrupt(exact(n, hist, deadline))
+        )
+        with pytest.raises(InternalSearchFailed):
+            exact_pairing_solver(inst)
+
+
 def test_exact_internal_infeasible():
     # XOR != 0 cannot be produced through the public type, but the raw search
     # must still report exhaustion rather than loop or return garbage.
     with pytest.raises(Infeasible):
-        _exact(2, [0b01, 0b11])
+        _exact(2, Counter([0b01, 0b11]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,6 +420,9 @@ def test_small_dimension_case_checks():
     odd = build(6, [1] * 3 + [2, 4, 7] + [3] * 26)
     with pytest.raises(CaseNotApplicable):
         solve_small_dimension(odd, 6)  # k = 6 demands even multiplicities
+    for k in ("3", 3.0, True, None):
+        with pytest.raises(PreconditionViolated):
+            solve_small_dimension(inst, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -584,13 +613,13 @@ def test_lift_even_rejects_zero_target_at_construction():
 
 def test_lift_even_rejects_odd_multiplicities():
     with pytest.raises(InternalSearchFailed):
-        _lift_even(3, [1, 2, 4, 7], [])
+        _lift_even(3, Counter([1, 2, 4, 7]), [])
 
 
 def test_lift_even_degenerate_pair_sum_falls_back():
     # All pair values cancel, so no usable special value exists.
     trace = []
-    pairs = _lift_even(3, [0b001] * 4, trace)
+    pairs = _restore([0b001] * 4, _lift_even(3, Counter({0b001: 4}), trace))
     assert oracle_errors(3, [0b001] * 4, pairs) == []
     assert trace == ["even-lift n=3 degenerate, exact fallback"]
 
@@ -607,7 +636,7 @@ def test_lift_even_degenerate_out_of_reach_n7():
     # rather than start a search out of reach.
     values = [1] * 6 + [2] * 6 + [3] * 6 + [4] * 2 + [5] * 44
     with pytest.raises(InternalSearchFailed):
-        _lift_even(7, values, [])
+        _lift_even(7, Counter(values), [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -790,9 +819,9 @@ def test_three_coset_instances_reach_the_case(seed, n):
     traces = []
     real = pairing._case_three_coset
 
-    def spy(n, values, hist, odds, trace):
+    def spy(n, hist, odds, trace):
         traces.append(trace)
-        return real(n, values, hist, odds, trace)
+        return real(n, hist, odds, trace)
 
     with mock.patch.object(pairing, "_case_three_coset", spy):
         assert_valid(inst, solve_at_most_n_values(inst))
@@ -901,3 +930,57 @@ def test_route_agrees_with_exact_on_small_instances(seed):
     direct = exact_pairing_solver(inst)
     assert_valid(inst, constructive)
     assert_valid(inst, direct)
+
+
+# ---------------------------------------------------------------------------
+# target order
+
+
+def by_target(values, pairs):
+    """Each target value's pairs, in occurrence order."""
+    out = {}
+    for v, pq in zip(values, pairs):
+        out.setdefault(v, []).append(pq)
+    return out
+
+
+def routed(inst):
+    return solve_pairing(inst)[0]
+
+
+def small_dimension(inst):
+    return solve_small_dimension(inst, max(instgen.rank_of(inst.values), 1))
+
+
+#: Each public solver with an instgen stream it covers and that stream's n range.
+ORDER_CASES = [
+    (routed, instgen.dim_le5_instance, 5, 8),
+    (routed, instgen.dim6_even_instance, 7, 8),
+    (routed, instgen.at_most_n_instance, 6, 9),
+    (exact_pairing_solver, instgen.any_valid_instance, 3, 5),
+    (small_dimension, instgen.dim_le5_instance, 5, 9),
+    (solve_dim_half_even, instgen.dim_half_even_instance, 4, 9),
+    (solve_at_most_n_values, instgen.at_most_n_instance, 4, 9),
+    (solve_at_most_n_values, instgen.three_coset_instance, 6, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, stream, lo, hi",
+    ORDER_CASES,
+    ids=[f"{solver.__name__}-{stream.__name__}" for solver, stream, _, _ in ORDER_CASES],
+)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_solution_depends_only_on_the_target_multiset(solver, stream, lo, hi, seed):
+    # Every solver works on the target histogram and restores target order
+    # once: listing the same targets in another order gives each target
+    # value the same pairs, in occurrence order.
+    rng = random.Random(seed)
+    n, values = stream(rng, rng.randint(lo, hi))
+    shuffled = values[:]
+    rng.shuffle(shuffled)
+    part = solver(build(n, values))
+    again = solver(build(n, shuffled))
+    assert_valid(build(n, shuffled), again)
+    assert by_target(values, part.pairs) == by_target(shuffled, again.pairs)

@@ -54,6 +54,20 @@ def test_config_rejects_bad_fields():
         SearchConfig(max_restarts=0)
     with pytest.raises(PreconditionViolated):
         SearchConfig(strategy="SimulatedAnnealing")
+    for bad in (
+        {"seed": None},
+        {"seed": 1.5},
+        {"seed": True},
+        {"budget_seconds": "5"},
+        {"budget_seconds": None},
+        {"budget_seconds": float("nan")},
+        {"max_restarts": 2.5},
+        {"max_restarts": "3"},
+    ):
+        with pytest.raises(PreconditionViolated):
+            SearchConfig(**bad)
+    # Whole-number budgets are still seconds.
+    assert SearchConfig(budget_seconds=5).budget_seconds == 5
 
 
 def test_size_precondition():

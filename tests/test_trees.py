@@ -145,6 +145,24 @@ def test_tree_of_rejects_entries_that_are_not_pairs():
     assert rejection(2, [(0,)]) == "edge (0,) is not a pair of vertex ids"
 
 
+def direct_rejection(count, edges):
+    with pytest.raises(PreconditionViolated) as info:
+        Tree(count, edges)
+    return str(info.value)
+
+
+def test_tree_rejects_edges_that_are_not_tuples_of_pairs():
+    # The constructor takes exactly what it stores: a tuple of 2-tuples, so
+    # a frozen Tree stays hashable.
+    assert direct_rejection(2, (None,)) == "edge None is not a pair of vertex ids"
+    assert direct_rejection(2, ((0, 1, 2),)) == "edge (0, 1, 2) is not a pair of vertex ids"
+    assert direct_rejection(2, ([0, 1],)) == "edge [0, 1] is not a pair of vertex ids"
+    assert direct_rejection(3, ((0, 1), [1, 2])) == "edge [1, 2] is not a pair of vertex ids"
+    assert direct_rejection(2, [(0, 1)]) == "edges must be a tuple, got list"
+    assert direct_rejection(2, None) == "edges must be a tuple, got NoneType"
+    assert hash(Tree(2, ((0, 1),))) == hash(Tree.of(2, [[1, 0]]))
+
+
 def test_tree_rejection_precedence():
     # A duplicate named before a later out-of-range edge; a cycle only
     # once every edge has passed its own checks.
