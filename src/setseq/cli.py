@@ -31,10 +31,7 @@ from .pairing import (
     format_partition,
     # Unused here; kept as cli.partition_errors, which bench/tracing.py wraps.
     partition_errors,  # noqa: F401
-    solve_at_most_n_values,
-    solve_dim_half_even,
     solve_pairing,
-    solve_small_dimension,
 )
 from .search import BACKTRACKING, GREEDY_RESTART, SearchConfig, search_labeling
 from .trees import (
@@ -98,21 +95,12 @@ def _parse_targets(n: int, text: str) -> PairingInstance:
 
 def _run_pair_solve(args: argparse.Namespace) -> int:
     inst = _parse_targets(args.n, args.targets)
-    if args.route == "auto":
-        part, route = solve_pairing(inst)
-        flag = _TAG_TO_FLAG[route.tag]
+    if args.route == "exact":
+        part, flag = exact_pairing_solver(inst), "exact"
     else:
-        flag = args.route
-        if flag == "exact":
-            part = exact_pairing_solver(inst)
-        elif flag == "dim5":
-            part = solve_small_dimension(inst, min(5, inst.n))
-        elif flag == "dim6-even":
-            part = solve_small_dimension(inst, 6)
-        elif flag == "n-values":
-            part = solve_at_most_n_values(inst)
-        else:
-            part = solve_dim_half_even(inst)
+        # "auto" is no key of ROUTE_FLAGS, so it forces no route.
+        part, route = solve_pairing(inst, ROUTE_FLAGS.get(args.route))
+        flag = _TAG_TO_FLAG[route.tag]
     sys.stdout.write(format_partition(part))
     print(f"route={flag}")
     return 0
@@ -220,13 +208,11 @@ def _sweep_instances(n: int):
             yield head + (last,)
 
 
-def _sweep_shard(n: int, shards: int, shard: int) -> tuple[int, list[str]]:
-    """Solve every shard-th instance; exact_pairing_solver checks each partition."""
+def _sweep(n: int) -> tuple[int, list[str]]:
+    """Solve every instance; exact_pairing_solver checks each partition."""
     checked = 0
     failures: list[str] = []
-    for rank, combo in enumerate(_sweep_instances(n)):
-        if rank % shards != shard:
-            continue
+    for combo in _sweep_instances(n):
         try:
             exact_pairing_solver(PairingInstance.of(n, combo))
         except SetseqError as exc:
@@ -241,16 +227,7 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     # sweep has no time budget, so it refuses rather than run unbounded.
     if not 1 <= args.n <= 4:
         parser.error("--n must be in 1..4")
-    if args.shard is not None and args.shards is None:
-        parser.error("--shard needs --shards")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be at least 1")
-    shard = args.shard or 0
-    # Without --shard, every shard runs: one pass over all instances.
-    shards = args.shards if args.shard is not None else 1
-    if not 0 <= shard < shards:
-        parser.error(f"--shard must be in 0..{shards - 1}")
-    checked, failures = _sweep_shard(args.n, shards, shard)
+    checked, failures = _sweep(args.n)
     for line in failures:
         print(f"failure: {line}")
     print(f"instances={checked} failures={len(failures)}")
@@ -269,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--targets", required=True, help="comma-separated n-bit strings")
     pair.add_argument(
         "--route", choices=["auto", *ROUTE_FLAGS], default="auto",
-        help="force one solver route (default: first applicable)",
+        help="force one route: exact runs the plain exact solver; any other fails"
+        " with CaseNotApplicable when its hypothesis does not hold"
+        " (default: auto, the first route whose hypothesis holds)",
     )
 
     label = sub.add_parser("label", help="produce a verified labeling of a tree")
@@ -306,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="exhaustive pairing verification")
     sweep.add_argument("--conjecture2", action="store_true", required=True)
     sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--shards", type=int, metavar="S")
-    sweep.add_argument("--shard", type=int, metavar="I")
     return parser
 
 

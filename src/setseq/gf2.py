@@ -187,43 +187,19 @@ def _reconstruct_subset(
     return tuple(reversed(picked))
 
 
-def zero_sum_subset(
-    values: Sequence[int], max_size: int, parity: str | None = None
-) -> tuple[int, ...]:
-    """Indices of a smallest nonempty subset with XOR 0 and size <= max_size.
+def zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...]:
+    """Indices of a subset with XOR 0 and the first size in sizes that one can have.
 
-    parity may be "odd" or "even" to additionally constrain the cardinality.
-    Raises NoSuchSubset when no qualifying subset exists.
+    One reach table, capped at the largest size, serves every candidate.
+    Raises NoSuchSubset when no size in sizes is reachable.
     """
-    if max_size < 1:
-        raise PreconditionViolated(f"max_size must be >= 1, got {max_size}")
-    if parity not in (None, "odd", "even"):
-        raise PreconditionViolated(f"parity must be None, 'odd' or 'even': {parity!r}")
-    cap = min(max_size, len(values))
-    tables = _subset_reach_tables(values, cap)
-    final = tables[-1]
-    for c in range(1, cap + 1):
-        if parity == "odd" and c % 2 == 0:
-            continue
-        if parity == "even" and c % 2 == 1:
-            continue
-        if (c, 0) in final:
-            return _reconstruct_subset(values, tables, (c, 0))
-    raise NoSuchSubset(
-        f"no zero-sum subset of size <= {max_size}" + (f" with {parity} size" if parity else "")
-    )
-
-
-def zero_sum_subset_of_size(values: Sequence[int], size: int) -> tuple[int, ...]:
-    """Indices of a subset with XOR 0 and exactly the given size."""
-    if size < 1:
-        raise PreconditionViolated(f"size must be >= 1, got {size}")
-    if size > len(values):
-        raise NoSuchSubset(f"only {len(values)} items, need {size}")
-    tables = _subset_reach_tables(values, size)
-    if (size, 0) not in tables[-1]:
-        raise NoSuchSubset(f"no zero-sum subset of size exactly {size}")
-    return _reconstruct_subset(values, tables, (size, 0))
+    if not sizes or min(sizes) < 1:
+        raise PreconditionViolated(f"sizes must be nonempty and >= 1, got {sizes!r}")
+    tables = _subset_reach_tables(values, min(max(sizes), len(values)))
+    for size in sizes:
+        if (size, 0) in tables[-1]:
+            return _reconstruct_subset(values, tables, (size, 0))
+    raise NoSuchSubset(f"no zero-sum subset of any size in {sizes!r}")
 
 
 def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:

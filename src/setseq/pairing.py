@@ -8,8 +8,12 @@ recursions on the number of distinct values) cover the tractable
 hypotheses.  The coset lift halves low-span targets into zero-sum groups
 and solves each group at level 5, or by even-pair lifting at level 6;
 those two steps serve only the lift and have no public entry point.
-solve_pairing routes an instance to the cheapest applicable solver and
-reports which hypothesis fired.
+
+solve_pairing is the one router.  Each route (a tag of ROUTE_TAGS) is one
+row of _ROUTES: its hypothesis and its solver.  With no route given, the
+first row whose hypothesis holds solves the instance; a forced route runs
+its own row or raises CaseNotApplicable.  Either way the caller gets the
+route's trace of the reductions that fired.
 
 Every internal solver works on a multiset, not a list.  It takes a
 Counter of targets and returns a function of that histogram alone: a map
@@ -46,7 +50,6 @@ from .gf2 import (
     extend_basis,
     solve_parity_system,
     zero_sum_subset,
-    zero_sum_subset_of_size,
 )
 
 __all__ = [
@@ -59,9 +62,6 @@ __all__ = [
     "parse_instance",
     "format_partition",
     "exact_pairing_solver",
-    "solve_small_dimension",
-    "solve_dim_half_even",
-    "solve_at_most_n_values",
     "solve_pairing",
 ]
 
@@ -389,17 +389,14 @@ def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
     """
     l = len(odds)
     _ensure(18 <= l <= 28 and l % 2 == 0, "level-6 odd split outside 18..28 even values")
-    for s in range(max(6, l - 16), 17, 2):
-        try:
-            idx = zero_sum_subset_of_size(odds, s)
-        except NoSuchSubset:
-            continue
-        chosen = set(idx)
-        return (
-            [u for i, u in enumerate(odds) if i not in chosen],
-            [u for i, u in enumerate(odds) if i in chosen],
-        )
-    raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6")
+    try:
+        chosen = set(zero_sum_subset(odds, range(max(6, l - 16), 17, 2)))
+    except NoSuchSubset:
+        raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6") from None
+    return (
+        [u for i, u in enumerate(odds) if i not in chosen],
+        [u for i, u in enumerate(odds) if i in chosen],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +982,7 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
     if m <= n - 2:
         return _case_full_small_odd(n, hist, odds, trace)
     try:
-        idx = zero_sum_subset(odds, max_size=m - 1, parity="even")
+        idx = zero_sum_subset(odds, range(2, m, 2))
     except NoSuchSubset:
         return _case_three_coset(n, hist, odds, trace)
     subset = [odds[i] for i in idx]
@@ -1017,70 +1014,72 @@ def exact_pairing_solver(inst: PairingInstance, budget_seconds: float = 60.0) ->
     return _finish(inst, _exact(inst.n, Counter(inst.values), deadline))
 
 
-def solve_small_dimension(inst: PairingInstance, k: int) -> PairPartition:
-    """Coset-lifted solve for targets spanning at most k <= 6 dimensions.
+def _odd_reason(hist: Counter) -> str | None:
+    """Why an all-even route does not apply, or None when it may."""
+    return "every multiplicity must be even" if any(c % 2 for c in hist.values()) else None
 
-    k only gates the hypothesis: every k <= 5 lifts at level min(5, n), so
-    it returns the same partition.
+
+#: The routes in automatic order, as (tag, hypothesis, solver) rows.  Both
+#: take n, the target histogram and its echelon_basis; a hypothesis gives
+#: None when its route covers the instance, else the reason it does not.
+_ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ...] = (
+    (
+        "Dim5Coset",
+        lambda n, hist, span: (
+            f"targets span {span.rank} dimensions, more than 5" if span.rank > 5 else None
+        ),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace),
+    ),
+    (
+        "Dim6EvenCoset",
+        lambda n, hist, span: (
+            f"needs n >= 6, got n={n}" if n < 6
+            else f"targets span {span.rank} dimensions, more than 6" if span.rank > 6
+            else _odd_reason(hist)
+        ),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace),
+    ),
+    (
+        "AtMostNValues",
+        lambda n, hist, span: (
+            f"{len(hist)} distinct values exceed n={n}" if len(hist) > n else None
+        ),
+        lambda n, hist, span, trace: _solve_few(n, hist, trace),
+    ),
+    (
+        "DimHalfEven",
+        lambda n, hist, span: _odd_reason(hist) or (
+            f"span dimension {span.rank} exceeds n/2" if 2 * span.rank > n else None
+        ),
+        _dim_half,
+    ),
+    (
+        "ExactSearch",
+        lambda n, hist, span: f"exact search needs n <= 6, got n={n}" if n > 6 else None,
+        lambda n, hist, span, trace: _exact(n, hist, time.monotonic() + 60.0),
+    ),
+)
+
+
+def solve_pairing(
+    inst: PairingInstance, route: str | None = None
+) -> tuple[PairPartition, SolverRoute]:
+    """Solve by the first route whose hypothesis holds, or by the given route.
+
+    A route from ROUTE_TAGS whose hypothesis fails raises CaseNotApplicable
+    with the reason, and any other route PreconditionViolated.  With no
+    route, an instance that no route covers (n > 6) raises NotCovered.
     """
-    if type(k) is not int:
-        raise PreconditionViolated(f"k must be an int, got {k!r}")
+    if route is not None and route not in ROUTE_TAGS:
+        raise PreconditionViolated(f"unknown route {route!r}; expected one of {ROUTE_TAGS}")
     hist = Counter(inst.values)
     span = echelon_basis(hist, inst.n)
-    d = span.rank
-    if not 1 <= k <= 6 or k > inst.n:
-        raise CaseNotApplicable(f"k must be in 1..min(6, n), got {k}")
-    if d > k:
-        raise CaseNotApplicable(f"targets span {d} dimensions, more than k={k}")
-    if k == 6 and any(c % 2 for c in hist.values()):
-        raise CaseNotApplicable("k=6 needs every multiplicity even")
-    trace: list[str] = []
-    return _finish(inst, _small_dim(inst.n, hist, span, 6 if k == 6 else 5, trace))
-
-
-def solve_dim_half_even(inst: PairingInstance) -> PairPartition:
-    """All-even targets spanning at most n/2 dimensions."""
-    hist = Counter(inst.values)
-    if any(c % 2 for c in hist.values()):
-        raise CaseNotApplicable("every multiplicity must be even")
-    span = echelon_basis(hist, inst.n)
-    if 2 * span.rank > inst.n:
-        raise CaseNotApplicable(f"span dimension {span.rank} exceeds n/2")
-    trace: list[str] = []
-    return _finish(inst, _dim_half(inst.n, hist, span, trace))
-
-
-def solve_at_most_n_values(inst: PairingInstance) -> PairPartition:
-    """Recursion for instances with at most n distinct target values."""
-    hist = Counter(inst.values)
-    if len(hist) > inst.n:
-        raise CaseNotApplicable(f"{len(hist)} distinct values exceed n={inst.n}")
-    trace: list[str] = []
-    return _finish(inst, _solve_few(inst.n, hist, trace))
-
-
-def solve_pairing(inst: PairingInstance) -> tuple[PairPartition, SolverRoute]:
-    """Try the constructive hypotheses in order, then exact search for n <= 6."""
-    hist = Counter(inst.values)
-    span = echelon_basis(hist, inst.n)
-    d = span.rank
-    all_even = all(c % 2 == 0 for c in hist.values())
-    trace: list[str] = []
-    if d <= 5:
-        tag = "Dim5Coset"
-        queues = _small_dim(inst.n, hist, span, 5, trace)
-    elif d == 6 and all_even:
-        tag = "Dim6EvenCoset"
-        queues = _small_dim(inst.n, hist, span, 6, trace)
-    elif len(hist) <= inst.n:
-        tag = "AtMostNValues"
-        queues = _solve_few(inst.n, hist, trace)
-    elif all_even and 2 * d <= inst.n:
-        tag = "DimHalfEven"
-        queues = _dim_half(inst.n, hist, span, trace)
-    elif inst.n <= 6:
-        tag = "ExactSearch"
-        queues = _exact(inst.n, hist, time.monotonic() + 60.0)
-    else:
-        raise NotCovered(f"no constructive case applies and n={inst.n} > 6")
-    return _finish(inst, queues), SolverRoute(tag, tuple(trace))
+    rows = _ROUTES if route is None else [row for row in _ROUTES if row[0] == route]
+    for tag, hypothesis, solve in rows:
+        reason = hypothesis(inst.n, hist, span)
+        if reason is None:
+            trace: list[str] = []
+            return _finish(inst, solve(inst.n, hist, span, trace)), SolverRoute(tag, tuple(trace))
+        if route is not None:
+            raise CaseNotApplicable(reason)
+    raise NotCovered(f"no constructive case applies and n={inst.n} > 6")

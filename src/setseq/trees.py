@@ -266,16 +266,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifierReport:
-    valid: bool
     violations: tuple[Violation, ...]
 
-    def __post_init__(self) -> None:
-        if self.valid != (not self.violations):
-            raise PreconditionViolated("valid flag contradicts the violation list")
-
-    @classmethod
-    def of(cls, violations: Sequence[Violation]) -> VerifierReport:
-        return cls(not violations, tuple(violations))
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +408,7 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
             if x not in counts:
                 violations.append(Violation("MissingValue", value=BitVec(x, n)))
 
-    return VerifierReport.of(violations)
+    return VerifierReport(tuple(violations))
 
 
 def even_degree_label_sum(t: Tree, lab: Labeling) -> BitVec:

@@ -32,8 +32,6 @@ from setseq.pairing import (
     PairingInstance,
     exact_pairing_solver,
     partition_errors,
-    solve_at_most_n_values,
-    solve_dim_half_even,
     solve_pairing,
 )
 from setseq.search import BACKTRACKING, SearchConfig, search_labeling
@@ -240,16 +238,16 @@ def test_constructive_routes_on_random_instances():
 
 def test_route_forced_solvers_on_high_span_instances():
     # solve_pairing sends almost every span <= 5 instance to Dim5Coset, so
-    # the half-dimension and bounded-value solvers are called directly here,
-    # on 20 instances per dimension whose targets span more than 5
-    # dimensions; every partition checked independently, under a minute.
+    # the half-dimension and bounded-value routes are forced here, on 20
+    # instances per dimension whose targets span more than 5 dimensions;
+    # every partition checked independently, under a minute.
     rng = random.Random(20261018)
     cases = [
-        (solve_dim_half_even, instgen.dim_half_even_instance, (12, 13, 14)),
-        (solve_at_most_n_values, instgen.at_most_n_instance, (8, 10, 12)),
+        ("DimHalfEven", instgen.dim_half_even_instance, (12, 13, 14)),
+        ("AtMostNValues", instgen.at_most_n_instance, (8, 10, 12)),
     ]
     start = time.monotonic()
-    for solver, gen, dims in cases:
+    for route, gen, dims in cases:
         for n in dims:
             solved = 0
             while solved < 20:
@@ -257,8 +255,8 @@ def test_route_forced_solvers_on_high_span_instances():
                 if instgen.rank_of(values) <= 5:
                     continue
                 inst = PairingInstance.of(n, values)
-                errors = partition_errors(inst, solver(inst))
-                assert not errors, (solver.__name__, n, values, errors)
+                errors = partition_errors(inst, solve_pairing(inst, route)[0])
+                assert not errors, (route, n, values, errors)
                 solved += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"took {elapsed:.0f}s"
@@ -277,7 +275,7 @@ def test_three_coset_case_on_every_odd_count_composition_at_n6():
     checked = 0
     for extra in combinations_with_replacement(singles, 13):
         inst = PairingInstance.of(6, singles + [u for u in extra for _ in (0, 1)])
-        errors = partition_errors(inst, solve_at_most_n_values(inst))
+        errors = partition_errors(inst, solve_pairing(inst, "AtMostNValues")[0])
         assert not errors, (extra, errors)
         checked += 1
     elapsed = time.monotonic() - start

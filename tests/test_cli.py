@@ -133,7 +133,7 @@ def test_package_has_no_assert_statements():
     package = Path(pairing.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
+        for path in sorted(package.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
@@ -390,28 +390,9 @@ def test_sweep_n3(capsys):
     assert total > 0
 
 
-def test_sweep_shards_partition_the_space(capsys):
-    _, single, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")
-    total = int(single.strip().splitlines()[-1].split()[0].split("=")[1])
-    sharded = 0
-    for i in range(3):
-        code, out, _ = run(
-            capsys, "sweep", "--conjecture2", "--n", "3",
-            "--shards", "3", "--shard", str(i),
-        )
-        assert code == 0
-        sharded += int(out.strip().splitlines()[-1].split()[0].split("=")[1])
-    assert sharded == total
-    code, fanned, _ = run(
-        capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "3"
-    )
-    assert code == 0
-    assert int(fanned.strip().splitlines()[-1].split()[0].split("=")[1]) == total
-
-
 @pytest.mark.parametrize("n, count", [(2, 3), (3, 35), (4, 20295)])
 def test_sweep_enumerates_zero_sum_multisets_in_order(n, count):
-    # Shard ranks index this sequence, so its order is part of the contract.
+    # Failure lines come out in this order, so it is part of the contract.
     expected = list(instgen.zero_sum_multisets(n))
     assert len(expected) == count
     assert list(_sweep_instances(n)) == expected
@@ -438,11 +419,6 @@ def test_sweep_reports_invalid_solver_output(capsys, monkeypatch):
 
 def test_sweep_usage(capsys):
     assert run(capsys, "sweep", "--n", "3")[0] == 2
-    assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shard", "0")[0] == 2
-    assert run(
-        capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "2", "--shard", "5"
-    )[0] == 2
-    assert run(capsys, "sweep", "--conjecture2", "--n", "3", "--shards", "0")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "0")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "5")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "1")[1] == "instances=0 failures=0\n"

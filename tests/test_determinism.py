@@ -67,8 +67,6 @@ from setseq.pairing import (
     _exact,
     exact_pairing_solver,
     format_partition,
-    solve_at_most_n_values,
-    solve_dim_half_even,
     solve_pairing,
 )
 from setseq.pairing import _split_halves  # the level-6 halving, pinned directly
@@ -258,22 +256,24 @@ def dense_odd_split_inputs():
 
 
 def reduction_stream() -> str:
-    """Partition text of the route-forced solvers and the level-6 dense-odd halvings.
+    """Partition text of forced routes and the level-6 dense-odd halvings.
 
     solve_pairing sends almost every low-span instance to Dim5Coset, so the
-    half-dimension and bounded-value reductions are reached here through
-    their own public solvers.
+    half-dimension and bounded-value reductions are reached here by forcing
+    their routes.
     """
+
+    def forced(route: str, n: int, values) -> str:
+        return format_partition(solve_pairing(PairingInstance.of(n, values), route)[0])
+
     rng = random.Random(30)
     out = []
     for n in range(4, 13):
-        n, values = instgen.dim_half_even_instance(rng, n)
-        out.append(format_partition(solve_dim_half_even(PairingInstance.of(n, values))))
+        out.append(forced("DimHalfEven", *instgen.dim_half_even_instance(rng, n)))
     for n in (6, 7, 8, 9, 10, 11) * 3:
-        n, values = instgen.at_most_n_instance(rng, n)
-        out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
+        out.append(forced("AtMostNValues", *instgen.at_most_n_instance(rng, n)))
     for n, values in AT_MOST_N_CASES:
-        out.append(format_partition(solve_at_most_n_values(PairingInstance.of(n, values))))
+        out.append(forced("AtMostNValues", n, values))
     for values in dense_odd_split_inputs():
         for half in _split_halves(Counter(values)):
             out.append(",".join(map(str, sorted(half.elements()))) + "\n")

@@ -24,7 +24,6 @@ from setseq.gf2 import (
     extend_basis,
     solve_parity_system,
     zero_sum_subset,
-    zero_sum_subset_of_size,
 )
 
 FIGURE_LABELS = ["0001", "0111", "1101", "0010", "0101", "1100", "1110", "1010"]
@@ -194,67 +193,44 @@ def brute_force_zero_subsets(values, max_size):
 
 
 def test_zero_sum_subset_known_cases():
-    assert zero_sum_subset([0b0001, 0b0010, 0b0011], 3) == (0, 1, 2)
-    assert zero_sum_subset([0b0101, 0b0101], 2) == (0, 1)
+    assert zero_sum_subset([0b0001, 0b0010, 0b0011], [1, 2, 3]) == (0, 1, 2)
+    assert zero_sum_subset([0b0101, 0b0101], range(1, 3)) == (0, 1)
+    # The first size in the given order wins, not the smallest.
+    values = [0b01, 0b01, 0b10, 0b11, 0b01]
+    assert len(zero_sum_subset(values, [3, 2])) == 3
+    assert len(zero_sum_subset(values, [2, 3])) == 2
     with pytest.raises(NoSuchSubset):
-        zero_sum_subset([0b001, 0b010, 0b100], 3)
+        zero_sum_subset([0b001, 0b010, 0b100], [1, 2, 3])
+    with pytest.raises(NoSuchSubset):
+        zero_sum_subset([0b001, 0b001], [4])
 
 
 def test_zero_sum_subset_rejects_bad_arguments():
     values = [0b001, 0b001]
     with pytest.raises(PreconditionViolated):
-        zero_sum_subset(values, 0)
+        zero_sum_subset(values, [])
     with pytest.raises(PreconditionViolated):
-        zero_sum_subset(values, 2, parity="sideways")
+        zero_sum_subset(values, [2, 0])
 
 
 @given(
     st.integers(2, 8),
     st.lists(st.integers(0, 255), min_size=1, max_size=10),
-    st.integers(1, 10),
-    st.sampled_from([None, "odd", "even"]),
+    st.lists(st.integers(1, 11), min_size=1, max_size=6),
 )
-@settings(max_examples=200)
-def test_zero_sum_subset_matches_brute_force(n, raw, max_size, parity):
+@settings(max_examples=300)
+def test_zero_sum_subset_matches_brute_force(n, raw, sizes):
     values = [v & ((1 << n) - 1) for v in raw]
-    witnesses = brute_force_zero_subsets(values, max_size)
-    if parity == "odd":
-        witnesses = [w for w in witnesses if len(w) % 2 == 1]
-    elif parity == "even":
-        witnesses = [w for w in witnesses if len(w) % 2 == 0]
-    if witnesses:
-        got = zero_sum_subset(values, max_size, parity=parity)
+    reachable = {len(w) for w in brute_force_zero_subsets(values, max(sizes))}
+    wanted = [s for s in sizes if s in reachable]
+    if wanted:
+        got = zero_sum_subset(values, sizes)
         assert xor_all(values[i] for i in got) == 0
-        assert 1 <= len(got) <= max_size
-        assert len(set(got)) == len(got)
-        if parity == "odd":
-            assert len(got) % 2 == 1
-        if parity == "even":
-            assert len(got) % 2 == 0
-        assert len(got) == min(len(w) for w in witnesses)
+        assert len(set(got)) == len(got) == wanted[0]
+        assert list(got) == sorted(got)
     else:
         with pytest.raises(NoSuchSubset):
-            zero_sum_subset(values, max_size, parity=parity)
-
-
-@given(
-    st.integers(2, 8),
-    st.lists(st.integers(0, 255), min_size=1, max_size=10),
-    st.integers(1, 10),
-)
-@settings(max_examples=150)
-def test_zero_sum_subset_of_size_matches_brute_force(n, raw, size):
-    values = [v & ((1 << n) - 1) for v in raw]
-    witnesses = [
-        w for w in brute_force_zero_subsets(values, size) if len(w) == size
-    ]
-    if witnesses:
-        got = zero_sum_subset_of_size(values, size)
-        assert len(got) == size
-        assert xor_all(values[i] for i in got) == 0
-    else:
-        with pytest.raises(NoSuchSubset):
-            zero_sum_subset_of_size(values, size)
+            zero_sum_subset(values, sizes)
 
 
 # ---------------------------------------------------------------------------

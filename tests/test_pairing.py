@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +34,7 @@ from setseq.pairing import (
     format_partition,
     parse_instance,
     partition_errors,
-    solve_at_most_n_values,
-    solve_dim_half_even,
     solve_pairing,
-    solve_small_dimension,
 )
 # Tested directly: the infeasible branch, the coset lift's halving and
 # even-lift steps, the half-dimension case's three-value splitting and the
@@ -77,6 +73,18 @@ def oracle_errors(n, targets, pairs):
 def assert_valid(inst, part):
     errs = oracle_errors(inst.n, list(inst.values), list(part.pairs))
     assert errs == [], errs
+
+
+def small_dimension(inst):
+    return solve_pairing(inst, "Dim5Coset")[0]
+
+
+def dim_half_even(inst):
+    return solve_pairing(inst, "DimHalfEven")[0]
+
+
+def at_most_n_values(inst):
+    return solve_pairing(inst, "AtMostNValues")[0]
 
 
 def assert_valid_split(values, first, second):
@@ -395,14 +403,14 @@ def test_split_odds_level6_balances_every_densest_set():
 
 def test_small_dimension_single_target_value():
     inst = build(4, [0b0001] * 8)
-    part = solve_small_dimension(inst, 1)
+    part = small_dimension(inst)
     assert_valid(inst, part)
     assert all(p ^ q == 1 for p, q in list(part.pairs))
 
 
 def test_small_dimension_single_value_n6():
     inst = build(6, [0b000001] * 32)
-    part = solve_small_dimension(inst, 1)
+    part = small_dimension(inst)
     assert_valid(inst, part)
 
 
@@ -414,15 +422,13 @@ def test_small_dimension_rejects_bad_sum_at_construction():
 def test_small_dimension_case_checks():
     inst = build(4, [1, 2, 3, 1, 2, 3, 5, 5])
     with pytest.raises(CaseNotApplicable):
-        solve_small_dimension(inst, 2)  # span is 3-dimensional
+        solve_pairing(inst, "Dim6EvenCoset")  # the span-6 lift needs n >= 6
+    wide = build(7, [1, 2, 4, 8, 16, 32, 64, 127] + [3] * 56)
     with pytest.raises(CaseNotApplicable):
-        solve_small_dimension(inst, 7)
+        solve_pairing(wide, "Dim5Coset")  # span is 7-dimensional
     odd = build(6, [1] * 3 + [2, 4, 7] + [3] * 26)
     with pytest.raises(CaseNotApplicable):
-        solve_small_dimension(odd, 6)  # k = 6 demands even multiplicities
-    for k in ("3", 3.0, True, None):
-        with pytest.raises(PreconditionViolated):
-            solve_small_dimension(inst, k)
+        solve_pairing(odd, "Dim6EvenCoset")  # demands even multiplicities
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,8 +436,7 @@ def test_small_dimension_case_checks():
 def test_small_dimension_random(seed, n):
     nn, values = instgen.dim_le5_instance(random.Random(seed), n)
     inst = build(nn, values)
-    k = max(instgen.rank_of(values), 1)
-    part = solve_small_dimension(inst, k)
+    part = small_dimension(inst)
     assert_valid(inst, part)
 
 
@@ -440,7 +445,7 @@ def test_small_dimension_random(seed, n):
 def test_small_dimension_even_rank6(seed, n):
     nn, values = instgen.dim6_even_instance(random.Random(seed), n)
     inst = build(nn, values)
-    part = solve_small_dimension(inst, 6)
+    part = solve_pairing(inst, "Dim6EvenCoset")[0]
     assert_valid(inst, part)
 
 
@@ -459,19 +464,12 @@ def test_coset_lift_solves_low_span_groups_at_level_five():
     assert route.trace == ("coset-lift n=10 k=5 groups=32",)
 
 
-def test_small_dimension_output_does_not_depend_on_k_below_six():
-    inst = span2_instance(8, 0b10010011, 0b01100101, 2)
-    parts = [solve_small_dimension(inst, k) for k in range(2, 6)]
-    assert_valid(inst, parts[0])
-    assert all(part.pairs == parts[0].pairs for part in parts)
-
-
 # ---------------------------------------------------------------------------
 # three-value splitting
 
 
 def three_value_groups(values, k):
-    """What solve_dim_half_even splits its targets into, as sorted lists."""
+    """What the DimHalfEven route splits its targets into, as sorted lists."""
     return [sorted(g.elements()) for g in _halve_rounds(Counter(values), k, _split_three)]
 
 
@@ -515,7 +513,7 @@ def test_split_three_postconditions(seed, n):
 
 def test_dim_half_contract_example():
     inst = build(4, [0b0001, 0b0001, 0b0010, 0b0010, 0b0011, 0b0011, 0b0001, 0b0001])
-    part = solve_dim_half_even(inst)
+    part = dim_half_even(inst)
     assert_valid(inst, part)
 
 
@@ -526,7 +524,7 @@ def test_dim_half_random_3dim_n6():
     picks = basis + [rng.choice(pool) for _ in range(13)]
     values = [v for v in picks for _ in (0, 1)]
     inst = build(6, values)
-    part = solve_dim_half_even(inst)
+    part = dim_half_even(inst)
     assert_valid(inst, part)
 
 
@@ -536,13 +534,13 @@ def test_dim_half_rejects_odd_multiplicities():
     # hence n = 6 for this check.)
     inst = build(6, [1, 2, 4, 7] + [3] * 28)
     with pytest.raises(CaseNotApplicable):
-        solve_dim_half_even(inst)
+        dim_half_even(inst)
 
 
 def test_dim_half_rejects_large_span():
     inst = build(4, [1, 1, 2, 2, 4, 4, 7, 7])
     with pytest.raises(CaseNotApplicable):
-        solve_dim_half_even(inst)
+        dim_half_even(inst)
 
 
 @settings(max_examples=30, deadline=None)
@@ -550,7 +548,7 @@ def test_dim_half_rejects_large_span():
 def test_dim_half_random(seed, n):
     nn, values = instgen.dim_half_even_instance(random.Random(seed), n)
     inst = build(nn, values)
-    part = solve_dim_half_even(inst)
+    part = dim_half_even(inst)
     assert_valid(inst, part)
 
 
@@ -653,22 +651,22 @@ def test_lift_even_random_pairs(seed):
 
 def test_at_most_n_contract_examples():
     inst = build(4, [0b0001] * 3 + [0b0010, 0b0100] + [0b0111] * 3)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
     odd = build(4, [0b0001] * 5 + [0b0010, 0b0100, 0b0111])
-    assert_valid(odd, solve_at_most_n_values(odd))
+    assert_valid(odd, at_most_n_values(odd))
 
 
 def test_at_most_n_rejects_too_many_values():
     inst = build(3, [0b001, 0b010, 0b100, 0b111])
     with pytest.raises(CaseNotApplicable):
-        solve_at_most_n_values(inst)
+        at_most_n_values(inst)
 
 
 def test_at_most_n_few_values_even_n7():
     # 3 distinct values, all even multiplicities, fewer than n of them.
     values = [1] * 20 + [2] * 22 + [3] * 22
     inst = build(7, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_exactly_n_even_independent_n7():
@@ -676,7 +674,7 @@ def test_at_most_n_exactly_n_even_independent_n7():
     for i, count in zip(range(7), [10, 10, 10, 10, 10, 10, 4]):
         values += [1 << i] * count
     inst = build(7, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_exactly_n_even_independent_n8():
@@ -684,7 +682,7 @@ def test_at_most_n_exactly_n_even_independent_n8():
     for i, count in zip(range(8), [18, 18, 18, 18, 18, 18, 18, 2]):
         values += [1 << i] * count
     inst = build(8, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_exactly_n_even_dependent_n7():
@@ -692,7 +690,7 @@ def test_at_most_n_exactly_n_even_dependent_n7():
     counts = [10, 10, 10, 10, 10, 10, 4]
     values = [v for v, c in zip(picks, counts) for _ in range(c)]
     inst = build(7, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_odd_few_values_n7():
@@ -700,7 +698,7 @@ def test_at_most_n_odd_few_values_n7():
     odds = [1, 2, 4, 7]
     values = list(odds) + [3] * 30 + [1] * 10 + [2] * 10 + [4] * 10
     inst = build(7, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_full_with_small_odd_count_n7():
@@ -709,7 +707,7 @@ def test_at_most_n_full_with_small_odd_count_n7():
     values = list(odds) + [8] * 20 + [16] * 20 + [32] * 16 + [1] * 2 + [2] * 2
     inst = build(7, values)
     assert len(set(inst.values)) == 7
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_zero_sum_subset_case_n8():
@@ -722,7 +720,7 @@ def test_at_most_n_zero_sum_subset_case_n8():
     counts = [15, 15, 15, 15, 17, 17, 17, 17]
     values = [v for v, c in zip(odds, counts) for _ in range(c)]
     inst = build(8, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_three_coset_case_n7():
@@ -730,7 +728,7 @@ def test_at_most_n_three_coset_case_n7():
     odds = [1, 2, 4, 8, 16, 31]
     values = list(odds) + [96] * 58
     inst = build(7, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_three_coset_case_n6():
@@ -739,7 +737,7 @@ def test_at_most_n_three_coset_case_n6():
     values = [1] * 1 + [2] * 1 + [4] * 1 + [8] * 3 + [16] * 3 + [31] * 23
     assert instgen.xor_all(values) == 0
     inst = build(6, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def test_at_most_n_odd_subset_only_case_n6():
@@ -749,7 +747,7 @@ def test_at_most_n_odd_subset_only_case_n6():
     values = [1, 2, 3, 4, 8] + [12] * 27
     inst = build(6, values)
     assert len(set(inst.values)) == 6
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 def counting_allocator(monkeypatch):
@@ -781,7 +779,7 @@ def test_three_coset_moves_on_when_the_greedy_fill_fails(n, hist, monkeypatch):
     # the case tries its next layout instead of searching inside the first.
     calls = counting_allocator(monkeypatch)
     inst = from_histogram(n, hist)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
     assert len(calls) >= 2
 
 
@@ -797,7 +795,7 @@ def test_three_coset_skips_a_layout_with_a_zero_group_xor(n, hist, monkeypatch):
     # instance; it is skipped before any allocation, and the next one fills.
     calls = counting_allocator(monkeypatch)
     inst = from_histogram(n, hist)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
     assert len(calls) == 1
 
 
@@ -816,16 +814,9 @@ def test_coset_group_splits_skip_zero_xor_groups():
 def test_three_coset_instances_reach_the_case(seed, n):
     n, values = instgen.three_coset_instance(random.Random(seed), n)
     inst = build(n, values)
-    traces = []
-    real = pairing._case_three_coset
-
-    def spy(n, hist, odds, trace):
-        traces.append(trace)
-        return real(n, hist, odds, trace)
-
-    with mock.patch.object(pairing, "_case_three_coset", spy):
-        assert_valid(inst, solve_at_most_n_values(inst))
-    assert any(entry.startswith("three-coset ") for entry in traces[0])
+    part, route = solve_pairing(inst, "AtMostNValues")
+    assert_valid(inst, part)
+    assert any(entry.startswith(f"three-coset n={n} ") for entry in route.trace)
 
 
 @settings(max_examples=60, deadline=None)
@@ -833,7 +824,7 @@ def test_three_coset_instances_reach_the_case(seed, n):
 def test_at_most_n_random(seed, n):
     nn, values = instgen.at_most_n_instance(random.Random(seed), n)
     inst = build(nn, values)
-    assert_valid(inst, solve_at_most_n_values(inst))
+    assert_valid(inst, at_most_n_values(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +905,62 @@ def test_route_not_covered_n7():
     assert len(set(inst.values)) == 9
     with pytest.raises(NotCovered):
         solve_pairing(inst)
+    for route in pairing.ROUTE_TAGS:
+        with pytest.raises(CaseNotApplicable):
+            solve_pairing(inst, route)
+
+
+#: The order in which solve_pairing tries the routes when none is given.
+AUTO_ORDER = ("Dim5Coset", "Dim6EvenCoset", "AtMostNValues", "DimHalfEven", "ExactSearch")
+
+def span7_even_instance(rng, n):
+    """All-even targets spanning 7 dimensions: DimHalfEven takes them at n = 14."""
+    return instgen.even_span_instance(rng, n, 7)
+
+
+def exact_search_instance(rng, n):
+    """The instance of test_route_exact_search_n6, whatever rng and n."""
+    return 6, [1, 2, 4, 8, 16, 32, 33, 30] + [5] * 24
+
+
+#: Each instgen stream with an n range, and the two streams that reach
+#: DimHalfEven and ExactSearch, which the others never do.
+ROUTER_STREAMS = [
+    (instgen.dim_le5_instance, 5, 9),
+    (instgen.dim6_even_instance, 7, 9),
+    (instgen.dim_half_even_instance, 4, 10),
+    (instgen.at_most_n_instance, 6, 9),
+    (instgen.three_coset_instance, 6, 8),
+    (span7_even_instance, 14, 14),
+    (exact_search_instance, 6, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "stream, lo, hi",
+    ROUTER_STREAMS,
+    ids=[stream.__name__ for stream, _, _ in ROUTER_STREAMS],
+)
+def test_forced_route_replays_the_automatic_choice(stream, lo, hi):
+    # The route solve_pairing picks gives the same pairs and trace when
+    # forced, and every route it tries first refuses the instance.
+    assert set(AUTO_ORDER) == set(pairing.ROUTE_TAGS)
+    rng = random.Random(15)
+    for _ in range(8):
+        inst = build(*stream(rng, rng.randint(lo, hi)))
+        part, route = solve_pairing(inst)
+        assert_valid(inst, part)
+        assert solve_pairing(inst, route.tag) == (part, route)
+        for earlier in AUTO_ORDER[: AUTO_ORDER.index(route.tag)]:
+            with pytest.raises(CaseNotApplicable):
+                solve_pairing(inst, earlier)
+
+
+def test_unknown_route_is_a_precondition_violation():
+    inst = build(3, [1, 1, 2, 2])
+    for route in ("", "auto", "exact", "dim5", "Dim5coset", 5, True, ("Dim5Coset",)):
+        with pytest.raises(PreconditionViolated):
+            solve_pairing(inst, route)
 
 
 def test_route_tag_validation():
@@ -948,10 +995,6 @@ def routed(inst):
     return solve_pairing(inst)[0]
 
 
-def small_dimension(inst):
-    return solve_small_dimension(inst, max(instgen.rank_of(inst.values), 1))
-
-
 #: Each public solver with an instgen stream it covers and that stream's n range.
 ORDER_CASES = [
     (routed, instgen.dim_le5_instance, 5, 8),
@@ -959,9 +1002,9 @@ ORDER_CASES = [
     (routed, instgen.at_most_n_instance, 6, 9),
     (exact_pairing_solver, instgen.any_valid_instance, 3, 5),
     (small_dimension, instgen.dim_le5_instance, 5, 9),
-    (solve_dim_half_even, instgen.dim_half_even_instance, 4, 9),
-    (solve_at_most_n_values, instgen.at_most_n_instance, 4, 9),
-    (solve_at_most_n_values, instgen.three_coset_instance, 6, 8),
+    (dim_half_even, instgen.dim_half_even_instance, 4, 9),
+    (at_most_n_values, instgen.at_most_n_instance, 4, 9),
+    (at_most_n_values, instgen.three_coset_instance, 6, 8),
 ]
 
 

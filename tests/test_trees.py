@@ -489,13 +489,6 @@ def test_verifier_report_text_is_pinned():
     ]
 
 
-def test_report_consistency_is_enforced():
-    with pytest.raises(PreconditionViolated):
-        from setseq.trees import VerifierReport, Violation
-
-        VerifierReport(True, (Violation("ZeroLabel"),))
-
-
 # ---------------------------------------------------------------------------
 # even-degree label sum
 
