@@ -83,6 +83,13 @@ def _load_tree(path: str) -> tuple[Tree, Labeling | None]:
         raise PreconditionViolated(f"{path}: {exc}") from exc
 
 
+def _load_labeled(path: str) -> tuple[Tree, Labeling]:
+    tree, lab = _load_tree(path)
+    if lab is None:
+        raise PreconditionViolated(f"{path} carries no vertex labels")
+    return tree, lab
+
+
 def _parse_targets(n: int, text: str) -> PairingInstance:
     values = []
     for token in text.split(","):
@@ -95,14 +102,10 @@ def _parse_targets(n: int, text: str) -> PairingInstance:
 
 def _run_pair_solve(args: argparse.Namespace) -> int:
     inst = _parse_targets(args.n, args.targets)
-    if args.route == "exact":
-        part, flag = exact_pairing_solver(inst), "exact"
-    else:
-        # "auto" is no key of ROUTE_FLAGS, so it forces no route.
-        part, route = solve_pairing(inst, ROUTE_FLAGS.get(args.route))
-        flag = _TAG_TO_FLAG[route.tag]
+    # "auto" is no key of ROUTE_FLAGS, so it forces no route.
+    part, route = solve_pairing(inst, ROUTE_FLAGS.get(args.route))
     sys.stdout.write(format_partition(part))
-    print(f"route={flag}")
+    print(f"route={_TAG_TO_FLAG[route.tag]}")
     return 0
 
 
@@ -146,9 +149,7 @@ def _run_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    tree, lab = _load_tree(args.path)
-    if lab is None:
-        raise PreconditionViolated(f"{args.path} carries no vertex labels")
+    tree, lab = _load_labeled(args.path)
     report = verify_set_sequential(tree, lab)
     if report.valid:
         print("valid")
@@ -159,9 +160,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_construct_pendants(args: argparse.Namespace) -> int:
-    tree, lab = _load_tree(args.base)
-    if lab is None:
-        raise PreconditionViolated(f"{args.base} carries no vertex labels")
+    tree, lab = _load_labeled(args.base)
     try:
         plan = PendantPlan.parse(args.plan)
     except ValueError as exc:
@@ -172,9 +171,7 @@ def _run_construct_pendants(args: argparse.Namespace) -> int:
 
 
 def _run_construct_four_copies(args: argparse.Namespace) -> int:
-    tree, lab = _load_tree(args.base)
-    if lab is None:
-        raise PreconditionViolated(f"{args.base} carries no vertex labels")
+    tree, lab = _load_labeled(args.base)
     out_tree, out_lab = four_copies(tree, lab, args.u, args.v)
     sys.stdout.write(tree_to_json(out_tree, out_lab))
     return 0
@@ -246,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--targets", required=True, help="comma-separated n-bit strings")
     pair.add_argument(
         "--route", choices=["auto", *ROUTE_FLAGS], default="auto",
-        help="force one route: exact runs the plain exact solver; any other fails"
-        " with CaseNotApplicable when its hypothesis does not hold"
+        help="force one route; it fails with CaseNotApplicable when its hypothesis"
+        " does not hold, as exact does at n > 6"
         " (default: auto, the first route whose hypothesis holds)",
     )
 

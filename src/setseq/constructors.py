@@ -386,18 +386,6 @@ def _smaller_level(
     return sub, center
 
 
-def _rebuild_level(
-    sub: _Labeled, center: list[int], removals: list[int]
-) -> tuple[_Labeled, list[int]]:
-    """Hang the removed pendants back onto their center path vertices.
-
-    Returns the bigger labeled tree and its center path ids, which survive
-    the doubling.
-    """
-    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
-    return _hang_pendants(sub, anchors), center
-
-
 def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
         return _load_base_caterpillar(degrees)
@@ -412,7 +400,9 @@ def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
         raise InternalSearchFailed(
             f"center-path span dimension {span} exceeds the cap {SPAN_DIM_CAP}"
         )
-    return _rebuild_level(sub, center, removals)
+    # Hang the removed pendants back on; the center path ids survive.
+    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
+    return _hang_pendants(sub, anchors), center
 
 
 def _validate_odd_power(spec: CaterpillarSpec) -> int:
@@ -471,7 +461,9 @@ def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
         extra = _greedy_shed(degrees, caps, rest)
         removals = [r + e for r, e in zip(removals, extra)]
     sub, center = _smaller_level(degrees, removals, _large_rec)
-    return _rebuild_level(sub, center, removals)
+    # Hang the removed pendants back on; the center path ids survive.
+    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
+    return _hang_pendants(sub, anchors), center
 
 
 def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:

@@ -7,8 +7,10 @@ at bit position n-1-j, so the leftmost character of the printed bitstring
 is the most significant stored bit.  Vector addition is XOR.  Dimensions
 are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
-The helpers here take and return plain ints.  BitVec is the fixed-width
-wrapper for parsing and printing bitstrings and for tree labels.
+The helpers here take and return plain ints; BitVec, the fixed-width
+wrapper, is only for bitstring text and tree labels.  One reduced
+row-echelon pass, _rref, serves every elimination: spans, inverse maps and
+parity systems.
 """
 
 from __future__ import annotations
@@ -116,26 +118,16 @@ class Basis:
             raise PreconditionViolated("vector is outside the span")
         return c
 
-    def combine(self, coeffs: int) -> int:
-        """Inverse of coords: XOR together the rows selected by coeffs."""
-        x = 0
-        k = len(self.rows)
-        for i, r in enumerate(self.rows):
-            if (coeffs >> (k - 1 - i)) & 1:
-                x ^= r
-        return x
 
+def _rref(values: Iterable[int]) -> list[int]:
+    """Reduced row-echelon rows of the span of values, largest leading bit first.
 
-def echelon_basis(values: Iterable[int], dim: int) -> Basis:
-    """Reduced row-echelon basis of the span of the given vectors.
-
-    Each pivot bit appears in exactly one row, so the rows double as the
-    canonical representatives used by coset_decompose.
+    Each row's leading bit is clear in every other row.  A caller that packs
+    a tag below each vector (v << w | tag) gets the tags combined along with
+    the rows, as long as no vector part reduces to zero.
     """
-    _check_dim(dim)
     rows: list[int] = []
     for v in values:
-        _check_value(v, dim)
         for r in rows:
             if v ^ r < v:
                 v ^= r
@@ -147,7 +139,20 @@ def echelon_basis(values: Iterable[int], dim: int) -> Basis:
         while idx < len(rows) and rows[idx] > v:
             idx += 1
         rows.insert(idx, v)
-    return Basis(dim, tuple(rows))
+    return rows
+
+
+def echelon_basis(values: Iterable[int], dim: int) -> Basis:
+    """Reduced row-echelon basis of the span of the given vectors.
+
+    Each pivot bit appears in exactly one row, so the rows double as the
+    canonical representatives used by coset_decompose.
+    """
+    _check_dim(dim)
+    values = list(values)
+    for v in values:
+        _check_value(v, dim)
+    return Basis(dim, tuple(_rref(values)))
 
 
 def _subset_reach_tables(
@@ -231,18 +236,10 @@ def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
         raise PreconditionViolated(
             f"target rank {target} outside {basis.rank}..{basis.dim}"
         )
-    rows = list(basis.rows)
-    pivots = {r.bit_length() - 1 for r in rows}
-    for p in range(basis.dim - 1, -1, -1):
-        if len(rows) == target:
-            break
-        if p in pivots:
-            continue
-        unit = 1 << p
-        idx = 0
-        while idx < len(rows) and rows[idx].bit_length() - 1 > p:
-            idx += 1
-        rows.insert(idx, unit)
+    # Leading bits are all distinct, so value order is leading-bit order.
+    pivots = {r.bit_length() - 1 for r in basis.rows}
+    free = [1 << p for p in range(basis.dim - 1, -1, -1) if p not in pivots]
+    rows = sorted([*basis.rows, *free[: target - basis.rank]], reverse=True)
     return Basis(basis.dim, tuple(rows))
 
 
@@ -291,32 +288,14 @@ class LinearMap:
 
     def inverse(self) -> LinearMap:
         n = self.dim
-        # Echelonize (image, preimage) pairs, then express each unit vector
-        # in terms of the images while accumulating preimages.
-        pairs: list[tuple[int, int]] = []
-        for i in range(n):
-            v, e = self.imgs[i], 1 << (n - 1 - i)
-            for bv, be in pairs:
-                if v ^ bv < v:
-                    v ^= bv
-                    e ^= be
-            if v == 0:
-                raise NotFullRank("map is singular")
-            idx = 0
-            while idx < len(pairs) and pairs[idx][0] > v:
-                idx += 1
-            pairs.insert(idx, (v, e))
-        inv_imgs: list[int] = []
-        for j in range(n):
-            u, acc = 1 << (n - 1 - j), 0
-            for bv, be in pairs:
-                if u ^ bv < u:
-                    u ^= bv
-                    acc ^= be
-            if u:
-                raise NotFullRank("map is singular")
-            inv_imgs.append(acc)
-        return LinearMap(n, tuple(inv_imgs))
+        # Reduce each image with its unit packed below it.  An invertible map
+        # leaves unit_j << n | preimage(unit_j) in row j; a singular one
+        # leaves a last row with nothing above the low n bits.
+        rows = _rref(img << n | 1 << (n - 1 - i) for i, img in enumerate(self.imgs))
+        if rows[-1] >> n != 1:
+            raise NotFullRank("map is singular")
+        low = (1 << n) - 1
+        return LinearMap(n, tuple(r & low for r in rows))
 
 
 def solve_parity_system(
@@ -328,27 +307,16 @@ def solve_parity_system(
     so the answer is deterministic.
     """
     _check_dim(n)
-    pivot_rows: list[tuple[int, int]] = []
-    for v, b in constraints:
+    for v, _ in constraints:
         _check_value(v, n)
-        for pv, pb in pivot_rows:
-            if v ^ pv < v:
-                v ^= pv
-                b ^= pb
-        if v == 0:
-            if b:
-                return None
-            continue
-        idx = 0
-        while idx < len(pivot_rows) and pivot_rows[idx][0] > v:
-            idx += 1
-        pivot_rows.insert(idx, (v, b))
+    # Row (v << 1) | b reduced to 1 reads 0 = 1.  Otherwise every row holds
+    # one pivot of f's support, and its low bit is f's value there.
+    rows = _rref(v << 1 | b for v, b in constraints)
+    if rows and rows[-1] == 1:
+        return None
     f = 0
-    for pv, pb in reversed(pivot_rows):
-        p = pv.bit_length() - 1
-        rest = pv ^ (1 << p)
-        bit = pb ^ (bin(f & rest).count("1") & 1)
-        f |= bit << p
+    for r in rows:
+        f |= (r & 1) << (r.bit_length() - 2)
     for v, b in constraints:
         if bin(f & v).count("1") & 1 != b:
             raise InternalSearchFailed("parity solver produced an invalid solution")

@@ -43,7 +43,6 @@ from .errors import (
 from .gf2 import (
     MAX_DIM,
     Basis,
-    BitVec,
     LinearMap,
     coset_decompose,
     echelon_basis,
@@ -58,8 +57,6 @@ __all__ = [
     "PairPartition",
     "SolverRoute",
     "partition_errors",
-    "format_instance",
-    "parse_instance",
     "format_partition",
     "exact_pairing_solver",
     "solve_pairing",
@@ -161,29 +158,6 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
             if s != v:
                 errs.append(f"pair {i} sums to {s:0{inst.n}b}, target {v:0{inst.n}b}")
     return errs
-
-
-def format_instance(inst: PairingInstance) -> str:
-    line = ",".join(f"{v:0{inst.n}b}" for v in inst.values)
-    return f"n={inst.n}\n{line}\n"
-
-
-def parse_instance(text: str) -> PairingInstance:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError(f"expected 2 nonempty lines, got {len(lines)}")
-    if not lines[0].startswith("n="):
-        raise ValueError("first line must look like n=<int>")
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValueError(f"bad dimension line {lines[0]!r}") from exc
-    parts = [p.strip() for p in lines[1].split(",")]
-    try:
-        values = [BitVec.parse(p, n).bits for p in parts]
-    except PreconditionViolated as exc:
-        raise ValueError(str(exc)) from exc
-    return PairingInstance.of(n, values)
 
 
 def format_partition(part: PairPartition) -> str:
@@ -428,8 +402,9 @@ def _lift_groups(
     """
     shifts = coset_decompose(frame.dim, frame)
     _ensure(len(shifts) == len(groups), "one group per coset of the frame")
-    # span[c] is frame.combine(c): bit i of c selects rows[top - i], so each
-    # entry is an earlier one plus the row of its lowest set bit.
+    # span[c] is the XOR of the rows that c selects, the inverse of
+    # frame.coords: bit i of c selects rows[top - i], so each entry is an
+    # earlier one plus the row of its lowest set bit.
     rows = frame.rows
     top = len(rows) - 1
     span = [0] * (1 << len(rows))
@@ -900,7 +875,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     for unit in (1 << p for p in range(n - 1, -1, -1)):
         if len(rows) == n:
             break
-        if echelon_basis(rows + [unit], n).rank > len(rows):
+        if unit not in echelon_basis(rows, n):
             rows.append(unit)
     M = LinearMap.from_rows(rows, n)
     Minv = M.inverse()

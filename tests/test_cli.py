@@ -96,6 +96,15 @@ def test_pair_solve_inapplicable_forced_route(capsys):
     assert err.startswith("error=CaseNotApplicable:")
 
 
+def test_pair_solve_exact_route_needs_n_at_most_six(capsys):
+    code, out, err = run(
+        capsys, "pair-solve", "--n", "7", "--targets", ",".join(["0000001"] * 64),
+        "--route", "exact",
+    )
+    assert code == 1 and out == ""
+    assert err == "error=CaseNotApplicable: exact search needs n <= 6, got n=7\n"
+
+
 def test_pair_solve_route_output_verifies(capsys):
     code, out, _ = run(
         capsys, "pair-solve", "--n", "4",
@@ -137,6 +146,25 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    package = Path(pairing.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in {*sys.stdlib_module_names, "setseq"}
+            ]
     assert found == []
 
 

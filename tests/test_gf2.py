@@ -161,7 +161,9 @@ def test_coords_and_combine_roundtrip():
     b = echelon_basis([0b1100, 0b0110, 0b0001], 4)
     for x in range(16):
         if x in b:
-            assert b.combine(b.coords(x)) == x
+            c = b.coords(x)
+            top = b.rank - 1
+            assert xor_all(r for i, r in enumerate(b.rows) if c >> (top - i) & 1) == x
     with pytest.raises(PreconditionViolated):
         b.coords(0b0010)
 
@@ -293,8 +295,12 @@ def test_extend_basis_reaches_requested_rank():
     full = extend_basis(b)
     assert full.rank == 4
     assert all(r in full for r in b.rows)
+    # The basis rows plus the free units, most significant first, in
+    # descending order.
+    assert full.rows == (0b1000, 0b0110, 0b0010, 0b0001)
     seven = extend_basis(b, 2)
     assert seven.rank == 2
+    assert seven.rows == (0b1000, 0b0110)
     with pytest.raises(PreconditionViolated):
         extend_basis(b, 0)
 
@@ -364,6 +370,9 @@ def test_solve_parity_system_matches_enumeration(n, seed):
     got = solve_parity_system(constraints, n)
     if solutions:
         assert got in solutions
+        # The one solution that is 0 off the pivots of the constraint span.
+        leads = {r.bit_length() - 1 for r in echelon_basis([v for v, _ in constraints], n).rows}
+        assert all(got >> p & 1 == 0 for p in range(n) if p not in leads)
     else:
         assert got is None
 

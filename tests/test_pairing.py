@@ -30,9 +30,7 @@ from setseq.pairing import (
     PairPartition,
     SolverRoute,
     exact_pairing_solver,
-    format_instance,
     format_partition,
-    parse_instance,
     partition_errors,
     solve_pairing,
 )
@@ -195,21 +193,6 @@ def test_partition_checker_messages():
         "pair 2 sums to 001, target 100",
         "pair 3 sums to 001, target 111",
     ]
-
-
-def test_instance_text_roundtrip():
-    inst = build(4, [1, 2, 3, 1, 2, 3, 5, 5])
-    again = parse_instance(format_instance(inst))
-    assert again == inst
-
-
-def test_parse_instance_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_instance("4\n0001,0010\n")
-    with pytest.raises(ValueError):
-        parse_instance("n=4\n0001;0010\n")
-    with pytest.raises(ValueError):
-        parse_instance("n=two\n01,01\n")
 
 
 def test_format_partition_lines():

@@ -1,9 +1,9 @@
 """Fuzz the text parsers: each returns a value or raises a named error.
 
-Every parser that reads user text (instance files, pendant plans,
-caterpillar specs, bitstrings and tree documents) must answer arbitrary
-input with a value, a ValueError or a SetseqError, never with a TypeError,
-a RecursionError or another bare exception.
+Every parser that reads user text (pendant plans, caterpillar specs,
+bitstrings and tree documents) must answer arbitrary input with a value, a
+ValueError or a SetseqError, never with a TypeError, a RecursionError or
+another bare exception.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from setseq.constructors import PendantPlan
 from setseq.errors import SetseqError
 from setseq.gf2 import BitVec
-from setseq.pairing import parse_instance
 from setseq.trees import CaterpillarSpec, tree_from_json
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -51,19 +50,6 @@ def settles(parse, *args) -> None:
         parse(*args)
     except (ValueError, SetseqError):
         pass
-
-
-@FUZZ
-@given(
-    st.text(alphabet="n=0123456789,\n -x", max_size=60)
-    | st.builds(
-        lambda n, bits: f"n={n}\n" + ",".join(bits) + "\n",
-        small_ints,
-        st.lists(bitstrings, min_size=1, max_size=9),
-    )
-)
-def test_parse_instance_settles(text):
-    settles(parse_instance, text)
 
 
 @FUZZ
