@@ -522,8 +522,8 @@ def solve_w_prefixes(k: int) -> list[int]:
     the determinism tests pins this to the backtracking search it replaced,
     for every odd k up to 1,999.
     """
-    if k < 5 or k % 2 == 0:
-        raise PreconditionViolated(f"k must be odd and >= 5, got {k}")
+    if type(k) is not int or k < 5 or k % 2 == 0:
+        raise PreconditionViolated(f"k must be an odd int >= 5, got {k!r}")
     r = (k - 5) // 4
     if k % 4 == 1:
         b2 = "2131" * (r + 1) + "2"
@@ -547,8 +547,8 @@ def build_w_sequence(z: Sequence[int], n: int) -> list[int]:
     k = len(z)
     if k < 5 or k % 2 == 0:
         raise PreconditionViolated(f"need an odd number of path labels >= 5, got {k}")
-    if n < 1 or any(x < 0 or x >> n for x in z):
-        raise PreconditionViolated(f"path labels must be {n}-bit ints")
+    if type(n) is not int or n < 1 or any(type(x) is not int or x < 0 or x >> n for x in z):
+        raise PreconditionViolated(f"path labels must be {n!r}-bit ints")
     if 0 in z:
         raise InvalidPath("zero label on the path")
     for a in range(0, k - 2, 2):

@@ -9,8 +9,10 @@ are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
 The helpers here take and return plain ints; BitVec, the fixed-width
 wrapper, is only for bitstring text and tree labels.  One reduced
-row-echelon pass, _rref, serves every elimination: spans, inverse maps and
-parity systems.
+row-echelon pass, _rref, serves every elimination: spans and parity
+systems.  One table, span_table, evaluates every linear map: coset
+representatives, coordinate frames and changes of basis are all lookups
+in it, and inverse_table inverts a change of basis.
 """
 
 from __future__ import annotations
@@ -207,6 +209,35 @@ def zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, .
     raise NoSuchSubset(f"no zero-sum subset of any size in {sizes!r}")
 
 
+def span_table(rows: Sequence[int]) -> list[int]:
+    """The XOR of the rows each bit pattern selects, for every pattern.
+
+    Bit i of entry c's index selects rows[len(rows) - 1 - i], the order of
+    Basis.coords, so entry c is the vector whose coordinates are c.  With
+    rows[i] the image of the unit 1 << (len(rows) - 1 - i), entry x is the
+    image of x, so the table evaluates that linear map everywhere.  The
+    table has 2^len(rows) entries, each one XOR away from an earlier one.
+    """
+    table = [0]
+    for r in reversed(rows):
+        table += [x ^ r for x in table]
+    return table
+
+
+def inverse_table(table: Sequence[int]) -> list[int]:
+    """The inverse permutation: out[table[x]] == x.
+
+    Raises NotFullRank when table is not a permutation of its indices, as
+    for the span_table of rows that are not a basis.
+    """
+    if set(table) != set(range(len(table))):
+        raise NotFullRank("map is singular")
+    out = [0] * len(table)
+    for x, y in enumerate(table):
+        out[y] = x
+    return out
+
+
 def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
     """The numerically smallest representative of every coset of the subspace.
 
@@ -217,16 +248,10 @@ def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
     if subspace.dim != n:
         raise PreconditionViolated("subspace dimension does not match n")
     # Echelon rows have distinct leading bits, and those are the pivots of
-    # the reduced basis too.  Bit i of a pattern selects the i-th lowest
-    # free position, so patterns in ascending order give ascending vectors;
-    # each vector is its pattern's lower bits plus one more free bit.
+    # the reduced basis too.  The free units, most significant first, span
+    # the representatives in ascending order.
     pivots = {r.bit_length() - 1 for r in subspace.rows}
-    free = [p for p in range(n) if p not in pivots]
-    reps = [0] * (1 << len(free))
-    for pattern in range(1, len(reps)):
-        low = pattern & -pattern
-        reps[pattern] = reps[pattern ^ low] | 1 << free[low.bit_length() - 1]
-    return tuple(reps)
+    return tuple(span_table([1 << p for p in range(n - 1, -1, -1) if p not in pivots]))
 
 
 def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
@@ -241,61 +266,6 @@ def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
     free = [1 << p for p in range(basis.dim - 1, -1, -1) if p not in pivots]
     rows = sorted([*basis.rows, *free[: target - basis.rank]], reverse=True)
     return Basis(basis.dim, tuple(rows))
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map on F_2^n given by the images of the unit vectors.
-
-    imgs[i] is the image of the unit whose set bit is at position n-1-i,
-    so imgs[0] belongs to the printed leftmost coordinate.
-    """
-
-    dim: int
-    imgs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if len(self.imgs) != self.dim:
-            raise PreconditionViolated("need one image per unit vector")
-        for v in self.imgs:
-            _check_value(v, self.dim)
-
-    def apply(self, x: int) -> int:
-        y = 0
-        n = self.dim
-        for i in range(n):
-            if (x >> (n - 1 - i)) & 1:
-                y ^= self.imgs[i]
-        return y
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], dim: int) -> LinearMap:
-        """Map x to the vector of functional values (parity of rows[i] & x).
-
-        Output bit i (from the left) is the value of the i-th functional.
-        """
-        if len(rows) != dim:
-            raise PreconditionViolated("need exactly dim functional rows")
-        imgs: list[int] = []
-        for j in range(dim):
-            img = 0
-            for i, r in enumerate(rows):
-                if (r >> (dim - 1 - j)) & 1:
-                    img |= 1 << (dim - 1 - i)
-            imgs.append(img)
-        return cls(dim, tuple(imgs))
-
-    def inverse(self) -> LinearMap:
-        n = self.dim
-        # Reduce each image with its unit packed below it.  An invertible map
-        # leaves unit_j << n | preimage(unit_j) in row j; a singular one
-        # leaves a last row with nothing above the low n bits.
-        rows = _rref(img << n | 1 << (n - 1 - i) for i, img in enumerate(self.imgs))
-        if rows[-1] >> n != 1:
-            raise NotFullRank("map is singular")
-        low = (1 << n) - 1
-        return LinearMap(n, tuple(r & low for r in rows))
 
 
 def solve_parity_system(

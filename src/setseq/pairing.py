@@ -43,11 +43,12 @@ from .errors import (
 from .gf2 import (
     MAX_DIM,
     Basis,
-    LinearMap,
     coset_decompose,
     echelon_basis,
     extend_basis,
+    inverse_table,
     solve_parity_system,
+    span_table,
     zero_sum_subset,
 )
 
@@ -120,7 +121,7 @@ class SolverRoute:
 
     def __post_init__(self) -> None:
         if self.tag not in ROUTE_TAGS:
-            raise ValueError(f"unknown route tag {self.tag!r}")
+            raise PreconditionViolated(f"unknown route tag {self.tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +135,32 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     per-index pair sums), with no reference to how the pairs were found.
     A valid partition passes one set-based coverage test and one list
     comparison of the pair sums; only a failing one is walked entry by entry.
+    A pair that is not two ints gets one message of its own.
     """
-    errs: list[str] = []
     if part.n != inst.n:
-        errs.append(f"dimension mismatch: partition n={part.n}, instance n={inst.n}")
-        return errs
+        return [f"dimension mismatch: partition n={part.n}, instance n={inst.n}"]
     if len(part.pairs) != len(inst.values):
-        errs.append(f"expected {len(inst.values)} pairs, got {len(part.pairs)}")
-        return errs
+        return [f"expected {len(inst.values)} pairs, got {len(part.pairs)}"]
+    errs: list[str] = []
     size = 1 << inst.n
-    flat = list(chain.from_iterable(part.pairs))
-    if not (len(flat) == len(set(flat)) == size and min(flat) >= 0 and max(flat) < size):
-        counts = Counter(flat)
-        for x in range(size):
-            c = counts.pop(x, 0)
-            if c != 1:
-                errs.append(f"vector {x:0{inst.n}b} covered {c} times")
-        for x in sorted(counts):
-            errs.append(f"out-of-range entry {x}")
-    sums = [p ^ q for p, q in part.pairs]
+    try:
+        flat = list(chain.from_iterable(part.pairs))
+        if not (len(flat) == len(set(flat)) == size and min(flat) >= 0 and max(flat) < size):
+            counts = Counter(flat)
+            for x in range(size):
+                c = counts.pop(x, 0)
+                if c != 1:
+                    errs.append(f"vector {x:0{inst.n}b} covered {c} times")
+            for x in sorted(counts):
+                errs.append(f"out-of-range entry {x}")
+        sums = [p ^ q for p, q in part.pairs]
+    except (TypeError, ValueError):
+        # Only a pair that is not two ints breaks the int arithmetic.
+        return [
+            f"pair {i} is not two ints: {pair!r}"
+            for i, pair in enumerate(part.pairs)
+            if type(pair) not in (tuple, list) or [type(x) for x in pair] != [int, int]
+        ]
     if sums != list(inst.values):
         for i, (s, v) in enumerate(zip(sums, inst.values)):
             if s != v:
@@ -299,10 +307,9 @@ def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
     return [next(heads[v]) for v in values]
 
 
-def _through(lm: LinearMap, queues: _Queues) -> _Queues:
-    """The queues with both vectors of every pair mapped through lm."""
-    apply = lm.apply
-    return {v: [(apply(p), apply(q)) for p, q in qs] for v, qs in queues.items()}
+def _through(table: list[int], queues: _Queues) -> _Queues:
+    """The queues with both vectors of every pair looked up in a span_table."""
+    return {v: [(table[p], table[q]) for p, q in qs] for v, qs in queues.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +409,9 @@ def _lift_groups(
     """
     shifts = coset_decompose(frame.dim, frame)
     _ensure(len(shifts) == len(groups), "one group per coset of the frame")
-    # span[c] is the XOR of the rows that c selects, the inverse of
-    # frame.coords: bit i of c selects rows[top - i], so each entry is an
-    # earlier one plus the row of its lowest set bit.
-    rows = frame.rows
-    top = len(rows) - 1
-    span = [0] * (1 << len(rows))
-    for c in range(1, len(span)):
-        span[c] = span[c & (c - 1)] ^ rows[top - ((c & -c).bit_length() - 1)]
+    # span[c] is the vector whose frame coordinates are c, the inverse of
+    # frame.coords.
+    span = span_table(frame.rows)
     coords = {v: frame.coords(v) for v in set().union(*groups)}
     solved: dict[tuple[tuple[int, int], ...], tuple[_Queues, list[str]]] = {}
     out: _Queues = {}
@@ -507,28 +509,27 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
         trace.append(f"even-lift n={n} degenerate, exact fallback")
         return _exact(n, hist)
     ext = extend_basis(echelon_basis([u], n), n)
-    Minv = LinearMap(n, (u, *(r for r in ext.rows if r != u)))
-    M = Minv.inverse()
+    back = span_table((u, *(r for r in ext.rows if r != u)))
+    fwd = inverse_table(back)
     e1 = 1 << (n - 1)
     low = e1 - 1
-    correction = M.apply(pair_sum ^ u) & low
+    correction = fwd[pair_sum ^ u] & low
     _ensure(correction != 0, "even lift correction vanished")
     # u has multiplicity 2, so its one slot is the anchor and every other
     # slot has its own downstairs target.
     rest = [v for v in sorted(hist) if v != u for _ in range(hist[v] // 2)]
-    img = {v: M.apply(v) for v in hist}
-    down = [correction] + [img[v] & low for v in rest]
+    down = [correction] + [fwd[v] & low for v in rest]
     _ensure(all(down), "even lift sent a slot to zero")
     trace.append(f"even-lift n={n} slots={len(rest) + 1}")
     (p0, q0), *solved = _restore(down, _exact(n - 1, Counter(down)))
     out: _Queues = {u: [(p0, p0 ^ e1), (q0, q0 ^ e1)]}
     for v, (p, q) in zip(rest, solved):
-        if img[v] & e1:
+        if fwd[v] & e1:
             pairs = [(p, q ^ e1), (q, p ^ e1)]
         else:
             pairs = [(p, q), (p ^ e1, q ^ e1)]
         out.setdefault(v, []).extend(pairs)
-    return _through(Minv, out)
+    return _through(back, out)
 
 
 # ---------------------------------------------------------------------------
@@ -633,17 +634,18 @@ def _greedy_fill(pool: dict[int, int], fills: list[int]) -> list[Counter]:
 
 
 def _two_coset_recurse(
-    n: int, side1: Counter, side2: Counter, pool: dict[int, int], trace: list[str]
+    n: int, hist: Counter, side1: Counter, side2: Counter, trace: list[str]
 ) -> _Queues:
-    """Fill both sides to 2^(n-2) targets from the even pool and solve them.
+    """Fill both sides to 2^(n-2) targets from the rest of hist and solve them.
 
-    Side one is solved inside a hyperplane containing the span, side two on
-    its other coset.
+    The sides hold each odd copy and each pinned value whole, so the rest,
+    hist - side1 - side2, is an even pool.  Side one is solved inside a
+    hyperplane containing the span, side two on its other coset.
     """
     quarter = 1 << (n - 2)
-    fills = [quarter - sum(side1.values()), quarter - sum(side2.values())]
+    fills = [quarter - side1.total(), quarter - side2.total()]
     _ensure(min(fills) >= 0, "fixed values overfilled a side")
-    parts = _greedy_fill(pool, fills)
+    parts = _greedy_fill(hist - side1 - side2, fills)
     groups = [side1 + parts[0], side2 + parts[1]]
     span = echelon_basis([*groups[0], *groups[1]], n)
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
@@ -668,7 +670,7 @@ def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
     side1 = Counter({u1: hist[u1]})
     side2 = Counter({u2: hist[u2]})
     trace.append(f"even-two-split n={n} l={len(hist)} seeds=({u1},{u2})")
-    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (u1, u2)), trace)
+    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -685,8 +687,8 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     us = sorted(hist)
     u1 = max(us, key=lambda u: (hist[u], -u))
     frame = [u1] + [u for u in us if u != u1]
-    Minv = LinearMap(n, tuple(frame))
-    M = Minv.inverse()
+    # The frame is a basis: frame[i] maps to the unit at bit n - 1 - i.
+    unit = {u: 1 << (n - 1 - i) for i, u in enumerate(frame)}
     e1 = 1 << (n - 1)
 
     rest = [v for v in us if v != u1 for _ in range(hist[v] // 2)]
@@ -695,7 +697,7 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     _ensure(len(fix_values) <= tops, "top value too rare for the rebalancing")
     top_values = fix_values + [frame[1]] * (tops - len(fix_values))
 
-    down = [M.apply(v) for v in rest + top_values]
+    down = [unit[v] for v in rest + top_values]
     _ensure(all(0 < v < e1 for v in down), "exactly-n reduction left the bottom hyperplane")
     trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
     solved = _restore(down, _solve_few(n - 1, Counter(down), trace))
@@ -704,7 +706,7 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     for v, (p, q) in zip(rest, solved):
         out.setdefault(v, []).extend([(p, q), (p ^ e1, q ^ e1)])
     out[u1] = [pq for p, q in solved[len(rest) :] for pq in ((p, p ^ e1), (q, q ^ e1))]
-    return _through(Minv, out)
+    return _through(span_table(frame), out)
 
 
 def _case_few_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
@@ -715,7 +717,7 @@ def _case_few_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _
     """
     side1 = Counter({u: 1 for u in odds})
     trace.append(f"odd-singles-split n={n} l={len(hist)} m={len(odds)}")
-    return _two_coset_recurse(n, side1, Counter(), _even_pool(hist), trace)
+    return _two_coset_recurse(n, hist, side1, Counter(), trace)
 
 
 def _case_full_small_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
@@ -734,8 +736,7 @@ def _case_full_small_odd(n: int, hist: Counter, odds: list[int], trace: list[str
     side1[pinned1] = hist[pinned1]
     side2 = Counter({pinned2: hist[pinned2]})
     trace.append(f"pinned-split n={n} m={len(odds)} pin1={pinned1} pin2={pinned2}")
-    pool = _even_pool(hist, (pinned1, pinned2))
-    return _two_coset_recurse(n, side1, side2, pool, trace)
+    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 def _case_subset_split(
@@ -775,7 +776,7 @@ def _case_subset_split(
     side1[x1] += leftover(x1)
     side2[x2] += leftover(x2)
     trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
-    return _two_coset_recurse(n, side1, side2, _even_pool(hist, (x1, x2)), trace)
+    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 def _coset_group_splits(
@@ -877,15 +878,19 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
             break
         if unit not in echelon_basis(rows, n):
             rows.append(unit)
-    M = LinearMap.from_rows(rows, n)
-    Minv = M.inverse()
-    img = {u: M.apply(u) for u in distinct}
+    # x maps to its functional values: bit n - 1 - i of its image is
+    # parity(rows[i] & x).  The unit at bit n - 1 - j maps to column j of rows.
+    cols = [
+        sum(1 << (n - 1 - i) for i, r in enumerate(rows) if r >> (n - 1 - j) & 1)
+        for j in range(n)
+    ]
+    fwd = span_table(cols)
 
     def top2(x: int) -> int:
         return x >> (n - 2)
 
-    _ensure(top2(img[a]) == 1 and top2(img[b]) == 1, "separated pair off its quarter")
-    _ensure(all(top2(img[u]) == 0 for u in distinct if u not in (a, b)), "value left the half")
+    _ensure(top2(fwd[a]) == 1 and top2(fwd[b]) == 1, "separated pair off its quarter")
+    _ensure(all(top2(fwd[u]) == 0 for u in distinct if u not in (a, b)), "value left the half")
 
     v1_tail = sorted(alloc[0].elements())
     v2_tail = sorted(alloc[1].elements())
@@ -899,9 +904,9 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     maskh = (1 << (n - 1)) - 1
     order1 = [head1] + group1 + v1_tail
     order2 = [head2] + group2 + v2_tail
-    sub1 = [M.apply(v) & maskq for v in order1]
-    sub2 = [M.apply(v) & maskq for v in order2]
-    sub3 = [M.apply(v) & maskh for v in v3_vals]
+    sub1 = [fwd[v] & maskq for v in order1]
+    sub2 = [fwd[v] & maskq for v in order2]
+    sub3 = [fwd[v] & maskh for v in v3_vals]
     _ensure(all(sub1) and all(sub2) and all(sub3), "three-coset reduction produced a zero target")
     # The stitching below reads each sub-solution by position.
     p1, p2, p3 = (
@@ -915,7 +920,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     lifted2 = [(p ^ t2, q ^ t2) for p, q in p2]
     P11, Q11 = lifted1[0]
     P21, Q21 = lifted2[0]
-    t = P11 ^ P21 ^ img[a]
+    t = P11 ^ P21 ^ fwd[a]
     _ensure(top2(t) == 0, "stitching translation left the half")
 
     triples: list[tuple[int, int, int]] = [
@@ -928,7 +933,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
         triples.append((p ^ t, q ^ t, v))
     for (p, q), v in zip(p3, v3_vals):
         triples.append((p, q, v))
-    return _through(Minv, _queues(triples))
+    return _through(inverse_table(fwd), _queues(triples))
 
 
 def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:

@@ -12,8 +12,7 @@ still the one returned, and Infeasible still means that none exists.
 
 Restart r draws from random.Random(seed + r) (Python's Mersenne Twister, so
 fixtures are reproducible across platforms).  Restarts run in increasing
-order and the first success wins; a parallel runner fanning restarts out to
-workers stays reproducible as long as it keeps that winner rule.
+order and the first success wins.
 """
 
 from __future__ import annotations

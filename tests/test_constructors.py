@@ -439,7 +439,7 @@ def test_prefix_map_is_doubly_bijective():
 
 
 def test_prefix_solver_rejects_even_or_small_k():
-    for k in (3, 4, 6):
+    for k in (3, 4, 6, 5.0, "5", True):
         with pytest.raises(PreconditionViolated):
             solve_w_prefixes(k)
 
@@ -502,6 +502,11 @@ def test_w_sequence_rejects_broken_chains():
         build_w_sequence(z[:-1], 5)
     with pytest.raises(PreconditionViolated):
         build_w_sequence(z, max(z).bit_length() - 1)
+    with pytest.raises(PreconditionViolated):
+        build_w_sequence(["1"] * 5, 3)
+    with pytest.raises(PreconditionViolated):
+        build_w_sequence([1, 2, 3, 1, 2], 2.0)
+    assert len(build_w_sequence([1, 2, 3, 1, 2], 2)) == 23
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,11 +18,12 @@ from setseq.errors import NoSuchSubset, NotFullRank, PreconditionViolated
 from setseq.gf2 import (
     Basis,
     BitVec,
-    LinearMap,
     coset_decompose,
     echelon_basis,
     extend_basis,
+    inverse_table,
     solve_parity_system,
+    span_table,
     zero_sum_subset,
 )
 
@@ -56,13 +57,6 @@ def xor_all(values):
     for v in values:
         total ^= v
     return total
-
-
-def random_full_rank_basis(n, rng):
-    while True:
-        vals = [rng.randrange(1, 1 << n) for _ in range(2 * n)]
-        if rank_oracle(vals, n) == n:
-            return extend_basis(echelon_basis(vals, n))
 
 
 # ---------------------------------------------------------------------------
@@ -317,38 +311,51 @@ def test_extend_basis_preserves_original_span(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# LinearMap
+# span_table and inverse_table
 
 
 def parity(x):
     return bin(x).count("1") & 1
 
 
-def test_from_rows_matches_functional_definition():
-    rows = [0b110, 0b011, 0b101]
-    m = LinearMap.from_rows(rows, 3)
-    for x in range(8):
-        expect = 0
-        for i, r in enumerate(rows):
-            expect |= parity(r & x) << (2 - i)
-        assert m.apply(x) == expect
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_span_table_matches_subset_xor(n, seed):
+    rng = random.Random(seed)
+    rows = [rng.randrange(1 << n) for _ in range(rng.randrange(0, n + 1))]
+    table = span_table(rows)
+    assert len(table) == 1 << len(rows)
+    for c, x in enumerate(table):
+        # Bit i of c picks rows[-1 - i], the last row at the lowest bit.
+        assert x == xor_all(r for i, r in enumerate(reversed(rows)) if c >> i & 1)
+
+
+def test_span_table_tiny_cases():
+    assert span_table([]) == [0]
+    assert span_table([0b110, 0b011]) == [0b000, 0b011, 0b110, 0b101]
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_inverse_table_roundtrip(n, seed):
+    rng = random.Random(seed)
+    # Random rows, not an echelon basis: a reduced full-rank basis is the identity.
+    rows = [rng.randrange(1, 1 << n) for _ in range(n)]
+    while rank_oracle(rows, n) < n:
+        rows = [rng.randrange(1, 1 << n) for _ in range(n)]
+    table = span_table(rows)
+    inv = inverse_table(table)
+    assert sorted(table) == list(range(1 << n))
+    for x in range(1 << n):
+        assert inv[table[x]] == x
+        assert table[inv[x]] == x
 
 
 def test_inverse_requires_full_rank():
+    # Row 3 is the XOR of rows 1 and 2.
     with pytest.raises(NotFullRank):
-        LinearMap(3, (0b110, 0b011, 0b101)).inverse()
-
-
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_linear_map_inverse_roundtrip(n, seed):
-    rng = random.Random(seed)
-    basis = random_full_rank_basis(n, rng)
-    m = LinearMap(n, basis.rows)
-    inv = m.inverse()
-    for _ in range(20):
-        x = rng.randrange(1 << n)
-        assert inv.apply(m.apply(x)) == x
-        assert m.apply(inv.apply(x)) == x
+        inverse_table(span_table([0b110, 0b011, 0b101]))
+    with pytest.raises(NotFullRank):
+        inverse_table([0, 1, 2, 4])
 
 
 # ---------------------------------------------------------------------------

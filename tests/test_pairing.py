@@ -193,6 +193,10 @@ def test_partition_checker_messages():
         "pair 2 sums to 001, target 100",
         "pair 3 sums to 001, target 111",
     ]
+    # A pair that is not two ints is named, not raised on.
+    for bad in (("2", 3), (2.0, 3), (2, 3, 4)):
+        malformed = PairPartition(3, ((0, 1), bad, (4, 0), (5, 2)))
+        assert partition_errors(inst, malformed) == [f"pair 1 is not two ints: {bad!r}"]
 
 
 def test_format_partition_lines():
@@ -947,7 +951,7 @@ def test_unknown_route_is_a_precondition_violation():
 
 
 def test_route_tag_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         SolverRoute("Nonsense")
 
 
