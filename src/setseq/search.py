@@ -10,9 +10,12 @@ whose every label lies in the span of the earlier ones or is the next unit
 vector.  The lexicographically first labeling is of that kind, so it is
 still the one returned, and Infeasible still means that none exists.
 
-Restart r draws from random.Random(seed + r) (Python's Mersenne Twister, so
-fixtures are reproducible across platforms).  Restarts run in increasing
-order and the first success wins.
+Restart r reseeds one Mersenne Twister (random.Random) with seed + r, so
+its state is that of random.Random(seed + r), and shuffles the vertex order
+and then the candidate labels with random.shuffle's own Fisher-Yates steps,
+drawn through getrandbits.  The fixtures then depend only on getrandbits,
+which is the same on every platform.  Restarts run in increasing order and
+the first success wins.
 """
 
 from __future__ import annotations
@@ -105,16 +108,40 @@ def _emit(progress: TextIO | None, **fields: int) -> None:
         progress.write(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
 
 
+def _fisher_yates_steps(length: int) -> tuple[tuple[int, int], ...]:
+    """The (i, bits) steps of random.shuffle on a list of this length.
+
+    Step i swaps x[i] with x[j], j drawn as getrandbits(bits) and redrawn
+    while above i: the rejection sampling of Random._randbelow(i + 1).
+    """
+    return tuple((i, (i + 1).bit_length()) for i in reversed(range(1, length)))
+
+
+def _shuffle(x: list[int], steps: tuple[tuple[int, int], ...], getrandbits) -> None:
+    """Permute x as random.shuffle(x) does, with no _randbelow call per step."""
+    for i, bits in steps:
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def _greedy_restarts(
     t: Tree, cfg: SearchConfig, n: int, progress: TextIO | None
 ) -> dict[int, int]:
+    count = t.vertex_count
     adj = t.adjacency()
     deg = t.degrees()
     # High-degree vertices carry the most edge constraints; placing them
     # first keeps the cheap freshness test selective.
-    base_order = sorted(range(t.vertex_count), key=lambda v: (-deg[v], v))
+    base_order = sorted(range(count), key=lambda v: (-deg[v], v))
     deadline = time.monotonic() + cfg.budget_seconds
     size = 1 << n
+    order_steps = _fisher_yates_steps(count)
+    nonzero = list(range(1, size))
+    candidate_steps = _fisher_yates_steps(size - 1)
+    rng = random.Random()
+    getrandbits = rng.getrandbits
     best_depth = 0
     # Restarts run as of the last progress line: a closing line that would
     # repeat it is left out.
@@ -126,29 +153,48 @@ def _greedy_restarts(
             raise BudgetExhausted(
                 f"no labeling within {cfg.budget_seconds:g}s ({restart} restarts)"
             )
-        rng = random.Random(cfg.seed + restart)
+        # The same state as random.Random(seed + restart), and the same
+        # draws as its shuffle of the order and then of the candidates.
+        rng.seed(cfg.seed + restart)
         order = base_order[:]
-        rng.shuffle(order)
-        candidates = list(range(1, size))
-        rng.shuffle(candidates)
+        _shuffle(order, order_steps, getrandbits)
+        candidates = nonzero[:]
+        _shuffle(candidates, candidate_steps, getrandbits)
         labels: dict[int, int] = {}
+        # The labels of each vertex's labeled neighbors, kept up to date as
+        # vertices are labeled.
+        near_of = [[] for _ in range(count)]
         used = bytearray(size)
         for v in order:
             # First fit: c and its edge to each labeled neighbor must be fresh
             # (two new edges never collide; that would need equal neighbors).
-            # any() over a list beats a generator for so few neighbors.
-            near = [labels[u] for u in adj[v] if u in labels]
-            for c in candidates:
-                if not used[c] and not any([used[c ^ x] for x in near]):
+            near = near_of[v]
+            if len(near) == 1:  # the common case, tested inline
+                x = near[0]
+                for c in candidates:
+                    if not (used[c] or used[c ^ x]):
+                        break
+                else:
                     break
+                used[c] = used[c ^ x] = 1
             else:
-                break
-            used[c] = 1
-            for x in near:
-                used[c ^ x] = 1
+                for c in candidates:
+                    if not used[c]:
+                        for x in near:
+                            if used[c ^ x]:
+                                break
+                        else:
+                            break
+                else:
+                    break
+                used[c] = 1
+                for x in near:
+                    used[c ^ x] = 1
             labels[v] = c
-        if len(labels) == t.vertex_count:
-            _emit(progress, restarts=restart + 1, best_depth=t.vertex_count)
+            for u in adj[v]:
+                near_of[u].append(c)
+        if len(labels) == count:
+            _emit(progress, restarts=restart + 1, best_depth=count)
             return labels
         if len(labels) > best_depth or (restart and restart % 1000 == 0):
             best_depth = max(best_depth, len(labels))

@@ -9,13 +9,13 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import instgen
-from setseq import constructors
-from setseq.cli import _sweep_instances
+from setseq import cli, constructors
+from setseq.cli import _label_auto, _sweep_instances
 from setseq.constructors import (
     BASE_CATERPILLARS,
     PendantPlan,
@@ -53,6 +53,11 @@ DOCUMENTED_SEED = 0
 #: labels, recorded before the coset lift moved to target histograms.
 HIGH_DIAMETER_DIGEST = "dd43cbb715bd945f59ec561d9eb1f3c0263d54c1cd9d890d388a6aee7f4b4d30"
 
+#: sha256 of the concatenated JSON documents of every all-odd caterpillar at
+#: 16 and 32 vertices, in odd_spines order: each small-diameter label, then
+#: the large one where it applies.
+ODD_SPINES_DIGEST = "eccea8ec5bef562613d8692792fd9dacda33ac08992a008bf2f2538c308fece4"
+
 
 def entry_table(tree: Tree, lab: Labeling) -> list[int]:
     """The displayed labeling: vertex entries then edge entries."""
@@ -80,6 +85,21 @@ def odd_caterpillar(count: int, diam: int, rng: random.Random) -> CaterpillarSpe
     spec = CaterpillarSpec(tuple(degrees))
     assert spec.vertex_count == count and spec.diameter == diam
     return spec
+
+
+def odd_spines(count: int):
+    """Every all-odd caterpillar with count vertices, one of each reversal pair.
+
+    A spine of k vertices, each of degree 3 plus twice its share of the
+    (count - 2 - 2k) / 2 spare units, in every composition of those units.
+    """
+    for k in range(1, count // 2):
+        units = (count - 2 - 2 * k) // 2
+        for bars in combinations(range(units + k - 1), k - 1):
+            cuts = (-1, *bars, units + k - 1)
+            degrees = tuple(3 + 2 * (b - a - 1) for a, b in zip(cuts, cuts[1:]))
+            if degrees <= degrees[::-1]:
+                yield CaterpillarSpec(degrees)
 
 
 def far_vertex(tree: Tree, start: int) -> int:
@@ -328,6 +348,39 @@ def test_large_caterpillars():
         tree, lab = label_large_caterpillar(spec)
         assert verify_set_sequential(tree, lab).valid
         assert diameter(tree) == diam
+
+
+def test_every_odd_caterpillar_at_16_and_32_vertices(monkeypatch):
+    # The theorem at its two smallest sizes, exhaustively: every all-odd
+    # caterpillar on 16 or 32 vertices, up to reversal, gets a verified
+    # labeling of the right diameter from the small-diameter pipeline, and
+    # from the large pipeline where |V| >= 2^(diameter - 1).  The
+    # small-diameter labels are those label_auto emits: it routes every one
+    # of these specs there, and the recording wrapper checks that it did.
+    routed: list[CaterpillarSpec] = []
+    small = cli.label_small_diameter
+
+    def recording(spec):
+        routed.append(spec)
+        return small(spec)
+
+    monkeypatch.setattr(cli, "label_small_diameter", recording)
+    digest = hashlib.sha256()
+    count_of = {16: 0, 32: 0}
+    for count in count_of:
+        for spec in odd_spines(count):
+            assert spec.vertex_count == count
+            labeled = [_label_auto(spec)]
+            assert routed.pop() is spec
+            if count >= 1 << (spec.diameter - 1):
+                labeled.append(label_large_caterpillar(spec))
+            for tree, lab in labeled:
+                assert verify_set_sequential(tree, lab).valid, spec
+                assert diameter(tree) == spec.diameter, spec
+                digest.update(tree_to_json(tree, lab).encode())
+            count_of[count] += 1
+    assert count_of == {16: 36, 32: 8256}
+    assert digest.hexdigest() == ODD_SPINES_DIGEST
 
 
 def test_large_caterpillars_reach_the_bounded_value_route(monkeypatch):

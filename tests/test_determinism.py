@@ -40,11 +40,17 @@ group must still replay the entries that group wrote.  The halvings in
 REDUCTION_DIGEST are printed as sorted halves, since a halving now returns
 two histograms; the digest was recorded from the list-based halving with
 each half sorted, so the pinned multisets are the same.
+
+GREEDY_BASE_RESTARTS and GREEDY_CAPPED_PROGRESS were recorded while every
+greedy restart still built a fresh random.Random(seed + restart) and called
+its shuffle.  They pin how many restarts each search runs and what it
+reports, not only the labeling it returns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import random
 from collections import Counter, deque
@@ -53,6 +59,7 @@ import pytest
 
 import instgen
 from setseq.constructors import (
+    BASE_CATERPILLARS,
     PendantPlan,
     add_pendants,
     four_copies,
@@ -61,7 +68,7 @@ from setseq.constructors import (
     load_fixture,
     solve_w_prefixes,
 )
-from setseq.errors import Infeasible
+from setseq.errors import BudgetExhausted, Infeasible
 from setseq.pairing import (
     PairingInstance,
     _exact,
@@ -71,7 +78,7 @@ from setseq.pairing import (
 )
 from setseq.pairing import _split_halves  # the level-6 halving, pinned directly
 from setseq.search import BACKTRACKING, SearchConfig, search_labeling
-from setseq.trees import CaterpillarSpec, Labeling, Tree, tree_to_json
+from setseq.trees import CaterpillarSpec, Labeling, Tree, build_caterpillar, tree_to_json
 
 SMALL_DIAMETER_DIGESTS = {
     (63,): "6caaae02c430642078f968a41253982d68c66c94e80eddd018da97a3d3e03208",
@@ -108,6 +115,20 @@ EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae
 PREFIX_DIGEST = "105dd7d72c82b4195093fd4beaba014cf0117784e6794db4fe72432d0ce2e183"
 
 EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
+
+#: Restarts the greedy search at seed 0 runs to regenerate each bundled
+#: base labeling, in BASE_CATERPILLARS order.
+GREEDY_BASE_RESTARTS = (1, 118, 39, 18, 2, 998, 1692, 53)
+
+#: Pruefer code of a 16-vertex tree that the greedy search at seed 0 does
+#: not label within 1,000 restarts, and the progress text of that search.
+GREEDY_CAPPED_CODE = (11, 7, 15, 4, 9, 9, 10, 14, 14, 2, 5, 15, 0, 14)
+GREEDY_CAPPED_PROGRESS = (
+    "restarts=1 best_depth=12\n"
+    "restarts=2 best_depth=14\n"
+    "restarts=7 best_depth=15\n"
+    "restarts=1000 best_depth=15\n"
+)
 
 #: Raw multisets with nonzero XOR: no partition exists, so _exact walks its
 #: whole search tree and the node count pins the tree, not just one branch.
@@ -377,3 +398,23 @@ def test_exact_search_tree_is_pinned(n, values, nodes):
 
 def test_exhaustive_search_output_is_pinned():
     assert sha256(exhaustive_stream()) == EXHAUSTIVE_DIGEST
+
+
+@pytest.mark.parametrize("degrees, restarts", zip(BASE_CATERPILLARS, GREEDY_BASE_RESTARTS))
+def test_greedy_restart_counts_are_pinned(degrees, restarts):
+    tree = build_caterpillar(CaterpillarSpec(degrees))
+    out = io.StringIO()
+    search_labeling(tree, SearchConfig(seed=0), progress=out)
+    last = out.getvalue().splitlines()[-1]
+    assert last == f"restarts={restarts} best_depth={tree.vertex_count}"
+
+
+def test_greedy_progress_is_pinned():
+    out = io.StringIO()
+    with pytest.raises(BudgetExhausted, match="no labeling within 1000 restarts"):
+        search_labeling(
+            prufer_tree(16, GREEDY_CAPPED_CODE),
+            SearchConfig(seed=0, max_restarts=1000),
+            progress=out,
+        )
+    assert out.getvalue() == GREEDY_CAPPED_PROGRESS

@@ -7,6 +7,7 @@ bookkeeping; determinism is checked by replaying seeds.
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,26 @@ def test_greedy_seeds_explore_differently():
         for s in range(6)
     }
     assert len(outcomes) > 1
+
+
+def test_restart_shuffle_draws_what_random_shuffle_draws():
+    # A restart reseeds one Random and runs random.shuffle's steps through
+    # getrandbits; the permutations, and the stream each leaves behind, must
+    # be those of random.Random(seed).shuffle.  Every seed shuffles one
+    # residue class of lengths mod 8 in turn, so each length from 0 to 128
+    # meets 50 seeds, among them seeds past 2**64 - 1 (seed + restart).
+    rng = random.Random()
+    seeds = [*range(200), *range(2**64 - 1, 2**64 + 199)]
+    for r, seed in enumerate(seeds):
+        reference = random.Random(seed)
+        rng.seed(seed)
+        for length in range(r % 8, 129, 8):
+            want = list(range(length))
+            reference.shuffle(want)
+            got = list(range(length))
+            search._shuffle(got, search._fisher_yates_steps(length), rng.getrandbits)
+            assert got == want, (seed, length)
+        assert rng.getrandbits(32) == reference.getrandbits(32), seed
 
 
 def test_greedy_path_four_exhausts_restarts():
