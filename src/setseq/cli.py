@@ -17,14 +17,20 @@ from operator import xor
 from typing import Sequence
 
 from .constructors import (
-    MAX_SMALL_DIAMETER,
     PendantPlan,
     add_pendants,
     four_copies,
     label_large_caterpillar,
     label_small_diameter,
 )
-from .errors import PreconditionViolated, SetseqError
+from .errors import (
+    NotOddDegree,
+    NotPowerOfTwo,
+    OutOfRange,
+    PreconditionViolated,
+    SetseqError,
+    TooFewVertices,
+)
 from .pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -110,14 +116,15 @@ def _run_pair_solve(args: argparse.Namespace) -> int:
 
 
 def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
-    count = spec.vertex_count
-    power_of_two = count & (count - 1) == 0
-    all_odd = all(d % 2 for d in spec.degrees)
-    if power_of_two and all_odd:
-        if spec.diameter <= MAX_SMALL_DIAMETER:
-            return label_small_diameter(spec)
-        if count >= 1 << (spec.diameter - 1):
-            return label_large_caterpillar(spec)
+    """The small-diameter pipeline, else the large one, else search.
+
+    A pipeline passes the spec on by raising one of its precondition errors.
+    """
+    for pipeline in (label_small_diameter, label_large_caterpillar):
+        try:
+            return pipeline(spec)
+        except (NotOddDegree, NotPowerOfTwo, OutOfRange, TooFewVertices):
+            pass
     tree = build_caterpillar(spec)
     return tree, search_labeling(tree, SearchConfig())
 

@@ -28,7 +28,6 @@ verifies only if every level below it did.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -120,10 +119,7 @@ _SHED_TARGETS = {
 
 
 def fixtures_dir() -> Path:
-    """Directory holding the bundled labelings; SETSEQ_FIXTURES overrides."""
-    override = os.environ.get("SETSEQ_FIXTURES")
-    if override:
-        return Path(override)
+    """Directory holding the bundled labelings."""
     return Path(str(resources.files("setseq").joinpath("fixtures")))
 
 
@@ -140,12 +136,9 @@ def load_fixture(name: str) -> tuple[Tree, Labeling]:
         raise PreconditionViolated(f"fixture {name} is malformed: {exc}") from exc
     if lab is None:
         raise PreconditionViolated(f"fixture {name} carries no labels")
-    report = verify_set_sequential(tree, lab)
-    if not report.valid:
-        raise PreconditionViolated(
-            f"fixture {name} does not verify: "
-            + "; ".join(str(v) for v in report.violations)
-        )
+    verify_set_sequential(tree, lab).require(
+        PreconditionViolated, f"fixture {name} does not verify"
+    )
     return tree, lab
 
 
@@ -170,12 +163,9 @@ def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
     except PreconditionViolated as exc:
         raise InternalSearchFailed(f"{what} produced an invalid tree: {exc}") from exc
     lab = Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)})
-    check = verify_set_sequential(tree, lab)
-    if not check.valid:
-        raise InternalSearchFailed(
-            f"{what} produced an invalid labeling: "
-            + "; ".join(str(v) for v in check.violations)
-        )
+    verify_set_sequential(tree, lab).require(
+        InternalSearchFailed, f"{what} produced an invalid labeling"
+    )
     return tree, lab
 
 
@@ -272,9 +262,7 @@ def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, La
     F_2^n targeted at the anchor labels.  New pendant ids start at
     |V(base)| and follow the plan's anchor order.
     """
-    report = verify_set_sequential(base, lab)
-    if not report.valid:
-        raise PreconditionViolated("base labeling does not verify")
+    verify_set_sequential(base, lab).require(PreconditionViolated, "base labeling does not verify")
     for vid, _ in plan.anchors:
         if vid >= base.vertex_count:
             raise PreconditionViolated(f"anchor {vid} is not a vertex of the base")
@@ -305,12 +293,19 @@ def _pendant_neighbors(edges: list[tuple[int, int]], vertex: int) -> list[int]:
     return sorted(x for x in nbrs if deg[x] == 1)
 
 
-def _greedy_shed(degrees: tuple[int, ...], caps: list[int], amount: int) -> list[int]:
-    """Removal counts per center position, largest degrees drained first."""
+def _shed(degrees: tuple[int, ...], tight: list[int], loose: list[int], amount: int) -> list[int]:
+    """Removal counts per center position, largest degrees drained first.
+
+    Sheds within the tight caps while they suffice, else within the loose
+    ones: the caller's tight caps keep every vertex at degree 3 or more (so
+    the diameter survives), its loose caps let end vertices collapse to
+    path leaves.  Negative caps count as 0.
+    """
+    caps = tight if sum(c for c in tight if c > 0) >= amount else loose
     removals = [0] * len(degrees)
     rest = amount
     for i in sorted(range(len(degrees)), key=lambda i: (-degrees[i], i)):
-        take = min(caps[i], rest)
+        take = min(max(caps[i], 0), rest)
         removals[i] = take
         rest -= take
         if not rest:
@@ -320,28 +315,6 @@ def _greedy_shed(degrees: tuple[int, ...], caps: list[int], amount: int) -> list
             f"cannot shed {amount} pendant edges from {list(degrees)}"
         )
     return removals
-
-
-def _odd_shed(degrees: tuple[int, ...]) -> list[int]:
-    """Even removal counts taking the vertex count to half, degrees kept odd.
-
-    Prefers leaving every center endpoint with its pendants (so the
-    diameter survives); lets endpoints collapse to path leaves only when
-    the interior cannot absorb the deficit.
-    """
-    k = len(degrees)
-    count = sum(degrees) - k + 2
-    half = count // 2
-    keep = [d - 3 for d in degrees]
-    if sum(c for c in keep if c > 0) >= half:
-        caps = [max(c, 0) for c in keep]
-    else:
-        caps = [
-            d - 1 if i in (0, k - 1) or k == 1 else d - 3
-            for i, d in enumerate(degrees)
-        ]
-        caps = [max(c, 0) for c in caps]
-    return _greedy_shed(degrees, caps, half)
 
 
 def _fixture_shed(degrees: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
@@ -393,7 +366,11 @@ def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     if spec.vertex_count == 32 and spec.diameter >= 11:
         removals = _fixture_shed(degrees, _SHED_TARGETS[spec.diameter])
     else:
-        removals = _odd_shed(degrees)
+        # Even removal counts taking the vertex count to half, degrees kept odd.
+        k = len(degrees)
+        tight = [d - 3 for d in degrees]
+        loose = [d - 1 if i in (0, k - 1) else d - 3 for i, d in enumerate(degrees)]
+        removals = _shed(degrees, tight, loose, spec.vertex_count // 2)
     sub, center = _smaller_level(degrees, removals, _small_rec)
     span = echelon_basis([sub[2][v] for v in center], sub[1]).rank
     if span > SPAN_DIM_CAP:
@@ -452,14 +429,9 @@ def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
         raise InternalSearchFailed(
             f"first vertex of {list(degrees)} holds more than half the tree"
         )
-    if rest:
-        keep = [0] + [d - 3 for d in degrees[1:]]
-        if sum(c for c in keep if c > 0) >= rest:
-            caps = [max(c, 0) for c in keep]
-        else:
-            caps = [max(c, 0) for c in keep[:-1]] + [degrees[-1] - 1]
-        extra = _greedy_shed(degrees, caps, rest)
-        removals = [r + e for r, e in zip(removals, extra)]
+    tight = [0] + [d - 3 for d in degrees[1:]]
+    extra = _shed(degrees, tight, tight[:-1] + [degrees[-1] - 1], rest)
+    removals = [r + e for r, e in zip(removals, extra)]
     sub, center = _smaller_level(degrees, removals, _large_rec)
     # Hang the removed pendants back on; the center path ids survive.
     anchors = [v for v, r in zip(center, removals) for _ in range(r)]
@@ -578,9 +550,7 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     deg = base.degrees()
     if deg[u] != 1 or deg[v] != 1:
         raise NotLeaf(f"u and v must have degree 1, got {deg[u]} and {deg[v]}")
-    report = verify_set_sequential(base, lab)
-    if not report.valid:
-        raise PreconditionViolated("base labeling does not verify")
+    verify_set_sequential(base, lab).require(PreconditionViolated, "base labeling does not verify")
     labeled = _quadruple((list(base.edges), lab.n, _int_labels(base, lab)), u, v)
     return _finish(labeled, "four-copies construction")
 

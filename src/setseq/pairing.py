@@ -210,20 +210,18 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
     partition are those of that scan.
     """
     out: list[tuple[int, int, int]] = []
-    total = hist.total()
     full = (1 << (1 << n)) - 1
     nodes = 0
 
     def rec(free: int, vals: list[int], cnts: list[int], masks: list[int]) -> bool:
         nonlocal nodes
-        if len(out) == total:
-            return True
         nodes += 1
         if deadline is not None and nodes & 255 == 1 and time.monotonic() > deadline:
             raise BudgetExhausted(f"no partition found within budget ({nodes} nodes)")
 
         if len(vals) == 1:
-            # One target left: the pairing is forced, walk it in one sweep.
+            # One target left, as every branch ends: the pairing is forced,
+            # walk it in one sweep.
             v = vals[0]
             chain: list[tuple[int, int, int]] = []
             m = free

@@ -94,12 +94,9 @@ def search_labeling(
             )
         raw = _backtracking(t, cfg, n, progress)
     lab = Labeling(n, {v: BitVec(x, n) for v, x in raw.items()})
-    report = verify_set_sequential(t, lab)
-    if not report.valid:
-        raise InternalSearchFailed(
-            "search produced an invalid labeling: "
-            + "; ".join(str(v) for v in report.violations)
-        )
+    verify_set_sequential(t, lab).require(
+        InternalSearchFailed, "search produced an invalid labeling"
+    )
     return lab
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import NonCanonical, OutOfRange, PreconditionViolated
+from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError
 from .gf2 import MAX_DIM, BitVec
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Violation",
     "VerifierReport",
     "build_caterpillar",
-    "caterpillar_from_degrees",
     "diameter",
     "verify_set_sequential",
     "even_degree_label_sum",
@@ -150,10 +149,9 @@ class CaterpillarSpec:
     """Canonical caterpillar T[d_1..d_k]: center path vertex i has degree d_i.
 
     Canonical means either the single-edge case [1] or every entry >= 2.
-    Padded forms with degree-1 entries at the ends are handled as raw degree
-    lists by caterpillar_from_degrees, never through this type.  A spec has
-    at most 2^(MAX_DIM-1) vertices, the most a labeling of width MAX_DIM
-    covers, so an oversized one raises OutOfRange before anything is built.
+    A spec has at most 2^(MAX_DIM-1) vertices, the most a labeling of width
+    MAX_DIM covers, so an oversized one raises OutOfRange before anything is
+    built.
     """
 
     degrees: tuple[int, ...]
@@ -202,9 +200,6 @@ class CaterpillarSpec:
         k = len(self.degrees)
         return 2 if k == 1 else k + 1
 
-    def reversed(self) -> CaterpillarSpec:
-        return CaterpillarSpec(self.degrees[::-1])
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -212,8 +207,9 @@ class Labeling:
 
     Deliberately permissive: duplicate, zero, or missing labels are the
     verifier's job to report, so broken candidates can still be carried
-    around and diagnosed.  Only structural nonsense (wrong widths) is
-    rejected here.
+    around and diagnosed.  Only structural nonsense (a vertex id that is
+    not an int, a label that is not a BitVec, a wrong width) is rejected
+    here.
     """
 
     n: int
@@ -223,6 +219,13 @@ class Labeling:
         if type(self.n) is not int or not 1 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {self.n!r}")
         for v, lab in self.vertex_labels.items():
+            if type(lab) is not BitVec or type(v) is not int:
+                raise PreconditionViolated(
+                    f"vertex id {v!r} is not an int"
+                    if type(v) is not int
+                    else f"label of vertex {v} is a {type(lab).__name__}, not a BitVec;"
+                    " Labeling.of takes int or str labels"
+                )
             if lab.dim != self.n:
                 raise PreconditionViolated(
                     f"label of vertex {v} has width {lab.dim}, expected {self.n}"
@@ -272,6 +275,11 @@ class VerifierReport:
     def valid(self) -> bool:
         return not self.violations
 
+    def require(self, error: type[SetseqError], what: str) -> None:
+        """Raise error("<what>: <violations joined by '; '>") unless valid."""
+        if self.violations:
+            raise error(f"{what}: " + "; ".join(str(v) for v in self.violations))
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -284,40 +292,15 @@ def build_caterpillar(spec: CaterpillarSpec) -> Tree:
     numbered from k upward, grouped by their anchor in path order, so equal
     specs always produce identical trees.
     """
-    return caterpillar_from_degrees(spec.degrees)
-
-
-def caterpillar_from_degrees(degrees: Sequence[int]) -> Tree:
-    """build_caterpillar on a raw degree list, padded forms included.
-
-    Entries of 1 are only meaningful at the ends: a degree-1 path vertex is a
-    pendant leaf of its neighbour promoted to the path, so the padded list
-    describes the same tree.  An interior entry below 2 cannot be realized
-    and raises.
-    """
+    degrees = spec.degrees
     k = len(degrees)
-    if k == 0:
-        raise NonCanonical("degree list is empty")
-    pendant_counts: list[int] = []
-    if k == 1:
-        pendant_counts.append(degrees[0])
-        if degrees[0] < 1:
-            raise NonCanonical(f"star degree must be >= 1, got {degrees[0]}")
-    else:
-        for i, d in enumerate(degrees):
-            want = d - 1 if i in (0, k - 1) else d - 2
-            if want < 0:
-                raise NonCanonical(
-                    f"degree {d} at position {i} is too small for a {k}-vertex center path"
-                )
-            pendant_counts.append(want)
-    edges: list[tuple[int, int]] = [(i, i + 1) for i in range(k - 1)]
-    nxt = k
-    for i, count in enumerate(pendant_counts):
-        for _ in range(count):
-            edges.append((i, nxt))
-            nxt += 1
-    return Tree.of(nxt, edges)
+    edges = [(i, i + 1) for i in range(k - 1)]
+    for i, d in enumerate(degrees):
+        # The path takes one of an end vertex's edges, two of an inner one's;
+        # with one vertex more than edges, the next new id is len(edges) + 1.
+        for _ in range(d - (i > 0) - (i < k - 1)):
+            edges.append((i, len(edges) + 1))
+    return Tree(len(edges) + 1, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Seeded random generators for pairing instances.
+"""Seeded random generators for pairing instances and caterpillars.
 
 Self-contained on purpose: validity bookkeeping (ranks, XOR fixing) is done
 with plain ints here so the generated instances do not depend on the code
-under test.  Each generator returns (n, values) with values a list of ints.
+under test.  Each instance generator returns (n, values) with values a list
+of ints; the caterpillar generator returns a degree tuple.
 """
 
 from __future__ import annotations
@@ -230,3 +231,19 @@ def any_valid_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     values = _fill_zero_sum(rng, pool, 1 << (n - 1))
     rng.shuffle(values)
     return n, values
+
+
+def odd_caterpillar_degrees(rng: random.Random, count: int, diam: int) -> tuple[int, ...]:
+    """Spine degrees of an all-odd caterpillar on count vertices with diameter diam.
+
+    Uniform over all such degree tuples: a spine of k vertices (k = 1 for a
+    star, diam - 1 otherwise), each of degree 3 plus twice its part of a
+    composition of the (count - 2 - 2k) / 2 spare units into k parts, drawn
+    by placing k - 1 bars among units + k - 1 slots.
+    """
+    k = 1 if diam == 2 else diam - 1
+    units = (count - 2 - 2 * k) // 2
+    assert diam >= 2 and count % 2 == 0 and units >= 0
+    bars = sorted(rng.sample(range(units + k - 1), k - 1))
+    cuts = (-1, *bars, units + k - 1)
+    return tuple(3 + 2 * (b - a - 1) for a, b in zip(cuts, cuts[1:]))

@@ -9,7 +9,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from itertools import combinations, combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -381,6 +382,41 @@ def test_every_odd_caterpillar_at_16_and_32_vertices(monkeypatch):
             count_of[count] += 1
     assert count_of == {16: 36, 32: 8256}
     assert digest.hexdigest() == ODD_SPINES_DIGEST
+
+
+def test_uniform_odd_caterpillars_from_64_to_1024_vertices():
+    # The theorem above 32 vertices, sampled: four all-odd caterpillars per
+    # (vertex count, diameter) stratum, each uniform over the spine degree
+    # tuples of its stratum, for every diameter the theorem covers at
+    # 64-1,024 vertices (2-18; the large condition adds none there).  Each
+    # gets a verified labeling of the right diameter from label_auto, and
+    # from the large pipeline where |V| >= 2^(diameter - 1).
+    rng = random.Random(19)
+    for exponent in range(6, 11):
+        count = 1 << exponent
+        for diam in range(2, 19):
+            for _ in range(4):
+                spec = CaterpillarSpec(instgen.odd_caterpillar_degrees(rng, count, diam))
+                assert spec.vertex_count == count and spec.diameter == diam
+                labeled = [_label_auto(spec)]
+                if count >= 1 << (diam - 1):
+                    labeled.append(label_large_caterpillar(spec))
+                for tree, lab in labeled:
+                    assert verify_set_sequential(tree, lab).valid, spec
+                    assert diameter(tree) == diam, spec
+
+
+def test_odd_caterpillar_sampler_is_uniform():
+    # 16 vertices at diameter 5: a 4-vertex spine shares 3 spare units, in
+    # C(6, 3) = 20 ways, so 2,000 draws should hit each about 100 times.
+    rng = random.Random(5)
+    seen = Counter(instgen.odd_caterpillar_degrees(rng, 16, 5) for _ in range(2000))
+    assert set(seen) == {
+        tuple(3 + 2 * c for c in parts)
+        for parts in product(range(4), repeat=4)
+        if sum(parts) == 3
+    }
+    assert all(60 <= c <= 140 for c in seen.values()), seen
 
 
 def test_large_caterpillars_reach_the_bounded_value_route(monkeypatch):

@@ -7,8 +7,11 @@ imports bench/tracing.py and reads its tables.
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
+
+import setseq
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -32,3 +35,31 @@ def test_every_counter_hook_is_owned():
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def test_package_has_no_unused_imports():
+    # A module-level import that its module never reads is dead code, unless
+    # __all__ re-exports it or the traced benchmark wraps it there by name
+    # (cli.partition_errors).
+    hooked = {(owner.__name__, attr) for owner, attr, *_ in tracing.SPANS + tracing.COUNTERS}
+    found = []
+    for path in sorted(Path(setseq.__file__).parent.glob("*.py")):
+        module = "setseq" if path.stem == "__init__" else f"setseq.{path.stem}"
+        body = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        for node in body.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in body.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name not in read and (module, name) not in hooked
+            ]
+    assert found == []

@@ -26,15 +26,16 @@ from hypothesis import strategies as st
 
 import instgen
 import setseq
-from setseq import pairing
-from setseq.cli import _sweep_instances, build_parser, main, parse_duration
+from setseq import cli, pairing
+from setseq.cli import _label_auto, _sweep_instances, build_parser, main, parse_duration
 from setseq.constructors import fixtures_dir
-from setseq.errors import InternalSearchFailed
+from setseq.errors import InternalSearchFailed, SetseqError
 from setseq.trees import (
     CaterpillarSpec,
     Labeling,
     Tree,
     build_caterpillar,
+    diameter,
     tree_from_json,
     tree_to_json,
     verify_set_sequential,
@@ -213,11 +214,67 @@ def test_label_large_method(capsys):
     assert verify_set_sequential(tree, lab).valid
 
 
-def test_label_auto_picks_large_for_flat_wide_trees(capsys):
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """The labeling calls cli makes, in order, each with the error it raised."""
+    calls: list[str] = []
+    for name in ("label_small_diameter", "label_large_caterpillar", "search_labeling"):
+
+        def spy(*args, _real=getattr(cli, name), _name=name):
+            try:
+                out = _real(*args)
+            except SetseqError as exc:
+                calls.append(f"{_name} {type(exc).__name__}")
+                raise
+            calls.append(_name)
+            return out
+
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_label_auto_sends_a_low_diameter_spec_to_small_diameter(capsys, pipeline_calls):
     code, out, _ = run(capsys, "label", "--caterpillar", "T[3,13]")
     assert code == 0
+    assert pipeline_calls == ["label_small_diameter"]
     tree, lab = tree_from_json(out)
     assert verify_set_sequential(tree, lab).valid
+
+
+def test_label_auto_sends_an_even_degree_spec_to_search(capsys, pipeline_calls):
+    spec = "T[" + ",".join(["2"] * 14) + "]"
+    code, out, _ = run(capsys, "label", "--caterpillar", spec)
+    assert code == 0
+    assert pipeline_calls == [
+        "label_small_diameter NotOddDegree",
+        "label_large_caterpillar NotOddDegree",
+        "search_labeling",
+    ]
+    # Seed 0 regenerates the bundled labeling of the 16-vertex path (53 restarts).
+    assert out == (fixtures_dir() / f"{spec}.json").read_text()
+
+
+def test_label_auto_picks_large_for_flat_wide_trees(pipeline_calls):
+    spec = CaterpillarSpec((3,) * 17 + (262109,))
+    assert spec.vertex_count == 1 << 18 and spec.diameter == 19
+    tree, lab = _label_auto(spec)
+    assert pipeline_calls == ["label_small_diameter OutOfRange", "label_large_caterpillar"]
+    # label_large_caterpillar verifies what it returns.
+    assert lab.n == 19 and diameter(tree) == 19
+
+
+def test_label_auto_sends_a_narrow_high_diameter_spec_to_search(monkeypatch, pipeline_calls):
+    spec = CaterpillarSpec((3,) * 17 + (131037,))
+    assert spec.vertex_count == 1 << 17 and spec.diameter == 19
+    found = Labeling(18, {})
+    # The search itself would only run out its budget on 2^17 vertices.
+    monkeypatch.setattr(cli, "search_labeling", lambda tree, cfg: found)
+    tree, lab = _label_auto(spec)
+    assert pipeline_calls == [
+        "label_small_diameter OutOfRange",
+        "label_large_caterpillar TooFewVertices",
+    ]
+    assert lab is found and tree == build_caterpillar(spec)
 
 
 def test_label_tree_document_via_search(capsys, tmp_path):

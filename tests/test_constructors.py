@@ -177,8 +177,13 @@ def test_anchor_must_exist():
 def test_base_must_verify():
     tree = Tree.of(2, [(0, 1)])
     bad = Labeling.of(2, {0: "01", 1: "01"})
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as info:
         add_pendants(tree, bad, PendantPlan(((0, 2),)))
+    assert str(info.value) == (
+        "base labeling does not verify: ZeroLabel value=00 at edge 0-1; "
+        "DuplicateValue value=01 at vertex 0, vertex 1; "
+        "MissingValue value=10; MissingValue value=11"
+    )
 
 
 def test_old_ids_and_labels_survive():
@@ -596,8 +601,13 @@ def test_four_copies_needs_three_vertices():
 def test_four_copies_needs_a_verified_base():
     tree = Tree.of(4, [(0, 1), (0, 2), (0, 3)])
     bad = Labeling.of(3, {0: "001", 1: "010", 2: "100", 3: "011"})
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as info:
         four_copies(tree, bad, 1, 2)
+    assert str(info.value) == (
+        "base labeling does not verify: DuplicateValue value=010 at vertex 1, edge 0-3; "
+        "DuplicateValue value=011 at vertex 3, edge 0-1; "
+        "MissingValue value=110; MissingValue value=111"
+    )
 
 
 def test_base_list_matches_the_bundled_fixtures():

@@ -24,7 +24,6 @@ from setseq.trees import (
     Labeling,
     Tree,
     build_caterpillar,
-    caterpillar_from_degrees,
     diameter,
     even_degree_label_sum,
     tree_from_json,
@@ -268,10 +267,6 @@ def test_spec_derived_quantities():
     assert CaterpillarSpec((5, 3, 3, 3, 3, 3)).diameter == 7
 
 
-def test_spec_reversed():
-    assert CaterpillarSpec((3, 3, 5)).reversed().degrees == (5, 3, 3)
-
-
 # ---------------------------------------------------------------------------
 # building caterpillars
 
@@ -312,30 +307,6 @@ def test_build_realizes_declared_degrees():
     t = build_caterpillar(CaterpillarSpec(degrees))
     assert t.degrees()[: len(degrees)] == list(degrees)
     assert all(d == 1 for d in t.degrees()[len(degrees) :])
-
-
-def test_caterpillar_from_degrees_accepts_padding():
-    t = caterpillar_from_degrees((1, 3, 1))
-    assert t.vertex_count == 4
-    assert diameter(t) == 2
-    assert sorted(t.degrees()) == [1, 1, 1, 3]
-
-
-def test_caterpillar_from_degrees_rejects_small_interior():
-    with pytest.raises(NonCanonical):
-        caterpillar_from_degrees((3, 1, 3))
-
-
-def test_padded_and_canonical_builds_are_isomorphic():
-    # A degree-1 end entry promotes an existing pendant leaf to the path, so
-    # the padded list describes the same tree.  Same degree multiset and
-    # same diameter is enough evidence here.
-    spec = CaterpillarSpec((3, 4, 3))
-    padded = caterpillar_from_degrees((1, 3, 4, 3, 1))
-    plain = build_caterpillar(spec)
-    assert padded.vertex_count == plain.vertex_count
-    assert sorted(padded.degrees()) == sorted(plain.degrees())
-    assert diameter(padded) == diameter(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +411,15 @@ def test_verifier_reports_unlabeled_vertices():
         v.kind == "SizeMismatch" and "vertex 1 unlabeled" in v.locations
         for v in report.violations
     )
+
+
+def test_report_require_raises_with_every_violation():
+    verify_set_sequential(figure_tree(), figure_labeling()).require(OutOfRange, "unused")
+    lab = Labeling.of(2, {0: "01"})
+    report = verify_set_sequential(path(2), lab)
+    with pytest.raises(OutOfRange) as info:
+        report.require(OutOfRange, "the path")
+    assert str(info.value) == "the path: SizeMismatch at vertex 1 unlabeled"
 
 
 def test_verifier_reports_zero_and_duplicates_together():
@@ -728,6 +708,18 @@ def test_labeling_rejects_wrongly_typed_labels():
         Labeling.of(3, {0: 2.0})
     with pytest.raises(PreconditionViolated):
         Labeling.of(3.0, {0: "001"})
+
+
+@pytest.mark.parametrize("label", [5, "001", None])
+def test_labeling_rejects_a_label_that_is_not_a_bitvec(label):
+    with pytest.raises(PreconditionViolated, match="label of vertex 0 .*Labeling.of"):
+        Labeling(3, {0: label})
+
+
+@pytest.mark.parametrize("vertex", ["a", 1.0, True, (0,)])
+def test_labeling_rejects_a_vertex_id_that_is_not_an_int(vertex):
+    with pytest.raises(PreconditionViolated, match=r"^vertex id .* is not an int$"):
+        Labeling.of(3, {vertex: 1})
 
 
 def test_dot_export_annotates_labels_and_xors():
