@@ -6,8 +6,8 @@ A backtracking solver settles small n outright; beyond that, structural
 reductions (coset lifting, three-value splitting and a family of
 recursions on the number of distinct values) cover the tractable
 hypotheses.  The coset lift halves low-span targets into zero-sum groups
-and solves each group at level 5, or by even-pair lifting at level 6;
-those two steps serve only the lift and have no public entry point.
+and solves each at level 5, or at level 6 by the even lift, which anchors a
+value on the top unit; no constructive route searches above level 5.
 
 solve_pairing is the one router.  Each route (a tag of ROUTE_TAGS) is one
 row of _ROUTES: its hypothesis and its solver.  With no route given, the
@@ -449,8 +449,8 @@ def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> 
     size 2^(level-1); every group the halving sees is all even (k = 6) or
     spans at most 5 dimensions (k = 5), which is all _split_halves covers.
     Each distinct group is solved once, inside a level-dimensional frame
-    containing the span (exactly at level <= 5, by the even lift at level
-    6), and lifted onto its own coset of the frame.
+    containing the span (by exact search at level <= 5, by the even lift at
+    level 6, whose search runs at level 5), and lifted onto its own coset.
     """
     _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
     if len(hist) == 1:
@@ -473,61 +473,69 @@ def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> 
 # even-pairs lifting
 
 
-def _special_pair_value(hist: Counter, pair_sum: int) -> int | None:
-    """The value whose two copies anchor the even-pairs reduction, if any.
+def _expand_slots(
+    n: int, table: list[int], slots: list[tuple[int, int]], solve: Callable[[Counter], _Queues]
+) -> _Queues:
+    """Solve the slots' targets at level n - 1 and expand each pair into two.
 
-    Needs multiplicity exactly 2 and a value distinct from the XOR of all
-    pair values; otherwise the reduced instance would contain a zero.
+    A slot (image, down) is one pair of equal targets: image is the target
+    in the frame whose span_table is table, down its target one level down.
+    Solved pairs (p, q), taken in slot order, expand across the top unit e1:
+    an anchor (image e1) to (p, p ^ e1) and (q, q ^ e1), an image containing
+    e1 to (p, q ^ e1) and (q, p ^ e1), any other to (p, q) and its e1-translate.
     """
-    if pair_sum != 0:
-        for u in sorted(hist):
-            if hist[u] == 2 and u != pair_sum:
-                return u
-    return None
+    e1 = 1 << (n - 1)
+    down = [d for _, d in slots]
+    _ensure(all(down), "a slot went down to zero")
+    out: _Queues = {}
+    for (image, _), (p, q) in zip(slots, _restore(down, solve(Counter(down)))):
+        if image == e1:
+            pairs = ((p, p ^ e1), (q, q ^ e1))
+        elif image & e1:
+            pairs = ((p, q ^ e1), (q, p ^ e1))
+        else:
+            pairs = ((p, q), (p ^ e1, q ^ e1))
+        out.setdefault(table[image], []).extend(pairs)
+    return _through(table, out)
 
 
 def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
-    """Reduce an all-even histogram at level n <= 6 to one instance at level n - 1.
+    """Reduce an all-even histogram at level 3 <= n <= 6 to one instance at level n - 1.
 
-    Each pair of equal targets (a slot, taken in value order) collapses to
-    one downstairs target; one target of multiplicity 2 is rotated onto the
-    top unit vector, and each downstairs pair expands into the slot's two
-    upstairs pairs, spanning both halves of the space.  The downstairs
-    instance, and a degenerate histogram with no such target, are solved by
-    exact search.
+    Each pair of equal targets is a slot.  Every slot but the anchor u's goes
+    down to its own image below the top unit e1, which u maps to.  u's t =
+    hist[u] // 2 slots take targets XORing to S, the image of pair_sum (the
+    XOR of all slots) below e1: [a] * (t - 1) + [S] for odd t, and
+    [a] * (t - 1) + [S ^ a] for even t, a in {1, 2} other than S.  S is 0
+    exactly when pair_sum is 0 or u, so u serves when t is odd and S != 0,
+    when t is even and positive, or when t = 0 and S = 0.  The values of
+    multiplicity 2, then 1 .. 2^n - 1, are tried in ascending order, and one
+    serves for every histogram at n >= 3.  Exact search solves level n - 1.
     """
-    _ensure(n <= 6, "even lift solves by exact search, so needs n <= 6")
+    _ensure(3 <= n <= 6, "even lift solves by exact search, so needs 3 <= n <= 6")
     _ensure(all(c % 2 == 0 for c in hist.values()), "even lift needs even multiplicities")
     pair_sum = 0
     for v, c in hist.items():
         if c & 2:
             pair_sum ^= v
-    u = _special_pair_value(hist, pair_sum)
-    if u is None:
-        trace.append(f"even-lift n={n} degenerate, exact fallback")
-        return _exact(n, hist)
+    for u in chain(sorted(v for v, c in hist.items() if c == 2), range(1, 1 << n)):
+        t = hist[u] // 2
+        if pair_sum not in (0, u) if t % 2 else t or pair_sum in (0, u):
+            break
+    else:
+        raise InternalSearchFailed("no anchor for the even lift")
     ext = extend_basis(echelon_basis([u], n), n)
     back = span_table((u, *(r for r in ext.rows if r != u)))
     fwd = inverse_table(back)
     e1 = 1 << (n - 1)
-    low = e1 - 1
-    correction = fwd[pair_sum ^ u] & low
-    _ensure(correction != 0, "even lift correction vanished")
-    # u has multiplicity 2, so its one slot is the anchor and every other
-    # slot has its own downstairs target.
-    rest = [v for v in sorted(hist) if v != u for _ in range(hist[v] // 2)]
-    down = [correction] + [fwd[v] & low for v in rest]
-    _ensure(all(down), "even lift sent a slot to zero")
-    trace.append(f"even-lift n={n} slots={len(rest) + 1}")
-    (p0, q0), *solved = _restore(down, _exact(n - 1, Counter(down)))
-    out: _Queues = {u: [(p0, p0 ^ e1), (q0, q0 ^ e1)]}
-    for v, (p, q) in zip(rest, solved):
-        if fwd[v] & e1:
-            pairs = [(p, q ^ e1), (q, p ^ e1)]
-        else:
-            pairs = [(p, q), (p ^ e1, q ^ e1)]
-        out.setdefault(v, []).extend(pairs)
-    return _through(back, out)
+    s = fwd[pair_sum] & (e1 - 1)
+    a = 2 if s == 1 else 1
+    slots = [(e1, a)] * (t - 1) + [(e1, s if t % 2 else s ^ a)] if t else []
+    for v in sorted(hist):
+        if v != u:
+            slots += [(fwd[v], fwd[v] & (e1 - 1))] * (hist[v] // 2)
+    trace.append(f"even-lift n={n} slots={len(slots)}")
+    return _expand_slots(n, back, slots, lambda sub: _exact(n - 1, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +683,11 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     """All even, exactly n distinct values, full-rank span.
 
     After a basis change the values are the n units with the most frequent
-    one on top.  Each pair of equal targets (a slot, taken in value order)
-    has one downstairs target.  A slot of a non-top value keeps its
-    downstairs pair and the pair's top-translate; a slot of the top value
-    splits its pair across the top coordinate, with downstairs values chosen
-    to restore even multiplicities (one extra copy for every value whose
-    count is 2 mod 4).
+    one, u1, on top, at e1.  Each pair of equal targets is a slot, expanded
+    by _expand_slots.  A slot of a value below e1 has that unit as its
+    downstairs target; u1's slots are anchor slots whose downstairs values
+    restore even multiplicities (one extra copy for every value whose count
+    is 2 mod 4, then the second unit).  The downstairs instance recurses.
     """
     us = sorted(hist)
     u1 = max(us, key=lambda u: (hist[u], -u))
@@ -689,22 +696,14 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     unit = {u: 1 << (n - 1 - i) for i, u in enumerate(frame)}
     e1 = 1 << (n - 1)
 
-    rest = [v for v in us if v != u1 for _ in range(hist[v] // 2)]
     tops = hist[u1] // 2
     fix_values = [u for u in us if u != u1 and hist[u] % 4 == 2]
     _ensure(len(fix_values) <= tops, "top value too rare for the rebalancing")
     top_values = fix_values + [frame[1]] * (tops - len(fix_values))
-
-    down = [unit[v] for v in rest + top_values]
-    _ensure(all(0 < v < e1 for v in down), "exactly-n reduction left the bottom hyperplane")
+    slots = [(unit[v], unit[v]) for v in us if v != u1 for _ in range(hist[v] // 2)]
+    slots += [(e1, unit[v]) for v in top_values]
     trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
-    solved = _restore(down, _solve_few(n - 1, Counter(down), trace))
-
-    out: _Queues = {}
-    for v, (p, q) in zip(rest, solved):
-        out.setdefault(v, []).extend([(p, q), (p ^ e1, q ^ e1)])
-    out[u1] = [pq for p, q in solved[len(rest) :] for pq in ((p, p ^ e1), (q, q ^ e1))]
-    return _through(span_table(frame), out)
+    return _expand_slots(n, span_table(frame), slots, lambda sub: _solve_few(n - 1, sub, trace))
 
 
 def _case_few_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:

@@ -50,6 +50,9 @@ STRATEGIES = (GREEDY_RESTART, BACKTRACKING)
 #: Largest tree the exhaustive strategy accepts.
 EXHAUSTIVE_VERTEX_CAP = 16
 
+#: Vertices a greedy restart labels between two readings of the clock.
+_DEADLINE_STRIDE = 256
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -144,12 +147,6 @@ def _greedy_restarts(
     # repeat it is left out.
     reported = -1
     for restart in range(cfg.max_restarts):
-        if time.monotonic() > deadline:
-            if reported != restart:
-                _emit(progress, restarts=restart, best_depth=best_depth)
-            raise BudgetExhausted(
-                f"no labeling within {cfg.budget_seconds:g}s ({restart} restarts)"
-            )
         # The same state as random.Random(seed + restart), and the same
         # draws as its shuffle of the order and then of the candidates.
         rng.seed(cfg.seed + restart)
@@ -162,34 +159,47 @@ def _greedy_restarts(
         # vertices are labeled.
         near_of = [[] for _ in range(count)]
         used = bytearray(size)
-        for v in order:
-            # First fit: c and its edge to each labeled neighbor must be fresh
-            # (two new edges never collide; that would need equal neighbors).
-            near = near_of[v]
-            if len(near) == 1:  # the common case, tested inline
-                x = near[0]
-                for c in candidates:
-                    if not (used[c] or used[c ^ x]):
-                        break
-                else:
-                    break
-                used[c] = used[c ^ x] = 1
-            else:
-                for c in candidates:
-                    if not used[c]:
-                        for x in near:
-                            if used[c ^ x]:
-                                break
-                        else:
+        # The clock is read before each stride of vertices, so once per
+        # restart on a tree of at most _DEADLINE_STRIDE vertices.  A vertex
+        # with no fresh label ends the restart.
+        for start in range(0, count, _DEADLINE_STRIDE):
+            if time.monotonic() > deadline:
+                if reported != restart:
+                    _emit(progress, restarts=restart, best_depth=best_depth)
+                raise BudgetExhausted(
+                    f"no labeling within {cfg.budget_seconds:g}s ({restart} restarts)"
+                )
+            for v in order[start : start + _DEADLINE_STRIDE]:
+                # First fit: c and its edge to each labeled neighbor must be fresh
+                # (two new edges never collide; that would need equal neighbors).
+                near = near_of[v]
+                if len(near) == 1:  # the common case, tested inline
+                    x = near[0]
+                    for c in candidates:
+                        if not (used[c] or used[c ^ x]):
                             break
+                    else:
+                        break
+                    used[c] = used[c ^ x] = 1
                 else:
-                    break
-                used[c] = 1
-                for x in near:
-                    used[c ^ x] = 1
-            labels[v] = c
-            for u in adj[v]:
-                near_of[u].append(c)
+                    for c in candidates:
+                        if not used[c]:
+                            for x in near:
+                                if used[c ^ x]:
+                                    break
+                            else:
+                                break
+                    else:
+                        break
+                    used[c] = 1
+                    for x in near:
+                        used[c ^ x] = 1
+                labels[v] = c
+                for u in adj[v]:
+                    near_of[u].append(c)
+            else:
+                continue
+            break
         if len(labels) == count:
             _emit(progress, restarts=restart + 1, best_depth=count)
             return labels

@@ -336,10 +336,11 @@ def diameter(t: Tree) -> int:
 def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
     """Report on whether lab is a set-sequential labeling of t.
 
-    Findings, in order: SizeMismatch (|V| + |E| vs 2^n - 1, or vertices the
-    labeling does not cover), ZeroLabel, DuplicateValue (one per repeated
-    value, with every location), MissingValue (one per absent value, only
-    reported once the entry count matches, where it is meaningful).
+    Findings, in order: SizeMismatch (|V| + |E| vs 2^n - 1, vertices the
+    labeling does not cover, or labels on ids outside 0..|V|-1), ZeroLabel,
+    DuplicateValue (one per repeated value, with every location),
+    MissingValue (one per absent value, only reported once the entry count
+    matches, where it is meaningful).
     """
     n = lab.n
     violations: list[Violation] = []
@@ -364,8 +365,17 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
                 locations=tuple(f"vertex {v} unlabeled" for v in unlabeled),
             )
         )
-
     labels = lab.vertex_labels
+    # Labels beyond the covered vertices sit on ids outside the tree.
+    if len(labels) > t.vertex_count - len(unlabeled):
+        outside = sorted(v for v in labels if not 0 <= v < t.vertex_count)
+        violations.append(
+            Violation(
+                "SizeMismatch",
+                locations=tuple(f"vertex {v} not in the tree" for v in outside),
+            )
+        )
+
     bits = {v: labels[v].bits for v in range(t.vertex_count) if v in labels}
     edges = [(a, b) for a, b in t.edges if a in bits and b in bits]
     counts = Counter(bits.values())

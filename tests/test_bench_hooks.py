@@ -1,8 +1,9 @@
 """The traced benchmark's hooks still name real attributes of setseq.
 
 bench/tracing.py wraps library functions by name; a rename in src that
-leaves a stale name there breaks the traced benchmark.  This test only
-imports bench/tracing.py and reads its tables.
+leaves a stale name there breaks the traced benchmark, and so does a
+renamed trace entry, whose reduction counter then reads zero.  These tests
+import bench/tracing.py only to read its tables.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
+from setseq.pairing import PairingInstance, solve_pairing  # noqa: E402
+from test_determinism import trace_instances  # noqa: E402
 
 
 def test_every_span_hook_resolves():
@@ -63,3 +66,16 @@ def test_package_has_no_unused_imports():
                 if name not in read and (module, name) not in hooked
             ]
     assert found == []
+
+
+def test_every_trace_kind_is_a_counted_reduction():
+    # The traced benchmark counts trace entries by their first word, one
+    # counter per kind in REDUCTIONS; an entry of another kind would go
+    # uncounted and leave its counter at zero.
+    kinds = set()
+    for n, values in trace_instances():
+        for entry in solve_pairing(PairingInstance.of(n, values))[1].trace:
+            assert "degenerate" not in entry
+            kinds.add(entry.split()[0])
+    assert kinds <= set(tracing.REDUCTIONS)
+    assert kinds

@@ -1,8 +1,9 @@
 """Tests for the pair-partition solvers.
 
-Every solver output is judged by a local oracle that only knows the two
-defining requirements: the pairs cover F_2^n exactly, and pair i XORs to
-target i.  Construction internals are never consulted.
+Every solver output is judged by a checker that only knows the two
+defining requirements (the local oracle below, or partition_errors): the
+pairs cover F_2^n exactly, and pair i XORs to target i.  Construction
+internals are never consulted.
 """
 
 from __future__ import annotations
@@ -94,9 +95,33 @@ def assert_valid_split(values, first, second):
 
 
 def assert_valid_lift(n, values):
-    pairs = _restore(values, _lift_even(n, Counter(values), []))
-    errs = oracle_errors(n, values, pairs)
+    """The lift's partition is valid, and its one exact search runs at level n - 1."""
+    levels = []
+    exact = pairing._exact
+
+    def spy(m, hist, deadline=None):
+        levels.append(m)
+        return exact(m, hist, deadline)
+
+    pairing._exact = spy
+    try:
+        pairs = _restore(values, _lift_even(n, Counter(values), []))
+    finally:
+        pairing._exact = exact
+    errs = partition_errors(build(n, values), PairPartition(n, tuple(pairs)))
     assert errs == [], errs
+    assert levels == [n - 1]
+
+
+def has_multiplicity_two_anchor(values):
+    """Whether some value of multiplicity 2 differs from a nonzero XOR of the pair values.
+
+    Such a value anchors the even lift with one slot; a histogram without
+    one needs an anchor with no slot or with several.
+    """
+    hist = Counter(values)
+    pair_sum = instgen.xor_all(v for v, c in hist.items() if c & 2)
+    return pair_sum != 0 and any(c == 2 and v != pair_sum for v, c in hist.items())
 
 
 def distinct_zero_sum(rng, pool, count):
@@ -602,18 +627,43 @@ def test_lift_even_rejects_odd_multiplicities():
 
 
 def test_lift_even_degenerate_pair_sum_falls_back():
-    # All pair values cancel, so no usable special value exists.
+    # All pair values cancel and no value has multiplicity 2, so the anchor
+    # is 1 with two slots.
     trace = []
     pairs = _restore([0b001] * 4, _lift_even(3, Counter({0b001: 4}), trace))
     assert oracle_errors(3, [0b001] * 4, pairs) == []
-    assert trace == ["even-lift n=3 degenerate, exact fallback"]
+    assert trace == ["even-lift n=3 slots=2"]
 
 
 def test_lift_even_only_candidate_is_excluded():
-    # The lone multiplicity-2 value equals the XOR of all pair values, which
-    # forces the fallback; n = 6 still succeeds through exact search.
+    # The lone multiplicity-2 value equals the XOR of all pair values, so it
+    # cannot anchor alone; 1, with three slots, anchors instead.
     values = [0b000001] * 6 + [0b000010] * 6 + [0b000011] * 6 + [0b000100] * 2 + [0b000101] * 12
     assert_valid_lift(6, values)
+
+
+@pytest.mark.parametrize("n, count", [(3, 28), (4, 3060)])
+def test_lift_even_every_histogram(n, count):
+    cases = 0
+    for combo in itertools.combinations_with_replacement(range(1, 1 << n), 1 << (n - 2)):
+        assert_valid_lift(n, [v for v in combo for _ in (0, 1)])
+        cases += 1
+    assert cases == count
+
+
+LIFT_SHAPES_WITHOUT_A_MULTIPLICITY_TWO_ANCHOR = {
+    "pair sum 0": (4, [1, 1, 2, 2, 4, 4, 7, 7]),
+    "every multiplicity 0 mod 4": (5, [1] * 4 + [2] * 8 + [6] * 4),
+    "lone multiplicity 2 is the pair sum": (6, [9] * 2 + [1] * 6 + [2] * 6 + [3] * 6 + [17] * 12),
+    "16 distinct pairs with XOR 0": (6, [v for v in [*range(1, 15), 16, 31] for _ in (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(LIFT_SHAPES_WITHOUT_A_MULTIPLICITY_TWO_ANCHOR))
+def test_lift_even_anchors_every_shape(shape):
+    n, values = LIFT_SHAPES_WITHOUT_A_MULTIPLICITY_TWO_ANCHOR[shape]
+    assert not has_multiplicity_two_anchor(values)
+    assert_valid_lift(n, values)
 
 
 def test_lift_even_degenerate_out_of_reach_n7():
@@ -624,12 +674,12 @@ def test_lift_even_degenerate_out_of_reach_n7():
         _lift_even(7, Counter(values), [])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6))
-def test_lift_even_random_pairs(seed):
-    rng = random.Random(seed)
-    picks = [rng.randrange(1, 32) for _ in range(8)]
-    assert_valid_lift(5, [v for v in picks for _ in (0, 1)])
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 6]), st.data())
+def test_lift_even_random_pairs(n, data):
+    slots = 1 << (n - 2)
+    picks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=slots, max_size=slots))
+    assert_valid_lift(n, [v for v in picks for _ in (0, 1)])
 
 
 # ---------------------------------------------------------------------------

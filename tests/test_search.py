@@ -180,6 +180,17 @@ def test_greedy_time_budget():
         search_labeling(path(4), SearchConfig(seed=0, budget_seconds=0.05))
 
 
+def test_greedy_time_budget_stops_a_long_restart():
+    # One restart on this 2^13-vertex caterpillar runs far past a 0.2 s
+    # budget.  The clock is read inside a restart too, so the search stops
+    # during the first one instead of after it.
+    tree = build_caterpillar(CaterpillarSpec((3,) * 12 + (8167,)))
+    out = io.StringIO()
+    with pytest.raises(BudgetExhausted, match=r"\(0 restarts\)"):
+        search_labeling(tree, SearchConfig(seed=0, budget_seconds=0.2), progress=out)
+    assert out.getvalue().splitlines()[-1] == "restarts=0 best_depth=0"
+
+
 # ---------------------------------------------------------------------------
 # exhaustive backtracking
 

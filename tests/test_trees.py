@@ -413,6 +413,17 @@ def test_verifier_reports_unlabeled_vertices():
     )
 
 
+def test_verifier_reports_labels_outside_the_tree():
+    text = resources.files("setseq").joinpath("fixtures", "T[1].json").read_text()
+    tree, lab = tree_from_json(text)
+    assert verify_set_sequential(tree, lab).valid
+    extra = Labeling(2, {**lab.vertex_labels, 5: BitVec(2, 2), -1: BitVec(3, 2)})
+    report = verify_set_sequential(tree, extra)
+    assert [str(v) for v in report.violations] == [
+        "SizeMismatch at vertex -1 not in the tree, vertex 5 not in the tree"
+    ]
+
+
 def test_report_require_raises_with_every_violation():
     verify_set_sequential(figure_tree(), figure_labeling()).require(OutOfRange, "unused")
     lab = Labeling.of(2, {0: "01"})
