@@ -31,6 +31,7 @@ from .errors import (
     SetseqError,
     TooFewVertices,
 )
+from .gf2 import BitVec
 from .pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -96,18 +97,9 @@ def _load_labeled(path: str) -> tuple[Tree, Labeling]:
     return tree, lab
 
 
-def _parse_targets(n: int, text: str) -> PairingInstance:
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token or len(token) != n or set(token) - {"0", "1"}:
-            raise PreconditionViolated(f"target {token!r} is not an {n}-bit string")
-        values.append(int(token, 2))
-    return PairingInstance.of(n, values)
-
-
 def _run_pair_solve(args: argparse.Namespace) -> int:
-    inst = _parse_targets(args.n, args.targets)
+    values = [BitVec.parse(token.strip(), args.n).bits for token in args.targets.split(",")]
+    inst = PairingInstance.of(args.n, values)
     # "auto" is no key of ROUTE_FLAGS, so it forces no route.
     part, route = solve_pairing(inst, ROUTE_FLAGS.get(args.route))
     sys.stdout.write(format_partition(part))
@@ -130,8 +122,6 @@ def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
 
 
 def _run_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if (args.caterpillar is None) == (args.tree is None):
-        parser.error("label needs exactly one of --caterpillar or --tree")
     if args.caterpillar is not None:
         try:
             spec = CaterpillarSpec.parse(args.caterpillar)
@@ -226,11 +216,7 @@ def _sweep(n: int) -> tuple[int, list[str]]:
     return checked, failures
 
 
-def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Above n = 4 the instance count explodes (about 3e10 at n = 5) and the
-    # sweep has no time budget, so it refuses rather than run unbounded.
-    if not 1 <= args.n <= 4:
-        parser.error("--n must be in 1..4")
+def _run_sweep(args: argparse.Namespace) -> int:
     checked, failures = _sweep(args.n)
     for line in failures:
         print(f"failure: {line}")
@@ -256,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     label = sub.add_parser("label", help="produce a verified labeling of a tree")
-    label.add_argument("--caterpillar", metavar="SPEC", help='degree list, e.g. "T[3,3,3]"')
-    label.add_argument("--tree", metavar="JSON", help="tree document (labels ignored)")
+    shape = label.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--caterpillar", metavar="SPEC", help='degree list, e.g. "T[3,3,3]"')
+    shape.add_argument("--tree", metavar="JSON", help="tree document (labels ignored)")
     label.add_argument(
         "--method",
         choices=["auto", "small-diameter", "large", "search"],
@@ -288,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="exhaustive pairing verification")
     sweep.add_argument("--conjecture2", action="store_true", required=True)
-    sweep.add_argument("--n", type=int, required=True)
+    # Above n = 4 the instance count explodes (about 3e10 at n = 5) and the
+    # sweep has no time budget, so it refuses rather than run unbounded.
+    sweep.add_argument("--n", type=int, choices=range(1, 5), required=True)
     return parser
 
 
@@ -296,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         if args.command == "pair-solve":
             return _run_pair_solve(args)
         if args.command == "label":
@@ -313,7 +299,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _run_search(args)
         if args.command == "export":
             return _run_export(args)
-        return _run_sweep(args, parser)
+        return _run_sweep(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except SetseqError as exc:

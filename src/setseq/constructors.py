@@ -56,6 +56,7 @@ from .trees import (
     CaterpillarSpec,
     Labeling,
     Tree,
+    _bfs,
     build_caterpillar,
     tree_from_json,
     verify_set_sequential,
@@ -332,16 +333,18 @@ def _fixture_shed(degrees: tuple[int, ...], target: tuple[int, ...]) -> list[int
     )
 
 
-def _smaller_level(
+def _rebuild(
     degrees: tuple[int, ...],
     removals: list[int],
     rec: Callable[[tuple[int, ...]], tuple[_Labeled, list[int]]],
 ) -> tuple[_Labeled, list[int]]:
-    """Label what the removals leave, via rec, and find the target's center in it.
+    """The rebuilt level and the target's center ids: rec's labeling, pendants hung back.
 
     An end entry the removals take down to 1 is a pad: rec labels it as a
     leaf of the smaller caterpillar's end center vertex, and it rejoins the
-    center path once its pendants are hung back.
+    center path once its pendants are hung back.  Hanging keeps every old
+    label, so the small-diameter recursion measures the center-path span on
+    each rebuilt level.
     """
     padded = [d - r for d, r in zip(degrees, removals)]
     left = len(padded) > 1 and padded[0] == 1
@@ -356,7 +359,9 @@ def _smaller_level(
         center.append([x for x in leaves if x not in center][0])
     if len(center) != len(degrees):
         raise InternalSearchFailed("padded center does not match the target length")
-    return sub, center
+    # The center path ids survive the hanging.
+    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
+    return _hang_pendants(sub, anchors), center
 
 
 def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
@@ -371,15 +376,13 @@ def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
         tight = [d - 3 for d in degrees]
         loose = [d - 1 if i in (0, k - 1) else d - 3 for i, d in enumerate(degrees)]
         removals = _shed(degrees, tight, loose, spec.vertex_count // 2)
-    sub, center = _smaller_level(degrees, removals, _small_rec)
-    span = echelon_basis([sub[2][v] for v in center], sub[1]).rank
+    labeled, center = _rebuild(degrees, removals, _small_rec)
+    span = echelon_basis([labeled[2][v] for v in center], labeled[1]).rank
     if span > SPAN_DIM_CAP:
         raise InternalSearchFailed(
             f"center-path span dimension {span} exceeds the cap {SPAN_DIM_CAP}"
         )
-    # Hang the removed pendants back on; the center path ids survive.
-    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
-    return _hang_pendants(sub, anchors), center
+    return labeled, center
 
 
 def _validate_odd_power(spec: CaterpillarSpec) -> int:
@@ -400,8 +403,8 @@ def label_small_diameter(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
     Works down from the target: repeatedly remove half the vertices as
     pendant edges of the center path (landing on a bundled base labeling),
     then rebuild upward by pendant doubling, anchoring only center-path
-    vertices.  Before each rebuild step the dimension of the span of the
-    center-path labels is measured; above SPAN_DIM_CAP the call raises
+    vertices.  The dimension of the span of the center-path labels is
+    measured on each rebuilt level; above SPAN_DIM_CAP the call raises
     InternalSearchFailed.  Only the finished tree is built and verified.
     """
     _validate_odd_power(spec)
@@ -432,10 +435,7 @@ def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
     tight = [0] + [d - 3 for d in degrees[1:]]
     extra = _shed(degrees, tight, tight[:-1] + [degrees[-1] - 1], rest)
     removals = [r + e for r, e in zip(removals, extra)]
-    sub, center = _smaller_level(degrees, removals, _large_rec)
-    # Hang the removed pendants back on; the center path ids survive.
-    anchors = [v for v, r in zip(center, removals) for _ in range(r)]
-    return _hang_pendants(sub, anchors), center
+    return _rebuild(degrees, removals, _large_rec)
 
 
 def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
@@ -551,33 +551,23 @@ def four_copies(base: Tree, lab: Labeling, u: int, v: int) -> tuple[Tree, Labeli
     if deg[u] != 1 or deg[v] != 1:
         raise NotLeaf(f"u and v must have degree 1, got {deg[u]} and {deg[v]}")
     verify_set_sequential(base, lab).require(PreconditionViolated, "base labeling does not verify")
-    labeled = _quadruple((list(base.edges), lab.n, _int_labels(base, lab)), u, v)
-    return _finish(labeled, "four-copies construction")
+    labeled = (list(base.edges), lab.n, _int_labels(base, lab))
+    return _finish(_quadruple(labeled, base.adjacency(), u, v), "four-copies construction")
 
 
-def _quadruple(labeled: _Labeled, u: int, v: int) -> _Labeled:
+def _quadruple(labeled: _Labeled, adj: list[list[int]], u: int, v: int) -> _Labeled:
     """Unchecked four-copies step on int labels, gluing at leaves u and v.
 
-    Copy c of base vertex x gets id c * |V(base)| + x.  The caller's final
-    verification certifies the w-sequence along with everything else.
+    adj is the base's adjacency.  Copy c of base vertex x gets id
+    c * |V(base)| + x.  The caller's final verification certifies the
+    w-sequence along with everything else.
     """
     base_edges, n, base_labels = labeled
     count = len(base_labels)
-    adj: list[list[int]] = [[] for _ in range(count)]
-    for a, b in base_edges:
-        adj[a].append(b)
-        adj[b].append(a)
     # One walk from u: each off-path vertex's neighbor toward u is also its
     # neighbor toward the u-v path, so these parents give both the path and
     # the outward order in which prefixes propagate.
-    parent = [-1] * count
-    parent[u] = u
-    order = [u]
-    for x in order:
-        for y in adj[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
+    order, parent = _bfs(adj, u)
     path = [v]
     while path[-1] != u:
         path.append(parent[path[-1]])

@@ -335,26 +335,26 @@ def _split_halves(hist: Counter) -> tuple[Counter, Counter]:
     else:
         _ensure(size == 32, "odd values outnumber half a group only at level 6")
         first_odds, second_odds = _split_odds_level6(odds)
-    first: Counter = Counter()
-    second: Counter = Counter()
-    for u in first_odds:
-        first[u] = 1
-    for u in second_odds:
-        second[u] = 1
+    first, second = Counter(first_odds), Counter(second_odds)
 
     need_first = half - len(first_odds)
     need_second = half - len(second_odds)
     _ensure(need_first % 2 == 0 and need_second % 2 == 0, "odd values left an odd gap")
-    for u, extra in sorted(_even_pool(hist).items()):
-        take = min(extra, need_first)
+    _deal(_even_pool(hist), need_first, first, second)
+    _ensure(first.total() == second.total() == half, "even copies did not fill both halves")
+    return first, second
+
+
+def _deal(pool: Mapping[int, int], need: int, first: Counter, second: Counter) -> None:
+    """Deal a pool onto two sides smallest value first: need copies to first, the rest to second."""
+    for u in sorted(pool):
+        count = pool[u]
+        take = min(count, need)
         if take:
             first[u] += take
-            need_first -= take
-        if extra > take:
-            second[u] += extra - take
-            need_second -= extra - take
-    _ensure(need_first == 0 and need_second == 0, "even copies did not fill both halves")
-    return first, second
+            need -= take
+        if count > take:
+            second[u] += count - take
 
 
 def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
@@ -623,43 +623,26 @@ def _allocate_even(
     return alloc
 
 
-def _greedy_fill(pool: dict[int, int], fills: list[int]) -> list[Counter]:
-    """Split an even-count pool across fills with no distinct-value caps."""
-    out = [Counter() for _ in fills]
-    for u in sorted(pool):
-        left = pool[u]
-        for i in range(len(fills)):
-            take = min(left, fills[i])
-            if take:
-                out[i][u] += take
-                fills[i] -= take
-                left -= take
-        _ensure(left == 0, "fills too small for the pool")
-    _ensure(all(f == 0 for f in fills), "pool too small for the fills")
-    return out
-
-
 def _two_coset_recurse(
     n: int, hist: Counter, side1: Counter, side2: Counter, trace: list[str]
 ) -> _Queues:
-    """Fill both sides to 2^(n-2) targets from the rest of hist and solve them.
+    """Fill both sides, in place, to 2^(n-2) targets from the rest of hist and solve them.
 
     The sides hold each odd copy and each pinned value whole, so the rest,
     hist - side1 - side2, is an even pool.  Side one is solved inside a
     hyperplane containing the span, side two on its other coset.
     """
     quarter = 1 << (n - 2)
-    fills = [quarter - side1.total(), quarter - side2.total()]
-    _ensure(min(fills) >= 0, "fixed values overfilled a side")
-    parts = _greedy_fill(hist - side1 - side2, fills)
-    groups = [side1 + parts[0], side2 + parts[1]]
-    span = echelon_basis([*groups[0], *groups[1]], n)
+    _ensure(max(side1.total(), side2.total()) <= quarter, "fixed values overfilled a side")
+    _deal(hist - side1 - side2, quarter - side1.total(), side1, side2)
+    _ensure(side1.total() == side2.total() == quarter, "the pool did not fill both sides")
+    span = echelon_basis([*side1, *side2], n)
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
 
     def solve(sub: Counter) -> _Queues:
         return _solve_few(n - 1, sub, trace)
 
-    return _lift_groups(groups, extend_basis(span, n - 1), solve, trace)
+    return _lift_groups([side1, side2], extend_basis(span, n - 1), solve, trace)
 
 
 def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .gf2 import BitVec
-from .trees import Labeling, Tree, _label_width, verify_set_sequential
+from .trees import Labeling, Tree, _bfs, _label_width, verify_set_sequential
 
 __all__ = [
     "GREEDY_RESTART",
@@ -85,7 +85,8 @@ def search_labeling(
 
     Raises BudgetExhausted when the time or restart budget runs out (which
     proves nothing) and, under the exhaustive strategy only, Infeasible once
-    the whole space has been rejected.
+    the whole space has been rejected, or before any search when one or two
+    vertices have even degree.
     """
     n = _label_width(t)
     if cfg.strategy == GREEDY_RESTART:
@@ -215,21 +216,22 @@ def _greedy_restarts(
 def _backtracking(
     t: Tree, cfg: SearchConfig, n: int, progress: TextIO | None
 ) -> dict[int, int]:
-    adj = t.adjacency()
     deg = t.degrees()
+    # The even-degree labels of any labeling XOR to 0 (even_degree_label_sum
+    # in trees), which one nonzero label, or two distinct ones, cannot do.
+    evens = sum(d % 2 == 0 for d in deg)
+    if evens in (1, 2):
+        _emit(progress, nodes=0, result=0)
+        raise Infeasible(f"{evens} even-degree vertices: their labels cannot XOR to 0")
     # Deterministic connectivity-first order: breadth first from the
     # highest-degree vertex, so every later vertex has exactly one earlier
     # neighbor, its parent, and each step adds exactly one edge label.
     root = max(range(t.vertex_count), key=lambda v: (deg[v], -v))
-    order = [root]
-    parent = [0]  # position in order of each vertex's parent; unused for the root
-    seen = {root}
-    for i, v in enumerate(order):  # order grows while it is walked
-        for u in sorted(adj[v], key=lambda u: (-deg[u], u)):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-                parent.append(i)
+    adj = [sorted(near, key=lambda u: (-deg[u], u)) for near in t.adjacency()]
+    order, parent_of = _bfs(adj, root)
+    position = {v: i for i, v in enumerate(order)}
+    # Position in order of each vertex's parent; unused for the root.
+    parent = [position[parent_of[v]] for v in order]
     deadline = time.monotonic() + cfg.budget_seconds
     size = 1 << n
     count = len(order)

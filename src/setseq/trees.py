@@ -19,7 +19,7 @@ behaviour; tree_to_json writes it directly.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -307,26 +307,29 @@ def build_caterpillar(spec: CaterpillarSpec) -> Tree:
 # structural queries
 
 
-def _bfs_distances(adj: list[list[int]], start: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
+def _bfs(adj: list[list[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from root (neighbors in adj order), and parents; root's is root."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for x in order:  # order grows while it is walked
         for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order, parent
 
 
 def diameter(t: Tree) -> int:
     """Largest distance between any two vertices (double sweep)."""
     adj = t.adjacency()
-    first = _bfs_distances(adj, 0)
-    far = first.index(max(first))
-    second = _bfs_distances(adj, far)
-    return max(second)
+    # A walk ends on a farthest vertex; in a tree, one from there ends a longest path.
+    far = _bfs(adj, 0)[0][-1]
+    order, parent = _bfs(adj, far)
+    x, length = order[-1], 0
+    while x != far:
+        x, length = parent[x], length + 1
+    return length
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,9 @@ def test_partition_checker_messages():
     for bad in (("2", 3), (2.0, 3), (2, 3, 4)):
         malformed = PairPartition(3, ((0, 1), bad, (4, 0), (5, 2)))
         assert partition_errors(inst, malformed) == [f"pair 1 is not two ints: {bad!r}"]
+    # A partition of another dimension gets one message and no entry check.
+    narrower = PairPartition(2, ((0, 1), (2, 3)))
+    assert partition_errors(inst, narrower) == ["dimension mismatch: partition n=2, instance n=3"]
 
 
 def test_format_partition_lines():

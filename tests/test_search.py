@@ -176,6 +176,8 @@ def test_greedy_reports_the_last_restart_once(monkeypatch):
 
 
 def test_greedy_time_budget():
+    # The path has two even-degree vertices; greedy search proves nothing
+    # and still runs out of time.
     with pytest.raises(BudgetExhausted):
         search_labeling(path(4), SearchConfig(seed=0, budget_seconds=0.05))
 
@@ -256,6 +258,29 @@ def test_backtracking_proves_eight_vertex_infeasible_in_few_nodes():
     fields = dict(field.split("=") for field in out.getvalue().split())
     assert fields["result"] == "0"
     assert int(fields["nodes"]) <= 1000
+
+
+# The even-degree labels of a labeling XOR to 0, which two distinct nonzero
+# labels cannot do.  Without that check, exhaustive search on the 16-vertex
+# tree (number 42, 0-based, of bench/gen.py's random_tree stream from
+# random.Random(16)) spent a 5 s budget, over a million nodes, without settling.
+TWO_EVEN_DEGREE_TREES = [
+    [(0, 7), (1, 4), (2, 3), (3, 4), (3, 7), (5, 7), (6, 7)],
+    [
+        (0, 9), (1, 9), (1, 14), (2, 9), (3, 14), (4, 11), (5, 13), (5, 15), (6, 15),
+        (7, 9), (8, 10), (9, 10), (10, 12), (11, 14), (11, 15),
+    ],
+]
+
+
+@pytest.mark.parametrize("edges", TWO_EVEN_DEGREE_TREES)
+def test_backtracking_refuses_two_even_degree_vertices_at_once(edges):
+    t = Tree.of(len(edges) + 1, edges)
+    assert sum(d % 2 == 0 for d in t.degrees()) == 2
+    out = io.StringIO()
+    with pytest.raises(Infeasible, match="2 even-degree vertices"):
+        search_labeling(t, SearchConfig(budget_seconds=5, strategy=BACKTRACKING), progress=out)
+    assert out.getvalue() == "nodes=0 result=0\n"
 
 
 @given(st.integers(min_value=0, max_value=2**16))

@@ -7,6 +7,7 @@ breadth-first oracle.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import random
@@ -76,6 +77,24 @@ def distance_oracle(t):
 
 def random_tree(rng, count):
     edges = [(rng.randrange(i), i) for i in range(1, count)]
+    return Tree.of(count, edges)
+
+
+def pruefer_tree(code):
+    """The labeled tree on len(code) + 2 vertices with the given Pruefer code."""
+    count = len(code) + 2
+    degree = [1] * count
+    for x in code:
+        degree[x] += 1
+    leaves = [v for v in range(count) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in code:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
     return Tree.of(count, edges)
 
 
@@ -325,6 +344,19 @@ def test_diameter_matches_oracle_on_random_trees():
     for _ in range(40):
         t = random_tree(rng, rng.randrange(2, 40))
         assert diameter(t) == distance_oracle(t)
+    # Uniform labeled trees, and paths and stars, whose double sweep starts
+    # at an end, at the center or at a leaf.
+    for count in range(2, 65):
+        shapes = [
+            path(count),
+            Tree.of(count, [(0, v) for v in range(1, count)]),
+            Tree.of(count, [(v, count - 1) for v in range(count - 1)]),
+        ]
+        shapes += [
+            pruefer_tree([rng.randrange(count) for _ in range(count - 2)]) for _ in range(8)
+        ]
+        for t in shapes:
+            assert diameter(t) == distance_oracle(t), (count, t.edges)
 
 
 def test_degree_parities_star_and_path():
@@ -719,6 +751,21 @@ def test_labeling_rejects_wrongly_typed_labels():
         Labeling.of(3, {0: 2.0})
     with pytest.raises(PreconditionViolated):
         Labeling.of(3.0, {0: "001"})
+
+
+def test_labeling_of_takes_bitvec_labels():
+    lab = Labeling.of(3, {0: BitVec(0b001, 3), 1: "010", 2: 0b100})
+    assert lab == Labeling.of(3, {0: 0b001, 1: 0b010, 2: 0b100})
+    assert lab.label(0) == BitVec(0b001, 3)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_labeling_rejects_a_label_of_another_width(width):
+    message = f"label of vertex 1 has width {width}, expected 3"
+    with pytest.raises(PreconditionViolated, match=message):
+        Labeling(3, {0: BitVec(1, 3), 1: BitVec(1, width)})
+    with pytest.raises(PreconditionViolated, match=message):
+        Labeling.of(3, {0: 1, 1: BitVec(1, width)})
 
 
 @pytest.mark.parametrize("label", [5, "001", None])
