@@ -23,7 +23,7 @@ print(f"{spec}: {spec.vertex_count} vertices, diameter {spec.diameter}")
 
 tree, lab = label_small_diameter(spec)
 deg = tree.degrees()
-center = [lab.label(v).bits for v in range(tree.vertex_count) if deg[v] > 1]
+center = [lab.labels[v] for v in range(tree.vertex_count) if deg[v] > 1]
 print("labels in F_2^n for n =", lab.n)
 print("span dim of the center-path labels:", echelon_basis(center, lab.n).rank)
 print("valid:", verify_set_sequential(tree, lab).valid)

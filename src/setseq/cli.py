@@ -40,7 +40,13 @@ from .pairing import (
     partition_errors,  # noqa: F401
     solve_pairing,
 )
-from .search import BACKTRACKING, GREEDY_RESTART, SearchConfig, search_labeling
+from .search import (
+    BACKTRACKING,
+    GREEDY_RESTART,
+    SearchConfig,
+    _require_even_degree_balance,
+    search_labeling,
+)
 from .trees import (
     CaterpillarSpec,
     Labeling,
@@ -107,6 +113,16 @@ def _run_pair_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _label_by_search(tree: Tree) -> Labeling:
+    """Greedy search, once the even-degree count does not rule the tree out.
+
+    Greedy search proves nothing, so a tree with one or two even-degree
+    vertices raises Infeasible here instead of running out its budget.
+    """
+    _require_even_degree_balance(tree)
+    return search_labeling(tree, SearchConfig())
+
+
 def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
     """The small-diameter pipeline, else the large one, else search.
 
@@ -118,7 +134,7 @@ def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
         except (NotOddDegree, NotPowerOfTwo, OutOfRange, TooFewVertices):
             pass
     tree = build_caterpillar(spec)
-    return tree, search_labeling(tree, SearchConfig())
+    return tree, _label_by_search(tree)
 
 
 def _run_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -135,12 +151,12 @@ def _run_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             tree, lab = label_large_caterpillar(spec)
         else:
             tree = build_caterpillar(spec)
-            lab = search_labeling(tree, SearchConfig())
+            lab = _label_by_search(tree)
     else:
         if args.method not in ("auto", "search"):
             parser.error(f"--method {args.method} needs --caterpillar")
         tree, _ = _load_tree(args.tree)
-        lab = search_labeling(tree, SearchConfig())
+        lab = _label_by_search(tree)
     sys.stdout.write(tree_to_json(tree, lab))
     return 0
 

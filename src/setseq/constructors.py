@@ -50,7 +50,7 @@ from .errors import (
     TooFewVertices,
     TooSmall,
 )
-from .gf2 import BitVec, echelon_basis
+from .gf2 import echelon_basis
 from .pairing import PairingInstance, solve_pairing
 from .trees import (
     CaterpillarSpec,
@@ -149,7 +149,8 @@ _Labeled = tuple[list[tuple[int, int]], int, list[int]]
 
 
 def _int_labels(t: Tree, lab: Labeling) -> list[int]:
-    return [lab.vertex_labels[v].bits for v in range(t.vertex_count)]
+    labels = lab.labels
+    return [labels[v] for v in range(t.vertex_count)]
 
 
 def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
@@ -163,7 +164,7 @@ def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
         tree = Tree(len(labels), tuple(edges))
     except PreconditionViolated as exc:
         raise InternalSearchFailed(f"{what} produced an invalid tree: {exc}") from exc
-    lab = Labeling(n, {v: BitVec(x, n) for v, x in enumerate(labels)})
+    lab = Labeling(n, dict(enumerate(labels)))
     verify_set_sequential(tree, lab).require(
         InternalSearchFailed, f"{what} produced an invalid labeling"
     )

@@ -7,8 +7,10 @@ at bit position n-1-j, so the leftmost character of the printed bitstring
 is the most significant stored bit.  Vector addition is XOR.  Dimensions
 are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
-The helpers here take and return plain ints; BitVec, the fixed-width
-wrapper, is only for bitstring text and tree labels.  One reduced
+The helpers here take and return plain ints, and tree labels are plain
+ints too.  parse_bits reads a bitstring into its int.  BitVec, the
+fixed-width wrapper, is only for text: it parses and prints bitstrings,
+and backs the read-only label views of trees.Labeling.  One reduced
 row-echelon pass, _rref, serves every elimination: spans and parity
 systems.  One table, span_table, evaluates every linear map: coset
 representatives, coordinate frames and changes of basis are all lookups
@@ -35,6 +37,20 @@ def _check_value(bits: int, dim: int) -> None:
         raise PreconditionViolated(f"value {bits!r} is not an int in range for dimension {dim}")
 
 
+def parse_bits(text: str, dim: int | None = None) -> int:
+    """The int a bitstring such as "0111" stands for (leftmost character most significant).
+
+    If dim is given, the text must have exactly that width.
+    """
+    if not isinstance(text, str) or not text or text.strip("01"):
+        raise PreconditionViolated(f"not a bitstring: {text!r}")
+    if dim is not None and len(text) != dim:
+        raise PreconditionViolated(
+            f"expected width {dim}, got {len(text)}: {text!r}"
+        )
+    return int(text, 2)
+
+
 @dataclass(frozen=True, slots=True)
 class BitVec:
     """A fixed-width vector over GF(2)."""
@@ -48,17 +64,8 @@ class BitVec:
 
     @classmethod
     def parse(cls, text: str, dim: int | None = None) -> BitVec:
-        """Parse a fixed-width bitstring such as "0111".
-
-        If dim is given, the text must have exactly that width.
-        """
-        if not isinstance(text, str) or not text or text.strip("01"):
-            raise PreconditionViolated(f"not a bitstring: {text!r}")
-        if dim is not None and len(text) != dim:
-            raise PreconditionViolated(
-                f"expected width {dim}, got {len(text)}: {text!r}"
-            )
-        return cls(int(text, 2), len(text))
+        """Parse a fixed-width bitstring such as "0111"; see parse_bits."""
+        return cls(parse_bits(text, dim), len(text))
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.dim}b")

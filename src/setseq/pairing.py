@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from .errors import (
@@ -548,7 +549,8 @@ def _split_three(hist: Counter) -> tuple[Counter, Counter]:
     Sorting distinct values by (count, value) and dealing them out
     alternately leaves an imbalance of at most the top count, so shifting
     copies of the most frequent value always rebalances; with all counts even
-    and size >= 4 the shift is even too, preserving parity.
+    and size >= 4 the shift is even too, preserving parity.  The shift is
+    at most half the top count, so the donor keeps some copies on its side.
     """
     order = sorted(hist.items(), key=lambda kv: (kv[1], kv[0]))
     s1: Counter = Counter(dict(order[0::2]))
@@ -561,8 +563,6 @@ def _split_three(hist: Counter) -> tuple[Counter, Counter]:
     if shift:
         _ensure(hist[donor] >= shift, "donor value too rare for the rebalancing shift")
         donor_side[donor] -= shift
-        if not donor_side[donor]:
-            del donor_side[donor]
         other[donor] += shift
     return s1, s2
 
@@ -588,6 +588,9 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
 # ---------------------------------------------------------------------------
 # bounded-value recursions (at most n distinct targets)
 
+#: Splits the backtracking allocations of one three-coset case may try in all.
+_ALLOCATION_TRIES = 20_000
+
 
 def _allocate_even(
     pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]]
@@ -597,7 +600,8 @@ def _allocate_even(
     Largest counts go first, each into a compatible vessel with need left:
     one already holding the value, else the neediest with fewer than cap
     distinct values.  There is no backtracking: a value that finds no vessel
-    raises InternalSearchFailed, and the caller moves on to its next layout.
+    raises InternalSearchFailed, and the caller moves on to its next layout
+    (and, once no layout fills this way, to _allocate_searched).
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
     _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
@@ -620,6 +624,66 @@ def _allocate_even(
             needs[i] -= take
             present[i].add(u)
             left -= take
+    return alloc
+
+
+def _allocate_searched(
+    pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]], tries: Iterator[int]
+) -> list[Counter]:
+    """Deal even per-value counts into vessels (need, cap, present) by backtracking.
+
+    Largest counts go first; each is split into even parts, one per vessel,
+    in every way that fits the vessels' needs and distinct-value caps, the
+    first vessel's part largest first.  Each split tried takes one item of
+    tries, a budget the caller may share between calls.  This finds an
+    allocation wherever one exists unless the budget runs out first; either
+    failure raises InternalSearchFailed.
+    """
+    order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
+    needs = [need for need, _, _ in vessels]
+    _ensure(sum(c for _, c in order) == sum(needs), "pool and needs differ")
+    present = [set(p) for _, _, p in vessels]
+    alloc = [Counter() for _ in vessels]
+
+    def splits(i: int, left: int) -> Iterable[tuple[int, ...]]:
+        # Each part takes at least what the later vessels cannot, so every
+        # split yielded fits the needs, and each costs one try.
+        if i == len(needs) - 1:
+            yield (left,)
+            return
+        room = sum(needs[i + 1 :])
+        for x in range(min(left, needs[i]), max(left - room, 0) - 1, -2):
+            for rest in splits(i + 1, left - x):
+                yield (x, *rest)
+
+    def place(k: int) -> bool:
+        # Parts never exceed the needs and the pool matches their sum, so
+        # once every value is placed every need is met.
+        if k == len(order):
+            return True
+        u, c = order[k]
+        for parts in splits(0, c):
+            _ensure(next(tries, None) is not None, "allocation search ran out of tries")
+            fresh = [i for i, x in enumerate(parts) if x and u not in present[i]]
+            if any(len(present[i]) >= vessels[i][1] for i in fresh):
+                continue
+            for i, x in enumerate(parts):
+                needs[i] -= x
+            for i in fresh:
+                present[i].add(u)
+            if place(k + 1):
+                for i, x in enumerate(parts):
+                    if x:
+                        alloc[i][u] += x
+                return True
+            for i, x in enumerate(parts):
+                needs[i] += x
+            for i in fresh:
+                present[i].discard(u)
+        return False
+
+    if not place(0):
+        raise InternalSearchFailed("no allocation of the even pool fits the vessels")
     return alloc
 
 
@@ -766,18 +830,15 @@ def _coset_group_splits(
 
     Rotating a heaviest-leftover-first ordering moves each heavy value
     through both groups, which is what allocation feasibility depends on.
-    Each group's XOR heads its quarter instance, so a split with a zero XOR
-    on either side is skipped.
+    With 0 < k1 < len(others) distinct values, each rotation starts a
+    different window of the cycle, so no split repeats.  Each group's XOR
+    heads its quarter instance, so a split with a zero XOR on either side is
+    skipped.
     """
     base = sorted(others, key=lambda u: (-pool.get(u, 0), u))
-    seen = set()
     for r in range(len(base)):
         rot = base[r:] + base[:r]
         g1, g2 = sorted(rot[:k1]), sorted(rot[k1:])
-        key = tuple(g1)
-        if key in seen:
-            continue
-        seen.add(key)
         s1 = s2 = 0
         for u in g1:
             s1 ^= u
@@ -815,36 +876,48 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     # with many leftover copies needs a side that can absorb them.  Each
     # candidate layout gets one greedy fill; if that leaves a value without
     # a vessel, the next layout is tried.  Enumeration at n = 6 (every
-    # odd-count composition of a dozen value sets) and samples at n = 7 and
-    # 8 found no instance that this order leaves unsolved.
-    chosen = None
+    # odd-count composition of a dozen value sets) found no instance that
+    # this order leaves unsolved, but at n = 8 the greedy fill fails on
+    # every layout of some instances whose values carry few spare copies
+    # beside one heavy value.  Only then does each layout, in the same
+    # order, get the backtracking allocation, which solves those; one budget
+    # of _ALLOCATION_TRIES splits bounds that second pass.
     pairs = [(a, b) for i, a in enumerate(odds) for b in odds[i + 1 :]]
     pairs.sort(key=lambda ab: (hist[ab[0]] + hist[ab[1]], ab))
-    for a, b in pairs:
-        if hist[a] + hist[b] > quarter + 2:
-            break
-        lam2 = solve_parity_system([(u, 1 if u in (a, b) else 0) for u in distinct], n)
-        if lam2 is None:
-            continue
-        others = [u for u in odds if u not in (a, b)]
-        pool = _even_pool(hist, (a, b))
-        fills = [
-            eighth - (k1 + 1),
-            eighth - (m - c + 1),
-            quarter - (hist[a] - 1) - (hist[b] - 1),
-        ]
-        _ensure(all(f >= 0 and f % 2 == 0 for f in fills), "three-coset fills must be even")
-        for group1, group2, head1, head2 in _coset_group_splits(others, pool, k1):
-            vessels = [
-                (fills[0], n - 2, set(group1) | {head1}),
-                (fills[1], n - 2, set(group2) | {head2}),
-                (fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
+
+    def layouts() -> Iterable[tuple]:
+        """Candidate layouts, lightest separable pair first, with their pools and vessels."""
+        for a, b in pairs:
+            if hist[a] + hist[b] > quarter + 2:
+                return
+            lam2 = solve_parity_system([(u, 1 if u in (a, b) else 0) for u in distinct], n)
+            if lam2 is None:
+                continue
+            others = [u for u in odds if u not in (a, b)]
+            pool = _even_pool(hist, (a, b))
+            fills = [
+                eighth - (k1 + 1),
+                eighth - (m - c + 1),
+                quarter - (hist[a] - 1) - (hist[b] - 1),
             ]
+            _ensure(all(f >= 0 and f % 2 == 0 for f in fills), "three-coset fills must be even")
+            for group1, group2, head1, head2 in _coset_group_splits(others, pool, k1):
+                vessels = [
+                    (fills[0], n - 2, set(group1) | {head1}),
+                    (fills[1], n - 2, set(group2) | {head2}),
+                    (fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
+                ]
+                yield (a, b, lam2, group1, group2, head1, head2), pool, vessels
+
+    searched = partial(_allocate_searched, tries=iter(range(_ALLOCATION_TRIES)))
+    chosen = None
+    for allocate in (_allocate_even, searched):
+        for layout, pool, vessels in layouts():
             try:
-                alloc = _allocate_even(pool, vessels)
+                alloc = allocate(pool, vessels)
             except InternalSearchFailed:
                 continue
-            chosen = (a, b, lam2, group1, group2, head1, head2, alloc)
+            chosen = (*layout, alloc)
             break
         if chosen is not None:
             break

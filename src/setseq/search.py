@@ -32,7 +32,6 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .gf2 import BitVec
 from .trees import Labeling, Tree, _bfs, _label_width, verify_set_sequential
 
 __all__ = [
@@ -97,11 +96,22 @@ def search_labeling(
                 f"exhaustive strategy handles at most {EXHAUSTIVE_VERTEX_CAP} vertices"
             )
         raw = _backtracking(t, cfg, n, progress)
-    lab = Labeling(n, {v: BitVec(x, n) for v, x in raw.items()})
+    lab = Labeling(n, raw)
     verify_set_sequential(t, lab).require(
         InternalSearchFailed, "search produced an invalid labeling"
     )
     return lab
+
+
+def _require_even_degree_balance(t: Tree) -> None:
+    """Raise Infeasible when one or two vertices of t have even degree.
+
+    The even-degree labels of any labeling XOR to 0 (even_degree_label_sum
+    in trees), which one nonzero label, or two distinct ones, cannot do.
+    """
+    evens = sum(d % 2 == 0 for d in t.degrees())
+    if evens in (1, 2):
+        raise Infeasible(f"{evens} even-degree vertices: their labels cannot XOR to 0")
 
 
 def _emit(progress: TextIO | None, **fields: int) -> None:
@@ -216,13 +226,12 @@ def _greedy_restarts(
 def _backtracking(
     t: Tree, cfg: SearchConfig, n: int, progress: TextIO | None
 ) -> dict[int, int]:
-    deg = t.degrees()
-    # The even-degree labels of any labeling XOR to 0 (even_degree_label_sum
-    # in trees), which one nonzero label, or two distinct ones, cannot do.
-    evens = sum(d % 2 == 0 for d in deg)
-    if evens in (1, 2):
+    try:
+        _require_even_degree_balance(t)
+    except Infeasible:
         _emit(progress, nodes=0, result=0)
-        raise Infeasible(f"{evens} even-degree vertices: their labels cannot XOR to 0")
+        raise
+    deg = t.degrees()
     # Deterministic connectivity-first order: breadth first from the
     # highest-degree vertex, so every later vertex has exactly one earlier
     # neighbor, its parent, and each step adds exactly one edge label.

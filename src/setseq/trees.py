@@ -21,10 +21,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError
-from .gf2 import MAX_DIM, BitVec
+from .gf2 import MAX_DIM, BitVec, parse_bits
 
 __all__ = [
     "Tree",
@@ -203,51 +205,76 @@ class CaterpillarSpec:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Vertex labels in F_2^n, keyed by vertex id.
+    """Vertex labels in F_2^n as ints, keyed by vertex id.
 
+    A label is the int of a vector of F_2^n (see gf2), 0 <= x < 2^n.
     Deliberately permissive: duplicate, zero, or missing labels are the
     verifier's job to report, so broken candidates can still be carried
-    around and diagnosed.  Only structural nonsense (a vertex id that is
-    not an int, a label that is not a BitVec, a wrong width) is rejected
-    here.
+    around and diagnosed.  Only structural nonsense (a vertex id or a label
+    that is not an int, a label out of range) is rejected here.
+    Labeling.of also takes bitstring and BitVec labels.
+
+    vertex_labels, label and edge_label give read-only BitVec views;
+    vertex_labels is built once, on first use.
     """
 
     n: int
-    vertex_labels: Mapping[int, BitVec]
+    labels: dict[int, int]
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or not 1 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {self.n!r}")
-        for v, lab in self.vertex_labels.items():
-            if type(lab) is not BitVec or type(v) is not int:
+        if not isinstance(self.labels, Mapping):
+            raise PreconditionViolated(
+                f"labels must be a mapping, got {type(self.labels).__name__}"
+            )
+        # A copy, so that the labels checked here are the labels kept.
+        labels = dict(self.labels)
+        object.__setattr__(self, "labels", labels)
+        size = 1 << self.n
+        # Type sets, min and max screen every entry at C speed; only a failed
+        # screen walks the entries to name the first bad one.
+        if not labels or (
+            set(map(type, labels)) == {int}
+            and set(map(type, labels.values())) == {int}
+            and 0 <= min(labels.values())
+            and max(labels.values()) < size
+        ):
+            return
+        for v, x in labels.items():
+            if type(v) is not int or type(x) is not int or not 0 <= x < size:
                 raise PreconditionViolated(
                     f"vertex id {v!r} is not an int"
                     if type(v) is not int
-                    else f"label of vertex {v} is a {type(lab).__name__}, not a BitVec;"
-                    " Labeling.of takes int or str labels"
-                )
-            if lab.dim != self.n:
-                raise PreconditionViolated(
-                    f"label of vertex {v} has width {lab.dim}, expected {self.n}"
+                    else f"label of vertex {v} is {x!r}, not an int in 0..{size - 1}"
                 )
 
     @classmethod
     def of(cls, n: int, labels: Mapping[int, int | str | BitVec]) -> Labeling:
-        out: dict[int, BitVec] = {}
+        """Build from int, width-n bitstring or width-n BitVec labels."""
+        out: dict[int, int] = {}
         for v, lab in labels.items():
             if isinstance(lab, BitVec):
-                out[v] = lab
+                if lab.dim != n:
+                    raise PreconditionViolated(
+                        f"label of vertex {v} has width {lab.dim}, expected {n}"
+                    )
+                out[v] = lab.bits
             elif isinstance(lab, str):
-                out[v] = BitVec.parse(lab, n)
+                out[v] = parse_bits(lab, n)
             else:
-                out[v] = BitVec(lab, n)
+                out[v] = lab
         return cls(n, out)
 
+    @cached_property
+    def vertex_labels(self) -> Mapping[int, BitVec]:
+        return MappingProxyType({v: BitVec(x, self.n) for v, x in self.labels.items()})
+
     def label(self, v: int) -> BitVec:
-        return self.vertex_labels[v]
+        return BitVec(self.labels[v], self.n)
 
     def edge_label(self, a: int, b: int) -> BitVec:
-        return self.vertex_labels[a] ^ self.vertex_labels[b]
+        return BitVec(self.labels[a] ^ self.labels[b], self.n)
 
 
 @dataclass(frozen=True)
@@ -346,17 +373,19 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
     matches, where it is meaningful).
     """
     n = lab.n
+    labels = lab.labels
+    count = t.vertex_count
     violations: list[Violation] = []
 
-    unlabeled = [v for v in range(t.vertex_count) if v not in lab.vertex_labels]
+    unlabeled = [v for v in range(count) if v not in labels]
     expected = (1 << n) - 1
-    total = t.vertex_count + len(t.edges)
+    total = count + len(t.edges)
     if total != expected:
         violations.append(
             Violation(
                 "SizeMismatch",
                 locations=(
-                    f"{t.vertex_count} vertices + {len(t.edges)} edges = {total}",
+                    f"{count} vertices + {len(t.edges)} edges = {total}",
                     f"n={n} needs {expected}",
                 ),
             )
@@ -368,10 +397,9 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
                 locations=tuple(f"vertex {v} unlabeled" for v in unlabeled),
             )
         )
-    labels = lab.vertex_labels
     # Labels beyond the covered vertices sit on ids outside the tree.
-    if len(labels) > t.vertex_count - len(unlabeled):
-        outside = sorted(v for v in labels if not 0 <= v < t.vertex_count)
+    if len(labels) > count - len(unlabeled):
+        outside = sorted(v for v in labels if not 0 <= v < count)
         violations.append(
             Violation(
                 "SizeMismatch",
@@ -379,17 +407,24 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
             )
         )
 
-    bits = {v: labels[v].bits for v in range(t.vertex_count) if v in labels}
-    edges = [(a, b) for a, b in t.edges if a in bits and b in bits]
-    counts = Counter(bits.values())
-    counts.update(bits[a] ^ bits[b] for a, b in edges)
+    # The labels on tree vertices, and the edges with both ends labeled.
+    if len(labels) == count and not unlabeled:
+        bits, edges = labels, t.edges
+    else:
+        bits = {v: labels[v] for v in range(count) if v in labels}
+        edges = tuple((a, b) for a, b in t.edges if a in bits and b in bits)
+    values = list(bits.values())
+    values += [bits[a] ^ bits[b] for a, b in edges]
+    distinct = set(values)
 
     # Locations are spelled out only for the zero and the repeated values.
-    spots: dict[int, list[str]] = {x: [] for x, c in counts.items() if c > 1 or x == 0}
-    if spots:
-        for v, x in bits.items():
-            if x in spots:
-                spots[x].append(f"vertex {v}")
+    spots: dict[int, list[str]] = {}
+    if len(distinct) < len(values) or 0 in distinct:
+        spots = {x: [] for x, c in Counter(values).items() if c > 1 or x == 0}
+        # By vertex id: bits may be the labeling's own map, in any order.
+        for v in range(count):
+            if v in bits and bits[v] in spots:
+                spots[bits[v]].append(f"vertex {v}")
         for a, b in edges:
             x = bits[a] ^ bits[b]
             if x in spots:
@@ -401,7 +436,7 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
     # repeat took its place.
     if total == expected and not unlabeled and spots:
         for x in range(1, 1 << n):
-            if x not in counts:
+            if x not in distinct:
                 violations.append(Violation("MissingValue", value=BitVec(x, n)))
 
     return VerifierReport(tuple(violations))
@@ -413,13 +448,14 @@ def even_degree_label_sum(t: Tree, lab: Labeling) -> BitVec:
     Zero for every labeling that verifies, so a nonzero value certifies that
     no set-sequential labeling extends the given even-degree assignments.
     """
-    missing = [v for v in range(t.vertex_count) if v not in lab.vertex_labels]
+    labels = lab.labels
+    missing = [v for v in range(t.vertex_count) if v not in labels]
     if missing:
         raise PreconditionViolated(f"vertices without labels: {missing}")
     acc = 0
     for v, d in enumerate(t.degrees()):
         if d % 2 == 0:
-            acc ^= lab.vertex_labels[v].bits
+            acc ^= labels[v]
     return BitVec(acc, lab.n)
 
 
@@ -458,11 +494,11 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
         width = n
     else:
         width = _label_width(t)
-    get = (lab.vertex_labels if lab is not None else {}).get
+    get = (lab.labels if lab is not None else {}).get
     vertices = ",\n".join(
         f'  {{\n   "id": {v}\n  }}'
         if (x := get(v)) is None
-        else f'  {{\n   "id": {v},\n   "label": "{x.bits:0{width}b}"\n  }}'
+        else f'  {{\n   "id": {v},\n   "label": "{x:0{width}b}"\n  }}'
         for v in range(t.vertex_count)
     )
     edges = ",\n".join(f"  [\n   {a},\n   {b}\n  ]" for a, b in t.edges)
@@ -493,7 +529,7 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise ValueError(f"field {key!r} must be a list")
-    labels: dict[int, BitVec] = {}
+    labels: dict[int, int] = {}
     ids: list[int] = []
     for entry in doc["vertices"]:
         if type(entry) is not dict or type(v := entry.get("id")) is not int:
@@ -504,7 +540,7 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
             if type(label) is not str:
                 raise ValueError(f"label of vertex {v} is not a string")
             try:
-                labels[v] = BitVec.parse(label, n)
+                labels[v] = parse_bits(label, n)
             except PreconditionViolated as exc:
                 raise ValueError(str(exc)) from exc
     if sorted(ids) != list(range(len(ids))):
@@ -529,15 +565,16 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
 
 def tree_to_dot(t: Tree, lab: Labeling | None = None) -> str:
     """Graphviz DOT text; vertex labels and edge XORs become DOT labels."""
+    labels, n = (lab.labels, lab.n) if lab is not None else ({}, 0)
     lines = ["graph setseq {"]
     for v in range(t.vertex_count):
-        if lab is not None and v in lab.vertex_labels:
-            lines.append(f'  {v} [label="{lab.vertex_labels[v]}"];')
+        if v in labels:
+            lines.append(f'  {v} [label="{labels[v]:0{n}b}"];')
         else:
             lines.append(f"  {v};")
     for a, b in t.edges:
-        if lab is not None and a in lab.vertex_labels and b in lab.vertex_labels:
-            lines.append(f'  {a} -- {b} [label="{lab.edge_label(a, b)}"];')
+        if a in labels and b in labels:
+            lines.append(f'  {a} -- {b} [label="{labels[a] ^ labels[b]:0{n}b}"];')
         else:
             lines.append(f"  {a} -- {b};")
     lines.append("}")

@@ -225,6 +225,43 @@ def three_coset_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     return n, values
 
 
+def heavy_three_coset_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
+    """A three-coset instance whose spare copies sit mostly on one to three values, 6 <= n <= 9.
+
+    The m odd values (m as in three_coset_instance) are drawn from a span
+    of n - 3 to n - 1 dimensions, a random few of them get up to six more
+    copies, and one to three heavy values take the rest.  About one in 25
+    of them at n = 8 and 9 leave the three-coset case's greedy fill without
+    a vessel for some value on every layout (seeds 0 to 3,999, n = 6 + seed
+    % 4: 39 of 1,000 at n = 8, 46 at n = 9, none at n = 6 and 7).
+    """
+    assert 6 <= n <= 9
+    m = n - n % 2
+    while True:
+        span = [v for v in span_of(random_independent(rng, n, rng.randint(n - 3, n - 1))) if v]
+        if len(span) < m:
+            continue
+        odd_set = rng.sample(span, m - 1)
+        last = xor_all(odd_set)
+        if last and last not in odd_set and not has_even_zero_sum_subset(odd_set + [last]):
+            odd_set.append(last)
+            break
+    while True:
+        counts = {u: 1 for u in odd_set}
+        if n % 2:
+            counts[rng.choice([v for v in range(1, 1 << n) if v not in counts])] = rng.choice([2, 4, 6])
+        for u in rng.sample(odd_set, rng.randint(0, m)):
+            counts[u] += 2 * rng.randint(1, 3)
+        if sum(counts.values()) <= 1 << (n - 1):
+            break
+    heavy = rng.sample(list(counts), rng.randint(1, 3))
+    for _ in range(((1 << (n - 1)) - sum(counts.values())) // 2):
+        counts[rng.choice(heavy)] += 2
+    values = [u for u in counts for _ in range(counts[u])]
+    rng.shuffle(values)
+    return n, values
+
+
 def any_valid_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     """Unrestricted valid instance (used with the exact solver at small n)."""
     pool = list(range(1, 1 << n))

@@ -62,8 +62,8 @@ ODD_SPINES_DIGEST = "eccea8ec5bef562613d8692792fd9dacda33ac08992a008bf2f2538c308
 
 def entry_table(tree: Tree, lab: Labeling) -> list[int]:
     """The displayed labeling: vertex entries then edge entries."""
-    vertex = [lab.label(v).bits for v in range(tree.vertex_count)]
-    edge = [lab.edge_label(a, b).bits for a, b in tree.edges]
+    vertex = [lab.labels[v] for v in range(tree.vertex_count)]
+    edge = [lab.labels[a] ^ lab.labels[b] for a, b in tree.edges]
     return vertex + edge
 
 
@@ -319,7 +319,7 @@ def test_search_regenerates_every_base_labeling():
         assert elapsed < 60, f"{spec} took {elapsed:.1f}s"
         assert verify_set_sequential(tree, lab).valid
         _, bundled = load_fixture(f"{spec}.json")
-        assert lab.vertex_labels == bundled.vertex_labels, spec
+        assert lab.labels == bundled.labels, spec
 
 
 def test_small_diameter_band():

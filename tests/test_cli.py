@@ -294,6 +294,27 @@ def test_label_domain_error(capsys):
     assert err.startswith("error=NotOddDegree:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--tree", "{path4}"),
+        ("--caterpillar", "T[2,2]"),
+        ("--caterpillar", "T[2,2]", "--method", "search"),
+    ],
+    ids=["tree", "caterpillar-auto", "caterpillar-search"],
+)
+def test_label_proves_the_four_path_infeasible_at_once(capsys, tmp_path, argv):
+    # Two even-degree vertices rule out every labeling, so label raises
+    # Infeasible before greedy search, which could only run out its budget.
+    doc = tmp_path / "p4.json"
+    doc.write_text(tree_to_json(Tree.of(4, [(0, 1), (1, 2), (2, 3)])))
+    start = time.monotonic()
+    code, out, err = run(capsys, "label", *(a.format(path4=doc) for a in argv))
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error=Infeasible: 2 even-degree vertices: their labels cannot XOR to 0\n"
+
+
 def test_label_rejects_oversized_caterpillars_at_once(capsys):
     start = time.monotonic()
     code, _, err = run(capsys, "label", "--caterpillar", "T[2147483647]")

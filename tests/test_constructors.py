@@ -36,12 +36,14 @@ from setseq.errors import (
     TooFewVertices,
     TooSmall,
 )
-from setseq.gf2 import echelon_basis
+from setseq.gf2 import BitVec, echelon_basis
 from setseq.trees import (
     CaterpillarSpec,
     Labeling,
     Tree,
     diameter,
+    tree_from_json,
+    tree_to_json,
     verify_set_sequential,
 )
 from test_determinism import LARGE_DEGREES
@@ -49,8 +51,8 @@ from test_determinism import LARGE_DEGREES
 
 def covers_exactly_once(tree: Tree, lab: Labeling) -> bool:
     """Independent full-coverage check, bypassing the package verifier."""
-    values = [lab.label(v).bits for v in range(tree.vertex_count)]
-    values += [lab.edge_label(a, b).bits for a, b in tree.edges]
+    values = [lab.labels[v] for v in range(tree.vertex_count)]
+    values += [lab.labels[a] ^ lab.labels[b] for a, b in tree.edges]
     return sorted(values) == list(range(1, (1 << lab.n)))
 
 
@@ -192,7 +194,7 @@ def test_old_ids_and_labels_survive():
     acc = 0
     for vid, count in plan.anchors:
         for _ in range(count):
-            acc ^= lab.label(vid).bits
+            acc ^= lab.labels[vid]
     assert acc == 0
     out_tree, out_lab = add_pendants(tree, lab, plan)
     for v in range(tree.vertex_count):
@@ -205,9 +207,9 @@ def test_old_ids_and_labels_survive():
 def test_anchor_span_dimension_is_preserved():
     tree, lab = load_fixture("figure1.json")
     plan = PendantPlan(((0, 4), (3, 4)))
-    before = echelon_basis([lab.label(0).bits, lab.label(3).bits], lab.n).rank
+    before = echelon_basis([lab.labels[0], lab.labels[3]], lab.n).rank
     out_tree, out_lab = add_pendants(tree, lab, plan)
-    after = echelon_basis([out_lab.label(0).bits, out_lab.label(3).bits], out_lab.n).rank
+    after = echelon_basis([out_lab.labels[0], out_lab.labels[3]], out_lab.n).rank
     assert before == after
 
 
@@ -219,10 +221,10 @@ def test_uncoverable_targets_surface_as_pairing_not_covered():
     tree, lab = label_small_diameter(spec)
     chosen: list[int] = []
     for v in range(64):
-        rank = echelon_basis([lab.label(x).bits for x in chosen], 7).rank
+        rank = echelon_basis([lab.labels[x] for x in chosen], 7).rank
         if rank < 7:
             grown = echelon_basis(
-                [lab.label(x).bits for x in chosen] + [lab.label(v).bits], 7
+                [lab.labels[x] for x in chosen] + [lab.labels[v]], 7
             ).rank
             if grown == rank:
                 continue
@@ -338,7 +340,7 @@ def test_small_diameter_is_deterministic():
     spec = CaterpillarSpec.parse("T[5,5,5,5,5,3,3,3,3,3]")
     first = label_small_diameter(spec)
     second = label_small_diameter(spec)
-    assert first[1].vertex_labels == second[1].vertex_labels
+    assert first[1].labels == second[1].labels
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +433,25 @@ def test_a_pipeline_builds_one_tree_beyond_its_fixture(monkeypatch):
     assert tree.vertex_count == 1 << 12
     assert len(built) <= 3
     assert built[-1] == tree.vertex_count
+
+
+def test_labels_stay_ints_from_construction_to_verification(monkeypatch):
+    # Labeling, build, dump, parse and verify hand over int labels; no
+    # BitVec is made unless a caller reads the BitVec view.
+    made = []
+    check = BitVec.__post_init__
+
+    def counting(self):
+        made.append(self.bits)
+        check(self)
+
+    monkeypatch.setattr(BitVec, "__post_init__", counting)
+    tree, lab = label_large_caterpillar(CaterpillarSpec((201, 203, 205, 207, 211)))
+    assert tree.vertex_count == 1 << 10
+    back_tree, back = tree_from_json(tree_to_json(tree, lab))
+    assert back_tree == tree and back == lab
+    assert verify_set_sequential(back_tree, back).valid
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +596,8 @@ def test_four_copies_prefix_fan_out():
     for r in range(tree.vertex_count):
         if r in (u, v):
             continue
-        copies = [big_lab.label(c * tree.vertex_count + r).bits for c in range(4)]
-        assert all(x & mask == lab.label(r).bits for x in copies)
+        copies = [big_lab.labels[c * tree.vertex_count + r] for c in range(4)]
+        assert all(x & mask == lab.labels[r] for x in copies)
         assert len({x >> lab.n for x in copies}) == 4
 
 

@@ -353,7 +353,7 @@ def exhaustive_stream() -> str:
         except Infeasible:
             out.append("Infeasible\n")
             continue
-        out.append(" ".join(f"{v}:{x.bits}" for v, x in sorted(lab.vertex_labels.items())) + "\n")
+        out.append(" ".join(f"{v}:{x}" for v, x in sorted(lab.labels.items())) + "\n")
     return "".join(out)
 
 

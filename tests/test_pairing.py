@@ -763,6 +763,20 @@ def test_at_most_n_zero_sum_subset_case_n8():
     assert_valid(inst, at_most_n_values(inst))
 
 
+def test_subset_split_never_pins_one_value_to_both_sides_n9():
+    # l = n = 9: the eight odd values above and one even value, 3, whose
+    # two copies are the fewest leftover copies of any value, so 3 heads
+    # both sides' pin candidates.  Pinning it on both sides is skipped and
+    # side two pins its next candidate, 8.
+    odds = [1, 2, 4, 7, 8, 16, 32, 56]
+    counts = [5, 5, 5, 5, 5, 5, 5, 219]
+    values = [v for v, c in zip(odds, counts) for _ in range(c)] + [3, 3]
+    inst = build(9, values)
+    part, route = solve_pairing(inst, "AtMostNValues")
+    assert_valid(inst, part)
+    assert route.trace[0] == "zero-subset-split n=9 |U|=4 pins=(3,8)"
+
+
 def test_at_most_n_three_coset_case_n7():
     # No proper even-size zero-sum subset among the m = n - 1 odd values.
     odds = [1, 2, 4, 8, 16, 31]
@@ -826,6 +840,31 @@ def test_three_coset_moves_on_when_the_greedy_fill_fails(n, hist, monkeypatch):
 @pytest.mark.parametrize(
     "n, hist",
     [
+        (7, {7: 3, 12: 44, 21: 5, 70: 3, 88: 3, 113: 3, 125: 3}),
+        (7, {21: 5, 32: 6, 53: 3, 71: 17, 105: 5, 114: 25, 124: 3}),
+        (8, {78: 7, 124: 7, 128: 5, 164: 3, 169: 91, 184: 7, 216: 3, 223: 5}),
+    ],
+)
+def test_three_coset_searches_the_fill_once_no_greedy_fill_fits(n, hist, monkeypatch):
+    # The greedy fill leaves a value without a vessel on every layout (at
+    # n = 8 the pair loop runs up to the first pair too heavy for its half),
+    # so the backtracking fill gets the layouts next, and the first fits.
+    searched = []
+    real = pairing._allocate_searched
+
+    def counting(pool, vessels, tries):
+        searched.append(pool)
+        return real(pool, vessels, tries)
+
+    monkeypatch.setattr(pairing, "_allocate_searched", counting)
+    inst = from_histogram(n, hist)
+    assert_valid(inst, at_most_n_values(inst))
+    assert len(searched) == 1
+
+
+@pytest.mark.parametrize(
+    "n, hist",
+    [
         (6, {7: 1, 14: 9, 36: 1, 42: 1, 59: 1, 60: 19}),
         (8, {12: 17, 36: 23, 42: 15, 47: 13, 99: 9, 100: 21, 144: 13, 186: 17}),
     ],
@@ -857,6 +896,15 @@ def test_three_coset_instances_reach_the_case(seed, n):
     part, route = solve_pairing(inst, "AtMostNValues")
     assert_valid(inst, part)
     assert any(entry.startswith(f"three-coset n={n} ") for entry in route.trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(8, 9))
+def test_heavy_three_coset_instances_solve(seed, n):
+    # About one draw in 25 needs the backtracking fill (see the generator).
+    n, values = instgen.heavy_three_coset_instance(random.Random(seed), n)
+    inst = build(n, values)
+    assert_valid(inst, at_most_n_values(inst))
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,7 +84,7 @@ def test_size_precondition():
 def test_greedy_single_edge():
     lab = search_labeling(path(2), SearchConfig(seed=0))
     assert lab.n == 2
-    vals = {lab.vertex_labels[0].bits, lab.vertex_labels[1].bits}
+    vals = {lab.labels[0], lab.labels[1]}
     assert len(vals) == 2 and 0 not in vals
 
 

@@ -51,8 +51,8 @@ def path(count):
 
 def covers_exactly_once(t, lab):
     """Oracle: vertex labels plus edge XORs hit 1..2^n-1 each exactly once."""
-    values = [lab.vertex_labels[v].bits for v in range(t.vertex_count)]
-    values += [lab.vertex_labels[a].bits ^ lab.vertex_labels[b].bits for a, b in t.edges]
+    values = [lab.labels[v] for v in range(t.vertex_count)]
+    values += [lab.labels[a] ^ lab.labels[b] for a, b in t.edges]
     return sorted(values) == list(range(1, 1 << lab.n))
 
 
@@ -393,8 +393,8 @@ def test_figure_labeling_breaks_under_colliding_mutations():
         for other in list(range(8)) + [None]:
             if other == v:
                 continue
-            labels = dict(base.vertex_labels)
-            labels[v] = BitVec(0, 4) if other is None else base.vertex_labels[other]
+            labels = dict(base.labels)
+            labels[v] = 0 if other is None else base.labels[other]
             report = verify_set_sequential(t, Labeling(4, labels))
             assert not report.valid
 
@@ -403,7 +403,7 @@ def test_leaf_label_can_trade_with_its_edge():
     # The swap witness for the comment above: leaf 4 hangs off vertex 0, so
     # replacing its label with label(4) xor label(0) swaps the vertex and
     # edge values and the result is again set-sequential.
-    labels = dict(figure_labeling().vertex_labels)
+    labels = dict(figure_labeling().labels)
     labels[4] = labels[4] ^ labels[0]
     assert verify_set_sequential(figure_tree(), Labeling(4, labels)).valid
 
@@ -449,7 +449,7 @@ def test_verifier_reports_labels_outside_the_tree():
     text = resources.files("setseq").joinpath("fixtures", "T[1].json").read_text()
     tree, lab = tree_from_json(text)
     assert verify_set_sequential(tree, lab).valid
-    extra = Labeling(2, {**lab.vertex_labels, 5: BitVec(2, 2), -1: BitVec(3, 2)})
+    extra = Labeling(2, {**lab.labels, 5: 2, -1: 3})
     report = verify_set_sequential(tree, extra)
     assert [str(v) for v in report.violations] == [
         "SizeMismatch at vertex -1 not in the tree, vertex 5 not in the tree"
@@ -478,11 +478,7 @@ def test_verifier_is_total_on_arbitrary_labelings():
     rng = random.Random(7)
     t = figure_tree()
     for _ in range(50):
-        labels = {
-            v: BitVec(rng.randrange(16), 4)
-            for v in range(8)
-            if rng.random() < 0.9
-        }
+        labels = {v: rng.randrange(16) for v in range(8) if rng.random() < 0.9}
         report = verify_set_sequential(t, Labeling(4, labels))
         assert report.valid == (not report.violations)
         assert report.valid == (
@@ -536,7 +532,7 @@ def test_path_four_never_verifies_exhaustively():
     # to be equal; checked here over every injective assignment at n = 3.
     t = path(4)
     for combo in itertools.permutations(range(1, 8), 4):
-        lab = Labeling(3, {v: BitVec(x, 3) for v, x in enumerate(combo)})
+        lab = Labeling(3, dict(enumerate(combo)))
         assert not verify_set_sequential(t, lab).valid
 
 
@@ -550,7 +546,7 @@ def test_valid_labelings_have_zero_even_degree_sum(seed):
     rng = random.Random(seed)
     t = random_tree(rng, rng.randrange(4, 12))
     n = 4
-    labels = {v: BitVec(rng.randrange(16), n) for v in range(t.vertex_count)}
+    labels = {v: rng.randrange(16) for v in range(t.vertex_count)}
     lab = Labeling(n, labels)
     if even_degree_label_sum(t, lab).bits != 0:
         assert not verify_set_sequential(t, lab).valid
@@ -612,8 +608,8 @@ def reference_json(t, lab, n):
     vertices = []
     for v in range(t.vertex_count):
         doc = {"id": v}
-        if lab is not None and v in lab.vertex_labels:
-            doc["label"] = str(lab.vertex_labels[v])
+        if lab is not None and v in lab.labels:
+            doc["label"] = str(BitVec(lab.labels[v], n))
         vertices.append(doc)
     payload = {"n": n, "vertices": vertices, "edges": [[a, b] for a, b in t.edges]}
     return json.dumps(payload, indent=1) + "\n"
@@ -636,15 +632,34 @@ def test_json_writer_emits_the_json_module_layout(seed, count, labels, width, in
     lab = None
     if labels != "none":
         keep = 1.0 if labels == "full" else 0.5
-        lab = Labeling(
-            n, {v: BitVec(rng.randrange(1 << n), n) for v in range(count) if rng.random() < keep}
-        )
+        lab = Labeling(n, {v: rng.randrange(1 << n) for v in range(count) if rng.random() < keep})
         text = tree_to_json(t, lab)
     elif infer:
         text = tree_to_json(t)
     else:
         text = tree_to_json(t, n=n)
     assert text == reference_json(t, lab, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 64),
+    st.integers(1, 30),
+    st.sampled_from([1.0, 0.5]),
+)
+def test_int_labels_round_trip_in_every_form(seed, count, n, keep):
+    # The JSON round trip gives back the same int map, and Labeling.of reads
+    # the int, bitstring and BitVec forms of it as one labeling.
+    rng = random.Random(seed)
+    t = random_tree(rng, count)
+    ints = {v: rng.randrange(1 << n) for v in range(count) if v == 0 or rng.random() < keep}
+    lab = Labeling(n, ints)
+    back_tree, back = tree_from_json(tree_to_json(t, lab))
+    assert back_tree == t and back.n == n and back.labels == ints
+    texts = {v: format(x, f"0{n}b") for v, x in ints.items()}
+    vectors = {v: BitVec(x, n) for v, x in ints.items()}
+    assert Labeling.of(n, ints) == Labeling.of(n, texts) == Labeling.of(n, vectors) == lab
 
 
 GENERATED_FIXTURES = sorted(
@@ -756,22 +771,42 @@ def test_labeling_rejects_wrongly_typed_labels():
 def test_labeling_of_takes_bitvec_labels():
     lab = Labeling.of(3, {0: BitVec(0b001, 3), 1: "010", 2: 0b100})
     assert lab == Labeling.of(3, {0: 0b001, 1: 0b010, 2: 0b100})
+    assert lab.labels == {0: 0b001, 1: 0b010, 2: 0b100}
     assert lab.label(0) == BitVec(0b001, 3)
+
+
+def test_labeling_keeps_its_own_labels_and_read_only_bitvec_views():
+    given = {0: 0b001, 1: 0b010}
+    lab = Labeling(3, given)
+    given[0] = 0b1000
+    assert lab.labels == {0: 0b001, 1: 0b010}
+    assert lab.vertex_labels is lab.vertex_labels
+    assert dict(lab.vertex_labels) == {0: BitVec(0b001, 3), 1: BitVec(0b010, 3)}
+    assert lab.edge_label(0, 1) == BitVec(0b011, 3)
+    with pytest.raises(TypeError):
+        lab.vertex_labels[0] = BitVec(0b100, 3)
 
 
 @pytest.mark.parametrize("width", [2, 4])
 def test_labeling_rejects_a_label_of_another_width(width):
     message = f"label of vertex 1 has width {width}, expected 3"
     with pytest.raises(PreconditionViolated, match=message):
-        Labeling(3, {0: BitVec(1, 3), 1: BitVec(1, width)})
+        Labeling.of(3, {0: BitVec(1, 3), 1: BitVec(1, width)})
     with pytest.raises(PreconditionViolated, match=message):
         Labeling.of(3, {0: 1, 1: BitVec(1, width)})
 
 
-@pytest.mark.parametrize("label", [5, "001", None])
-def test_labeling_rejects_a_label_that_is_not_a_bitvec(label):
-    with pytest.raises(PreconditionViolated, match="label of vertex 0 .*Labeling.of"):
+@pytest.mark.parametrize("label", [True, 1.0, "001", None, BitVec(1, 3), 8, -1])
+def test_labeling_rejects_a_label_that_is_not_an_int(label):
+    # At n = 3 a label is an int in 0..7; bools are not ints here.
+    with pytest.raises(PreconditionViolated) as info:
         Labeling(3, {0: label})
+    assert str(info.value) == f"label of vertex 0 is {label!r}, not an int in 0..7"
+
+
+def test_labeling_rejects_labels_that_are_not_a_mapping():
+    with pytest.raises(PreconditionViolated, match="^labels must be a mapping, got list$"):
+        Labeling(3, [(0, 1)])
 
 
 @pytest.mark.parametrize("vertex", ["a", 1.0, True, (0,)])
