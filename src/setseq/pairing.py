@@ -29,7 +29,6 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 from .errors import (
@@ -592,16 +591,20 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
 _ALLOCATION_TRIES = 20_000
 
 
-def _allocate_even(
-    pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]]
+def _allocate(
+    pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]], tries: Iterator[int]
 ) -> list[Counter]:
-    """Deal even per-value counts into vessels (need, cap, present) in one greedy pass.
+    """Deal even per-value counts into vessels (need, cap, present) by backtracking.
 
-    Largest counts go first, each into a compatible vessel with need left:
-    one already holding the value, else the neediest with fewer than cap
-    distinct values.  There is no backtracking: a value that finds no vessel
-    raises InternalSearchFailed, and the caller moves on to its next layout
-    (and, once no layout fills this way, to _allocate_searched).
+    Largest counts go first.  Each is split into even parts over the
+    vessels that can take it: need left, and the value already present or
+    fewer than cap distinct values.  Those vessels are ordered present
+    first, then neediest, and each takes the largest part that fits before
+    the next, so the first descent is the greedy fill and the search only
+    goes on where that leaves a value with no room.  Each split tried takes
+    one item of tries, a budget the caller may share between calls.  This
+    finds an allocation wherever one exists unless the budget runs out
+    first; either failure raises InternalSearchFailed.
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
     _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
@@ -609,51 +612,16 @@ def _allocate_even(
     _ensure(sum(c for _, c in order) == sum(needs), "pool and needs differ")
     present = [set(p) for _, _, p in vessels]
     alloc = [Counter() for _ in vessels]
-    for u, left in order:
-        while left:
-            choices = [
-                i
-                for i, (_, cap, _) in enumerate(vessels)
-                if needs[i] and (u in present[i] or len(present[i]) < cap)
-            ]
-            if not choices:
-                raise InternalSearchFailed(f"no vessel has room for value {u}")
-            i = min(choices, key=lambda i: (u not in present[i], -needs[i], i))
-            take = min(left, needs[i])
-            alloc[i][u] += take
-            needs[i] -= take
-            present[i].add(u)
-            left -= take
-    return alloc
 
-
-def _allocate_searched(
-    pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]], tries: Iterator[int]
-) -> list[Counter]:
-    """Deal even per-value counts into vessels (need, cap, present) by backtracking.
-
-    Largest counts go first; each is split into even parts, one per vessel,
-    in every way that fits the vessels' needs and distinct-value caps, the
-    first vessel's part largest first.  Each split tried takes one item of
-    tries, a budget the caller may share between calls.  This finds an
-    allocation wherever one exists unless the budget runs out first; either
-    failure raises InternalSearchFailed.
-    """
-    order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
-    needs = [need for need, _, _ in vessels]
-    _ensure(sum(c for _, c in order) == sum(needs), "pool and needs differ")
-    present = [set(p) for _, _, p in vessels]
-    alloc = [Counter() for _ in vessels]
-
-    def splits(i: int, left: int) -> Iterable[tuple[int, ...]]:
+    def splits(room: list[int], left: int) -> Iterable[tuple[int, ...]]:
         # Each part takes at least what the later vessels cannot, so every
-        # split yielded fits the needs, and each costs one try.
-        if i == len(needs) - 1:
-            yield (left,)
+        # split yielded places all of left within the room.
+        if not room:
+            if not left:
+                yield ()
             return
-        room = sum(needs[i + 1 :])
-        for x in range(min(left, needs[i]), max(left - room, 0) - 1, -2):
-            for rest in splits(i + 1, left - x):
+        for x in range(min(left, room[0]), max(left - sum(room[1:]), 0) - 1, -2):
+            for rest in splits(room[1:], left - x):
                 yield (x, *rest)
 
     def place(k: int) -> bool:
@@ -662,21 +630,27 @@ def _allocate_searched(
         if k == len(order):
             return True
         u, c = order[k]
-        for parts in splits(0, c):
+        takers = sorted(
+            (
+                i
+                for i, (_, cap, _) in enumerate(vessels)
+                if needs[i] and (u in present[i] or len(present[i]) < cap)
+            ),
+            key=lambda i: (u not in present[i], -needs[i], i),
+        )
+        for parts in splits([needs[i] for i in takers], c):
             _ensure(next(tries, None) is not None, "allocation search ran out of tries")
-            fresh = [i for i, x in enumerate(parts) if x and u not in present[i]]
-            if any(len(present[i]) >= vessels[i][1] for i in fresh):
-                continue
-            for i, x in enumerate(parts):
+            placed = [(i, x) for i, x in zip(takers, parts) if x]
+            fresh = [i for i, _ in placed if u not in present[i]]
+            for i, x in placed:
                 needs[i] -= x
             for i in fresh:
                 present[i].add(u)
             if place(k + 1):
-                for i, x in enumerate(parts):
-                    if x:
-                        alloc[i][u] += x
+                for i, x in placed:
+                    alloc[i][u] += x
                 return True
-            for i, x in enumerate(parts):
+            for i, x in placed:
                 needs[i] += x
             for i in fresh:
                 present[i].discard(u)
@@ -873,23 +847,23 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
 
     # The pair choice and the assignment of the remaining odd values to the
     # two quarter-sized groups interact with the fill allocation: a value
-    # with many leftover copies needs a side that can absorb them.  Each
-    # candidate layout gets one greedy fill; if that leaves a value without
-    # a vessel, the next layout is tried.  Enumeration at n = 6 (every
-    # odd-count composition of a dozen value sets) found no instance that
-    # this order leaves unsolved, but at n = 8 the greedy fill fails on
-    # every layout of some instances whose values carry few spare copies
-    # beside one heavy value.  Only then does each layout, in the same
-    # order, get the backtracking allocation, which solves those; one budget
-    # of _ALLOCATION_TRIES splits bounds that second pass.
+    # with many leftover copies needs a side that can absorb them.  The
+    # candidate layouts are walked once, lightest separable pair first, and
+    # the first whose even pool _allocate fits into its three vessels wins.
+    # Its first descent is the greedy fill, which suffices on most layouts;
+    # where it leaves a value without a vessel (at n = 8, some instances
+    # whose values carry few spare copies beside one heavy value fail it on
+    # every layout) the backtracking goes on inside that layout.  One budget
+    # of _ALLOCATION_TRIES splits bounds the whole walk.
     pairs = [(a, b) for i, a in enumerate(odds) for b in odds[i + 1 :]]
     pairs.sort(key=lambda ab: (hist[ab[0]] + hist[ab[1]], ab))
+    tries = iter(range(_ALLOCATION_TRIES))
 
-    def layouts() -> Iterable[tuple]:
-        """Candidate layouts, lightest separable pair first, with their pools and vessels."""
+    def first_layout() -> tuple:
+        """The first layout that fills, with its functional and allocation."""
         for a, b in pairs:
             if hist[a] + hist[b] > quarter + 2:
-                return
+                break
             lam2 = solve_parity_system([(u, 1 if u in (a, b) else 0) for u in distinct], n)
             if lam2 is None:
                 continue
@@ -907,23 +881,14 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
                     (fills[1], n - 2, set(group2) | {head2}),
                     (fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
                 ]
-                yield (a, b, lam2, group1, group2, head1, head2), pool, vessels
-
-    searched = partial(_allocate_searched, tries=iter(range(_ALLOCATION_TRIES)))
-    chosen = None
-    for allocate in (_allocate_even, searched):
-        for layout, pool, vessels in layouts():
-            try:
-                alloc = allocate(pool, vessels)
-            except InternalSearchFailed:
-                continue
-            chosen = (*layout, alloc)
-            break
-        if chosen is not None:
-            break
-    if chosen is None:
+                try:
+                    alloc = _allocate(pool, vessels, tries)
+                except InternalSearchFailed:
+                    continue
+                return a, b, lam2, group1, group2, head1, head2, alloc
         raise InternalSearchFailed("no separated pair admits a feasible coset layout")
-    a, b, lam2, group1, group2, head1, head2, alloc = chosen
+
+    a, b, lam2, group1, group2, head1, head2, alloc = first_layout()
 
     rows = [lam1, lam2]
     for unit in (1 << p for p in range(n - 1, -1, -1)):
@@ -1039,10 +1004,27 @@ def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
     return part
 
 
-def exact_pairing_solver(inst: PairingInstance, budget_seconds: float = 60.0) -> PairPartition:
-    """Plain backtracking over uncovered vectors; intended for n <= 6."""
+#: Seconds an exact search may run when its caller gives no budget.
+_EXACT_BUDGET_S = 60.0
+
+
+def _exact_reason(n: int) -> str | None:
+    """Why exact search does not apply, or None when it may."""
+    return f"exact search needs n <= 6, got n={n}" if n > 6 else None
+
+
+def exact_pairing_solver(
+    inst: PairingInstance, budget_seconds: float = _EXACT_BUDGET_S
+) -> PairPartition:
+    """Plain backtracking over uncovered vectors, the ExactSearch route with a budget.
+
+    Like that route it refuses n > 6 with CaseNotApplicable.
+    """
     if type(budget_seconds) not in (int, float) or not budget_seconds >= 0:
         raise PreconditionViolated(f"budget must be a number >= 0, got {budget_seconds!r}")
+    reason = _exact_reason(inst.n)
+    if reason is not None:
+        raise CaseNotApplicable(reason)
     deadline = time.monotonic() + budget_seconds
     return _finish(inst, _exact(inst.n, Counter(inst.values), deadline))
 
@@ -1088,8 +1070,8 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
     ),
     (
         "ExactSearch",
-        lambda n, hist, span: f"exact search needs n <= 6, got n={n}" if n > 6 else None,
-        lambda n, hist, span, trace: _exact(n, hist, time.monotonic() + 60.0),
+        lambda n, hist, span: _exact_reason(n),
+        lambda n, hist, span, trace: _exact(n, hist, time.monotonic() + _EXACT_BUDGET_S),
     ),
 )
 

@@ -287,7 +287,7 @@ def test_three_coset_case_on_every_odd_count_composition_at_n6():
     # Six values with XOR 0 and no even-size proper zero-sum subset, in
     # every odd-multiplicity pattern of 32 targets: 13 extra pairs dealt
     # onto the six singles gives all 8,568 instances.  Each goes to the
-    # three-coset case, which solves it with a greedy fill of some layout;
+    # three-coset case, which solves it in the first layout it can fill;
     # every partition checked independently, under a minute.
     singles = [8, 21, 33, 42, 43, 61]
     assert instgen.xor_all(singles) == 0

@@ -47,6 +47,13 @@ search on a group with no multiplicity-2 anchor and began to anchor any
 value, with 0, 1 or more slots.  Only instances whose trace held such a
 fallback moved; a lift that found an anchor before keeps its partition.
 
+THREE_COSET_DIGEST was recorded after the three-coset case's two fills
+(a greedy pass over every layout, then a backtracking one) became one
+backtracking fill whose first descent is the greedy pass, in one walk over
+the layouts.  Its stream holds instances whose greedy pass fails on a
+layout, which the other pairing digests do not reach; such an instance now
+fills that layout instead of moving to a later one.
+
 GREEDY_BASE_RESTARTS and GREEDY_CAPPED_PROGRESS were recorded while every
 greedy restart still built a fresh random.Random(seed + restart) and called
 its shuffle.  They pin how many restarts each search runs and what it
@@ -119,6 +126,8 @@ TRACE_DIGEST = "9d00aba22f2e8f4b63310ac8b50345be5d3eccf44f9295be3189913cadff8b1f
 EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae1b315"
 
 PREFIX_DIGEST = "105dd7d72c82b4195093fd4beaba014cf0117784e6794db4fe72432d0ce2e183"
+
+THREE_COSET_DIGEST = "e31c3f07eeb9bb1582a6602d856ca0ef8d4d043aa98f84b1e8dbd079ab92c2f3"
 
 EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
 
@@ -241,6 +250,17 @@ def trace_instances():
     rng = random.Random(14)
     for _ in range(3):
         yield instgen.even_span_instance(rng, 14, 7)
+
+
+def three_coset_stream() -> str:
+    """Trace and partition text of 24 seeded heavy three-coset instances at n = 8 and 9."""
+    rng = random.Random(23)
+    out = []
+    for n in (8, 9) * 12:
+        n, values = instgen.heavy_three_coset_instance(rng, n)
+        part, route = solve_pairing(PairingInstance.of(n, values), "AtMostNValues")
+        out.append("\n".join(route.trace) + "\n" + format_partition(part))
+    return "".join(out)
 
 
 def trace_stream() -> str:
@@ -395,6 +415,10 @@ def test_reduction_stream_output_is_pinned():
 
 def test_route_traces_are_pinned():
     assert sha256(trace_stream()) == TRACE_DIGEST
+
+
+def test_three_coset_stream_output_is_pinned():
+    assert sha256(three_coset_stream()) == THREE_COSET_DIGEST
 
 
 def test_exact_output_is_pinned():

@@ -9,6 +9,7 @@ internals are never consulted.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -290,6 +291,19 @@ def test_exact_rejects_bad_budgets():
         with pytest.raises(PreconditionViolated):
             exact_pairing_solver(inst, budget)
     assert_valid(inst, exact_pairing_solver(inst, 5))
+
+
+def test_exact_refuses_n_above_six_like_its_route():
+    # Searched, this instance recursed until a bare RecursionError; the
+    # solver refuses it before searching, with the ExactSearch route's reason.
+    inst = build(12, [3] * 1024 + [5] * 1024)
+    reason = r"^exact search needs n <= 6, got n=12$"
+    with pytest.raises(CaseNotApplicable, match=reason):
+        exact_pairing_solver(inst)
+    with pytest.raises(CaseNotApplicable, match=reason):
+        solve_pairing(inst, "ExactSearch")
+    with pytest.raises(CaseNotApplicable, match="got n=7"):
+        exact_pairing_solver(build(7, [1] * 64), budget_seconds=5)
 
 
 def test_short_solver_output_is_internal_search_failed(monkeypatch):
@@ -805,15 +819,21 @@ def test_at_most_n_odd_subset_only_case_n6():
 
 
 def counting_allocator(monkeypatch):
-    """Wrap the three-coset allocator; the returned list grows by one per call."""
+    """Wrap the three-coset allocator; the returned list grows by one per call.
+
+    Each entry is the number of values in the pool and the tries the call spent.
+    """
     calls = []
-    real = pairing._allocate_even
+    real = pairing._allocate
 
-    def counting(pool, vessels):
-        calls.append(pool)
-        return real(pool, vessels)
+    def counting(pool, vessels, tries):
+        before = operator.length_hint(tries)
+        try:
+            return real(pool, vessels, tries)
+        finally:
+            calls.append((len(pool), before - operator.length_hint(tries)))
 
-    monkeypatch.setattr(pairing, "_allocate_even", counting)
+    monkeypatch.setattr(pairing, "_allocate", counting)
     return calls
 
 
@@ -828,13 +848,18 @@ def from_histogram(n, hist):
         (7, {8: 1, 11: 1, 12: 2, 109: 1, 111: 1, 122: 57, 123: 1}),
     ],
 )
-def test_three_coset_moves_on_when_the_greedy_fill_fails(n, hist, monkeypatch):
-    # The greedy fill of the first layout leaves a value with no vessel, so
-    # the case tries its next layout instead of searching inside the first.
+def test_three_coset_searches_inside_the_first_layout_when_the_greedy_fill_fails(
+    n, hist, monkeypatch
+):
+    # The greedy descent of the first layout leaves a value with no vessel;
+    # the search goes on inside that layout, spending more tries than the
+    # pool has values, and fills it without moving to the next.
     calls = counting_allocator(monkeypatch)
     inst = from_histogram(n, hist)
     assert_valid(inst, at_most_n_values(inst))
-    assert len(calls) >= 2
+    assert len(calls) == 1
+    values, spent = calls[0]
+    assert spent > values
 
 
 @pytest.mark.parametrize(
@@ -847,19 +872,12 @@ def test_three_coset_moves_on_when_the_greedy_fill_fails(n, hist, monkeypatch):
 )
 def test_three_coset_searches_the_fill_once_no_greedy_fill_fits(n, hist, monkeypatch):
     # The greedy fill leaves a value without a vessel on every layout (at
-    # n = 8 the pair loop runs up to the first pair too heavy for its half),
-    # so the backtracking fill gets the layouts next, and the first fits.
-    searched = []
-    real = pairing._allocate_searched
-
-    def counting(pool, vessels, tries):
-        searched.append(pool)
-        return real(pool, vessels, tries)
-
-    monkeypatch.setattr(pairing, "_allocate_searched", counting)
+    # n = 8 the pair loop runs up to the first pair too heavy for its half);
+    # the search inside the first layout fills it, so the allocator runs once.
+    calls = counting_allocator(monkeypatch)
     inst = from_histogram(n, hist)
     assert_valid(inst, at_most_n_values(inst))
-    assert len(searched) == 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -876,6 +894,63 @@ def test_three_coset_skips_a_layout_with_a_zero_group_xor(n, hist, monkeypatch):
     inst = from_histogram(n, hist)
     assert_valid(inst, at_most_n_values(inst))
     assert len(calls) == 1
+
+
+def greedy_fill(pool, vessels):
+    """One greedy pass of the three-coset fill, or None where a value finds no vessel.
+
+    Largest counts go first, each into a vessel with need left that already
+    holds the value or has fewer than cap distinct values: present first,
+    then neediest, then lowest index, taking all it can.
+    """
+    needs = [need for need, _, _ in vessels]
+    present = [set(p) for _, _, p in vessels]
+    alloc = [Counter() for _ in vessels]
+    for u, left in sorted(pool.items(), key=lambda kv: (-kv[1], kv[0])):
+        while left:
+            choices = [
+                i
+                for i, (_, cap, _) in enumerate(vessels)
+                if needs[i] and (u in present[i] or len(present[i]) < cap)
+            ]
+            if not choices:
+                return None
+            i = min(choices, key=lambda i: (u not in present[i], -needs[i], i))
+            take = min(left, needs[i])
+            alloc[i][u] += take
+            needs[i] -= take
+            present[i].add(u)
+            left -= take
+    return alloc
+
+
+@st.composite
+def allocation_problems(draw):
+    """An even pool and vessels (need, cap, present) whose needs sum to the pool."""
+    counts = st.integers(1, 6).map(lambda h: 2 * h)
+    pool = draw(st.dictionaries(st.integers(1, 8), counts, min_size=1, max_size=6))
+    half = sum(pool.values()) // 2
+    k = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, half), min_size=k - 1, max_size=k - 1)))
+    vessels = [
+        (2 * (hi - lo), draw(st.integers(1, 4)), draw(st.sets(st.integers(1, 8), max_size=3)))
+        for lo, hi in zip([0, *cuts], [*cuts, half])
+    ]
+    return pool, vessels
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_problems())
+def test_allocate_takes_the_greedy_fill_first(problem):
+    # Wherever the greedy pass fills, the search's first descent is that
+    # pass: the same allocation after one try per value.
+    pool, vessels = problem
+    want = greedy_fill(pool, vessels)
+    if want is None:
+        return
+    tries = iter(range(len(pool)))
+    assert pairing._allocate(pool, vessels, tries) == want
+    assert next(tries, None) is None
 
 
 def test_coset_group_splits_skip_zero_xor_groups():
@@ -901,7 +976,7 @@ def test_three_coset_instances_reach_the_case(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(8, 9))
 def test_heavy_three_coset_instances_solve(seed, n):
-    # About one draw in 25 needs the backtracking fill (see the generator).
+    # About one draw in 25 fails the greedy fill on every layout (see the generator).
     n, values = instgen.heavy_three_coset_instance(random.Random(seed), n)
     inst = build(n, values)
     assert_valid(inst, at_most_n_values(inst))
