@@ -24,6 +24,6 @@ print("valid:", verify_set_sequential(tree, big).valid)
 
 # Old vertices keep their ids; their labels just gained a 0 in front.
 for v in (0, 3):
-    print(f"  vertex {v}: {lab.label(v)} -> {big.label(v)}")
+    print(f"  vertex {v}: {lab.labels[v]:0{lab.n}b} -> {big.labels[v]:0{big.n}b}")
 new = range(base.vertex_count, tree.vertex_count)
-print("pendant labels:", " ".join(str(big.label(p)) for p in new))
+print("pendant labels:", " ".join(f"{big.labels[p]:0{big.n}b}" for p in new))

@@ -27,7 +27,7 @@ from .constructors import (
     solve_w_prefixes,
 )
 from .errors import SetseqError
-from .gf2 import BitVec, echelon_basis
+from .gf2 import echelon_basis
 from .pairing import (
     PairingInstance,
     PairPartition,
@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASE_CATERPILLARS",
-    "BitVec",
     "CaterpillarSpec",
     "Labeling",
     "PairPartition",

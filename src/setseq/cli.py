@@ -31,7 +31,7 @@ from .errors import (
     SetseqError,
     TooFewVertices,
 )
-from .gf2 import BitVec
+from .gf2 import parse_bits
 from .pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -104,7 +104,7 @@ def _load_labeled(path: str) -> tuple[Tree, Labeling]:
 
 
 def _run_pair_solve(args: argparse.Namespace) -> int:
-    values = [BitVec.parse(token.strip(), args.n).bits for token in args.targets.split(",")]
+    values = [parse_bits(token.strip(), args.n) for token in args.targets.split(",")]
     inst = PairingInstance.of(args.n, values)
     # "auto" is no key of ROUTE_FLAGS, so it forces no route.
     part, route = solve_pairing(inst, ROUTE_FLAGS.get(args.route))

@@ -8,13 +8,13 @@ is the most significant stored bit.  Vector addition is XOR.  Dimensions
 are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
 The helpers here take and return plain ints, and tree labels are plain
-ints too.  parse_bits reads a bitstring into its int.  BitVec, the
-fixed-width wrapper, is only for text: it parses and prints bitstrings,
-and backs the read-only label views of trees.Labeling.  One reduced
-row-echelon pass, _rref, serves every elimination: spans and parity
-systems.  One table, span_table, evaluates every linear map: coset
-representatives, coordinate frames and changes of basis are all lookups
-in it, and inverse_table inverts a change of basis.
+ints too.  parse_bits reads a bitstring into its int, and f"{x:0{n}b}"
+prints one.  BitVec, a fixed-width wrapper, is only the element type of
+trees.Labeling.vertex_labels.  One reduced row-echelon pass, _rref,
+serves every elimination: spans and parity systems.  One table,
+span_table, evaluates every linear map: coset representatives,
+coordinate frames and changes of basis are all lookups in it, and
+inverse_table inverts a change of basis.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def parse_bits(text: str, dim: int | None = None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class BitVec:
-    """A fixed-width vector over GF(2)."""
+    """A fixed-width vector over GF(2): the element type of Labeling.vertex_labels only."""
 
     bits: int
     dim: int
@@ -62,20 +62,8 @@ class BitVec:
         _check_dim(self.dim)
         _check_value(self.bits, self.dim)
 
-    @classmethod
-    def parse(cls, text: str, dim: int | None = None) -> BitVec:
-        """Parse a fixed-width bitstring such as "0111"; see parse_bits."""
-        return cls(parse_bits(text, dim), len(text))
-
     def __str__(self) -> str:
         return format(self.bits, f"0{self.dim}b")
-
-    def __xor__(self, other: BitVec) -> BitVec:
-        if self.dim != other.dim:
-            raise PreconditionViolated(
-                f"dimension mismatch: {self.dim} vs {other.dim}"
-            )
-        return BitVec(self.bits ^ other.bits, self.dim)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,9 @@ class PairingInstance:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A tuple, so that the targets checked here are the targets kept;
+        # tuple() hands a tuple through as it is.
+        object.__setattr__(self, "values", tuple(self.values))
         if type(self.n) is not int or not 2 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be an int in 2..{MAX_DIM}, got {self.n!r}")
         want = 1 << (self.n - 1)

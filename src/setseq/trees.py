@@ -159,6 +159,8 @@ class CaterpillarSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A tuple, so that the degrees checked here are the degrees kept.
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         if not self.degrees:
             raise NonCanonical("degree list is empty")
         for d in self.degrees:
@@ -212,10 +214,10 @@ class Labeling:
     verifier's job to report, so broken candidates can still be carried
     around and diagnosed.  Only structural nonsense (a vertex id or a label
     that is not an int, a label out of range) is rejected here.
-    Labeling.of also takes bitstring and BitVec labels.
+    Labeling.of also takes width-n bitstring labels.
 
-    vertex_labels, label and edge_label give read-only BitVec views;
-    vertex_labels is built once, on first use.
+    vertex_labels, the one BitVec in the API, is a read-only view of the
+    labels, built once, on first use.
     """
 
     n: int
@@ -250,39 +252,29 @@ class Labeling:
                 )
 
     @classmethod
-    def of(cls, n: int, labels: Mapping[int, int | str | BitVec]) -> Labeling:
-        """Build from int, width-n bitstring or width-n BitVec labels."""
-        out: dict[int, int] = {}
-        for v, lab in labels.items():
-            if isinstance(lab, BitVec):
-                if lab.dim != n:
-                    raise PreconditionViolated(
-                        f"label of vertex {v} has width {lab.dim}, expected {n}"
-                    )
-                out[v] = lab.bits
-            elif isinstance(lab, str):
-                out[v] = parse_bits(lab, n)
-            else:
-                out[v] = lab
-        return cls(n, out)
+    def of(cls, n: int, labels: Mapping[int, int | str]) -> Labeling:
+        """Build from int or width-n bitstring labels."""
+        if not isinstance(labels, Mapping):
+            return cls(n, labels)  # Labeling's own check names the type
+        return cls(
+            n, {v: parse_bits(x, n) if isinstance(x, str) else x for v, x in labels.items()}
+        )
 
     @cached_property
     def vertex_labels(self) -> Mapping[int, BitVec]:
         return MappingProxyType({v: BitVec(x, self.n) for v, x in self.labels.items()})
 
-    def label(self, v: int) -> BitVec:
-        return BitVec(self.labels[v], self.n)
-
-    def edge_label(self, a: int, b: int) -> BitVec:
-        return BitVec(self.labels[a] ^ self.labels[b], self.n)
-
 
 @dataclass(frozen=True)
 class Violation:
-    """One verifier finding; kind is the stable tag tests match on."""
+    """One verifier finding; kind is the stable tag tests match on.
+
+    value, when set, is the vector the finding is about, as the width-n
+    bitstring the report prints.
+    """
 
     kind: str
-    value: BitVec | None = None
+    value: str | None = None
     locations: tuple[str, ...] = ()
 
     def __str__(self) -> str:
@@ -431,18 +423,18 @@ def verify_set_sequential(t: Tree, lab: Labeling) -> VerifierReport:
                 spots[x].append(f"edge {a}-{b}")
     for x in sorted(spots):
         kind = "ZeroLabel" if x == 0 else "DuplicateValue"
-        violations.append(Violation(kind, value=BitVec(x, n), locations=tuple(spots[x])))
+        violations.append(Violation(kind, value=f"{x:0{n}b}", locations=tuple(spots[x])))
     # With 2^n - 1 entries, a value can only be missing where a zero or a
     # repeat took its place.
     if total == expected and not unlabeled and spots:
         for x in range(1, 1 << n):
             if x not in distinct:
-                violations.append(Violation("MissingValue", value=BitVec(x, n)))
+                violations.append(Violation("MissingValue", value=f"{x:0{n}b}"))
 
     return VerifierReport(tuple(violations))
 
 
-def even_degree_label_sum(t: Tree, lab: Labeling) -> BitVec:
+def even_degree_label_sum(t: Tree, lab: Labeling) -> int:
     """XOR of the labels on even-degree vertices.
 
     Zero for every labeling that verifies, so a nonzero value certifies that
@@ -456,7 +448,7 @@ def even_degree_label_sum(t: Tree, lab: Labeling) -> BitVec:
     for v, d in enumerate(t.degrees()):
         if d % 2 == 0:
             acc ^= labels[v]
-    return BitVec(acc, lab.n)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from setseq.pairing import PairingInstance, solve_pairing  # noqa: E402
+from setseq.search import BACKTRACKING, SearchConfig  # noqa: E402
 from test_determinism import trace_instances  # noqa: E402
 
 
@@ -66,6 +68,49 @@ def test_package_has_no_unused_imports():
                 if name not in read and (module, name) not in hooked
             ]
     assert found == []
+
+
+def _names_bitvec(node: ast.AST) -> bool:
+    return (
+        (isinstance(node, ast.Name) and node.id == "BitVec")
+        or (isinstance(node, ast.Attribute) and node.attr == "BitVec")
+        or (isinstance(node, ast.alias) and "BitVec" in (node.name, node.asname))
+        or (isinstance(node, ast.Constant) and node.value == "BitVec")
+    )
+
+
+def test_bitvec_is_named_only_by_the_view_the_benchmark_reads():
+    # Labels, findings and parsed targets are ints or text.  Outside gf2,
+    # BitVec may be named only by trees' import of it and by
+    # Labeling.vertex_labels, which bench/workloads.py reads.
+    found = []
+    for path in sorted(Path(setseq.__file__).parent.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        body = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "trees.py":
+            for node in body.body:
+                if isinstance(node, ast.ImportFrom) and node.module == "gf2":
+                    allowed |= {id(n) for n in ast.walk(node)}
+                if isinstance(node, ast.ClassDef) and node.name == "Labeling":
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and item.name == "vertex_labels":
+                            allowed |= {id(n) for n in ast.walk(item)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(body)
+            if _names_bitvec(node) and id(node) not in allowed
+        ]
+    assert found == []
+
+
+def test_the_benchmark_search_check_passes_on_a_real_result():
+    # The search workload checks each labeling through the BitVec view; run
+    # that check as the benchmark does, on the exhaustive search of the star.
+    exhaustive = SearchConfig(budget_seconds=workloads.SEARCH_BUDGET_S, strategy=BACKTRACKING)
+    op = workloads._search_op("exhaustive-feasible8", workloads.FEASIBLE_8[4], exhaustive)
+    assert op.check(op.call()) == []
 
 
 def test_every_trace_kind_is_a_counted_reduction():

@@ -134,14 +134,14 @@ def test_plan_rejects_non_int_counts():
 
 def test_double_the_figure_tree():
     tree, lab = load_fixture("figure1.json")
-    by_label = {str(lab.label(v)): v for v in range(tree.vertex_count)}
+    by_label = {x: v for v, x in lab.labels.items()}
     plan = PendantPlan(
         (
-            (by_label["1101"], 1),
-            (by_label["1010"], 1),
-            (by_label["0010"], 3),
-            (by_label["0101"], 1),
-            (by_label["0111"], 2),
+            (by_label[0b1101], 1),
+            (by_label[0b1010], 1),
+            (by_label[0b0010], 3),
+            (by_label[0b0101], 1),
+            (by_label[0b0111], 2),
         )
     )
     out_tree, out_lab = add_pendants(tree, lab, plan)
@@ -197,8 +197,10 @@ def test_old_ids_and_labels_survive():
             acc ^= lab.labels[vid]
     assert acc == 0
     out_tree, out_lab = add_pendants(tree, lab, plan)
+    # One coordinate more, with a 0 in front: the same int.
+    assert out_lab.n == lab.n + 1
     for v in range(tree.vertex_count):
-        assert str(out_lab.label(v)) == "0" + str(lab.label(v))
+        assert out_lab.labels[v] == lab.labels[v]
     assert out_tree.edges[: len(tree.edges)] == tree.edges
     new_anchors = [a for a, b in out_tree.edges[len(tree.edges) :]]
     assert new_anchors == [0, 0, 0, 0, 3, 3, 3, 3]
@@ -341,6 +343,15 @@ def test_small_diameter_is_deterministic():
     first = label_small_diameter(spec)
     second = label_small_diameter(spec)
     assert first[1].labels == second[1].labels
+
+
+def test_a_spec_built_from_a_list_labels_like_the_tuple_form():
+    degrees = [5, 3, 3, 3, 3, 3]
+    spec = CaterpillarSpec(degrees)
+    assert spec == CaterpillarSpec(tuple(degrees)) and spec.degrees == tuple(degrees)
+    assert hash(spec) == hash(CaterpillarSpec(tuple(degrees)))
+    assert label_small_diameter(spec) == label_small_diameter(CaterpillarSpec(tuple(degrees)))
+    assert CaterpillarSpec([1]).diameter == 1
 
 
 # ---------------------------------------------------------------------------

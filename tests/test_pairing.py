@@ -177,6 +177,18 @@ def test_instance_rejects_nonzero_xor():
         build(2, [0b01, 0b10])
 
 
+def test_instance_keeps_a_tuple_of_the_targets_it_checked():
+    values = [1, 1, 2, 2]
+    inst = PairingInstance(3, values)
+    values.append(7)
+    assert inst.values == (1, 1, 2, 2)
+    assert inst == build(3, (1, 1, 2, 2)) and hash(inst) == hash(build(3, (1, 1, 2, 2)))
+    assert partition_errors(inst, solve_pairing(inst)[0]) == []
+    # A tuple is handed through as it is, not copied.
+    targets = (1, 1, 2, 2)
+    assert build(3, targets).values is targets
+
+
 def test_partition_checker_flags_broken_pairs():
     inst = build(2, [0b01, 0b01])
     good = PairPartition(2, ((0, 1), (2, 3)))

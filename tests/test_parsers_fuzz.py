@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from setseq.constructors import PendantPlan
 from setseq.errors import SetseqError
-from setseq.gf2 import BitVec
+from setseq.gf2 import parse_bits
 from setseq.trees import CaterpillarSpec, tree_from_json
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -83,7 +83,7 @@ def test_caterpillar_spec_parse_settles(text):
     st.none() | small_ints,
 )
 def test_bitvec_parse_settles(text, dim):
-    settles(BitVec.parse, text, dim)
+    settles(parse_bits, text, dim)
 
 
 @FUZZ

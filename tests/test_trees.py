@@ -427,6 +427,19 @@ def test_path_four_duplicate_edge_value():
     assert [str(v.value) for v in missing] == ["101"]
 
 
+def test_violation_value_is_the_bitstring_the_report_prints():
+    lab = Labeling.of(3, {0: "001", 1: "010", 2: "100", 3: "111"})
+    report = verify_set_sequential(path(4), lab)
+    assert [(v.kind, v.value) for v in report.violations] == [
+        ("DuplicateValue", "011"),
+        ("MissingValue", "101"),
+    ]
+    assert [str(v) for v in report.violations] == [
+        "DuplicateValue value=011 at edge 0-1, edge 2-3",
+        "MissingValue value=101",
+    ]
+
+
 def test_verifier_reports_size_mismatch():
     lab = Labeling.of(3, {0: "001", 1: "010"})
     report = verify_set_sequential(path(2), lab)
@@ -514,12 +527,12 @@ def test_verifier_report_text_is_pinned():
 
 def test_even_degree_sum_empty_for_figure():
     # Every vertex of the figure tree has odd degree, so the sum is empty.
-    assert even_degree_label_sum(figure_tree(), figure_labeling()).bits == 0
+    assert even_degree_label_sum(figure_tree(), figure_labeling()) == 0
 
 
 def test_even_degree_sum_flags_path_middles():
     lab = Labeling.of(3, {0: "001", 1: "010", 2: "100", 3: "111"})
-    assert str(even_degree_label_sum(path(4), lab)) == "110"
+    assert even_degree_label_sum(path(4), lab) == 0b110
 
 
 def test_even_degree_sum_requires_full_coverage():
@@ -548,7 +561,7 @@ def test_valid_labelings_have_zero_even_degree_sum(seed):
     n = 4
     labels = {v: rng.randrange(16) for v in range(t.vertex_count)}
     lab = Labeling(n, labels)
-    if even_degree_label_sum(t, lab).bits != 0:
+    if even_degree_label_sum(t, lab) != 0:
         assert not verify_set_sequential(t, lab).valid
 
 
@@ -650,7 +663,7 @@ def test_json_writer_emits_the_json_module_layout(seed, count, labels, width, in
 )
 def test_int_labels_round_trip_in_every_form(seed, count, n, keep):
     # The JSON round trip gives back the same int map, and Labeling.of reads
-    # the int, bitstring and BitVec forms of it as one labeling.
+    # the int and bitstring forms of it as one labeling.
     rng = random.Random(seed)
     t = random_tree(rng, count)
     ints = {v: rng.randrange(1 << n) for v in range(count) if v == 0 or rng.random() < keep}
@@ -658,8 +671,7 @@ def test_int_labels_round_trip_in_every_form(seed, count, n, keep):
     back_tree, back = tree_from_json(tree_to_json(t, lab))
     assert back_tree == t and back.n == n and back.labels == ints
     texts = {v: format(x, f"0{n}b") for v, x in ints.items()}
-    vectors = {v: BitVec(x, n) for v, x in ints.items()}
-    assert Labeling.of(n, ints) == Labeling.of(n, texts) == Labeling.of(n, vectors) == lab
+    assert Labeling.of(n, ints) == Labeling.of(n, texts) == lab
 
 
 GENERATED_FIXTURES = sorted(
@@ -768,11 +780,14 @@ def test_labeling_rejects_wrongly_typed_labels():
         Labeling.of(3.0, {0: "001"})
 
 
-def test_labeling_of_takes_bitvec_labels():
-    lab = Labeling.of(3, {0: BitVec(0b001, 3), 1: "010", 2: 0b100})
-    assert lab == Labeling.of(3, {0: 0b001, 1: 0b010, 2: 0b100})
+def test_labeling_of_takes_int_and_bitstring_labels():
+    lab = Labeling.of(3, {0: "001", 1: "010", 2: 0b100})
+    assert lab == Labeling(3, {0: 0b001, 1: 0b010, 2: 0b100})
     assert lab.labels == {0: 0b001, 1: 0b010, 2: 0b100}
-    assert lab.label(0) == BitVec(0b001, 3)
+    # Any other label, a BitVec too, meets Labeling's own check.
+    with pytest.raises(PreconditionViolated) as info:
+        Labeling.of(3, {0: 1, 1: BitVec(1, 3)})
+    assert str(info.value) == "label of vertex 1 is BitVec(bits=1, dim=3), not an int in 0..7"
 
 
 def test_labeling_keeps_its_own_labels_and_read_only_bitvec_views():
@@ -782,18 +797,8 @@ def test_labeling_keeps_its_own_labels_and_read_only_bitvec_views():
     assert lab.labels == {0: 0b001, 1: 0b010}
     assert lab.vertex_labels is lab.vertex_labels
     assert dict(lab.vertex_labels) == {0: BitVec(0b001, 3), 1: BitVec(0b010, 3)}
-    assert lab.edge_label(0, 1) == BitVec(0b011, 3)
     with pytest.raises(TypeError):
         lab.vertex_labels[0] = BitVec(0b100, 3)
-
-
-@pytest.mark.parametrize("width", [2, 4])
-def test_labeling_rejects_a_label_of_another_width(width):
-    message = f"label of vertex 1 has width {width}, expected 3"
-    with pytest.raises(PreconditionViolated, match=message):
-        Labeling.of(3, {0: BitVec(1, 3), 1: BitVec(1, width)})
-    with pytest.raises(PreconditionViolated, match=message):
-        Labeling.of(3, {0: 1, 1: BitVec(1, width)})
 
 
 @pytest.mark.parametrize("label", [True, 1.0, "001", None, BitVec(1, 3), 8, -1])
@@ -807,6 +812,11 @@ def test_labeling_rejects_a_label_that_is_not_an_int(label):
 def test_labeling_rejects_labels_that_are_not_a_mapping():
     with pytest.raises(PreconditionViolated, match="^labels must be a mapping, got list$"):
         Labeling(3, [(0, 1)])
+
+
+def test_labeling_of_rejects_labels_that_are_not_a_mapping():
+    with pytest.raises(PreconditionViolated, match="^labels must be a mapping, got list$"):
+        Labeling.of(3, [(0, 1)])
 
 
 @pytest.mark.parametrize("vertex", ["a", 1.0, True, (0,)])
