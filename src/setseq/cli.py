@@ -209,13 +209,18 @@ def _sweep_instances(n: int):
     """All target multisets of dimension n in lexicographic order.
 
     The last target of a zero-sum multiset is the XOR of the others, so only
-    the first 2^(n-1) - 1 are enumerated; the XOR completes a head when it
-    is a target no smaller than the head's last.
+    the first 2^(n-1) - 1 are enumerated: each prefix of 2^(n-1) - 2 is
+    XORed once, and a next target h no smaller than the prefix's last
+    completes it when the XOR of prefix and h is no smaller than h.
     """
-    for head in combinations_with_replacement(range(1, 1 << n), (1 << (n - 1)) - 1):
-        last = reduce(xor, head, 0)
-        if last and last >= head[-1]:
-            yield head + (last,)
+    if n < 2:
+        return
+    top = 1 << n
+    for prefix in combinations_with_replacement(range(1, top), (1 << (n - 1)) - 2):
+        rest = reduce(xor, prefix, 0)
+        for h in range(prefix[-1] if prefix else 1, top):
+            if rest ^ h >= h:
+                yield prefix + (h, rest ^ h)
 
 
 def _sweep(n: int) -> tuple[int, list[str]]:

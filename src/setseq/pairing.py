@@ -29,7 +29,9 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import xor
 
 from .errors import (
     BudgetExhausted,
@@ -82,16 +84,22 @@ class PairingInstance:
     def __post_init__(self) -> None:
         # A tuple, so that the targets checked here are the targets kept;
         # tuple() hands a tuple through as it is.
-        object.__setattr__(self, "values", tuple(self.values))
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            raise PreconditionViolated(
+                f"values must be an iterable of ints, got {type(self.values).__name__}"
+            ) from None
+        object.__setattr__(self, "values", values)
         if type(self.n) is not int or not 2 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be an int in 2..{MAX_DIM}, got {self.n!r}")
         want = 1 << (self.n - 1)
-        if len(self.values) != want:
+        if len(values) != want:
             raise PreconditionViolated(
-                f"need exactly {want} targets for n={self.n}, got {len(self.values)}"
+                f"need exactly {want} targets for n={self.n}, got {len(values)}"
             )
         total = 0
-        for v in self.values:
+        for v in values:
             if type(v) is not int or not 0 < v < 2 * want:
                 raise PreconditionViolated(f"target {v!r} is not an int in 1..{2 * want - 1}")
             total ^= v
@@ -100,7 +108,7 @@ class PairingInstance:
 
     @classmethod
     def of(cls, n: int, values: Iterable[int]) -> PairingInstance:
-        return cls(n, tuple(values))
+        return cls(n, values)
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,17 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     per-index pair sums), with no reference to how the pairs were found.
     A valid partition passes one set-based coverage test and one list
     comparison of the pair sums; only a failing one is walked entry by entry.
-    A pair that is not two ints gets one message of its own.
+    A pair that is not two ints gets one message of its own, and so do
+    pairs that are not a sequence.
     """
     if part.n != inst.n:
         return [f"dimension mismatch: partition n={part.n}, instance n={inst.n}"]
-    if len(part.pairs) != len(inst.values):
-        return [f"expected {len(inst.values)} pairs, got {len(part.pairs)}"]
+    try:
+        count = len(part.pairs)
+    except TypeError:
+        return [f"pairs are not a sequence: {part.pairs!r}"]
+    if count != len(inst.values):
+        return [f"expected {len(inst.values)} pairs, got {count}"]
     errs: list[str] = []
     size = 1 << inst.n
     try:
@@ -194,6 +207,10 @@ def _ensure(cond: bool, message: str) -> None:
         raise InternalSearchFailed(message)
 
 
+#: _BIT[a] is 1 << a for every vector a of F_2^6, looked up rather than shifted.
+_BIT = tuple([1 << a for a in range(64)])
+
+
 def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
     """Each target's pairs in discovery order, or Infeasible/BudgetExhausted.
 
@@ -204,64 +221,67 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
     copies to place.  Pruning only discards dead branches, so the first
     partition found is a pure function of the input multiset.
 
-    Availability is kept per distinct target as one bitmask: masks[i] holds
-    the free vectors a whose partner a ^ vals[i] is free too (none for a
-    zero target).  Placing a pair clears at most four bits of each mask, so
-    a node costs a few int operations per target rather than a scan of
-    every free vector against every target.  The masks change only how a
-    node is evaluated: the search tree, its node count and the first
-    partition are those of that scan.
+    masks[i] holds the free vectors a whose partner a ^ vals[i] is free too
+    (none for a zero target), needs[i] the vectors its copies still cover.
+    A node adds the masks by carry-save into bit planes p0, p1, p2 and high,
+    one per binary digit of each vector's count of usable targets, and
+    narrows to the least count top plane first.  The root, with every
+    target nonzero and none needing more than the space, gives all vectors
+    one count and takes vector 0 uncounted.  A child clears the pair and its
+    partners from each mask with _BIT lookups.  The last target left is
+    feasible exactly when its mask is the free set; its pairs go straight
+    into the queues.  Every node is counted, so the search tree and node
+    count are those of a scan of every free vector against every target.
     """
-    out: list[tuple[int, int, int]] = []
+    out: _Queues = {v: [] for v in hist}
     full = (1 << (1 << n)) - 1
+    bit = _BIT
     nodes = 0
 
-    def rec(free: int, vals: list[int], cnts: list[int], masks: list[int]) -> bool:
+    def rec(free: int, vals: list[int], needs: list[int], masks: list[int]) -> bool:
         nonlocal nodes
         nodes += 1
-        if deadline is not None and nodes & 255 == 1 and time.monotonic() > deadline:
+        if nodes & 255 == 1 and deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted(f"no partition found within budget ({nodes} nodes)")
-
         if len(vals) == 1:
-            # One target left, as every branch ends: the pairing is forced,
-            # walk it in one sweep.
-            v = vals[0]
-            chain: list[tuple[int, int, int]] = []
-            m = free
+            v, m = vals[0], masks[0]
+            if m != free:
+                return False
             while m:
-                bit = m & -m
-                a = bit.bit_length() - 1
-                ybit = 1 << (a ^ v)
-                if not m & ybit:
-                    return False
-                m ^= bit | ybit
-                chain.append((a, a ^ v, v))
-            out.extend(chain)
+                a = (m & -m).bit_length() - 1
+                out[v].append((a, a ^ v))
+                m ^= bit[a] | bit[a ^ v]
             return True
 
-        # Count each free vector's usable targets in binary, one bit-plane
-        # mask per binary digit (planes[j] holds digit j of every count).
-        planes: list[int] = []
-        usable = 0
-        for m, c in zip(masks, cnts):
-            if m.bit_count() >> 1 < c:
+        if free == full and flat_root:
+            xbit = 1
+        else:
+            p0 = p1 = p2 = 0
+            high: list[int] = []
+            for m, need in zip(masks, needs):
+                if m.bit_count() < need:
+                    return False
+                m, p0 = p0 & m, p0 ^ m
+                if m:
+                    m, p1 = p1 & m, p1 ^ m
+                    if m:
+                        m, p2 = p2 & m, p2 ^ m
+                        if m:
+                            for j, plane in enumerate(high):
+                                m, high[j] = plane & m, plane ^ m
+                            if m:
+                                high.append(m)
+            usable = p0 | p1 | p2
+            fewest = free
+            for plane in reversed(high):
+                usable |= plane
+                fewest = fewest & ~plane or fewest
+            if usable != free:
                 return False
-            usable |= m
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ m
-                m &= plane
-                if not m:
-                    break
-            else:
-                planes.append(m)
-        if usable != free:
-            return False
-        # Narrow to the vectors of least count, most significant digit first.
-        fewest = free
-        for plane in reversed(planes):
-            if fewest & ~plane:
-                fewest &= ~plane
-        xbit = fewest & -fewest
+            fewest = fewest & ~p2 or fewest
+            fewest = fewest & ~p1 or fewest
+            xbit = fewest & ~p0 or fewest
+            xbit &= -xbit
         x = xbit.bit_length() - 1
 
         for i, m in enumerate(masks):
@@ -269,43 +289,31 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
                 continue
             v = vals[i]
             y = x ^ v
-            drop = xbit | 1 << y
-            child = [w & ~(drop | 1 << (x ^ u) | 1 << (y ^ u)) for w, u in zip(masks, vals)]
-            if cnts[i] == 1:
-                del child[i]
+            drop = xbit | bit[y]
+            child = [w & ~(drop | bit[x ^ u] | bit[y ^ u]) for w, u in zip(masks, vals)]
+            child_vals, child_needs = vals, needs[:]
+            child_needs[i] -= 2
+            if not child_needs[i]:
                 child_vals = vals[:i] + vals[i + 1 :]
-                child_cnts = cnts[:i] + cnts[i + 1 :]
-            else:
-                child_vals = vals
-                child_cnts = cnts[:]
-                child_cnts[i] -= 1
-            out.append((x, y, v))
-            if rec(free ^ drop, child_vals, child_cnts, child):
+                del child[i], child_needs[i]
+            out[v].append((x, y))
+            if rec(free ^ drop, child_vals, child_needs, child):
                 return True
-            out.pop()
+            out[v].pop()
         return False
 
     vals = sorted(hist)
-    if not rec(full, vals, [hist[v] for v in vals], [full if v else 0 for v in vals]):
+    needs = [2 * hist[v] for v in vals]
+    flat_root = vals[0] != 0 and max(needs) <= 1 << n
+    if not rec(full, vals, needs, [full if v else 0 for v in vals]):
         raise Infeasible(f"search space exhausted for n={n} after {nodes} nodes")
-    return _queues(out)
-
-
-def _queues(triples: Iterable[tuple[int, int, int]]) -> _Queues:
-    """Collect (p, q, target) triples into per-target queues, keeping their order."""
-    out: _Queues = {}
-    for p, q, v in triples:
-        if v in out:
-            out[v].append((p, q))
-        else:
-            out[v] = [(p, q)]
     return out
 
 
 def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
     """Target order, restored: the k-th occurrence of a target takes the k-th pair of its queue."""
-    heads = {v: iter(q) for v, q in queues.items()}
-    return [next(heads[v]) for v in values]
+    heads = dict(zip(queues, map(iter, queues.values())))
+    return list(map(next, map(heads.__getitem__, values)))
 
 
 def _through(table: list[int], queues: _Queues) -> _Queues:
@@ -680,10 +688,8 @@ def _two_coset_recurse(
     span = echelon_basis([*side1, *side2], n)
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
 
-    def solve(sub: Counter) -> _Queues:
-        return _solve_few(n - 1, sub, trace)
-
-    return _lift_groups([side1, side2], extend_basis(span, n - 1), solve, trace)
+    frame = extend_basis(span, n - 1)
+    return _lift_groups([side1, side2], frame, lambda sub: _solve_few(n - 1, sub, trace), trace)
 
 
 def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -779,19 +785,15 @@ def _case_subset_split(
     fill2 = quarter - len(comp)
     cands1 = sorted(set(subset) | set(evens), key=lambda u: (leftover(u), u))
     cands2 = sorted(set(comp) | set(evens), key=lambda u: (leftover(u), u))
-    choice = None
-    for x1 in cands1:
-        for x2 in cands2:
-            if x1 == x2:
-                continue
-            if leftover(x1) <= fill1 and leftover(x2) <= fill2:
-                choice = (x1, x2)
-                break
-        if choice:
-            break
-    if choice is None:
+    fits = (
+        (x1, x2)
+        for x1 in cands1
+        for x2 in cands2
+        if x1 != x2 and leftover(x1) <= fill1 and leftover(x2) <= fill2
+    )
+    x1, x2 = next(fits, (None, None))
+    if x1 is None:
         raise InternalSearchFailed("no pinnable pair of values for the subset split")
-    x1, x2 = choice
     side1 = Counter({u: 1 for u in subset})
     side2 = Counter({u: 1 for u in comp})
     side1[x1] += leftover(x1)
@@ -816,11 +818,7 @@ def _coset_group_splits(
     for r in range(len(base)):
         rot = base[r:] + base[:r]
         g1, g2 = sorted(rot[:k1]), sorted(rot[k1:])
-        s1 = s2 = 0
-        for u in g1:
-            s1 ^= u
-        for u in g2:
-            s2 ^= u
+        s1, s2 = reduce(xor, g1, 0), reduce(xor, g2, 0)
         if s1 and s2:
             yield g1, g2, s1, s2
 
@@ -907,11 +905,8 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     ]
     fwd = span_table(cols)
 
-    def top2(x: int) -> int:
-        return x >> (n - 2)
-
-    _ensure(top2(fwd[a]) == 1 and top2(fwd[b]) == 1, "separated pair off its quarter")
-    _ensure(all(top2(fwd[u]) == 0 for u in distinct if u not in (a, b)), "value left the half")
+    _ensure(fwd[a] >> (n - 2) == fwd[b] >> (n - 2) == 1, "separated pair off its quarter")
+    _ensure(all(fwd[u] >> (n - 2) == 0 for u in distinct if u not in (a, b)), "value left the half")
 
     v1_tail = sorted(alloc[0].elements())
     v2_tail = sorted(alloc[1].elements())
@@ -942,19 +937,18 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     P11, Q11 = lifted1[0]
     P21, Q21 = lifted2[0]
     t = P11 ^ P21 ^ fwd[a]
-    _ensure(top2(t) == 0, "stitching translation left the half")
+    _ensure(t >> (n - 2) == 0, "stitching translation left the half")
 
-    triples: list[tuple[int, int, int]] = [
-        (P11, P21 ^ t, a),
-        (Q11, Q21 ^ t, b),
-    ]
-    for (p, q), v in zip(lifted1[1:], order1[1:]):
-        triples.append((p, q, v))
-    for (p, q), v in zip(lifted2[1:], order2[1:]):
-        triples.append((p ^ t, q ^ t, v))
-    for (p, q), v in zip(p3, v3_vals):
-        triples.append((p, q, v))
-    return _through(inverse_table(fwd), _queues(triples))
+    placed = chain(
+        [((P11, P21 ^ t), a), ((Q11, Q21 ^ t), b)],
+        zip(lifted1[1:], order1[1:]),
+        (((p ^ t, q ^ t), v) for (p, q), v in zip(lifted2[1:], order2[1:])),
+        zip(p3, v3_vals),
+    )
+    queues: _Queues = {}
+    for pq, v in placed:
+        queues.setdefault(v, []).append(pq)
+    return _through(inverse_table(fwd), queues)
 
 
 def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -998,9 +992,11 @@ def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
     """The one check of every public solver's output, put in target order first."""
     try:
         raw = _restore(inst.values, queues)
-    except (KeyError, StopIteration):
-        raise InternalSearchFailed("solver left a target without a pair") from None
-    part = PairPartition(inst.n, tuple([(p, q) if p < q else (q, p) for p, q in raw]))
+    except KeyError:
+        raw = []
+    if len(raw) != len(inst.values):  # a short queue ends _restore's map(next, ...) early
+        raise InternalSearchFailed("solver left a target without a pair")
+    part = PairPartition(inst.n, tuple([pq if pq[0] < pq[1] else pq[::-1] for pq in raw]))
     errs = partition_errors(inst, part)
     if errs:
         raise InternalSearchFailed("solver produced an invalid partition: " + "; ".join(errs[:3]))

@@ -160,7 +160,12 @@ class CaterpillarSpec:
 
     def __post_init__(self) -> None:
         # A tuple, so that the degrees checked here are the degrees kept.
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        try:
+            object.__setattr__(self, "degrees", tuple(self.degrees))
+        except TypeError:
+            raise PreconditionViolated(
+                f"degrees must be an iterable of ints, got {type(self.degrees).__name__}"
+            ) from None
         if not self.degrees:
             raise NonCanonical("degree list is empty")
         for d in self.degrees:

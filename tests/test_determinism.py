@@ -18,6 +18,14 @@ EXACT_DIGEST and the node counts of EXHAUSTED_TREES were recorded before
 the exact kernel began keeping one availability mask per target; they pin
 its search tree, not only its first answers.
 
+SWEEP4_DIGEST and ZERO_TARGET_TREE were recorded before the exact kernel
+took its root's vector without a counting pass, counted with unrolled
+bit planes and filled its one-target leaf in place.  SWEEP4_DIGEST pins the
+partition of every one of the 20,295 instances of the n=4 sweep, where
+EXACT_DIGEST holds every 7th.  ZERO_TARGET_TREE is a multiset with a zero
+target: the root shortcut assumes every target nonzero, so it must not
+fire there, and the search stops at the root's own count as before.
+
 REDUCTION_DIGEST was re-recorded again when the halving shrank to the
 cases the coset lift reaches.  Its forced-solver partitions and its level-6
 halvings of 18 to 24 odd values are byte-identical to before.  The halvings
@@ -131,6 +139,8 @@ THREE_COSET_DIGEST = "e31c3f07eeb9bb1582a6602d856ca0ef8d4d043aa98f84b1e8dbd079ab
 
 EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
 
+SWEEP4_DIGEST = "9791297b685c14e7cf73aa603d7ab9661313fd76e5ad2357be6b876229d67746"
+
 #: Restarts the greedy search at seed 0 runs to regenerate each bundled
 #: base labeling, in BASE_CATERPILLARS order.
 GREEDY_BASE_RESTARTS = (1, 118, 39, 18, 2, 998, 1692, 53)
@@ -155,6 +165,9 @@ EXHAUSTED_TREES = (
     (4, [3, 3, 3, 3, 5, 5, 6, 1], 41),
     (5, [3] * 8 + [5] * 7 + [1], 513),
 )
+
+#: A zero-sum multiset holding a zero target, which no pair can realize.
+ZERO_TARGET_TREE = (4, [0, 1, 2, 3, 4, 5, 6, 7], 1)
 
 #: The fixed instances of the test_at_most_n_* case tests in test_pairing.py.
 AT_MOST_N_CASES = (
@@ -425,7 +438,16 @@ def test_exact_output_is_pinned():
     assert sha256(exact_stream()) == EXACT_DIGEST
 
 
-@pytest.mark.parametrize("n, values, nodes", EXHAUSTED_TREES)
+def test_exact_output_on_the_whole_n4_sweep_is_pinned():
+    text = "".join(
+        format_partition(exact_pairing_solver(PairingInstance.of(4, combo)))
+        for combo in instgen.zero_sum_multisets(4)
+    )
+    assert text.count("\n") == 20295 * 8
+    assert sha256(text) == SWEEP4_DIGEST
+
+
+@pytest.mark.parametrize("n, values, nodes", EXHAUSTED_TREES + (ZERO_TARGET_TREE,))
 def test_exact_search_tree_is_pinned(n, values, nodes):
     with pytest.raises(Infeasible) as info:
         _exact(n, Counter(values))

@@ -170,6 +170,11 @@ def test_instance_rejects_wrongly_typed_input():
         build(2, [1.0, 1.0])
     with pytest.raises(PreconditionViolated):
         build(2.0, [1, 1])
+    # Targets that are no iterable used to raise a bare TypeError.
+    for make in (PairingInstance, PairingInstance.of):
+        with pytest.raises(PreconditionViolated) as info:
+            make(3, 5)
+        assert str(info.value) == "values must be an iterable of ints, got int"
 
 
 def test_instance_rejects_nonzero_xor():
@@ -238,6 +243,10 @@ def test_partition_checker_messages():
     # A partition of another dimension gets one message and no entry check.
     narrower = PairPartition(2, ((0, 1), (2, 3)))
     assert partition_errors(inst, narrower) == ["dimension mismatch: partition n=2, instance n=3"]
+    # So do pairs that are not a sequence at all; len() used to raise on them.
+    assert partition_errors(build(2, [1, 1]), PairPartition(2, 5)) == [
+        "pairs are not a sequence: 5"
+    ]
 
 
 def test_format_partition_lines():
@@ -339,6 +348,9 @@ def test_exact_internal_infeasible():
     # must still report exhaustion rather than loop or return garbage.
     with pytest.raises(Infeasible):
         _exact(2, Counter([0b01, 0b11]))
+    # A zero target has no pair; left alone, it used to come back as pairs (a, a).
+    with pytest.raises(Infeasible):
+        _exact(2, Counter([0, 0]))
 
 
 @settings(max_examples=40, deadline=None)

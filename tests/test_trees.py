@@ -258,6 +258,9 @@ def test_spec_rejects_non_int_degrees():
     # A float degree used to be accepted and printed as T[3.0].
     with pytest.raises(PreconditionViolated):
         CaterpillarSpec((3.0,))
+    # A bare int is no degree list; it used to raise a bare TypeError.
+    with pytest.raises(PreconditionViolated, match="^degrees must be an iterable of ints, got int"):
+        CaterpillarSpec(5)
 
 
 def test_spec_rejects_more_vertices_than_any_labeling_covers():
