@@ -31,7 +31,7 @@ from .errors import (
     SetseqError,
     TooFewVertices,
 )
-from .gf2 import parse_bits
+from .gf2 import MAX_DIM, parse_bits
 from .pairing import (
     PairingInstance,
     exact_pairing_solver,
@@ -78,6 +78,13 @@ def parse_duration(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}; use e.g. 10s or 5m")
     value = float(match.group(1))
     return value * 60.0 if match.group(2) == "m" else value
+
+
+def _dimension(text: str) -> int:
+    """The n of pair-solve: an int in 2..MAX_DIM, checked before any target is read."""
+    if not text.isdecimal() or not 2 <= int(text) <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"n must be an int in 2..{MAX_DIM}, got {text!r}")
+    return int(text)
 
 
 def _read_document(path: str) -> str:
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pair = sub.add_parser("pair-solve", help="partition F_2^n into pairs with target sums")
-    pair.add_argument("--n", type=int, required=True)
+    pair.add_argument("--n", type=_dimension, required=True)
     pair.add_argument("--targets", required=True, help="comma-separated n-bit strings")
     pair.add_argument(
         "--route", choices=["auto", *ROUTE_FLAGS], default="auto",

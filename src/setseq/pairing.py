@@ -15,10 +15,12 @@ first row whose hypothesis holds solves the instance; a forced route runs
 its own row or raises CaseNotApplicable.  Either way the caller gets the
 route's trace of the reductions that fired.
 
-Every internal solver works on a multiset, not a list.  It takes a
-Counter of targets and returns a function of that histogram alone: a map
-from each target to its queue of pairs.  Solving never looks at the order
-the targets were listed in, so a lift solves each distinct group once.
+Every internal solver works on a multiset, not a list.  It takes a target
+histogram and returns a function of that histogram alone: a map from each
+target to its queue of pairs.  Solving never looks at the order the targets
+were listed in, so a coset lift solves each distinct group once per public
+call, from a memo that lives for that call; a nested lift composes its
+coset map with its caller's, so each pair is mapped once, into F_2^n.
 Target order is restored once, at the public boundary: the k-th
 occurrence of a target takes the k-th pair of its queue.
 """
@@ -31,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import xor
+from operator import itemgetter, xor
 
 from .errors import (
     BudgetExhausted,
@@ -316,43 +318,60 @@ def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
     return list(map(next, map(heads.__getitem__, values)))
 
 
-def _through(table: list[int], queues: _Queues) -> _Queues:
-    """The queues with both vectors of every pair looked up in a span_table."""
-    return {v: [(table[p], table[q]) for p, q in qs] for v, qs in queues.items()}
+#: Where a lift writes: the caller's queues, a span_table (or range, the
+#: identity) from the lift's space into the caller's, and a shift there.
+_Into = tuple[_Queues, Sequence[int], int]
+
+
+def _fresh(n: int) -> _Into:
+    """Empty queues in the caller's own n-dimensional space."""
+    return {}, range(1 << n), 0
+
+
+def _write(queues: _Queues, into: _Into) -> _Queues:
+    """Append each pair, mapped by into, to its mapped target's queue; returns into's queues."""
+    out, table, shift = into
+    for v, qs in queues.items():
+        out.setdefault(table[v], []).extend([(table[p] ^ shift, table[q] ^ shift) for p, q in qs])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # zero-sum halving
 
 
-def _split_halves(hist: Counter) -> tuple[Counter, Counter]:
-    """Split a zero-sum multiset of size 2^(m-1) into two zero-sum halves.
+def _split_halves(hist: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Split a zero-sum histogram of size 2^(m-1) into two zero-sum halves.
 
     One copy of every odd-multiplicity value goes to the first half, and
-    even chunks fill up both.  The coset lift halves only groups that are
-    all even or span at most 5 dimensions, at levels m >= 6.  A 5-dimensional
-    span holds at most 28 distinct values of odd multiplicity, so those
-    outnumber half the group only at level 6, where _split_odds_level6
-    balances them.
+    even chunks, smallest value first, fill it up; the rest is the second.
+    The coset lift halves only groups that are all even or span at most 5
+    dimensions, at levels m >= 6.  A 5-dimensional span holds at most 28
+    distinct values of odd multiplicity, so those outnumber half the group
+    only at level 6, where _split_odds_level6 moves some to the second half.
     """
-    size = hist.total()
+    size = sum(hist.values())
     _ensure(size >= 4 and size & (size - 1) == 0, "halving needs a power-of-two size >= 4")
     half = size // 2
-
-    odds = sorted(u for u, c in hist.items() if c & 1)
+    items = sorted(hist.items())
+    odds = [u for u, c in items if c & 1]
     _ensure(len(odds) % 2 == 0, "a zero-sum multiset has an even number of odd values")
-    if len(odds) <= half:
-        first_odds, second_odds = odds, []
-    else:
-        _ensure(size == 32, "odd values outnumber half a group only at level 6")
-        first_odds, second_odds = _split_odds_level6(odds)
-    first, second = Counter(first_odds), Counter(second_odds)
-
-    need_first = half - len(first_odds)
-    need_second = half - len(second_odds)
-    _ensure(need_first % 2 == 0 and need_second % 2 == 0, "odd values left an odd gap")
-    _deal(_even_pool(hist), need_first, first, second)
-    _ensure(first.total() == second.total() == half, "even copies did not fill both halves")
+    _ensure(len(odds) <= half or size == 32, "odd values outnumber half a group only at level 6")
+    moved = set(_split_odds_level6(odds)[1]) if len(odds) > half else set()
+    need = half - len(odds) + len(moved)
+    _ensure(need % 2 == 0, "odd values left an odd gap")
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for u, c in items:
+        take = min(c & ~1, need)
+        need -= take
+        if c & 1 and u not in moved:
+            take += 1
+        if take:
+            first[u] = take
+        if c > take:
+            second[u] = c - take
+    _ensure(need == 0, "even copies did not fill both halves")
     return first, second
 
 
@@ -394,8 +413,8 @@ def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _halve_rounds(
-    hist: Counter, rounds: int, split: Callable[[Counter], tuple[Counter, Counter]]
-) -> list[Counter]:
+    hist: Mapping[int, int], rounds: int, split: Callable[[Mapping[int, int]], tuple[dict, dict]]
+) -> list[Mapping[int, int]]:
     """Split every group in two, rounds times over, leaving 2^rounds groups."""
     groups = [hist]
     for _ in range(rounds):
@@ -404,64 +423,48 @@ def _halve_rounds(
 
 
 def _lift_groups(
-    groups: Sequence[Counter], frame: Basis, solve: Callable[[Counter], _Queues], trace: list[str]
+    groups: Sequence[Mapping[int, int]], frame: Basis, solve: Callable[..., _Queues], into: _Into
 ) -> _Queues:
-    """Solve each group in frame's coordinates and translate it onto its own coset.
+    """Solve each group in frame's coordinates, written straight onto its own coset.
 
     Group i lands on the coset of the frame's span whose smallest
-    representative is coset_decompose(n, frame)[i].  A group's solution is
-    a function of its histogram, so each distinct group, keyed on its sorted
-    frame-coordinate histogram, is solved once per call; a repeat replays
-    the trace entries its first solve wrote.  Each target's queue holds its
-    pairs group by group, in group order, and the k-th occurrence of the
-    target takes the k-th pair of it once the caller restores target order.
+    representative t is coset_decompose(n, frame)[i].  into maps the lift's
+    space into the caller's, x to outer[x] ^ shift.  span_table maps are
+    linear, so frame and outer compose into one table per lift, and
+    solve(sub, (out, table, outer[t] ^ shift)) gets group i's histogram in
+    frame coordinates and writes each pair once, into the caller's queues:
+    each target's queue holds its pairs group by group, in group order.
     """
+    out, outer, shift = into
     shifts = coset_decompose(frame.dim, frame)
     _ensure(len(shifts) == len(groups), "one group per coset of the frame")
-    # span[c] is the vector whose frame coordinates are c, the inverse of
-    # frame.coords.
+    # span[c] is the vector whose frame coordinates are c; index inverts it.
     span = span_table(frame.rows)
-    coords = {v: frame.coords(v) for v in set().union(*groups)}
-    solved: dict[tuple[tuple[int, int], ...], tuple[_Queues, list[str]]] = {}
-    out: _Queues = {}
+    index = {v: c for c, v in enumerate(span)}
+    table = [outer[x] for x in span]
     for g, t in zip(groups, shifts):
-        key = tuple(sorted((coords[v], c) for v, c in g.items()))
-        hit = solved.get(key)
-        if hit is None:
-            mark = len(trace)
-            hit = solved[key] = (solve(Counter(dict(key))), trace[mark:])
-        else:
-            trace.extend(hit[1])
-        sub = hit[0]
-        for v in g:
-            lifted = [(span[p] ^ t, span[q] ^ t) for p, q in sub[coords[v]]]
-            if v in out:
-                out[v] += lifted
-            else:
-                out[v] = lifted
+        solve({index[v]: c for v, c in g.items()}, (out, table, outer[t] ^ shift))
     return out
-
-
-def _even_pool(hist: Mapping[int, int], skip: Iterable[int] = ()) -> dict[int, int]:
-    """The even part of each multiplicity outside skip, zero parts dropped."""
-    return {u: c & ~1 for u, c in hist.items() if c > 1 and u not in skip}
 
 
 # ---------------------------------------------------------------------------
 # coset lifting for small span
 
 
-def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> _Queues:
+def _small_dim(
+    n: int, hist: Mapping[int, int], span: Basis, k: int, trace: list[str], memo: dict, into: _Into
+) -> _Queues:
     """Solve a target histogram whose span has at most k dimensions, k in {5, 6}.
 
-    span is the caller's echelon_basis of the targets.
-
-    Halving down to level = min(k, n) yields 2^(n-level) zero-sum groups of
-    size 2^(level-1); every group the halving sees is all even (k = 6) or
-    spans at most 5 dimensions (k = 5), which is all _split_halves covers.
-    Each distinct group is solved once, inside a level-dimensional frame
-    containing the span (by exact search at level <= 5, by the even lift at
-    level 6, whose search runs at level 5), and lifted onto its own coset.
+    span is the caller's echelon_basis of the targets.  Halving down to
+    level = min(k, n) yields 2^(n-level) zero-sum groups of size
+    2^(level-1); every group the halving sees is all even (k = 6) or spans
+    at most 5 dimensions (k = 5), which is all _split_halves covers.  Each
+    is solved in a level-dimensional frame containing the span (by exact
+    search at level <= 5, else by the even lift) and written through into
+    onto its own coset.  memo, kept by the caller for one public call, maps
+    each solved group's level and sorted frame-coordinate histogram to its
+    queues and trace entries: a repeat is not solved again but replays them.
     """
     _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
     if len(hist) == 1:
@@ -469,15 +472,24 @@ def _small_dim(n: int, hist: Counter, span: Basis, k: int, trace: list[str]) -> 
         # with its translate.
         (v,) = hist
         trace.append(f"coset-lift n={n} k=1 groups={1 << (n - 1)}")
-        return {v: [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]}
+        return _write({v: [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]}, into)
     level = min(k, n)
     trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
+
+    def solve(sub: dict[int, int], at: _Into) -> _Queues:
+        key = (level, tuple(sorted(sub.items())))
+        hit = memo.get(key)
+        if hit is None:
+            mark = len(trace)
+            group = Counter(sub)
+            queues = _exact(level, group) if level <= 5 else _lift_even(level, group, trace)
+            hit = memo[key] = (queues, trace[mark:])
+        else:
+            trace.extend(hit[1])
+        return _write(hit[0], at)
+
     groups = _halve_rounds(hist, n - level, _split_halves)
-
-    def solve(sub: Counter) -> _Queues:
-        return _exact(level, sub) if level <= 5 else _lift_even(level, sub, trace)
-
-    return _lift_groups(groups, extend_basis(span, level), solve, trace)
+    return _lift_groups(groups, extend_basis(span, level), solve, into)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +518,8 @@ def _expand_slots(
             pairs = ((p, q ^ e1), (q, p ^ e1))
         else:
             pairs = ((p, q), (p ^ e1, q ^ e1))
-        out.setdefault(table[image], []).extend(pairs)
-    return _through(table, out)
+        out.setdefault(image, []).extend(pairs)
+    return _write(out, ({}, table, 0))
 
 
 def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -553,7 +565,7 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
 # three-value splitting and the half-dimension case
 
 
-def _split_three(hist: Counter) -> tuple[Counter, Counter]:
+def _split_three(hist: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int]]:
     """One halving step that roughly alternates values by multiplicity.
 
     Sorting distinct values by (count, value) and dealing them out
@@ -562,18 +574,17 @@ def _split_three(hist: Counter) -> tuple[Counter, Counter]:
     and size >= 4 the shift is even too, preserving parity.  The shift is
     at most half the top count, so the donor keeps some copies on its side.
     """
-    order = sorted(hist.items(), key=lambda kv: (kv[1], kv[0]))
-    s1: Counter = Counter(dict(order[0::2]))
-    s2: Counter = Counter(dict(order[1::2]))
-    donor = order[-1][0]
+    order = sorted(hist.items(), key=itemgetter(1, 0))
+    s1, s2 = dict(order[0::2]), dict(order[1::2])
+    donor, top = order[-1]
     donor_side, other = (s1, s2) if len(order) % 2 == 1 else (s2, s1)
-    diff = donor_side.total() - other.total()
+    diff = sum(donor_side.values()) - sum(other.values())
     _ensure(diff >= 0, "most frequent value must sit on the larger side")
     shift = diff // 2
     if shift:
-        _ensure(hist[donor] >= shift, "donor value too rare for the rebalancing shift")
-        donor_side[donor] -= shift
-        other[donor] += shift
+        _ensure(top >= shift, "donor value too rare for the rebalancing shift")
+        donor_side[donor] = top - shift
+        other[donor] = shift
     return s1, s2
 
 
@@ -582,17 +593,19 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
 
     span is the caller's echelon_basis of the targets.  k splitting rounds
     leave 2^k groups with at most 3 distinct values each; group i is solved
-    inside coset i of an (n-k)-dimensional subspace containing the span.
+    inside coset i of an (n-k)-dimensional subspace containing the span by
+    a nested coset lift, all of them sharing one memo.
     """
     k = span.rank
     _ensure(1 <= k and 2 * k <= n, "half-dimension case needs 1 <= 2 * span <= n")
     groups = _halve_rounds(hist, k, _split_three)
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
+    memo: dict = {}
 
-    def solve(sub: Counter) -> _Queues:
-        return _small_dim(n - k, sub, echelon_basis(sub, n - k), 5, trace)
+    def solve(sub: dict[int, int], into: _Into) -> _Queues:
+        return _small_dim(n - k, sub, echelon_basis(sub, n - k), 5, trace, memo, into)
 
-    return _lift_groups(groups, extend_basis(span, n - k), solve, trace)
+    return _lift_groups(groups, extend_basis(span, n - k), solve, _fresh(n))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +701,10 @@ def _two_coset_recurse(
     span = echelon_basis([*side1, *side2], n)
     _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
 
-    frame = extend_basis(span, n - 1)
-    return _lift_groups([side1, side2], frame, lambda sub: _solve_few(n - 1, sub, trace), trace)
+    def solve(sub: dict[int, int], into: _Into) -> _Queues:
+        return _write(_solve_few(n - 1, Counter(sub), trace), into)
+
+    return _lift_groups([side1, side2], extend_basis(span, n - 1), solve, _fresh(n))
 
 
 def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -869,7 +884,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
             if lam2 is None:
                 continue
             others = [u for u in odds if u not in (a, b)]
-            pool = _even_pool(hist, (a, b))
+            pool = {u: c & ~1 for u, c in hist.items() if c > 1 and u not in (a, b)}
             fills = [
                 eighth - (k1 + 1),
                 eighth - (m - c + 1),
@@ -947,8 +962,8 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     )
     queues: _Queues = {}
     for pq, v in placed:
-        queues.setdefault(v, []).append(pq)
-    return _through(inverse_table(fwd), queues)
+        queues.setdefault(fwd[v], []).append(pq)
+    return _write(queues, ({}, inverse_table(fwd), 0))
 
 
 def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -966,7 +981,7 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
             trace.append("even-base level=6")
             return _lift_even(6, hist, trace)
         if l <= 2:
-            return _small_dim(n, hist, echelon_basis(hist, n), 5, trace)
+            return _small_dim(n, hist, echelon_basis(hist, n), 5, trace, {}, _fresh(n))
         if l < n or echelon_basis(hist, n).rank < n:
             return _even_two_split(n, hist, trace)
         return _exactly_n_even(n, hist, trace)
@@ -1042,7 +1057,7 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
         lambda n, hist, span: (
             f"targets span {span.rank} dimensions, more than 5" if span.rank > 5 else None
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace, {}, _fresh(n)),
     ),
     (
         "Dim6EvenCoset",
@@ -1051,7 +1066,7 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
             else f"targets span {span.rank} dimensions, more than 6" if span.rank > 6
             else _odd_reason(hist)
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace, {}, _fresh(n)),
     ),
     (
         "AtMostNValues",

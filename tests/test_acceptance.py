@@ -232,8 +232,12 @@ def _instance_few_values(rng: random.Random, n_cap: int) -> PairingInstance:
 
 
 def test_constructive_routes_on_random_instances():
-    # 10,000 random instances per case hypothesis, every partition checked
-    # independently, zero failures, under 10 minutes in total.
+    # 10,000 random instances per loop, every partition checked
+    # independently, zero failures, under 10 minutes in total.  Auto routing
+    # sends the loops to Dim5Coset, Dim6EvenCoset and AtMostNValues.  The
+    # last loop's all-even targets span at most n/2 <= 6 dimensions, so they
+    # go to Dim5Coset or Dim6EvenCoset, never to DimHalfEven; the next test
+    # covers that route.
     per_case = 10_000
     rng = random.Random(20260825)
     start = time.monotonic()
@@ -255,6 +259,22 @@ def test_constructive_routes_on_random_instances():
         spot_check(_instance_even_span(rng, n, rng.randint(1, n // 2)))
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"took {elapsed:.0f}s"
+
+
+def test_half_dimension_route_on_random_n14_instances():
+    # All-even targets spanning 7 dimensions at n = 14 are the smallest that
+    # auto routing sends to DimHalfEven: 40 seeded instances, each partition
+    # checked by its coverage and pair sums, without the library's checker.
+    rng = random.Random(20261020)
+    start = time.monotonic()
+    for _ in range(40):
+        inst = _instance_even_span(rng, 14, 7)
+        part, route = solve_pairing(inst)
+        assert route.tag == "DimHalfEven"
+        assert sorted(x for pair in part.pairs for x in pair) == list(range(1 << 14))
+        assert [p ^ q for p, q in part.pairs] == list(inst.values)
+    elapsed = time.monotonic() - start
+    assert elapsed < 60, f"took {elapsed:.0f}s"
 
 
 def test_route_forced_solvers_on_high_span_instances():

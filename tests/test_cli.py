@@ -88,6 +88,16 @@ def test_pair_solve_rejects_malformed_targets(capsys):
     assert "error=PreconditionViolated" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1", "31", "x"])
+def test_pair_solve_checks_n_before_the_targets(capsys, n):
+    # --n is checked before any target is read, so a bad n is named as
+    # such and not reported as a target of the wrong width.
+    code, out, err = run(capsys, "pair-solve", "--n", n, "--targets", "1")
+    assert code == 2 and out == ""
+    assert f"argument --n: n must be an int in 2..30, got '{n}'" in err
+    assert "width" not in err
+
+
 def test_pair_solve_inapplicable_forced_route(capsys):
     code, _, err = run(
         capsys, "pair-solve", "--n", "3", "--targets", "001,010,100,111",

@@ -342,7 +342,7 @@ def reduction_stream() -> str:
         out.append(forced("AtMostNValues", n, values))
     for values in dense_odd_split_inputs():
         for half in _split_halves(Counter(values)):
-            out.append(",".join(map(str, sorted(half.elements()))) + "\n")
+            out.append(",".join(map(str, sorted(Counter(half).elements()))) + "\n")
     return "".join(out)
 
 

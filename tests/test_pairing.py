@@ -88,7 +88,8 @@ def at_most_n_values(inst):
 
 
 def assert_valid_split(values, first, second):
-    # Halves are target histograms.
+    # Halves are target histograms, as plain dicts.
+    first, second = Counter(first), Counter(second)
     assert first.total() == second.total() == len(values) // 2
     assert instgen.xor_all(first.elements()) == 0
     assert instgen.xor_all(second.elements()) == 0
@@ -523,7 +524,7 @@ def test_coset_lift_solves_low_span_groups_at_level_five():
 
 def three_value_groups(values, k):
     """What the DimHalfEven route splits its targets into, as sorted lists."""
-    return [sorted(g.elements()) for g in _halve_rounds(Counter(values), k, _split_three)]
+    return [sorted(Counter(g).elements()) for g in _halve_rounds(Counter(values), k, _split_three)]
 
 
 def test_split_three_contract_pair_of_values():
@@ -606,41 +607,28 @@ def test_dim_half_random(seed, n):
 
 
 def test_lift_solves_each_distinct_group_once(monkeypatch):
-    # One n=14 span-7 DimHalfEven solve: each coset lift hands every distinct
-    # frame-coordinate group to its solver once, and the exact search runs
-    # once per group so handed over at level 5, not once per group.
-    lift, exact = pairing._lift_groups, pairing._exact
-    lifts = []
-    exact_calls = 0
+    # One n=14 span-7 DimHalfEven solve: its 128 three-value groups start
+    # nested coset lifts, and across all of them the exact search runs once
+    # per distinct (level, frame-coordinate histogram) of the whole call.
+    # A memo kept per lift, not per call, ran it 292 times on these 84 groups.
+    exact = pairing._exact
+    calls = []
 
-    def counting_lift(groups, frame, solve, trace):
-        solved = []
-        lifts.append((len(groups), solved))
+    def counting_exact(n, hist, deadline=None):
+        calls.append((n, tuple(sorted(hist.items()))))
+        return exact(n, hist, deadline)
 
-        def recording(sub):
-            solved.append(tuple(sorted(sub.items())))
-            return solve(sub)
-
-        return lift(groups, frame, recording, trace)
-
-    def counting_exact(*args):
-        nonlocal exact_calls
-        exact_calls += 1
-        return exact(*args)
-
-    monkeypatch.setattr(pairing, "_lift_groups", counting_lift)
     monkeypatch.setattr(pairing, "_exact", counting_exact)
     inst = build(*instgen.even_span_instance(random.Random(14), 14, 7))
     part, route = solve_pairing(inst)
     assert route.tag == "DimHalfEven"
     assert_valid(inst, part)
-    for _, solved in lifts:
-        assert len(solved) == len(set(solved))
-    # The first lift is the half-dimension one; every later one lifts a
-    # three-value group at level 5 and calls the exact search per solve.
-    inner = lifts[1:]
-    assert exact_calls == sum(len(solved) for _, solved in inner)
-    assert exact_calls < sum(groups for groups, _ in inner)
+    assert {n for n, _ in calls} == {5}
+    assert len(calls) == len(set(calls)) == 84
+    # The same instance solved again starts from an empty memo.
+    calls.clear()
+    assert solve_pairing(inst) == (part, route)
+    assert len(calls) == 84
 
 
 # ---------------------------------------------------------------------------
