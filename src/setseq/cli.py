@@ -72,18 +72,27 @@ _DURATION = re.compile(r"(\d+(?:\.\d+)?)([sm]?)\Z")
 
 
 def parse_duration(text: str) -> float:
-    """Seconds from "90", "10s", or "5m"."""
+    """Seconds from "90", "10s", or "5m": more than zero, and finite."""
     match = _DURATION.match(text.strip())
     if not match:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}; use e.g. 10s or 5m")
-    value = float(match.group(1))
-    return value * 60.0 if match.group(2) == "m" else value
+    value = float(match.group(1)) * (60.0 if match.group(2) == "m" else 1.0)
+    if not 0 < value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"duration must be above zero and finite, got {text!r}")
+    return value
 
 
 def _dimension(text: str) -> int:
     """The n of pair-solve: an int in 2..MAX_DIM, checked before any target is read."""
     if not text.isdecimal() or not 2 <= int(text) <= MAX_DIM:
         raise argparse.ArgumentTypeError(f"n must be an int in 2..{MAX_DIM}, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """The search seed: an int in 0..2^64-1, checked before the tree is read."""
+    if not text.isdecimal() or not int(text) < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be an int in 0..2**64-1, got {text!r}")
     return int(text)
 
 
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search", help="randomized or exhaustive labeling search")
     search.add_argument("--tree", required=True, metavar="JSON")
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--seed", type=_seed, default=0)
     search.add_argument("--budget", type=parse_duration, default=60.0, metavar="DURATION")
     search.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
 

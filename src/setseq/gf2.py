@@ -11,10 +11,12 @@ The helpers here take and return plain ints, and tree labels are plain
 ints too.  parse_bits reads a bitstring into its int, and f"{x:0{n}b}"
 prints one.  BitVec, a fixed-width wrapper, is only the element type of
 trees.Labeling.vertex_labels.  One reduced row-echelon pass, _rref,
-serves every elimination: spans and parity systems.  One table,
-span_table, evaluates every linear map: coset representatives,
+serves every elimination: spans, coset frames and parity systems.  One
+table, span_table, evaluates every linear map: coset representatives,
 coordinate frames and changes of basis are all lookups in it, and
-inverse_table inverts a change of basis.
+inverse_table inverts a change of basis.  One call, lift_frame, builds
+every coset frame: the rows of a subspace containing a span and the
+smallest representative of each of its cosets.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class BitVec:
 class Basis:
     """Linearly independent rows in row-echelon form.
 
-    Leading bit positions are strictly decreasing down the rows, which makes
-    membership tests and coordinate extraction single forward scans.
+    Leading bit positions are strictly decreasing down the rows, so the
+    rank is the row count.
     """
 
     dim: int
@@ -92,28 +94,6 @@ class Basis:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def reduce(self, x: int) -> int:
-        """Residual of x after forward elimination; 0 iff x is in the span."""
-        for r in self.rows:
-            if x ^ r < x:
-                x ^= r
-        return x
-
-    def __contains__(self, x: int) -> bool:
-        return self.reduce(x) == 0
-
-    def coords(self, x: int) -> int:
-        """Coefficients of x over the rows, rows[0] at the most significant bit."""
-        c = 0
-        for r in self.rows:
-            c <<= 1
-            if x ^ r < x:
-                x ^= r
-                c |= 1
-        if x:
-            raise PreconditionViolated("vector is outside the span")
-        return c
 
 
 def _rref(values: Iterable[int]) -> list[int]:
@@ -139,17 +119,41 @@ def _rref(values: Iterable[int]) -> list[int]:
     return rows
 
 
-def echelon_basis(values: Iterable[int], dim: int) -> Basis:
-    """Reduced row-echelon basis of the span of the given vectors.
-
-    Each pivot bit appears in exactly one row, so the rows double as the
-    canonical representatives used by coset_decompose.
-    """
+def _checked(values: Iterable[int], dim: int) -> list[int]:
+    """The values as a list, once dim and each value are checked."""
     _check_dim(dim)
     values = list(values)
     for v in values:
         _check_value(v, dim)
-    return Basis(dim, tuple(_rref(values)))
+    return values
+
+
+def echelon_basis(values: Iterable[int], dim: int) -> Basis:
+    """Reduced row-echelon basis of the span of the given vectors.
+
+    Each pivot bit appears in exactly one row.
+    """
+    return Basis(dim, tuple(_rref(_checked(values, dim))))
+
+
+def lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], list[int]]:
+    """A rank-dimensional frame containing the span of values, and its cosets.
+
+    rows are the reduced row-echelon rows of the span, extended by unit
+    vectors at free positions, most significant first, in decreasing
+    order.  reps is the span_table of the units left free: the numerically
+    smallest representative of every coset of the frame, ascending (so
+    reps[0] is 0), 2^(dim - rank) of them; keep dim - rank modest.
+    """
+    rows = _rref(_checked(values, dim))
+    if type(rank) is not int or not len(rows) <= rank <= dim:
+        raise PreconditionViolated(f"frame rank {rank!r} outside {len(rows)}..{dim}")
+    # Leading bits are all distinct, so value order is leading-bit order.
+    # The smallest vector of each coset is the one that vanishes on them.
+    pivots = {r.bit_length() - 1 for r in rows}
+    free = [1 << p for p in range(dim - 1, -1, -1) if p not in pivots]
+    take = rank - len(rows)
+    return sorted(rows + free[:take], reverse=True), span_table(free[take:])
 
 
 def _subset_reach_tables(
@@ -207,11 +211,12 @@ def zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, .
 def span_table(rows: Sequence[int]) -> list[int]:
     """The XOR of the rows each bit pattern selects, for every pattern.
 
-    Bit i of entry c's index selects rows[len(rows) - 1 - i], the order of
-    Basis.coords, so entry c is the vector whose coordinates are c.  With
-    rows[i] the image of the unit 1 << (len(rows) - 1 - i), entry x is the
-    image of x, so the table evaluates that linear map everywhere.  The
-    table has 2^len(rows) entries, each one XOR away from an earlier one.
+    Bit i of entry c's index selects rows[len(rows) - 1 - i], rows[0] at
+    the most significant bit, so entry c is the vector whose coordinates
+    over the rows are c.  With rows[i] the image of the unit
+    1 << (len(rows) - 1 - i), entry x is the image of x, so the table
+    evaluates that linear map everywhere.  The table has 2^len(rows)
+    entries, each one XOR away from an earlier one.
     """
     table = [0]
     for r in reversed(rows):
@@ -233,36 +238,6 @@ def inverse_table(table: Sequence[int]) -> list[int]:
     return out
 
 
-def coset_decompose(n: int, subspace: Basis) -> tuple[int, ...]:
-    """The numerically smallest representative of every coset of the subspace.
-
-    Representatives are the vectors that vanish on the pivot positions of the
-    reduced basis, enumerated in ascending order (so the first is 0).  The
-    result has 2^(n - rank) entries; keep n - rank modest.
-    """
-    if subspace.dim != n:
-        raise PreconditionViolated("subspace dimension does not match n")
-    # Echelon rows have distinct leading bits, and those are the pivots of
-    # the reduced basis too.  The free units, most significant first, span
-    # the representatives in ascending order.
-    pivots = {r.bit_length() - 1 for r in subspace.rows}
-    return tuple(span_table([1 << p for p in range(n - 1, -1, -1) if p not in pivots]))
-
-
-def extend_basis(basis: Basis, target_rank: int | None = None) -> Basis:
-    """Extend with unit vectors at free positions, most significant first."""
-    target = basis.dim if target_rank is None else target_rank
-    if not basis.rank <= target <= basis.dim:
-        raise PreconditionViolated(
-            f"target rank {target} outside {basis.rank}..{basis.dim}"
-        )
-    # Leading bits are all distinct, so value order is leading-bit order.
-    pivots = {r.bit_length() - 1 for r in basis.rows}
-    free = [1 << p for p in range(basis.dim - 1, -1, -1) if p not in pivots]
-    rows = sorted([*basis.rows, *free[: target - basis.rank]], reverse=True)
-    return Basis(basis.dim, tuple(rows))
-
-
 def solve_parity_system(
     constraints: Sequence[tuple[int, int]], n: int
 ) -> int | None:
@@ -271,9 +246,7 @@ def solve_parity_system(
     Returns None when the system is inconsistent.  Free bits are set to 0,
     so the answer is deterministic.
     """
-    _check_dim(n)
-    for v, _ in constraints:
-        _check_value(v, n)
+    _checked([v for v, _ in constraints], n)
     # Row (v << 1) | b reduced to 1 reads 0 = 1.  Otherwise every row holds
     # one pivot of f's support, and its low bit is f's value there.
     rows = _rref(v << 1 | b for v, b in constraints)

@@ -27,6 +27,7 @@ occurrence of a target takes the k-th pair of its queue.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -47,10 +48,9 @@ from .errors import (
 from .gf2 import (
     MAX_DIM,
     Basis,
-    coset_decompose,
     echelon_basis,
-    extend_basis,
     inverse_table,
+    lift_frame,
     solve_parity_system,
     span_table,
     zero_sum_subset,
@@ -423,26 +423,28 @@ def _halve_rounds(
 
 
 def _lift_groups(
-    groups: Sequence[Mapping[int, int]], frame: Basis, solve: Callable[..., _Queues], into: _Into
+    groups: Sequence[Mapping[int, int]], frame: tuple[list[int], list[int]],
+    solve: Callable[..., _Queues], into: _Into,
 ) -> _Queues:
     """Solve each group in frame's coordinates, written straight onto its own coset.
 
-    Group i lands on the coset of the frame's span whose smallest
-    representative t is coset_decompose(n, frame)[i].  into maps the lift's
-    space into the caller's, x to outer[x] ^ shift.  span_table maps are
-    linear, so frame and outer compose into one table per lift, and
-    solve(sub, (out, table, outer[t] ^ shift)) gets group i's histogram in
-    frame coordinates and writes each pair once, into the caller's queues:
-    each target's queue holds its pairs group by group, in group order.
+    frame is lift_frame's (rows, reps): group i lands on the coset of the
+    rows' span whose smallest representative is t = reps[i].  into maps
+    the lift's space into the caller's, x to outer[x] ^ shift.  span_table
+    maps are linear, so the rows and outer compose into one table per lift,
+    and solve(sub, (out, table, outer[t] ^ shift)) gets group i's histogram
+    in frame coordinates and writes each pair once, into the caller's
+    queues: each target's queue holds its pairs group by group, in group
+    order.
     """
     out, outer, shift = into
-    shifts = coset_decompose(frame.dim, frame)
-    _ensure(len(shifts) == len(groups), "one group per coset of the frame")
+    rows, reps = frame
+    _ensure(len(reps) == len(groups), "one group per coset of the frame")
     # span[c] is the vector whose frame coordinates are c; index inverts it.
-    span = span_table(frame.rows)
+    span = span_table(rows)
     index = {v: c for c, v in enumerate(span)}
     table = [outer[x] for x in span]
-    for g, t in zip(groups, shifts):
+    for g, t in zip(groups, reps):
         solve({index[v]: c for v, c in g.items()}, (out, table, outer[t] ^ shift))
     return out
 
@@ -452,19 +454,21 @@ def _lift_groups(
 
 
 def _small_dim(
-    n: int, hist: Mapping[int, int], span: Basis, k: int, trace: list[str], memo: dict, into: _Into
+    n: int, hist: Mapping[int, int], spanning: Iterable[int], k: int, trace: list[str],
+    memo: dict, into: _Into,
 ) -> _Queues:
     """Solve a target histogram whose span has at most k dimensions, k in {5, 6}.
 
-    span is the caller's echelon_basis of the targets.  Halving down to
-    level = min(k, n) yields 2^(n-level) zero-sum groups of size
-    2^(level-1); every group the halving sees is all even (k = 6) or spans
-    at most 5 dimensions (k = 5), which is all _split_halves covers.  Each
-    is solved in a level-dimensional frame containing the span (by exact
-    search at level <= 5, else by the even lift) and written through into
-    onto its own coset.  memo, kept by the caller for one public call, maps
-    each solved group's level and sorted frame-coordinate histogram to its
-    queues and trace entries: a repeat is not solved again but replays them.
+    spanning is any vectors with the targets' span: echelon rows, or the
+    targets.  Halving down to level = min(k, n) yields 2^(n-level) zero-sum
+    groups of size 2^(level-1); every group the halving sees is all even
+    (k = 6) or spans at most 5 dimensions (k = 5), which is all
+    _split_halves covers.  Each is solved in the level-dimensional
+    lift_frame of spanning (by exact search at level <= 5, else by the even
+    lift) and written through into onto its own coset.  memo, kept by the
+    caller for one public call, maps each solved group's level and sorted
+    frame-coordinate histogram to its queues and trace entries: a repeat is
+    not solved again but replays them.
     """
     _ensure(k in (5, 6), "coset lift needs k in {5, 6}")
     if len(hist) == 1:
@@ -472,7 +476,7 @@ def _small_dim(
         # with its translate.
         (v,) = hist
         trace.append(f"coset-lift n={n} k=1 groups={1 << (n - 1)}")
-        return _write({v: [(t, t ^ v) for t in coset_decompose(n, Basis(n, (v,)))]}, into)
+        return _write({v: [(t, t ^ v) for t in lift_frame(hist, n, 1)[1]]}, into)
     level = min(k, n)
     trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
 
@@ -489,7 +493,7 @@ def _small_dim(
         return _write(hit[0], at)
 
     groups = _halve_rounds(hist, n - level, _split_halves)
-    return _lift_groups(groups, extend_basis(span, level), solve, into)
+    return _lift_groups(groups, lift_frame(spanning, n, level), solve, into)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +551,7 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
             break
     else:
         raise InternalSearchFailed("no anchor for the even lift")
-    ext = extend_basis(echelon_basis([u], n), n)
-    back = span_table((u, *(r for r in ext.rows if r != u)))
+    back = span_table((u, *(r for r in lift_frame([u], n, n)[0] if r != u)))
     fwd = inverse_table(back)
     e1 = 1 << (n - 1)
     s = fwd[pair_sum] & (e1 - 1)
@@ -594,7 +597,7 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
     span is the caller's echelon_basis of the targets.  k splitting rounds
     leave 2^k groups with at most 3 distinct values each; group i is solved
     inside coset i of an (n-k)-dimensional subspace containing the span by
-    a nested coset lift, all of them sharing one memo.
+    a nested coset lift framed by its own values, all sharing one memo.
     """
     k = span.rank
     _ensure(1 <= k and 2 * k <= n, "half-dimension case needs 1 <= 2 * span <= n")
@@ -603,9 +606,9 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
     memo: dict = {}
 
     def solve(sub: dict[int, int], into: _Into) -> _Queues:
-        return _small_dim(n - k, sub, echelon_basis(sub, n - k), 5, trace, memo, into)
+        return _small_dim(n - k, sub, sub, 5, trace, memo, into)
 
-    return _lift_groups(groups, extend_basis(span, n - k), solve, _fresh(n))
+    return _lift_groups(groups, lift_frame(span.rows, n, n - k), solve, _fresh(n))
 
 
 # ---------------------------------------------------------------------------
@@ -692,19 +695,19 @@ def _two_coset_recurse(
 
     The sides hold each odd copy and each pinned value whole, so the rest,
     hist - side1 - side2, is an even pool.  Side one is solved inside a
-    hyperplane containing the span, side two on its other coset.
+    hyperplane containing the span, side two on its other coset; every
+    caller has fewer than n values or odd values XORing to 0, so the span
+    is below full rank, as lift_frame requires.
     """
     quarter = 1 << (n - 2)
     _ensure(max(side1.total(), side2.total()) <= quarter, "fixed values overfilled a side")
     _deal(hist - side1 - side2, quarter - side1.total(), side1, side2)
     _ensure(side1.total() == side2.total() == quarter, "the pool did not fill both sides")
-    span = echelon_basis([*side1, *side2], n)
-    _ensure(span.rank <= n - 1, "two-coset split needs a span below full rank")
 
     def solve(sub: dict[int, int], into: _Into) -> _Queues:
         return _write(_solve_few(n - 1, Counter(sub), trace), into)
 
-    return _lift_groups([side1, side2], extend_basis(span, n - 1), solve, _fresh(n))
+    return _lift_groups([side1, side2], lift_frame([*side1, *side2], n, n - 1), solve, _fresh(n))
 
 
 def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -851,11 +854,9 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     eighth = 1 << (n - 3)
     distinct = sorted(hist)
 
-    span = echelon_basis(distinct, n)
-    _ensure(span.rank <= n - 1, "three-coset case needs a span below full rank")
-    H = extend_basis(span, n - 1)
-    outside = coset_decompose(n, H)[1]
-    lam1 = solve_parity_system([(r, 0) for r in H.rows] + [(outside, 1)], n)
+    # The odd values XOR to 0, so the n distinct values span less than F_2^n.
+    hyperplane, reps = lift_frame(distinct, n, n - 1)
+    lam1 = solve_parity_system([(r, 0) for r in hyperplane] + [(reps[1], 1)], n)
     _ensure(lam1 not in (None, 0), "no functional separates the hyperplane")
 
     c = m // 2 + 1 if m % 4 == 0 else m // 2
@@ -910,7 +911,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     for unit in (1 << p for p in range(n - 1, -1, -1)):
         if len(rows) == n:
             break
-        if unit not in echelon_basis(rows, n):
+        if echelon_basis([*rows, unit], n).rank > len(rows):
             rows.append(unit)
     # x maps to its functional values: bit n - 1 - i of its image is
     # parity(rows[i] & x).  The unit at bit n - 1 - j maps to column j of rows.
@@ -981,7 +982,7 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
             trace.append("even-base level=6")
             return _lift_even(6, hist, trace)
         if l <= 2:
-            return _small_dim(n, hist, echelon_basis(hist, n), 5, trace, {}, _fresh(n))
+            return _small_dim(n, hist, hist, 5, trace, {}, _fresh(n))
         if l < n or echelon_basis(hist, n).rank < n:
             return _even_two_split(n, hist, trace)
         return _exactly_n_even(n, hist, trace)
@@ -1034,8 +1035,9 @@ def exact_pairing_solver(
 
     Like that route it refuses n > 6 with CaseNotApplicable.
     """
-    if type(budget_seconds) not in (int, float) or not budget_seconds >= 0:
-        raise PreconditionViolated(f"budget must be a number >= 0, got {budget_seconds!r}")
+    # Above the largest float, the deadline's sum would raise OverflowError.
+    if type(budget_seconds) not in (int, float) or not 0 <= budget_seconds <= sys.float_info.max:
+        raise PreconditionViolated(f"budget must be a finite number >= 0, got {budget_seconds!r}")
     reason = _exact_reason(inst.n)
     if reason is not None:
         raise CaseNotApplicable(reason)
@@ -1057,7 +1059,7 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
         lambda n, hist, span: (
             f"targets span {span.rank} dimensions, more than 5" if span.rank > 5 else None
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace: _small_dim(n, hist, span.rows, 5, trace, {}, _fresh(n)),
     ),
     (
         "Dim6EvenCoset",
@@ -1066,7 +1068,7 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
             else f"targets span {span.rank} dimensions, more than 6" if span.rank > 6
             else _odd_reason(hist)
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace: _small_dim(n, hist, span.rows, 6, trace, {}, _fresh(n)),
     ),
     (
         "AtMostNValues",

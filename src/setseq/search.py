@@ -21,6 +21,7 @@ the first success wins.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import TextIO
@@ -65,8 +66,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             raise PreconditionViolated(f"seed must be an int in 0..2**64-1, got {self.seed!r}")
-        if type(self.budget_seconds) not in (int, float) or not self.budget_seconds > 0:
-            raise PreconditionViolated(f"budget must be a number > 0, got {self.budget_seconds!r}")
+        budget = self.budget_seconds
+        if type(budget) not in (int, float) or not 0 < budget <= sys.float_info.max:
+            raise PreconditionViolated(f"budget must be a finite number > 0, got {budget!r}")
         if type(self.max_restarts) is not int or self.max_restarts < 1:
             raise PreconditionViolated(
                 f"max_restarts must be an int of at least 1, got {self.max_restarts!r}"

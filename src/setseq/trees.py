@@ -138,7 +138,9 @@ def _tree_error(v: int, edges: Iterable[tuple[int, int]]) -> str:
             return f"edge ({a!r}, {b!r}) has a non-int vertex id"
         if not (0 <= a < v and 0 <= b < v):
             return f"edge ({a}, {b}) out of range"
-        if a >= b:
+        if a == b:
+            return f"edge ({a}, {b}) is a loop"
+        if a > b:
             return f"edge ({a}, {b}) not stored small-id first"
         if (a, b) in seen:
             return f"duplicate edge ({a}, {b})"

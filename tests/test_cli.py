@@ -554,6 +554,37 @@ def test_duration_parsing():
     assert parse_duration("5m") == 300.0
     with pytest.raises(Exception):
         parse_duration("ten minutes")
+    for text in ("0", "0s", "0m", "0.0", "9" * 400):
+        with pytest.raises(argparse.ArgumentTypeError, match="above zero and finite"):
+            parse_duration(text)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget", "0", "duration must be above zero and finite, got '0'"),
+        ("--budget", "0s", "duration must be above zero and finite, got '0s'"),
+        ("--budget", "0m", "duration must be above zero and finite, got '0m'"),
+        ("--seed", "-1", "seed must be an int in 0..2**64-1, got '-1'"),
+        ("--seed", str(1 << 64), f"seed must be an int in 0..2**64-1, got '{1 << 64}'"),
+        ("--seed", "1.5", "seed must be an int in 0..2**64-1, got '1.5'"),
+    ],
+)
+def test_search_usage_errors_exit_2_before_the_tree_is_read(capsys, flag, value, message):
+    # These used to exit 1 with error=PreconditionViolated once the tree was
+    # read; no tree file exists here, so only the argument check can answer.
+    code, out, err = run(capsys, "search", "--tree", "missing.json", flag, value)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: {message}" in err
+    assert "error=" not in err
+
+
+def test_search_accepts_the_largest_seed(capsys, tmp_path):
+    doc = tmp_path / "star.json"
+    doc.write_text(tree_to_json(Tree.of(4, [(0, 1), (0, 2), (0, 3)])))
+    code, out, _ = run(capsys, "search", "--tree", str(doc), "--seed", str((1 << 64) - 1))
+    assert code == 0
+    assert verify_set_sequential(*tree_from_json(out)).valid
 
 
 def test_emitted_json_round_trips(capsys, monkeypatch):

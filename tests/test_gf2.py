@@ -7,8 +7,10 @@ against the library's own routines.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,9 @@ from setseq.errors import NoSuchSubset, NotFullRank, PreconditionViolated
 from setseq.gf2 import (
     Basis,
     BitVec,
-    coset_decompose,
     echelon_basis,
-    extend_basis,
     inverse_table,
+    lift_frame,
     parse_bits,
     solve_parity_system,
     span_table,
@@ -138,14 +139,15 @@ def test_basis_rejects_non_echelon_rows():
 
 
 def test_coords_and_combine_roundtrip():
-    b = echelon_basis([0b1100, 0b0110, 0b0001], 4)
-    for x in range(16):
-        if x in b:
-            c = b.coords(x)
-            top = b.rank - 1
-            assert xor_all(r for i, r in enumerate(b.rows) if c >> (top - i) & 1) == x
-    with pytest.raises(PreconditionViolated):
-        b.coords(0b0010)
+    # A frame's coordinates are read from its span_table: entry c combines
+    # the rows c selects, and indexing the table gives back c.
+    rows, _ = lift_frame([0b1100, 0b0110, 0b0001], 4, 3)
+    index = {x: c for c, x in enumerate(span_table(rows))}
+    assert len(index) == 8
+    top = len(rows) - 1
+    for x, c in index.items():
+        assert xor_all(r for i, r in enumerate(rows) if c >> (top - i) & 1) == x
+    assert 0b0010 not in index
 
 
 @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
@@ -156,7 +158,7 @@ def test_basis_membership_matches_exhaustive_span(n, seed):
     spanned = set()
     for picks in itertools.product([0, 1], repeat=len(vals)):
         spanned.add(xor_all(v for v, p in zip(vals, picks) if p))
-    assert spanned == {x for x in range(1 << n) if x in b}
+    assert spanned == set(span_table(b.rows))
     assert len(spanned) == 1 << b.rank
 
 
@@ -216,27 +218,53 @@ def test_zero_sum_subset_matches_brute_force(n, raw, sizes):
 
 
 # ---------------------------------------------------------------------------
-# coset_decompose
+# lift_frame: a frame containing a span, and the cosets of the frame
 
 
-def enumerate_subspace(basis):
+def enumerate_span(rows):
     elems = set()
-    for picks in itertools.product([0, 1], repeat=basis.rank):
-        elems.add(xor_all(r for r, p in zip(basis.rows, picks) if p))
+    for picks in itertools.product([0, 1], repeat=len(rows)):
+        elems.add(xor_all(r for r, p in zip(rows, picks) if p))
     return elems
 
 
-def test_coset_decompose_tiny_cases():
-    assert coset_decompose(2, echelon_basis([0b01], 2)) == (0b00, 0b10)
-    assert coset_decompose(3, echelon_basis([0b001, 0b010], 3)) == (0b000, 0b100)
+def test_lift_frame_reaches_requested_rank():
+    # The span's rows plus the free units, most significant first, in
+    # descending order.
+    rows, reps = lift_frame([0b0110], 4, 4)
+    assert tuple(rows) == (0b1000, 0b0110, 0b0010, 0b0001)
+    assert reps == [0]
+    rows, reps = lift_frame([0b0110], 4, 2)
+    assert tuple(rows) == (0b1000, 0b0110)
+    assert reps == [0b0000, 0b0001, 0b0010, 0b0011]
+    for values, rank in (([0b0110], 0), ([0b0110, 0b0001], 1), ([0b0110], 5), ([0b0110], 2.0)):
+        with pytest.raises(PreconditionViolated):
+            lift_frame(values, 4, rank)
+    with pytest.raises(PreconditionViolated):
+        lift_frame([0b10000], 4, 4)
 
 
-def test_coset_decompose_one_dim_subspace_of_four():
-    basis = echelon_basis([0b0001], 4)
-    reps = coset_decompose(4, basis)
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_lift_frame_preserves_original_span(n, seed):
+    rng = random.Random(seed)
+    vals = [rng.randrange(1 << n) for _ in range(rng.randrange(1, n))]
+    rank = rng.randrange(rank_oracle(vals, n), n + 1)
+    rows, _ = lift_frame(vals, n, rank)
+    assert len(rows) == rank_oracle(rows, n) == rank
+    assert rank_oracle(rows + vals, n) == rank
+    assert rows == sorted(rows, reverse=True)
+
+
+def test_lift_frame_reps_tiny_cases():
+    assert lift_frame([0b01], 2, 1)[1] == [0b00, 0b10]
+    assert lift_frame([0b001, 0b010], 3, 2)[1] == [0b000, 0b100]
+
+
+def test_lift_frame_reps_one_dim_subspace_of_four():
+    rows, reps = lift_frame([0b0001], 4, 1)
     assert len(reps) == 8
     assert reps[0] == 0
-    sub = enumerate_subspace(basis)
+    sub = enumerate_span(rows)
     cosets = [{s ^ t for s in sub} for t in reps]
     seen = set()
     for c in cosets:
@@ -247,14 +275,14 @@ def test_coset_decompose_one_dim_subspace_of_four():
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
-def test_coset_decompose_covers_everything_once(n, seed):
+def test_lift_frame_reps_cover_everything_once(n, seed):
     rng = random.Random(seed)
     vals = [rng.randrange(1 << n) for _ in range(rng.randrange(1, n + 1))]
-    sub = echelon_basis(vals, n)
-    reps = coset_decompose(n, sub)
-    assert len(reps) == 1 << (n - sub.rank)
+    rank = rng.randrange(rank_oracle(vals, n), n + 1)
+    rows, reps = lift_frame(vals, n, rank)
+    assert len(reps) == 1 << (n - rank)
     assert reps[0] == 0
-    elems = enumerate_subspace(sub)
+    elems = enumerate_span(rows)
     seen = set()
     for t in reps:
         coset = {s ^ t for s in elems}
@@ -263,37 +291,7 @@ def test_coset_decompose_covers_everything_once(n, seed):
         assert not (coset & seen)
         seen |= coset
     assert seen == set(range(1 << n))
-    assert list(reps) == sorted(reps)
-
-
-# ---------------------------------------------------------------------------
-# extend_basis
-
-
-def test_extend_basis_reaches_requested_rank():
-    b = echelon_basis([0b0110], 4)
-    full = extend_basis(b)
-    assert full.rank == 4
-    assert all(r in full for r in b.rows)
-    # The basis rows plus the free units, most significant first, in
-    # descending order.
-    assert full.rows == (0b1000, 0b0110, 0b0010, 0b0001)
-    seven = extend_basis(b, 2)
-    assert seven.rank == 2
-    assert seven.rows == (0b1000, 0b0110)
-    with pytest.raises(PreconditionViolated):
-        extend_basis(b, 0)
-
-
-@given(st.integers(2, 9), st.integers(0, 2**32 - 1))
-def test_extend_basis_preserves_original_span(n, seed):
-    rng = random.Random(seed)
-    vals = [rng.randrange(1 << n) for _ in range(rng.randrange(1, n))]
-    b = echelon_basis(vals, n)
-    full = extend_basis(b)
-    assert full.rank == n
-    for v in vals:
-        assert v in full
+    assert reps == sorted(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +372,31 @@ def test_solve_parity_system_prefers_zero_free_bits():
     # A single constraint on the low bit: the minimal solution is returned.
     assert solve_parity_system([(0b001, 1)], 3) == 0b001
     assert solve_parity_system([(0b001, 0)], 3) == 0
+
+
+# ---------------------------------------------------------------------------
+# the module's surface
+
+
+def test_every_public_gf2_name_is_used_by_the_library():
+    # A public function or class of gf2 that only the tests call is a
+    # helper to delete, not an API to keep.
+    src = Path(__file__).resolve().parents[1] / "src" / "setseq"
+    tree = ast.parse((src / "gf2.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "gf2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert public and public <= used, sorted(public - used)

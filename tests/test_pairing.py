@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instgen
-from setseq import pairing
+from setseq import gf2, pairing
 from setseq.errors import (
     BudgetExhausted,
     CaseNotApplicable,
@@ -313,6 +313,15 @@ def test_exact_rejects_bad_budgets():
         with pytest.raises(PreconditionViolated):
             exact_pairing_solver(inst, budget)
     assert_valid(inst, exact_pairing_solver(inst, 5))
+
+
+def test_exact_rejects_a_budget_too_large_for_a_float():
+    # The deadline's sum raised a bare OverflowError before the search began.
+    inst = build(3, [0b001, 0b001, 0b010, 0b010])
+    for budget in (10**400, float("inf")):
+        with pytest.raises(PreconditionViolated, match="finite number >= 0"):
+            exact_pairing_solver(inst, budget)
+    assert_valid(inst, exact_pairing_solver(inst, 1.0e308))
 
 
 def test_exact_refuses_n_above_six_like_its_route():
@@ -629,6 +638,25 @@ def test_lift_solves_each_distinct_group_once(monkeypatch):
     calls.clear()
     assert solve_pairing(inst) == (part, route)
     assert len(calls) == 84
+
+
+def test_lift_frames_build_no_basis(monkeypatch):
+    # The same DimHalfEven solve builds one Basis, the router's span: every
+    # coset frame of its nested lifts comes from gf2.lift_frame.  Frames
+    # built as validated bases made 258 of them.
+    made = []
+    post_init = gf2.Basis.__post_init__
+
+    def counting_post_init(self):
+        made.append(self.rows)
+        post_init(self)
+
+    monkeypatch.setattr(gf2.Basis, "__post_init__", counting_post_init)
+    inst = build(*instgen.even_span_instance(random.Random(14), 14, 7))
+    part, route = solve_pairing(inst)
+    assert route.tag == "DimHalfEven"
+    assert_valid(inst, part)
+    assert len(made) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,14 @@ def test_config_rejects_bad_fields():
     assert SearchConfig(budget_seconds=5).budget_seconds == 5
 
 
+def test_config_rejects_a_budget_too_large_for_a_float():
+    # The deadline's sum raised a bare OverflowError from inside the search.
+    for budget in (10**400, float("inf")):
+        with pytest.raises(PreconditionViolated, match="finite number > 0"):
+            search_labeling(path(4), SearchConfig(budget_seconds=budget))
+    assert SearchConfig(budget_seconds=1.0e308).budget_seconds == 1.0e308
+
+
 def test_size_precondition():
     # A 3-vertex path has |V| + |E| = 5, which is not 2^n - 1.
     with pytest.raises(PreconditionViolated):

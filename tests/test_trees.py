@@ -132,7 +132,12 @@ def test_tree_rejects_duplicate_edge():
 
 
 def test_tree_rejects_loop_edge():
-    assert rejection(3, [(0, 0), (1, 2)]) == "edge (0, 0) not stored small-id first"
+    # Named as a loop: Tree.of and the JSON reader orient every edge, so
+    # "not stored small-id first" cannot be what is wrong with it.
+    assert rejection(3, [(0, 0), (1, 2)]) == "edge (0, 0) is a loop"
+    doc = {"n": 2, "vertices": [{"id": i} for i in range(3)], "edges": [[2, 2], [0, 1]]}
+    with pytest.raises(ValueError, match=r"edge \(2, 2\) is a loop"):
+        tree_from_json(json.dumps(doc))
 
 
 def test_tree_rejects_edges_not_stored_small_id_first():
