@@ -25,7 +25,8 @@ tree, lab = label_small_diameter(spec)
 deg = tree.degrees()
 center = [lab.labels[v] for v in range(tree.vertex_count) if deg[v] > 1]
 print("labels in F_2^n for n =", lab.n)
-print("span dim of the center-path labels:", echelon_basis(center, lab.n).rank)
+# echelon_basis returns the span's reduced row-echelon rows; their count is its dimension.
+print("span dim of the center-path labels:", len(echelon_basis(center, lab.n)))
 print("valid:", verify_set_sequential(tree, lab).valid)
 print()
 

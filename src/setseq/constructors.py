@@ -49,6 +49,7 @@ from .errors import (
     TargetSumNonzero,
     TooFewVertices,
     TooSmall,
+    _as_tuple,
 )
 from .gf2 import echelon_basis
 from .pairing import PairingInstance, solve_pairing
@@ -203,17 +204,23 @@ class PendantPlan:
     anchors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for vid, count in self.anchors:
+        anchors: dict[int, int] = {}
+        for entry in _as_tuple(self.anchors, "anchors must be an iterable of (id, count) pairs"):
+            try:
+                vid, count = entry
+            except (TypeError, ValueError):
+                raise PreconditionViolated(f"anchor {entry!r} is not a pair of ints") from None
             if type(vid) is not int or type(count) is not int:
                 raise PreconditionViolated(f"anchor ({vid!r}, {count!r}) is not a pair of ints")
             if vid < 0:
                 raise PreconditionViolated(f"negative anchor id {vid}")
             if count < 1:
                 raise PreconditionViolated(f"anchor {vid} has count {count} < 1")
-            if vid in seen:
+            if vid in anchors:
                 raise PreconditionViolated(f"anchor {vid} listed twice")
-            seen.add(vid)
+            anchors[vid] = count
+        # A tuple of pairs, so that the anchors checked here are the anchors kept.
+        object.__setattr__(self, "anchors", tuple(anchors.items()))
 
     @classmethod
     def parse(cls, text: str) -> PendantPlan:
@@ -378,7 +385,7 @@ def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
         loose = [d - 1 if i in (0, k - 1) else d - 3 for i, d in enumerate(degrees)]
         removals = _shed(degrees, tight, loose, spec.vertex_count // 2)
     labeled, center = _rebuild(degrees, removals, _small_rec)
-    span = echelon_basis([labeled[2][v] for v in center], labeled[1]).rank
+    span = len(echelon_basis([labeled[2][v] for v in center], labeled[1]))
     if span > SPAN_DIM_CAP:
         raise InternalSearchFailed(
             f"center-path span dimension {span} exceeds the cap {SPAN_DIM_CAP}"

@@ -58,6 +58,14 @@ class PreconditionViolated(SetseqError):
     """Structured input failed a documented precondition."""
 
 
+def _as_tuple(items: object, what: str) -> tuple:
+    """items as a tuple, or PreconditionViolated: "{what}, got {type}" when not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PreconditionViolated(f"{what}, got {type(items).__name__}") from None
+
+
 class NotCovered(SetseqError):
     """The instance falls outside every implemented constructive case."""
 

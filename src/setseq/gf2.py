@@ -11,7 +11,8 @@ The helpers here take and return plain ints, and tree labels are plain
 ints too.  parse_bits reads a bitstring into its int, and f"{x:0{n}b}"
 prints one.  BitVec, a fixed-width wrapper, is only the element type of
 trees.Labeling.vertex_labels.  One reduced row-echelon pass, _rref,
-serves every elimination: spans, coset frames and parity systems.  One
+serves every elimination: spans, coset frames and parity systems.
+echelon_basis returns its rows as a tuple, whose length is the rank.  One
 table, span_table, evaluates every linear map: coset representatives,
 coordinate frames and changes of basis are all lookups in it, and
 inverse_table inverts a change of basis.  One call, lift_frame, builds
@@ -68,34 +69,6 @@ class BitVec:
         return format(self.bits, f"0{self.dim}b")
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Linearly independent rows in row-echelon form.
-
-    Leading bit positions are strictly decreasing down the rows, so the
-    rank is the row count.
-    """
-
-    dim: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        prev = self.dim
-        for r in self.rows:
-            _check_value(r, self.dim)
-            if r == 0:
-                raise PreconditionViolated("zero row in basis")
-            lead = r.bit_length() - 1
-            if lead >= prev:
-                raise PreconditionViolated("rows not in strictly decreasing leading-bit order")
-            prev = lead
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def _rref(values: Iterable[int]) -> list[int]:
     """Reduced row-echelon rows of the span of values, largest leading bit first.
 
@@ -128,12 +101,13 @@ def _checked(values: Iterable[int], dim: int) -> list[int]:
     return values
 
 
-def echelon_basis(values: Iterable[int], dim: int) -> Basis:
-    """Reduced row-echelon basis of the span of the given vectors.
+def echelon_basis(values: Iterable[int], dim: int) -> tuple[int, ...]:
+    """The reduced row-echelon rows of the span of the given vectors.
 
-    Each pivot bit appears in exactly one row.
+    Leading bits strictly decrease down the rows and each appears in
+    exactly one row, so the rows are a basis and their count is the rank.
     """
-    return Basis(dim, tuple(_rref(_checked(values, dim))))
+    return tuple(_rref(_checked(values, dim)))
 
 
 def lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], list[int]]:

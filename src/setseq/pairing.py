@@ -3,11 +3,11 @@
 Given targets v_1 .. v_{2^(n-1)} (all nonzero, XOR 0), the task is to split
 the 2^n vectors of the space into pairs (p_i, q_i) with p_i ^ q_i = v_i.
 A backtracking solver settles small n outright; beyond that, structural
-reductions (coset lifting, three-value splitting and a family of
-recursions on the number of distinct values) cover the tractable
-hypotheses.  The coset lift halves low-span targets into zero-sum groups
-and solves each at level 5, or at level 6 by the even lift, which anchors a
-value on the top unit; no constructive route searches above level 5.
+reductions (coset lifting, three-value splitting and _solve_few's recursion
+on the number of distinct values) cover the tractable hypotheses.  The
+coset lift halves low-span targets into zero-sum groups and solves each at
+level 5, or at level 6 by the even lift, which anchors a value on the top
+unit; no constructive route searches above level 5.
 
 solve_pairing is the one router.  Each route (a tag of ROUTE_TAGS) is one
 row of _ROUTES: its hypothesis and its solver.  With no route given, the
@@ -44,10 +44,10 @@ from .errors import (
     NoSuchSubset,
     NotCovered,
     PreconditionViolated,
+    _as_tuple,
 )
 from .gf2 import (
     MAX_DIM,
-    Basis,
     echelon_basis,
     inverse_table,
     lift_frame,
@@ -86,12 +86,7 @@ class PairingInstance:
     def __post_init__(self) -> None:
         # A tuple, so that the targets checked here are the targets kept;
         # tuple() hands a tuple through as it is.
-        try:
-            values = tuple(self.values)
-        except TypeError:
-            raise PreconditionViolated(
-                f"values must be an iterable of ints, got {type(self.values).__name__}"
-            ) from None
+        values = _as_tuple(self.values, "values must be an iterable of ints")
         object.__setattr__(self, "values", values)
         if type(self.n) is not int or not 2 <= self.n <= MAX_DIM:
             raise PreconditionViolated(f"n must be an int in 2..{MAX_DIM}, got {self.n!r}")
@@ -591,15 +586,16 @@ def _split_three(hist: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int
     return s1, s2
 
 
-def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
+def _dim_half(n: int, hist: Counter, span: tuple[int, ...], trace: list[str]) -> _Queues:
     """All-even targets spanning at most n/2 dimensions.
 
-    span is the caller's echelon_basis of the targets.  k splitting rounds
-    leave 2^k groups with at most 3 distinct values each; group i is solved
-    inside coset i of an (n-k)-dimensional subspace containing the span by
-    a nested coset lift framed by its own values, all sharing one memo.
+    span is the caller's echelon_basis rows of the targets.  k splitting
+    rounds leave 2^k groups with at most 3 distinct values each; group i is
+    solved inside coset i of an (n-k)-dimensional subspace containing the
+    span by a nested coset lift framed by its own values, all sharing one
+    memo.
     """
-    k = span.rank
+    k = len(span)
     _ensure(1 <= k and 2 * k <= n, "half-dimension case needs 1 <= 2 * span <= n")
     groups = _halve_rounds(hist, k, _split_three)
     trace.append(f"three-value-split n={n} k={k} groups={len(groups)}")
@@ -608,7 +604,7 @@ def _dim_half(n: int, hist: Counter, span: Basis, trace: list[str]) -> _Queues:
     def solve(sub: dict[int, int], into: _Into) -> _Queues:
         return _small_dim(n - k, sub, sub, 5, trace, memo, into)
 
-    return _lift_groups(groups, lift_frame(span.rows, n, n - k), solve, _fresh(n))
+    return _lift_groups(groups, lift_frame(span, n, n - k), solve, _fresh(n))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +692,8 @@ def _two_coset_recurse(
     The sides hold each odd copy and each pinned value whole, so the rest,
     hist - side1 - side2, is an even pool.  Side one is solved inside a
     hyperplane containing the span, side two on its other coset; every
-    caller has fewer than n values or odd values XORing to 0, so the span
-    is below full rank, as lift_frame requires.
+    two-coset case has fewer than n values, a rank below n or odd values
+    XORing to 0, so the span is below full rank, as lift_frame requires.
     """
     quarter = 1 << (n - 2)
     _ensure(max(side1.total(), side2.total()) <= quarter, "fixed values overfilled a side")
@@ -708,23 +704,6 @@ def _two_coset_recurse(
         return _write(_solve_few(n - 1, Counter(sub), trace), into)
 
     return _lift_groups([side1, side2], lift_frame([*side1, *side2], n, n - 1), solve, _fresh(n))
-
-
-def _even_two_split(n: int, hist: Counter, trace: list[str]) -> _Queues:
-    """All multiplicities even, 3 <= l distinct values, span below full rank.
-
-    Two values of multiplicity at most 2^(n-2) each seed one side; the rest
-    is dealt out in even chunks.  Each side then misses the other's seed, so
-    both sub-instances drop to at most l - 1 distinct values.
-    """
-    quarter = 1 << (n - 2)
-    seeds = sorted(u for u in hist if hist[u] <= quarter)
-    _ensure(len(seeds) >= 2, "at most one value can exceed half the instance")
-    u1, u2 = seeds[0], seeds[1]
-    side1 = Counter({u1: hist[u1]})
-    side2 = Counter({u2: hist[u2]})
-    trace.append(f"even-two-split n={n} l={len(hist)} seeds=({u1},{u2})")
-    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -752,72 +731,6 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     slots += [(e1, unit[v]) for v in top_values]
     trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
     return _expand_slots(n, span_table(frame), slots, lambda sub: _solve_few(n - 1, sub, trace))
-
-
-def _case_few_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
-    """Odd multiplicities present, fewer than n distinct values.
-
-    One copy of every odd value goes to side one, killing all the odd
-    parities at once; side two is filled with even chunks.
-    """
-    side1 = Counter({u: 1 for u in odds})
-    trace.append(f"odd-singles-split n={n} l={len(hist)} m={len(odds)}")
-    return _two_coset_recurse(n, hist, side1, Counter(), trace)
-
-
-def _case_full_small_odd(n: int, hist: Counter, odds: list[int], trace: list[str]) -> _Queues:
-    """Exactly n distinct values, 4 <= m <= n - 2 odd ones.
-
-    One even value small enough to fit is pinned entirely to side two and a
-    cheapest remaining value entirely to side one, so each side misses a
-    value and recursion applies; odd singles ride along on side one.
-    """
-    quarter = 1 << (n - 2)
-    evens = [u for u in sorted(hist) if hist[u] % 2 == 0]
-    pinned2 = next(u for u in evens if hist[u] <= quarter)
-    rest = [u for u in sorted(hist) if u != pinned2]
-    pinned1 = min(rest, key=lambda u: (hist[u], u))
-    side1 = Counter({u: 1 for u in odds})
-    side1[pinned1] = hist[pinned1]
-    side2 = Counter({pinned2: hist[pinned2]})
-    trace.append(f"pinned-split n={n} m={len(odds)} pin1={pinned1} pin2={pinned2}")
-    return _two_coset_recurse(n, hist, side1, side2, trace)
-
-
-def _case_subset_split(
-    n: int, hist: Counter, odds: list[int], subset: list[int], trace: list[str]
-) -> _Queues:
-    """m >= n - 1 odd values containing a proper even-size zero-sum subset.
-
-    Singles of the subset and its complement seed the two sides; one value
-    per side is pinned wholesale to keep the opposite side a value short.
-    """
-    quarter = 1 << (n - 2)
-    comp = [u for u in odds if u not in subset]
-    evens = [u for u in sorted(hist) if hist[u] % 2 == 0]
-
-    def leftover(u: int) -> int:
-        return hist[u] - (hist[u] & 1)
-
-    fill1 = quarter - len(subset)
-    fill2 = quarter - len(comp)
-    cands1 = sorted(set(subset) | set(evens), key=lambda u: (leftover(u), u))
-    cands2 = sorted(set(comp) | set(evens), key=lambda u: (leftover(u), u))
-    fits = (
-        (x1, x2)
-        for x1 in cands1
-        for x2 in cands2
-        if x1 != x2 and leftover(x1) <= fill1 and leftover(x2) <= fill2
-    )
-    x1, x2 = next(fits, (None, None))
-    if x1 is None:
-        raise InternalSearchFailed("no pinnable pair of values for the subset split")
-    side1 = Counter({u: 1 for u in subset})
-    side2 = Counter({u: 1 for u in comp})
-    side1[x1] += leftover(x1)
-    side2[x2] += leftover(x2)
-    trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
-    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 def _coset_group_splits(
@@ -911,7 +824,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     for unit in (1 << p for p in range(n - 1, -1, -1)):
         if len(rows) == n:
             break
-        if echelon_basis([*rows, unit], n).rank > len(rows):
+        if len(echelon_basis([*rows, unit], n)) > len(rows):
             rows.append(unit)
     # x maps to its functional values: bit n - 1 - i of its image is
     # parity(rows[i] & x).  The unit at bit n - 1 - j maps to column j of rows.
@@ -968,14 +881,25 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
 
 
 def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
-    """Recursion on target histograms with at most n distinct values."""
+    """Recursion on target histograms with at most n distinct values.
+
+    Most cases split the space into a hyperplane containing the span and
+    its other coset: each branch below only seeds side1 and side2, with
+    whole values or single odd copies, and _two_coset_recurse deals the
+    even rest and solves both sides one level down.  _exactly_n_even and
+    _case_three_coset reduce in their own ways.
+    """
     _ensure(hist.total() == 1 << (n - 1), "bounded-value recursion needs 2^(n-1) targets")
     if n <= 5:
         return _exact(n, hist)
     l = len(hist)
     _ensure(l <= n, "bounded-value recursion needs at most n values")
+    quarter = 1 << (n - 2)
     odds = sorted(u for u in hist if hist[u] & 1)
+    evens = sorted(u for u in hist if not hist[u] & 1)
+    whole = [u for u in evens if hist[u] <= quarter]  # even values one side can take whole
     m = len(odds)
+    side1, side2 = Counter(odds), Counter()
 
     if m == 0:
         if n == 6:
@@ -983,21 +907,55 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
             return _lift_even(6, hist, trace)
         if l <= 2:
             return _small_dim(n, hist, hist, 5, trace, {}, _fresh(n))
-        if l < n or echelon_basis(hist, n).rank < n:
-            return _even_two_split(n, hist, trace)
-        return _exactly_n_even(n, hist, trace)
+        if l == n and len(echelon_basis(hist, n)) == n:
+            return _exactly_n_even(n, hist, trace)
+        # Two values of multiplicity at most 2^(n-2) seed one side each.
+        # Each side then misses the other's seed, so both sub-instances drop
+        # to at most l - 1 distinct values.
+        _ensure(len(whole) >= 2, "at most one value can exceed half the instance")
+        u1, u2 = whole[:2]
+        side1[u1], side2[u2] = hist[u1], hist[u2]
+        trace.append(f"even-two-split n={n} l={l} seeds=({u1},{u2})")
+    else:
+        _ensure(m >= 4 and m % 2 == 0, "odd values come in an even count of at least 4")
+        if l < n:
+            # One copy of every odd value on side one kills all the odd
+            # parities at once.
+            trace.append(f"odd-singles-split n={n} l={l} m={m}")
+        elif m <= n - 2:
+            # An even value small enough to fit is pinned whole to side two
+            # and a cheapest other value whole to side one, so each side
+            # misses a value; the odd singles ride along on side one.
+            pin2 = whole[0]
+            pin1 = min((u for u in hist if u != pin2), key=lambda u: (hist[u], u))
+            side1[pin1], side2[pin2] = hist[pin1], hist[pin2]
+            trace.append(f"pinned-split n={n} m={m} pin1={pin1} pin2={pin2}")
+        else:
+            try:
+                picked = set(zero_sum_subset(odds, range(2, m, 2)))
+            except NoSuchSubset:
+                return _case_three_coset(n, hist, odds, trace)
+            # The singles of a proper even-size zero-sum subset seed side
+            # one and the rest side two.  Each side also takes the leftover
+            # copies of one of its own odd values or of an even value, a
+            # different one per side, so the opposite side misses it.
+            subset = [u for i, u in enumerate(odds) if i in picked]
+            comp = [u for i, u in enumerate(odds) if i not in picked]
 
-    _ensure(m >= 4 and m % 2 == 0, "odd values come in an even count of at least 4")
-    if l < n:
-        return _case_few_odd(n, hist, odds, trace)
-    if m <= n - 2:
-        return _case_full_small_odd(n, hist, odds, trace)
-    try:
-        idx = zero_sum_subset(odds, range(2, m, 2))
-    except NoSuchSubset:
-        return _case_three_coset(n, hist, odds, trace)
-    subset = [odds[i] for i in idx]
-    return _case_subset_split(n, hist, odds, subset, trace)
+            def pins(own: list[int]) -> list[int]:
+                fill = quarter - len(own)
+                fits = (u for u in chain(own, evens) if hist[u] & ~1 <= fill)
+                return sorted(fits, key=lambda u: (hist[u] & ~1, u))
+
+            pins1, pins2 = pins(subset), pins(comp)
+            x1, x2 = next(((a, b) for a in pins1 for b in pins2 if a != b), (None, None))
+            if x1 is None:
+                raise InternalSearchFailed("no pinnable pair of values for the subset split")
+            side1, side2 = Counter(subset), Counter(comp)
+            side1[x1] += hist[x1] & ~1
+            side2[x2] += hist[x2] & ~1
+            trace.append(f"zero-subset-split n={n} |U|={len(subset)} pins=({x1},{x2})")
+    return _two_coset_recurse(n, hist, side1, side2, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,24 +1009,24 @@ def _odd_reason(hist: Counter) -> str | None:
 
 
 #: The routes in automatic order, as (tag, hypothesis, solver) rows.  Both
-#: take n, the target histogram and its echelon_basis; a hypothesis gives
+#: take n, the target histogram and its echelon_basis rows; a hypothesis gives
 #: None when its route covers the instance, else the reason it does not.
 _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ...] = (
     (
         "Dim5Coset",
         lambda n, hist, span: (
-            f"targets span {span.rank} dimensions, more than 5" if span.rank > 5 else None
+            f"targets span {len(span)} dimensions, more than 5" if len(span) > 5 else None
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span.rows, 5, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace, {}, _fresh(n)),
     ),
     (
         "Dim6EvenCoset",
         lambda n, hist, span: (
             f"needs n >= 6, got n={n}" if n < 6
-            else f"targets span {span.rank} dimensions, more than 6" if span.rank > 6
+            else f"targets span {len(span)} dimensions, more than 6" if len(span) > 6
             else _odd_reason(hist)
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span.rows, 6, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace, {}, _fresh(n)),
     ),
     (
         "AtMostNValues",
@@ -1080,7 +1038,7 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
     (
         "DimHalfEven",
         lambda n, hist, span: _odd_reason(hist) or (
-            f"span dimension {span.rank} exceeds n/2" if 2 * span.rank > n else None
+            f"span dimension {len(span)} exceeds n/2" if 2 * len(span) > n else None
         ),
         _dim_half,
     ),

@@ -25,7 +25,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError
+from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError, _as_tuple
 from .gf2 import MAX_DIM, BitVec, parse_bits
 
 __all__ = [
@@ -100,7 +100,7 @@ class Tree:
         for the tree check to name.
         """
         norm = []
-        for edge in edges:
+        for edge in _as_tuple(edges, "edges must be an iterable of vertex-id pairs"):
             try:
                 a, b = edge
             except (TypeError, ValueError):
@@ -162,12 +162,8 @@ class CaterpillarSpec:
 
     def __post_init__(self) -> None:
         # A tuple, so that the degrees checked here are the degrees kept.
-        try:
-            object.__setattr__(self, "degrees", tuple(self.degrees))
-        except TypeError:
-            raise PreconditionViolated(
-                f"degrees must be an iterable of ints, got {type(self.degrees).__name__}"
-            ) from None
+        degrees = _as_tuple(self.degrees, "degrees must be an iterable of ints")
+        object.__setattr__(self, "degrees", degrees)
         if not self.degrees:
             raise NonCanonical("degree list is empty")
         for d in self.degrees:
@@ -212,6 +208,11 @@ class CaterpillarSpec:
         return 2 if k == 1 else k + 1
 
 
+def _check_width(n: int) -> None:
+    if type(n) is not int or not 1 <= n <= MAX_DIM:
+        raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Labeling:
     """Vertex labels in F_2^n as ints, keyed by vertex id.
@@ -231,8 +232,7 @@ class Labeling:
     labels: dict[int, int]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or not 1 <= self.n <= MAX_DIM:
-            raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {self.n!r}")
+        _check_width(self.n)
         if not isinstance(self.labels, Mapping):
             raise PreconditionViolated(
                 f"labels must be a mapping, got {type(self.labels).__name__}"
@@ -261,6 +261,7 @@ class Labeling:
     @classmethod
     def of(cls, n: int, labels: Mapping[int, int | str]) -> Labeling:
         """Build from int or width-n bitstring labels."""
+        _check_width(n)  # before any bitstring is read at width n
         if not isinstance(labels, Mapping):
             return cls(n, labels)  # Labeling's own check names the type
         return cls(
@@ -483,8 +484,8 @@ def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) 
     vertices, edges, one space of indent per level.  Digests of it are
     pinned, so the layout is behaviour.
     """
-    if n is not None and (type(n) is not int or not 1 <= n <= MAX_DIM):
-        raise PreconditionViolated(f"n must be an int in 1..{MAX_DIM}, got {n!r}")
+    if n is not None:
+        _check_width(n)
     if lab is not None:
         if n is not None and n != lab.n:
             raise PreconditionViolated(f"n={n} differs from the labeling's width {lab.n}")

@@ -262,6 +262,41 @@ def heavy_three_coset_instance(rng: random.Random, n: int) -> tuple[int, list[in
     return n, values
 
 
+def subset_split_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
+    """n distinct values whose odd ones split into two even-size zero-sum halves, 8 <= n <= 10.
+
+    m = n (even n) or n - 1 (odd n) values have odd multiplicity; at odd n
+    one more value of even multiplicity makes l = n.  The odd values are two
+    disjoint zero-sum sets of even size, each at least 4, and all the values
+    span at least 6 dimensions, so no coset lift takes the instance before
+    the bounded-value recursion does.  As in three_coset_instance, the
+    extra copies pile up on a random few values.
+    """
+    assert 8 <= n <= 10
+    m = n - n % 2
+    while True:
+        size = rng.choice(range(4, m - 3, 2))
+        odd_set: list[int] = []
+        for count in (size, m - size):
+            part = rng.sample([v for v in range(1, 1 << n) if v not in odd_set], count - 1)
+            last = xor_all(part)
+            if not last or last in part or last in odd_set:
+                break
+            odd_set += part + [last]
+        else:
+            counts = {u: 1 for u in odd_set}
+            if n % 2:
+                counts[rng.choice([v for v in range(1, 1 << n) if v not in counts])] = 2
+            if rank_of(counts) >= 6:
+                break
+    heavy = rng.sample(list(counts), rng.randint(1, len(counts)))
+    for _ in range(((1 << (n - 1)) - sum(counts.values())) // 2):
+        counts[rng.choice(heavy)] += 2
+    values = [u for u in counts for _ in range(counts[u])]
+    rng.shuffle(values)
+    return n, values
+
+
 def any_valid_instance(rng: random.Random, n: int) -> tuple[int, list[int]]:
     """Unrestricted valid instance (used with the exact solver at small n)."""
     pool = list(range(1, 1 << n))

@@ -170,7 +170,7 @@ def test_exhaustive_pairing_at_dimensions_three_and_four():
 def _span_elements(rng: random.Random, n: int, d: int) -> tuple[list[int], list[int]]:
     while True:
         basis = [rng.randrange(1, 1 << n) for _ in range(d)]
-        if echelon_basis(basis, n).rank == d:
+        if len(echelon_basis(basis, n)) == d:
             break
     elems = [0]
     for b in basis:

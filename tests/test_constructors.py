@@ -128,6 +128,27 @@ def test_plan_rejects_non_int_counts():
         PendantPlan(((0, 1.5),))
 
 
+@pytest.mark.parametrize(
+    "anchors, message",
+    [
+        (5, "anchors must be an iterable of (id, count) pairs, got int"),
+        (None, "anchors must be an iterable of (id, count) pairs, got NoneType"),
+        (((1, 2, 3),), "anchor (1, 2, 3) is not a pair of ints"),
+        ("ab", "anchor 'a' is not a pair of ints"),
+    ],
+)
+def test_plan_rejects_anchors_that_are_not_pairs(anchors, message):
+    with pytest.raises(PreconditionViolated) as info:
+        PendantPlan(anchors)
+    assert str(info.value) == message
+
+
+def test_plan_keeps_its_anchors_as_a_tuple_of_pairs():
+    plan = PendantPlan([[0, 1], (2, 3)])
+    assert plan.anchors == ((0, 1), (2, 3))
+    assert plan == PendantPlan(((0, 1), (2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # add_pendants
 
@@ -209,9 +230,9 @@ def test_old_ids_and_labels_survive():
 def test_anchor_span_dimension_is_preserved():
     tree, lab = load_fixture("figure1.json")
     plan = PendantPlan(((0, 4), (3, 4)))
-    before = echelon_basis([lab.labels[0], lab.labels[3]], lab.n).rank
+    before = len(echelon_basis([lab.labels[0], lab.labels[3]], lab.n))
     out_tree, out_lab = add_pendants(tree, lab, plan)
-    after = echelon_basis([out_lab.labels[0], out_lab.labels[3]], out_lab.n).rank
+    after = len(echelon_basis([out_lab.labels[0], out_lab.labels[3]], out_lab.n))
     assert before == after
 
 
@@ -223,11 +244,9 @@ def test_uncoverable_targets_surface_as_pairing_not_covered():
     tree, lab = label_small_diameter(spec)
     chosen: list[int] = []
     for v in range(64):
-        rank = echelon_basis([lab.labels[x] for x in chosen], 7).rank
+        rank = len(echelon_basis([lab.labels[x] for x in chosen], 7))
         if rank < 7:
-            grown = echelon_basis(
-                [lab.labels[x] for x in chosen] + [lab.labels[v]], 7
-            ).rank
+            grown = len(echelon_basis([lab.labels[x] for x in chosen] + [lab.labels[v]], 7))
             if grown == rank:
                 continue
         chosen.append(v)

@@ -62,6 +62,11 @@ the layouts.  Its stream holds instances whose greedy pass fails on a
 layout, which the other pairing digests do not reach; such an instance now
 fills that layout instead of moving to a later one.
 
+SUBSET_SPLIT_DIGEST was recorded before the bounded-value recursion's
+four two-coset seeders became branches of one function.  Every instance
+of its stream opens with the zero-subset split, which the other pairing
+digests reach at most a few times.
+
 GREEDY_BASE_RESTARTS and GREEDY_CAPPED_PROGRESS were recorded while every
 greedy restart still built a fresh random.Random(seed + restart) and called
 its shuffle.  They pin how many restarts each search runs and what it
@@ -136,6 +141,8 @@ EXHAUSTIVE_DIGEST = "624994988b492c11c62437d099bdf5a44df7d43adc52f056f699075a8ae
 PREFIX_DIGEST = "105dd7d72c82b4195093fd4beaba014cf0117784e6794db4fe72432d0ce2e183"
 
 THREE_COSET_DIGEST = "e31c3f07eeb9bb1582a6602d856ca0ef8d4d043aa98f84b1e8dbd079ab92c2f3"
+
+SUBSET_SPLIT_DIGEST = "9842ceef29bf053efc70ed32835ad29363225ee1078ea1d245b931138e4d1937"
 
 EXACT_DIGEST = "de1463db68bbff2ddcf0491dc2cb31621676e76e0350d87d9210e336c72833f0"
 
@@ -273,6 +280,17 @@ def three_coset_stream() -> str:
         n, values = instgen.heavy_three_coset_instance(rng, n)
         part, route = solve_pairing(PairingInstance.of(n, values), "AtMostNValues")
         out.append("\n".join(route.trace) + "\n" + format_partition(part))
+    return "".join(out)
+
+
+def subset_split_stream() -> str:
+    """Trace and partition text of 60 seeded subset-split instances at n = 8 and 9."""
+    rng = random.Random(8)
+    out = []
+    for n in (8, 9) * 30:
+        n, values = instgen.subset_split_instance(rng, n)
+        part, route = solve_pairing(PairingInstance.of(n, values))
+        out.append("\n".join((route.tag,) + route.trace) + "\n" + format_partition(part))
     return "".join(out)
 
 
@@ -432,6 +450,10 @@ def test_route_traces_are_pinned():
 
 def test_three_coset_stream_output_is_pinned():
     assert sha256(three_coset_stream()) == THREE_COSET_DIGEST
+
+
+def test_subset_split_stream_output_is_pinned():
+    assert sha256(subset_split_stream()) == SUBSET_SPLIT_DIGEST
 
 
 def test_exact_output_is_pinned():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from setseq.errors import NoSuchSubset, NotFullRank, PreconditionViolated
 from setseq.gf2 import (
-    Basis,
     BitVec,
     echelon_basis,
     inverse_table,
@@ -102,40 +101,41 @@ def test_bitvec_dim_bounds():
 
 
 # ---------------------------------------------------------------------------
-# dimension of the span: echelon_basis(values, n).rank
+# dimension of the span: len(echelon_basis(values, n))
 
 
 def test_dim_span_empty_multiset():
-    assert echelon_basis([], 4).rank == 0
+    assert echelon_basis([], 4) == ()
 
 
 def test_dim_span_toy_dependency():
-    assert echelon_basis([0b0001, 0b0010, 0b0011], 4).rank == 2
+    assert echelon_basis([0b0001, 0b0010, 0b0011], 4) == (0b0010, 0b0001)
 
 
 def test_dim_span_figure_labels_match_oracle():
     vals = [int(s, 2) for s in FIGURE_LABELS]
     assert rank_oracle(vals, 4) == 4
-    assert echelon_basis(vals, 4).rank == 4
+    assert len(echelon_basis(vals, 4)) == 4
 
 
 @given(st.integers(1, 10), st.lists(st.integers(0, (1 << 10) - 1), max_size=30))
 def test_dim_span_agrees_with_oracle(n, raw):
     vals = [v & ((1 << n) - 1) for v in raw]
-    assert echelon_basis(vals, n).rank == rank_oracle(vals, n)
+    assert len(echelon_basis(vals, n)) == rank_oracle(vals, n)
 
 
 # ---------------------------------------------------------------------------
-# Basis mechanics
+# echelon rows and frames
 
 
-def test_basis_rejects_non_echelon_rows():
-    with pytest.raises(PreconditionViolated):
-        Basis(4, (0b0001, 0b0010))
-    with pytest.raises(PreconditionViolated):
-        Basis(4, (0b0100, 0b0101))
-    with pytest.raises(PreconditionViolated):
-        Basis(4, (0b0100, 0))
+@given(st.integers(1, 10), st.lists(st.integers(0, (1 << 10) - 1), max_size=30))
+def test_echelon_basis_rows_are_reduced(n, raw):
+    # Nonzero rows, leading bits strictly decreasing, each leading bit clear
+    # in every other row.
+    rows = echelon_basis([v & ((1 << n) - 1) for v in raw], n)
+    leads = [r.bit_length() - 1 for r in rows]
+    assert all(rows) and leads == sorted(set(leads), reverse=True)
+    assert all(not r >> p & 1 for i, p in enumerate(leads) for j, r in enumerate(rows) if i != j)
 
 
 def test_coords_and_combine_roundtrip():
@@ -154,12 +154,12 @@ def test_coords_and_combine_roundtrip():
 def test_basis_membership_matches_exhaustive_span(n, seed):
     rng = random.Random(seed)
     vals = [rng.randrange(1 << n) for _ in range(rng.randrange(1, 6))]
-    b = echelon_basis(vals, n)
+    rows = echelon_basis(vals, n)
     spanned = set()
     for picks in itertools.product([0, 1], repeat=len(vals)):
         spanned.add(xor_all(v for v, p in zip(vals, picks) if p))
-    assert spanned == set(span_table(b.rows))
-    assert len(spanned) == 1 << b.rank
+    assert spanned == set(span_table(rows))
+    assert len(spanned) == 1 << len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_solve_parity_system_matches_enumeration(n, seed):
     if solutions:
         assert got in solutions
         # The one solution that is 0 off the pivots of the constraint span.
-        leads = {r.bit_length() - 1 for r in echelon_basis([v for v, _ in constraints], n).rows}
+        leads = {r.bit_length() - 1 for r in echelon_basis([v for v, _ in constraints], n)}
         assert all(got >> p & 1 == 0 for p in range(n) if p not in leads)
     else:
         assert got is None
@@ -378,25 +378,54 @@ def test_solve_parity_system_prefers_zero_free_bits():
 # the module's surface
 
 
-def test_every_public_gf2_name_is_used_by_the_library():
-    # A public function or class of gf2 that only the tests call is a
-    # helper to delete, not an API to keep.
-    src = Path(__file__).resolve().parents[1] / "src" / "setseq"
-    tree = ast.parse((src / "gf2.py").read_text())
-    public = {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+SRC = Path(__file__).resolve().parents[1] / "src" / "setseq"
+
+
+def names_read(paths) -> set[str]:
+    """Every name the modules at paths read: loaded, taken as an attribute or imported."""
     used = set()
-    for path in src.glob("*.py"):
-        if path.name == "gf2.py":
-            continue
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return used
+
+
+def test_every_public_gf2_name_is_used_by_the_library():
+    # A public function or class of gf2 that only the tests call is a
+    # helper to delete, not an API to keep.
+    tree = ast.parse((SRC / "gf2.py").read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = names_read(path for path in SRC.glob("*.py") if path.name != "gf2.py")
     assert public and public <= used, sorted(public - used)
+
+
+def test_every_private_name_is_read_by_the_library():
+    # A private module-level function, class or constant that nothing in
+    # the package reads is dead code: a helper left behind by a fold.
+    used = names_read(SRC.glob("*.py"))
+    private, unread = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    private += 1
+                    if name not in used:
+                        unread.append(f"{path.name}: {name}")
+    assert private and unread == []

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instgen
-from setseq import gf2, pairing
+from setseq import pairing
 from setseq.errors import (
     BudgetExhausted,
     CaseNotApplicable,
@@ -641,22 +641,21 @@ def test_lift_solves_each_distinct_group_once(monkeypatch):
 
 
 def test_lift_frames_build_no_basis(monkeypatch):
-    # The same DimHalfEven solve builds one Basis, the router's span: every
-    # coset frame of its nested lifts comes from gf2.lift_frame.  Frames
-    # built as validated bases made 258 of them.
+    # The same DimHalfEven solve calls echelon_basis once, for the router's
+    # span: every coset frame of its nested lifts comes from gf2.lift_frame.
     made = []
-    post_init = gf2.Basis.__post_init__
+    echelon_basis = pairing.echelon_basis
 
-    def counting_post_init(self):
-        made.append(self.rows)
-        post_init(self)
+    def counting_echelon_basis(values, dim):
+        made.append(dim)
+        return echelon_basis(values, dim)
 
-    monkeypatch.setattr(gf2.Basis, "__post_init__", counting_post_init)
+    monkeypatch.setattr(pairing, "echelon_basis", counting_echelon_basis)
     inst = build(*instgen.even_span_instance(random.Random(14), 14, 7))
     part, route = solve_pairing(inst)
     assert route.tag == "DimHalfEven"
     assert_valid(inst, part)
-    assert len(made) == 1
+    assert made == [14]
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +828,19 @@ def test_subset_split_never_pins_one_value_to_both_sides_n9():
     part, route = solve_pairing(inst, "AtMostNValues")
     assert_valid(inst, part)
     assert route.trace[0] == "zero-subset-split n=9 |U|=4 pins=(3,8)"
+
+
+def test_subset_split_instances_take_the_subset_split():
+    # Seeded n = 8 and 9 instances whose odd values split into two even-size
+    # zero-sum halves: each auto-routes to AtMostNValues and opens with the
+    # zero-subset split, which the fixed cases above reach only twice.
+    for n in (8, 9):
+        for seed in range(60):
+            inst = build(*instgen.subset_split_instance(random.Random(seed), n))
+            part, route = solve_pairing(inst)
+            assert route.tag == "AtMostNValues"
+            assert route.trace[0].startswith(f"zero-subset-split n={n} "), (n, seed)
+            assert_valid(inst, part)
 
 
 def test_at_most_n_three_coset_case_n7():

@@ -168,6 +168,11 @@ def test_tree_of_rejects_entries_that_are_not_pairs():
     assert rejection(2, [(0,)]) == "edge (0,) is not a pair of vertex ids"
 
 
+def test_tree_of_rejects_edges_that_are_not_iterable():
+    # A bare int is no edge list.
+    assert rejection(3, 5) == "edges must be an iterable of vertex-id pairs, got int"
+
+
 def direct_rejection(count, edges):
     with pytest.raises(PreconditionViolated) as info:
         Tree(count, edges)
@@ -786,6 +791,12 @@ def test_labeling_rejects_wrongly_typed_labels():
         Labeling.of(3, {0: 2.0})
     with pytest.raises(PreconditionViolated):
         Labeling.of(3.0, {0: "001"})
+
+
+def test_labeling_of_checks_n_before_reading_bitstrings():
+    # n is checked before any label is read as a bitstring of width n.
+    with pytest.raises(PreconditionViolated, match=r"^n must be an int in 1\.\.30, got '3'$"):
+        Labeling.of("3", {0: "001"})
 
 
 def test_labeling_of_takes_int_and_bitstring_labels():
