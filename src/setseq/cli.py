@@ -68,6 +68,9 @@ ROUTE_FLAGS = {
 }
 _TAG_TO_FLAG = {tag: flag for flag, tag in ROUTE_FLAGS.items()}
 
+#: Flag vocabulary for search --strategy.
+_STRATEGY_FLAGS = {"greedy": GREEDY_RESTART, "exhaustive": BACKTRACKING}
+
 _DURATION = re.compile(r"(\d+(?:\.\d+)?)([sm]?)\Z")
 
 
@@ -208,7 +211,7 @@ def _run_construct_four_copies(args: argparse.Namespace) -> int:
 
 def _run_search(args: argparse.Namespace) -> int:
     tree, _ = _load_tree(args.tree)
-    strategy = GREEDY_RESTART if args.strategy == "greedy" else BACKTRACKING
+    strategy = _STRATEGY_FLAGS[args.strategy]
     config = SearchConfig(seed=args.seed, budget_seconds=args.budget, strategy=strategy)
     lab = search_labeling(tree, config, progress=sys.stderr)
     sys.stdout.write(tree_to_json(tree, lab))
@@ -277,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         " does not hold, as exact does at n > 6"
         " (default: auto, the first route whose hypothesis holds)",
     )
+    pair.set_defaults(run=_run_pair_solve)
 
     label = sub.add_parser("label", help="produce a verified labeling of a tree")
     shape = label.add_mutually_exclusive_group(required=True)
@@ -287,34 +291,41 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "small-diameter", "large", "search"],
         default="auto",
     )
+    label.set_defaults(run=lambda args: _run_label(args, parser))
 
     verify = sub.add_parser("verify", help="check a labeled tree document")
     verify.add_argument("path", help='JSON file, or "-" for stdin')
+    verify.set_defaults(run=_run_verify)
 
     construct = sub.add_parser("construct", help="grow labeled trees from labeled trees")
     construct_sub = construct.add_subparsers(dest="construction", required=True)
     pendants = construct_sub.add_parser("pendants", help="hang pendant edges, doubling the tree")
     pendants.add_argument("--base", required=True, metavar="JSON")
     pendants.add_argument("--plan", required=True, metavar="ID:COUNT,...")
+    pendants.set_defaults(run=_run_construct_pendants)
     copies = construct_sub.add_parser("four-copies", help="quadruple via the long-path sequence")
     copies.add_argument("--base", required=True, metavar="JSON")
     copies.add_argument("--u", type=int, required=True)
     copies.add_argument("--v", type=int, required=True)
+    copies.set_defaults(run=_run_construct_four_copies)
 
     search = sub.add_parser("search", help="randomized or exhaustive labeling search")
     search.add_argument("--tree", required=True, metavar="JSON")
     search.add_argument("--seed", type=_seed, default=0)
     search.add_argument("--budget", type=parse_duration, default=60.0, metavar="DURATION")
-    search.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
+    search.add_argument("--strategy", choices=_STRATEGY_FLAGS, default="greedy")
+    search.set_defaults(run=_run_search)
 
     export = sub.add_parser("export", help="emit Graphviz DOT")
     export.add_argument("--dot", required=True, metavar="JSON")
+    export.set_defaults(run=_run_export)
 
     sweep = sub.add_parser("sweep", help="exhaustive pairing verification")
     sweep.add_argument("--conjecture2", action="store_true", required=True)
     # Above n = 4 the instance count explodes (about 3e10 at n = 5) and the
     # sweep has no time budget, so it refuses rather than run unbounded.
     sweep.add_argument("--n", type=int, choices=range(1, 5), required=True)
+    sweep.set_defaults(run=_run_sweep)
     return parser
 
 
@@ -322,21 +333,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "pair-solve":
-            return _run_pair_solve(args)
-        if args.command == "label":
-            return _run_label(args, parser)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "construct":
-            if args.construction == "pendants":
-                return _run_construct_pendants(args)
-            return _run_construct_four_copies(args)
-        if args.command == "search":
-            return _run_search(args)
-        if args.command == "export":
-            return _run_export(args)
-        return _run_sweep(args)
+        return args.run(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except SetseqError as exc:

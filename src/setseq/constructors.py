@@ -524,6 +524,7 @@ def build_w_sequence(z: Sequence[int], n: int) -> list[int]:
     Position j takes solve_w_prefixes(k)[j] over its suffix from _w_layout.
     Raises InvalidPath when a label is zero or the chain breaks.
     """
+    z = _as_tuple(z, "path labels must be a sequence of ints")
     k = len(z)
     if k < 5 or k % 2 == 0:
         raise PreconditionViolated(f"need an odd number of path labels >= 5, got {k}")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalSearchFailed, NoSuchSubset, NotFullRank, PreconditionViolated
+from .errors import InternalSearchFailed, NoSuchSubset, NotFullRank, PreconditionViolated, _as_tuple
 
 MAX_DIM = 30
 
@@ -40,14 +40,11 @@ def _check_value(bits: int, dim: int) -> None:
         raise PreconditionViolated(f"value {bits!r} is not an int in range for dimension {dim}")
 
 
-def parse_bits(text: str, dim: int | None = None) -> int:
-    """The int a bitstring such as "0111" stands for (leftmost character most significant).
-
-    If dim is given, the text must have exactly that width.
-    """
+def parse_bits(text: str, dim: int) -> int:
+    """The int a width-dim bitstring such as "0111" stands for, leftmost bit most significant."""
     if not isinstance(text, str) or not text or text.strip("01"):
         raise PreconditionViolated(f"not a bitstring: {text!r}")
-    if dim is not None and len(text) != dim:
+    if len(text) != dim:
         raise PreconditionViolated(
             f"expected width {dim}, got {len(text)}: {text!r}"
         )
@@ -92,10 +89,10 @@ def _rref(values: Iterable[int]) -> list[int]:
     return rows
 
 
-def _checked(values: Iterable[int], dim: int) -> list[int]:
-    """The values as a list, once dim and each value are checked."""
+def _checked(values: Iterable[int], dim: int) -> tuple[int, ...]:
+    """The values as a tuple, once dim and each value are checked."""
     _check_dim(dim)
-    values = list(values)
+    values = _as_tuple(values, "values must be an iterable of ints")
     for v in values:
         _check_value(v, dim)
     return values
@@ -220,6 +217,7 @@ def solve_parity_system(
     Returns None when the system is inconsistent.  Free bits are set to 0,
     so the answer is deterministic.
     """
+    constraints = _as_tuple(constraints, "constraints must be an iterable of (v, b) pairs")
     _checked([v for v, _ in constraints], n)
     # Row (v << 1) | b reduced to 1 reads 0 = 1.  Otherwise every row holds
     # one pivot of f's support, and its low bit is f's value there.

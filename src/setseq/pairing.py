@@ -9,11 +9,11 @@ coset lift halves low-span targets into zero-sum groups and solves each at
 level 5, or at level 6 by the even lift, which anchors a value on the top
 unit; no constructive route searches above level 5.
 
-solve_pairing is the one router.  Each route (a tag of ROUTE_TAGS) is one
-row of _ROUTES: its hypothesis and its solver.  With no route given, the
-first row whose hypothesis holds solves the instance; a forced route runs
-its own row or raises CaseNotApplicable.  Either way the caller gets the
-route's trace of the reductions that fired.
+solve_pairing is the one router.  Each route is one row of _ROUTES: its
+tag, its hypothesis and its solver; ROUTE_TAGS lists the tags in the rows'
+order.  With no route given, the first row whose hypothesis holds solves
+the instance; a forced route runs its own row or raises CaseNotApplicable.
+Either way the caller gets the route's trace of the reductions that fired.
 
 Every internal solver works on a multiset, not a list.  It takes a target
 histogram and returns a function of that histogram alone: a map from each
@@ -66,8 +66,6 @@ __all__ = [
     "exact_pairing_solver",
     "solve_pairing",
 ]
-
-ROUTE_TAGS = ("ExactSearch", "Dim5Coset", "Dim6EvenCoset", "AtMostNValues", "DimHalfEven")
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -126,10 +124,6 @@ class SolverRoute:
 
     tag: str
     trace: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.tag not in ROUTE_TAGS:
-            raise PreconditionViolated(f"unknown route tag {self.tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1048,6 +1042,9 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
         lambda n, hist, span, trace: _exact(n, hist, time.monotonic() + _EXACT_BUDGET_S),
     ),
 )
+
+#: The route tags, in automatic order.
+ROUTE_TAGS = tuple(tag for tag, _, _ in _ROUTES)
 
 
 def solve_pairing(

@@ -145,8 +145,9 @@ def _greedy_restarts(
     count = t.vertex_count
     adj = t.adjacency()
     deg = t.degrees()
-    # High-degree vertices carry the most edge constraints; placing them
-    # first keeps the cheap freshness test selective.
+    # Each restart shuffles the whole list (Fisher-Yates over every index), so
+    # its vertex order is uniformly random: this sort only fixes which list
+    # each seed's shuffle permutes, and the seed-0 fixtures pin that.
     base_order = sorted(range(count), key=lambda v: (-deg[v], v))
     deadline = time.monotonic() + cfg.budget_seconds
     size = 1 << n

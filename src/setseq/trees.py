@@ -474,26 +474,15 @@ def _label_width(t: Tree) -> int:
     return n
 
 
-def tree_to_json(t: Tree, lab: Labeling | None = None, *, n: int | None = None) -> str:
+def tree_to_json(t: Tree, lab: Labeling | None = None) -> str:
     """Labeled-tree JSON document; see tree_from_json for the schema.
 
-    When no labeling is supplied, n may be passed explicitly; otherwise it
-    is inferred from |V| + |E| = 2^n - 1.  With a labeling, an explicit n
-    must equal its width.  The text is what
-    json.dumps(doc, indent=1) gives, plus a newline: keys in the order n,
-    vertices, edges, one space of indent per level.  Digests of it are
-    pinned, so the layout is behaviour.
+    n is the labeling's width or, with no labeling, the n with
+    |V| + |E| = 2^n - 1.  The text is what json.dumps(doc, indent=1) gives,
+    plus a newline: keys in the order n, vertices, edges, one space of
+    indent per level.  Digests of it are pinned, so the layout is behaviour.
     """
-    if n is not None:
-        _check_width(n)
-    if lab is not None:
-        if n is not None and n != lab.n:
-            raise PreconditionViolated(f"n={n} differs from the labeling's width {lab.n}")
-        width = lab.n
-    elif n is not None:
-        width = n
-    else:
-        width = _label_width(t)
+    width = lab.n if lab is not None else _label_width(t)
     get = (lab.labels if lab is not None else {}).get
     vertices = ",\n".join(
         f'  {{\n   "id": {v}\n  }}'

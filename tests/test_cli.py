@@ -409,6 +409,12 @@ def test_construct_pendants(capsys):
     assert verify_set_sequential(tree, lab).valid
 
 
+def test_construct_pendants_rejects_a_malformed_plan(capsys):
+    code, out, err = run(capsys, "construct", "pendants", "--base", FIGURE, "--plan", "2-1")
+    assert (code, out) == (1, "")
+    assert err == "error=PreconditionViolated: expected id:count, got '2-1'\n"
+
+
 def test_construct_four_copies(capsys, tmp_path):
     doc = tmp_path / "star.json"
     doc.write_text(star_json())

@@ -565,6 +565,11 @@ def test_w_sequence_rejects_broken_chains():
     assert len(build_w_sequence([1, 2, 3, 1, 2], 2)) == 23
 
 
+def test_w_sequence_rejects_path_labels_that_are_not_iterable():
+    with pytest.raises(PreconditionViolated, match="path labels must be a sequence of ints"):
+        build_w_sequence(5, 3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([5, 7, 9, 11]), st.integers(min_value=4, max_value=7))
 def test_w_sequence_group_structure(k, n):
@@ -659,6 +664,38 @@ def test_four_copies_needs_a_verified_base():
         "DuplicateValue value=011 at vertex 3, edge 0-1; "
         "MissingValue value=110; MissingValue value=111"
     )
+
+
+def test_load_fixture_names_a_missing_malformed_or_unlabeled_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(constructors, "fixtures_dir", lambda: tmp_path)
+    (tmp_path / "malformed.json").write_text("{")
+    (tmp_path / "unlabeled.json").write_text(tree_to_json(Tree.of(4, [(0, 1), (0, 2), (0, 3)])))
+    for name, message in [
+        ("absent.json", "cannot read fixture"),
+        ("malformed.json", "fixture malformed.json is malformed: not valid JSON"),
+        ("unlabeled.json", "fixture unlabeled.json carries no labels"),
+    ]:
+        with pytest.raises(PreconditionViolated, match=message):
+            load_fixture(name)
+
+
+def test_a_base_fixture_must_use_the_canonical_numbering(tmp_path, monkeypatch):
+    # The bundled labeling with every vertex id reversed still verifies, but
+    # the pipeline anchors pendants by id, so it refuses the fixture.
+    spec = CaterpillarSpec((5, 3, 3, 3, 3, 3))
+    tree, lab = load_fixture(f"{spec}.json")
+    last = tree.vertex_count - 1
+    flipped = Tree.of(tree.vertex_count, [(last - a, last - b) for a, b in tree.edges])
+    relabeled = Labeling(lab.n, {last - v: x for v, x in lab.labels.items()})
+    (tmp_path / f"{spec}.json").write_text(tree_to_json(flipped, relabeled))
+    monkeypatch.setattr(constructors, "fixtures_dir", lambda: tmp_path)
+    with pytest.raises(PreconditionViolated, match="does not use the canonical vertex numbering"):
+        label_small_diameter(spec)
+
+
+def test_a_pipeline_that_builds_no_tree_fails_by_name():
+    with pytest.raises(InternalSearchFailed, match="step produced an invalid tree"):
+        constructors._finish(([(0, 1), (1, 0)], 2, [1, 2, 3]), "step")
 
 
 def test_base_list_matches_the_bundled_fixtures():

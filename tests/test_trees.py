@@ -612,21 +612,6 @@ def test_json_roundtrip_unlabeled():
 def test_json_unlabeled_needs_explicit_n_for_odd_sizes():
     with pytest.raises(PreconditionViolated):
         tree_to_json(path(3))
-    doc = json.loads(tree_to_json(path(3), n=5))
-    assert doc["n"] == 5
-
-
-@pytest.mark.parametrize("n", [0, True, 31, 2.0], ids=["zero", "bool", "too-wide", "float"])
-def test_json_writer_rejects_an_n_its_parser_rejects(n):
-    with pytest.raises(PreconditionViolated):
-        tree_to_json(path(2), n=n)
-
-
-def test_json_writer_rejects_an_n_that_differs_from_the_labeling():
-    tree, lab = path(2), Labeling.of(2, {0: "01", 1: "10"})
-    with pytest.raises(PreconditionViolated, match="n=5 differs from the labeling's width 2"):
-        tree_to_json(tree, lab, n=5)
-    assert tree_to_json(tree, lab, n=2) == tree_to_json(tree, lab)
 
 
 def reference_json(t, lab, n):
@@ -650,8 +635,11 @@ def reference_json(t, lab, n):
     st.booleans(),
 )
 def test_json_writer_emits_the_json_module_layout(seed, count, labels, width, infer):
-    # An unlabeled tree on 2^k vertices may leave n = k + 1 to inference.
+    # An unlabeled tree is written at the n with |V| + |E| = 2^n - 1, so
+    # unlabeled trees are drawn on 2^k vertices only, at n = k + 1.
     rng = random.Random(seed)
+    if labels == "none":
+        count, infer = 1 << (count.bit_length() - 1), True
     t = random_tree(rng, count)
     infer = infer and count & (count - 1) == 0
     n = count.bit_length() if infer else width
@@ -659,12 +647,7 @@ def test_json_writer_emits_the_json_module_layout(seed, count, labels, width, in
     if labels != "none":
         keep = 1.0 if labels == "full" else 0.5
         lab = Labeling(n, {v: rng.randrange(1 << n) for v in range(count) if rng.random() < keep})
-        text = tree_to_json(t, lab)
-    elif infer:
-        text = tree_to_json(t)
-    else:
-        text = tree_to_json(t, n=n)
-    assert text == reference_json(t, lab, n)
+    assert tree_to_json(t, lab) == reference_json(t, lab, n)
 
 
 @settings(max_examples=100, deadline=None)
