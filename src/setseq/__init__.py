@@ -18,7 +18,6 @@ from .constructors import (
     BASE_CATERPILLARS,
     PendantPlan,
     add_pendants,
-    build_w_sequence,
     fixtures_dir,
     four_copies,
     label_large_caterpillar,
@@ -64,7 +63,6 @@ __all__ = [
     "Tree",
     "add_pendants",
     "build_caterpillar",
-    "build_w_sequence",
     "diameter",
     "echelon_basis",
     "even_degree_label_sum",

@@ -111,7 +111,8 @@ def _load_tree(path: str) -> tuple[Tree, Labeling | None]:
         return tree_from_json(_read_document(path))
     except OSError as exc:
         raise PreconditionViolated(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (PreconditionViolated, UnicodeDecodeError) as exc:
+        # A file that is not UTF-8 text is as malformed as a bad document.
         raise PreconditionViolated(f"{path}: {exc}") from exc
 
 
@@ -158,10 +159,7 @@ def _label_auto(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
 
 def _run_label(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.caterpillar is not None:
-        try:
-            spec = CaterpillarSpec.parse(args.caterpillar)
-        except ValueError as exc:
-            raise PreconditionViolated(str(exc)) from exc
+        spec = CaterpillarSpec.parse(args.caterpillar)
         if args.method == "auto":
             tree, lab = _label_auto(spec)
         elif args.method == "small-diameter":
@@ -193,11 +191,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_construct_pendants(args: argparse.Namespace) -> int:
     tree, lab = _load_labeled(args.base)
-    try:
-        plan = PendantPlan.parse(args.plan)
-    except ValueError as exc:
-        raise PreconditionViolated(str(exc)) from exc
-    out_tree, out_lab = add_pendants(tree, lab, plan)
+    out_tree, out_lab = add_pendants(tree, lab, PendantPlan.parse(args.plan))
     sys.stdout.write(tree_to_json(out_tree, out_lab))
     return 0
 

@@ -37,7 +37,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     InternalSearchFailed,
-    InvalidPath,
     NotCovered,
     NotLeaf,
     NotOddDegree,
@@ -75,7 +74,6 @@ __all__ = [
     "label_small_diameter",
     "label_large_caterpillar",
     "solve_w_prefixes",
-    "build_w_sequence",
     "four_copies",
 ]
 
@@ -134,7 +132,7 @@ def load_fixture(name: str) -> tuple[Tree, Labeling]:
         raise PreconditionViolated(f"cannot read fixture {path}: {exc}") from exc
     try:
         tree, lab = tree_from_json(text)
-    except ValueError as exc:
+    except PreconditionViolated as exc:
         raise PreconditionViolated(f"fixture {name} is malformed: {exc}") from exc
     if lab is None:
         raise PreconditionViolated(f"fixture {name} carries no labels")
@@ -225,15 +223,17 @@ class PendantPlan:
     @classmethod
     def parse(cls, text: str) -> PendantPlan:
         """Parse the CLI form "id:count,id:count,...". """
+        if not isinstance(text, str):
+            raise PreconditionViolated(f"plan must be a string, got {type(text).__name__}")
         anchors: list[tuple[int, int]] = []
         for part in text.split(","):
             head, sep, tail = part.strip().partition(":")
             if not sep:
-                raise ValueError(f"expected id:count, got {part.strip()!r}")
+                raise PreconditionViolated(f"expected id:count, got {part.strip()!r}")
             try:
                 anchors.append((int(head), int(tail)))
             except ValueError as exc:
-                raise ValueError(f"bad id:count pair {part.strip()!r}") from exc
+                raise PreconditionViolated(f"bad id:count pair {part.strip()!r}") from exc
         return cls(tuple(anchors))
 
     def total(self) -> int:
@@ -516,25 +516,17 @@ def solve_w_prefixes(k: int) -> list[int]:
     return [int(c) for c in "0" * k + "2" + b2 + "3" + b3 + "1" + b4]
 
 
-def build_w_sequence(z: Sequence[int], n: int) -> list[int]:
+def _w_sequence(z: Sequence[int], n: int) -> list[int]:
     """The 4k+3 n+2-bit values threading four tree copies along their long path.
 
     z lists the n-bit labels of one path, vertex and edge in turn: z[2i+1]
-    is the XOR of its neighbors z[2i] and z[2i+2] (0-based), all nonzero.
-    Position j takes solve_w_prefixes(k)[j] over its suffix from _w_layout.
-    Raises InvalidPath when a label is zero or the chain breaks.
+    is the XOR of its neighbors z[2i] and z[2i+2] (0-based).  four_copies
+    has verified the labels and joins two distinct leaves of a tree of at
+    least 3 vertices, so z is a chain of nonzero labels of odd length
+    k >= 5.  Position j takes solve_w_prefixes(k)[j] over its suffix from
+    _w_layout.
     """
-    z = _as_tuple(z, "path labels must be a sequence of ints")
     k = len(z)
-    if k < 5 or k % 2 == 0:
-        raise PreconditionViolated(f"need an odd number of path labels >= 5, got {k}")
-    if type(n) is not int or n < 1 or any(type(x) is not int or x < 0 or x >> n for x in z):
-        raise PreconditionViolated(f"path labels must be {n!r}-bit ints")
-    if 0 in z:
-        raise InvalidPath("zero label on the path")
-    for a in range(0, k - 2, 2):
-        if z[a] ^ z[a + 2] != z[a + 1]:
-            raise InvalidPath(f"path labels break the chain at entries {a}..{a + 2}")
     prefixes = solve_w_prefixes(k)
     return [(prefixes[j] << n) | (z[s - 1] if s else 0) for j, s in enumerate(_w_layout(k))]
 
@@ -586,7 +578,7 @@ def _quadruple(labeled: _Labeled, adj: list[list[int]], u: int, v: int) -> _Labe
         if i:
             z.append(base_labels[path[i - 1]] ^ base_labels[x])
         z.append(base_labels[x])
-    w = build_w_sequence(z, n)
+    w = _w_sequence(z, n)
 
     edges: list[tuple[int, int]] = []
     for c in range(4):

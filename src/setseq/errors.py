@@ -8,7 +8,6 @@ from __future__ import annotations
 
 __all__ = [
     "SetseqError",
-    "NotFullRank",
     "NoSuchSubset",
     "BudgetExhausted",
     "Infeasible",
@@ -26,16 +25,11 @@ __all__ = [
     "TooFewVertices",
     "NotLeaf",
     "TooSmall",
-    "InvalidPath",
 ]
 
 
 class SetseqError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class NotFullRank(SetseqError):
-    """A basis expected to span the whole space does not."""
 
 
 class NoSuchSubset(SetseqError):
@@ -116,7 +110,3 @@ class NotLeaf(SetseqError):
 
 class TooSmall(SetseqError):
     """The base tree is below the minimum size for the construction."""
-
-
-class InvalidPath(SetseqError):
-    """A label sequence is not a valid alternating path chain."""

@@ -7,25 +7,26 @@ at bit position n-1-j, so the leftmost character of the printed bitstring
 is the most significant stored bit.  Vector addition is XOR.  Dimensions
 are capped at MAX_DIM so full-space enumeration tables stay desk sized.
 
-The helpers here take and return plain ints, and tree labels are plain
-ints too.  parse_bits reads a bitstring into its int, and f"{x:0{n}b}"
-prints one.  BitVec, a fixed-width wrapper, is only the element type of
-trees.Labeling.vertex_labels.  One reduced row-echelon pass, _rref,
-serves every elimination: spans, coset frames and parity systems.
-echelon_basis returns its rows as a tuple, whose length is the rank.  One
-table, span_table, evaluates every linear map: coset representatives,
-coordinate frames and changes of basis are all lookups in it, and
-inverse_table inverts a change of basis.  One call, lift_frame, builds
-every coset frame: the rows of a subspace containing a span and the
-smallest representative of each of its cosets.
-"""
+The public surface is small: parse_bits reads a bitstring into its int
+(f"{x:0{n}b}" prints one), echelon_basis returns the reduced row-echelon
+rows of a span as a tuple whose length is the rank, and BitVec, a
+fixed-width wrapper, is only the element type of
+trees.Labeling.vertex_labels.  These check their arguments.
 
+The underscore kernels serve pairing alone and trust its arguments.  One
+reduced row-echelon pass, _rref, serves every elimination: spans, coset
+frames and parity systems.  One table, _span_table, evaluates every linear
+map: coset representatives, coordinate frames and changes of basis are all
+lookups in it, and _inverse_table inverts a change of basis.  One call,
+_lift_frame, builds every coset frame: the rows of a subspace containing a
+span and the smallest representative of each of its cosets.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalSearchFailed, NoSuchSubset, NotFullRank, PreconditionViolated, _as_tuple
+from .errors import InternalSearchFailed, NoSuchSubset, PreconditionViolated, _as_tuple
 
 MAX_DIM = 30
 
@@ -42,6 +43,7 @@ def _check_value(bits: int, dim: int) -> None:
 
 def parse_bits(text: str, dim: int) -> int:
     """The int a width-dim bitstring such as "0111" stands for, leftmost bit most significant."""
+    _check_dim(dim)
     if not isinstance(text, str) or not text or text.strip("01"):
         raise PreconditionViolated(f"not a bitstring: {text!r}")
     if len(text) != dim:
@@ -89,42 +91,38 @@ def _rref(values: Iterable[int]) -> list[int]:
     return rows
 
 
-def _checked(values: Iterable[int], dim: int) -> tuple[int, ...]:
-    """The values as a tuple, once dim and each value are checked."""
-    _check_dim(dim)
-    values = _as_tuple(values, "values must be an iterable of ints")
-    for v in values:
-        _check_value(v, dim)
-    return values
-
-
 def echelon_basis(values: Iterable[int], dim: int) -> tuple[int, ...]:
     """The reduced row-echelon rows of the span of the given vectors.
 
     Leading bits strictly decrease down the rows and each appears in
     exactly one row, so the rows are a basis and their count is the rank.
     """
-    return tuple(_rref(_checked(values, dim)))
+    _check_dim(dim)
+    values = _as_tuple(values, "values must be an iterable of ints")
+    for v in values:
+        _check_value(v, dim)
+    return tuple(_rref(values))
 
 
-def lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], list[int]]:
+def _lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], list[int]]:
     """A rank-dimensional frame containing the span of values, and its cosets.
 
     rows are the reduced row-echelon rows of the span, extended by unit
     vectors at free positions, most significant first, in decreasing
-    order.  reps is the span_table of the units left free: the numerically
+    order.  reps is the _span_table of the units left free: the numerically
     smallest representative of every coset of the frame, ascending (so
-    reps[0] is 0), 2^(dim - rank) of them; keep dim - rank modest.
+    reps[0] is 0), 2^(dim - rank) of them; keep dim - rank modest.  The
+    values must be dim-bit ints.
     """
-    rows = _rref(_checked(values, dim))
-    if type(rank) is not int or not len(rows) <= rank <= dim:
+    rows = _rref(values)
+    if not len(rows) <= rank <= dim:
         raise PreconditionViolated(f"frame rank {rank!r} outside {len(rows)}..{dim}")
     # Leading bits are all distinct, so value order is leading-bit order.
     # The smallest vector of each coset is the one that vanishes on them.
     pivots = {r.bit_length() - 1 for r in rows}
     free = [1 << p for p in range(dim - 1, -1, -1) if p not in pivots]
     take = rank - len(rows)
-    return sorted(rows + free[:take], reverse=True), span_table(free[take:])
+    return sorted(rows + free[:take], reverse=True), _span_table(free[take:])
 
 
 def _subset_reach_tables(
@@ -164,14 +162,13 @@ def _reconstruct_subset(
     return tuple(reversed(picked))
 
 
-def zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...]:
+def _zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...]:
     """Indices of a subset with XOR 0 and the first size in sizes that one can have.
 
-    One reach table, capped at the largest size, serves every candidate.
-    Raises NoSuchSubset when no size in sizes is reachable.
+    sizes is a nonempty run of sizes >= 1.  One reach table, capped at the
+    largest size, serves every candidate.  Raises NoSuchSubset when no size
+    in sizes is reachable.
     """
-    if not sizes or min(sizes) < 1:
-        raise PreconditionViolated(f"sizes must be nonempty and >= 1, got {sizes!r}")
     tables = _subset_reach_tables(values, min(max(sizes), len(values)))
     for size in sizes:
         if (size, 0) in tables[-1]:
@@ -179,7 +176,7 @@ def zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, .
     raise NoSuchSubset(f"no zero-sum subset of any size in {sizes!r}")
 
 
-def span_table(rows: Sequence[int]) -> list[int]:
+def _span_table(rows: Sequence[int]) -> list[int]:
     """The XOR of the rows each bit pattern selects, for every pattern.
 
     Bit i of entry c's index selects rows[len(rows) - 1 - i], rows[0] at
@@ -195,30 +192,20 @@ def span_table(rows: Sequence[int]) -> list[int]:
     return table
 
 
-def inverse_table(table: Sequence[int]) -> list[int]:
-    """The inverse permutation: out[table[x]] == x.
-
-    Raises NotFullRank when table is not a permutation of its indices, as
-    for the span_table of rows that are not a basis.
-    """
-    if set(table) != set(range(len(table))):
-        raise NotFullRank("map is singular")
+def _inverse_table(table: Sequence[int]) -> list[int]:
+    """The inverse permutation, out[table[x]] == x, of the _span_table of a basis."""
     out = [0] * len(table)
     for x, y in enumerate(table):
         out[y] = x
     return out
 
 
-def solve_parity_system(
-    constraints: Sequence[tuple[int, int]], n: int
-) -> int | None:
+def _solve_parity_system(constraints: Sequence[tuple[int, int]]) -> int | None:
     """One functional f with parity(f & v) = b for every constraint (v, b).
 
     Returns None when the system is inconsistent.  Free bits are set to 0,
     so the answer is deterministic.
     """
-    constraints = _as_tuple(constraints, "constraints must be an iterable of (v, b) pairs")
-    _checked([v for v, _ in constraints], n)
     # Row (v << 1) | b reduced to 1 reads 0 = 1.  Otherwise every row holds
     # one pivot of f's support, and its low bit is f's value there.
     rows = _rref(v << 1 | b for v, b in constraints)

@@ -48,12 +48,12 @@ from .errors import (
 )
 from .gf2 import (
     MAX_DIM,
+    _inverse_table,
+    _lift_frame,
+    _solve_parity_system,
+    _span_table,
+    _zero_sum_subset,
     echelon_basis,
-    inverse_table,
-    lift_frame,
-    solve_parity_system,
-    span_table,
-    zero_sum_subset,
 )
 
 __all__ = [
@@ -307,7 +307,7 @@ def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
     return list(map(next, map(heads.__getitem__, values)))
 
 
-#: Where a lift writes: the caller's queues, a span_table (or range, the
+#: Where a lift writes: the caller's queues, a _span_table (or range, the
 #: identity) from the lift's space into the caller's, and a shift there.
 _Into = tuple[_Queues, Sequence[int], int]
 
@@ -388,7 +388,7 @@ def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
     l = len(odds)
     _ensure(18 <= l <= 28 and l % 2 == 0, "level-6 odd split outside 18..28 even values")
     try:
-        chosen = set(zero_sum_subset(odds, range(max(6, l - 16), 17, 2)))
+        chosen = set(_zero_sum_subset(odds, range(max(6, l - 16), 17, 2)))
     except NoSuchSubset:
         raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6") from None
     return (
@@ -417,9 +417,9 @@ def _lift_groups(
 ) -> _Queues:
     """Solve each group in frame's coordinates, written straight onto its own coset.
 
-    frame is lift_frame's (rows, reps): group i lands on the coset of the
+    frame is _lift_frame's (rows, reps): group i lands on the coset of the
     rows' span whose smallest representative is t = reps[i].  into maps
-    the lift's space into the caller's, x to outer[x] ^ shift.  span_table
+    the lift's space into the caller's, x to outer[x] ^ shift.  _span_table
     maps are linear, so the rows and outer compose into one table per lift,
     and solve(sub, (out, table, outer[t] ^ shift)) gets group i's histogram
     in frame coordinates and writes each pair once, into the caller's
@@ -430,7 +430,7 @@ def _lift_groups(
     rows, reps = frame
     _ensure(len(reps) == len(groups), "one group per coset of the frame")
     # span[c] is the vector whose frame coordinates are c; index inverts it.
-    span = span_table(rows)
+    span = _span_table(rows)
     index = {v: c for c, v in enumerate(span)}
     table = [outer[x] for x in span]
     for g, t in zip(groups, reps):
@@ -453,7 +453,7 @@ def _small_dim(
     groups of size 2^(level-1); every group the halving sees is all even
     (k = 6) or spans at most 5 dimensions (k = 5), which is all
     _split_halves covers.  Each is solved in the level-dimensional
-    lift_frame of spanning (by exact search at level <= 5, else by the even
+    _lift_frame of spanning (by exact search at level <= 5, else by the even
     lift) and written through into onto its own coset.  memo, kept by the
     caller for one public call, maps each solved group's level and sorted
     frame-coordinate histogram to its queues and trace entries: a repeat is
@@ -465,7 +465,7 @@ def _small_dim(
         # with its translate.
         (v,) = hist
         trace.append(f"coset-lift n={n} k=1 groups={1 << (n - 1)}")
-        return _write({v: [(t, t ^ v) for t in lift_frame(hist, n, 1)[1]]}, into)
+        return _write({v: [(t, t ^ v) for t in _lift_frame(hist, n, 1)[1]]}, into)
     level = min(k, n)
     trace.append(f"coset-lift n={n} k={level} groups={1 << (n - level)}")
 
@@ -482,7 +482,7 @@ def _small_dim(
         return _write(hit[0], at)
 
     groups = _halve_rounds(hist, n - level, _split_halves)
-    return _lift_groups(groups, lift_frame(spanning, n, level), solve, into)
+    return _lift_groups(groups, _lift_frame(spanning, n, level), solve, into)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def _expand_slots(
     """Solve the slots' targets at level n - 1 and expand each pair into two.
 
     A slot (image, down) is one pair of equal targets: image is the target
-    in the frame whose span_table is table, down its target one level down.
+    in the frame whose _span_table is table, down its target one level down.
     Solved pairs (p, q), taken in slot order, expand across the top unit e1:
     an anchor (image e1) to (p, p ^ e1) and (q, q ^ e1), an image containing
     e1 to (p, q ^ e1) and (q, p ^ e1), any other to (p, q) and its e1-translate.
@@ -540,8 +540,8 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
             break
     else:
         raise InternalSearchFailed("no anchor for the even lift")
-    back = span_table((u, *(r for r in lift_frame([u], n, n)[0] if r != u)))
-    fwd = inverse_table(back)
+    back = _span_table((u, *(r for r in _lift_frame([u], n, n)[0] if r != u)))
+    fwd = _inverse_table(back)
     e1 = 1 << (n - 1)
     s = fwd[pair_sum] & (e1 - 1)
     a = 2 if s == 1 else 1
@@ -598,7 +598,7 @@ def _dim_half(n: int, hist: Counter, span: tuple[int, ...], trace: list[str]) ->
     def solve(sub: dict[int, int], into: _Into) -> _Queues:
         return _small_dim(n - k, sub, sub, 5, trace, memo, into)
 
-    return _lift_groups(groups, lift_frame(span, n, n - k), solve, _fresh(n))
+    return _lift_groups(groups, _lift_frame(span, n, n - k), solve, _fresh(n))
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +687,7 @@ def _two_coset_recurse(
     hist - side1 - side2, is an even pool.  Side one is solved inside a
     hyperplane containing the span, side two on its other coset; every
     two-coset case has fewer than n values, a rank below n or odd values
-    XORing to 0, so the span is below full rank, as lift_frame requires.
+    XORing to 0, so the span is below full rank, as _lift_frame requires.
     """
     quarter = 1 << (n - 2)
     _ensure(max(side1.total(), side2.total()) <= quarter, "fixed values overfilled a side")
@@ -697,7 +697,7 @@ def _two_coset_recurse(
     def solve(sub: dict[int, int], into: _Into) -> _Queues:
         return _write(_solve_few(n - 1, Counter(sub), trace), into)
 
-    return _lift_groups([side1, side2], lift_frame([*side1, *side2], n, n - 1), solve, _fresh(n))
+    return _lift_groups([side1, side2], _lift_frame([*side1, *side2], n, n - 1), solve, _fresh(n))
 
 
 def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -724,7 +724,7 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     slots = [(unit[v], unit[v]) for v in us if v != u1 for _ in range(hist[v] // 2)]
     slots += [(e1, unit[v]) for v in top_values]
     trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
-    return _expand_slots(n, span_table(frame), slots, lambda sub: _solve_few(n - 1, sub, trace))
+    return _expand_slots(n, _span_table(frame), slots, lambda sub: _solve_few(n - 1, sub, trace))
 
 
 def _coset_group_splits(
@@ -762,8 +762,8 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     distinct = sorted(hist)
 
     # The odd values XOR to 0, so the n distinct values span less than F_2^n.
-    hyperplane, reps = lift_frame(distinct, n, n - 1)
-    lam1 = solve_parity_system([(r, 0) for r in hyperplane] + [(reps[1], 1)], n)
+    hyperplane, reps = _lift_frame(distinct, n, n - 1)
+    lam1 = _solve_parity_system([(r, 0) for r in hyperplane] + [(reps[1], 1)])
     _ensure(lam1 not in (None, 0), "no functional separates the hyperplane")
 
     c = m // 2 + 1 if m % 4 == 0 else m // 2
@@ -788,7 +788,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
         for a, b in pairs:
             if hist[a] + hist[b] > quarter + 2:
                 break
-            lam2 = solve_parity_system([(u, 1 if u in (a, b) else 0) for u in distinct], n)
+            lam2 = _solve_parity_system([(u, 1 if u in (a, b) else 0) for u in distinct])
             if lam2 is None:
                 continue
             others = [u for u in odds if u not in (a, b)]
@@ -826,7 +826,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
         sum(1 << (n - 1 - i) for i, r in enumerate(rows) if r >> (n - 1 - j) & 1)
         for j in range(n)
     ]
-    fwd = span_table(cols)
+    fwd = _span_table(cols)
 
     _ensure(fwd[a] >> (n - 2) == fwd[b] >> (n - 2) == 1, "separated pair off its quarter")
     _ensure(all(fwd[u] >> (n - 2) == 0 for u in distinct if u not in (a, b)), "value left the half")
@@ -871,7 +871,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
     queues: _Queues = {}
     for pq, v in placed:
         queues.setdefault(fwd[v], []).append(pq)
-    return _write(queues, ({}, inverse_table(fwd), 0))
+    return _write(queues, ({}, _inverse_table(fwd), 0))
 
 
 def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
@@ -926,7 +926,7 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
             trace.append(f"pinned-split n={n} m={m} pin1={pin1} pin2={pin2}")
         else:
             try:
-                picked = set(zero_sum_subset(odds, range(2, m, 2)))
+                picked = set(_zero_sum_subset(odds, range(2, m, 2)))
             except NoSuchSubset:
                 return _case_three_coset(n, hist, odds, trace)
             # The singles of a proper even-size zero-sum subset seed side

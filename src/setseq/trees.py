@@ -181,14 +181,16 @@ class CaterpillarSpec:
     @classmethod
     def parse(cls, text: str) -> CaterpillarSpec:
         """Parse the display form, e.g. "T[3,3,3]"."""
+        if not isinstance(text, str):
+            raise PreconditionViolated(f"spec must be a string, got {type(text).__name__}")
         s = text.strip()
         if not (s.startswith("T[") and s.endswith("]")):
-            raise ValueError(f"expected T[d1,...,dk], got {text!r}")
+            raise PreconditionViolated(f"expected T[d1,...,dk], got {text!r}")
         body = s[2:-1]
         try:
             degrees = tuple(int(p.strip()) for p in body.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad degree list in {text!r}") from exc
+            raise PreconditionViolated(f"bad degree list in {text!r}") from exc
         return cls(degrees)
 
     def __str__(self) -> str:
@@ -500,40 +502,42 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     Schema: {"n": int, "vertices": [{"id": int, "label": optional bitstring}],
     "edges": [[int, int]]}.  Bitstrings are width n, leftmost character is
     coordinate 1.  Returns the labeling only if at least one label appears.
+    text is anything json.loads reads: str, bytes or bytearray.  Raises
+    PreconditionViolated on anything else and on a malformed document.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise PreconditionViolated(f"document must be text, got {type(text).__name__}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # Bad syntax, a number past int's digit limit, or bytes that are no text.
+        raise PreconditionViolated(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ValueError("not valid JSON: nesting too deep") from exc
+        raise PreconditionViolated("not valid JSON: nesting too deep") from exc
     if not isinstance(doc, dict):
-        raise ValueError("top level must be an object")
+        raise PreconditionViolated("top level must be an object")
     for key in ("n", "vertices", "edges"):
         if key not in doc:
-            raise ValueError(f"missing required field {key!r}")
+            raise PreconditionViolated(f"missing required field {key!r}")
     n = doc["n"]
     if type(n) is not int or not 1 <= n <= MAX_DIM:
-        raise ValueError(f"field 'n' must be an integer in 1..{MAX_DIM}")
+        raise PreconditionViolated(f"field 'n' must be an integer in 1..{MAX_DIM}")
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
-            raise ValueError(f"field {key!r} must be a list")
+            raise PreconditionViolated(f"field {key!r} must be a list")
     labels: dict[int, int] = {}
     ids: list[int] = []
     for entry in doc["vertices"]:
         if type(entry) is not dict or type(v := entry.get("id")) is not int:
-            raise ValueError(f"bad vertex entry {entry!r}")
+            raise PreconditionViolated(f"bad vertex entry {entry!r}")
         ids.append(v)
         if "label" in entry:
             label = entry["label"]
             if type(label) is not str:
-                raise ValueError(f"label of vertex {v} is not a string")
-            try:
-                labels[v] = parse_bits(label, n)
-            except PreconditionViolated as exc:
-                raise ValueError(str(exc)) from exc
+                raise PreconditionViolated(f"label of vertex {v} is not a string")
+            labels[v] = parse_bits(label, n)
     if sorted(ids) != list(range(len(ids))):
-        raise ValueError("vertex ids must be exactly 0..count-1")
+        raise PreconditionViolated("vertex ids must be exactly 0..count-1")
     edges: list[tuple[int, int]] = []
     for entry in doc["edges"]:
         if (
@@ -542,14 +546,10 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
             or type(entry[0]) is not int
             or type(entry[1]) is not int
         ):
-            raise ValueError(f"bad edge entry {entry!r}")
+            raise PreconditionViolated(f"bad edge entry {entry!r}")
         a, b = entry
         edges.append((a, b) if a < b else (b, a))
-    try:
-        tree = Tree(len(ids), tuple(edges))
-    except PreconditionViolated as exc:
-        raise ValueError(str(exc)) from exc
-    return tree, (Labeling(n, labels) if labels else None)
+    return Tree(len(ids), tuple(edges)), (Labeling(n, labels) if labels else None)
 
 
 def tree_to_dot(t: Tree, lab: Labeling | None = None) -> str:

@@ -20,8 +20,8 @@ from setseq.cli import _label_auto, _sweep_instances
 from setseq.constructors import (
     BASE_CATERPILLARS,
     PendantPlan,
+    _w_sequence,
     add_pendants,
-    build_w_sequence,
     four_copies,
     label_large_caterpillar,
     label_small_diameter,
@@ -530,7 +530,7 @@ def test_long_path_sequence_invariants():
                 z.append(x)
             if 0 not in z and len(set(z)) == k:
                 break
-        words = build_w_sequence(z, n)
+        words = _w_sequence(z, n)
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"k={k} took {elapsed:.2f}s"
 

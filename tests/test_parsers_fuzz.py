@@ -1,9 +1,9 @@
 """Fuzz the text parsers: each returns a value or raises a named error.
 
 Every parser that reads user text (pendant plans, caterpillar specs,
-bitstrings and tree documents) must answer arbitrary input with a value, a
-ValueError or a SetseqError, never with a TypeError, a RecursionError or
-another bare exception.
+bitstrings and tree documents) must answer arbitrary input, text or not,
+with a value or a SetseqError, never with a ValueError, a TypeError, a
+RecursionError or another bare exception.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ FUZZ = settings(max_examples=150, deadline=None)
 
 small_ints = st.integers(-3, 40)
 bitstrings = st.text(alphabet="01", max_size=8)
+# What a caller may hand a parser in place of text.
+not_text = st.none() | st.integers() | st.floats() | st.lists(st.text(max_size=4), max_size=3)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 40) | st.floats(allow_nan=False) | bitstrings,
@@ -48,7 +50,7 @@ documents = st.fixed_dictionaries(
 def settles(parse, *args) -> None:
     try:
         parse(*args)
-    except (ValueError, SetseqError):
+    except SetseqError:
         pass
 
 
@@ -58,6 +60,7 @@ def settles(parse, *args) -> None:
     | st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=5).map(
         lambda pairs: ",".join(f"{a}:{b}" for a, b in pairs)
     )
+    | not_text
 )
 def test_pendant_plan_parse_settles(text):
     settles(PendantPlan.parse, text)
@@ -69,6 +72,7 @@ def test_pendant_plan_parse_settles(text):
     | st.lists(st.integers(-2, 10**10), min_size=1, max_size=6).map(
         lambda ds: "T[" + ",".join(map(str, ds)) + "]"
     )
+    | not_text
 )
 def test_caterpillar_spec_parse_settles(text):
     settles(CaterpillarSpec.parse, text)
@@ -76,11 +80,8 @@ def test_caterpillar_spec_parse_settles(text):
 
 @FUZZ
 @given(
-    st.text(alphabet="01 2", max_size=40)
-    | st.integers()
-    | st.none()
-    | st.lists(bitstrings, max_size=3),
-    st.none() | small_ints,
+    st.text(alphabet="01 2", max_size=40) | st.lists(bitstrings, max_size=3) | not_text,
+    st.none() | st.booleans() | small_ints,
 )
 def test_bitvec_parse_settles(text, dim):
     settles(parse_bits, text, dim)
@@ -91,6 +92,8 @@ def test_bitvec_parse_settles(text, dim):
     documents
     | json_values.map(json.dumps)
     | st.text(alphabet='{}[]":,0123456789 ', max_size=40)
+    | st.binary(max_size=12)
+    | not_text
 )
 def test_tree_from_json_settles(text):
     settles(tree_from_json, text)

@@ -136,7 +136,7 @@ def test_tree_rejects_loop_edge():
     # "not stored small-id first" cannot be what is wrong with it.
     assert rejection(3, [(0, 0), (1, 2)]) == "edge (0, 0) is a loop"
     doc = {"n": 2, "vertices": [{"id": i} for i in range(3)], "edges": [[2, 2], [0, 1]]}
-    with pytest.raises(ValueError, match=r"edge \(2, 2\) is a loop"):
+    with pytest.raises(PreconditionViolated, match=r"edge \(2, 2\) is a loop"):
         tree_from_json(json.dumps(doc))
 
 
@@ -251,8 +251,14 @@ def test_spec_parse_and_str_roundtrip():
 
 def test_spec_parse_rejects_garbage():
     for bad in ("T[]", "T[3,3", "[3,3]", "T[a]", "T"):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             CaterpillarSpec.parse(bad)
+
+
+@pytest.mark.parametrize("value,kind", [(None, "NoneType"), (5, "int"), ([3, 3], "list")])
+def test_spec_parse_rejects_values_that_are_not_text(value, kind):
+    with pytest.raises(PreconditionViolated, match=f"spec must be a string, got {kind}"):
+        CaterpillarSpec.parse(value)
 
 
 def test_spec_rejects_non_canonical():
@@ -697,13 +703,13 @@ def test_json_parse_errors():
     ):
         doc = json.loads(json.dumps(good))
         mangle(doc)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(PreconditionViolated) as info:
             tree_from_json(json.dumps(doc))
         assert str(info.value) == message
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(PreconditionViolated) as info:
         tree_from_json("not json at all")
     assert str(info.value) == "not valid JSON: Expecting value: line 1 column 1 (char 0)"
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(PreconditionViolated) as info:
         tree_from_json("[1, 2, 3]")
     assert str(info.value) == "top level must be an object"
 
@@ -759,14 +765,24 @@ EDGE_DOC = {
 )
 def test_json_rejects_wrongly_typed_fields(doc, message):
     tree_from_json(json.dumps(EDGE_DOC))
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(PreconditionViolated) as info:
         tree_from_json(json.dumps(doc))
     assert str(info.value) == message
 
 
 def test_json_rejects_deeply_nested_documents():
-    with pytest.raises(ValueError, match="nesting too deep"):
+    with pytest.raises(PreconditionViolated, match="nesting too deep"):
         tree_from_json("[" * 100_000)
+
+
+@pytest.mark.parametrize("value,kind", [(None, "NoneType"), (5, "int"), ({"n": 2}, "dict")])
+def test_json_rejects_values_that_are_not_text(value, kind):
+    # What json.loads reads is accepted: str, and bytes holding a document.
+    assert tree_from_json(json.dumps(EDGE_DOC).encode())[0] == Tree.of(2, [(0, 1)])
+    with pytest.raises(PreconditionViolated, match=f"document must be text, got {kind}"):
+        tree_from_json(value)
+    with pytest.raises(PreconditionViolated, match="not valid JSON: 'utf-8' codec"):
+        tree_from_json(b'{"n": "\xff"}')
 
 
 def test_labeling_rejects_wrongly_typed_labels():
