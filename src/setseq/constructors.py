@@ -6,10 +6,12 @@ Three ways to manufacture verified set-sequential labelings:
   on chosen anchors; the fresh vertex/edge labels come from a pair
   partition of F_2^n whose targets are the anchor labels.
 * label_small_diameter and label_large_caterpillar apply the same
-  pendant doubling inductively: halve the target caterpillar down to a
-  bundled base labeling (small diameters) or strip one end bare and
-  recurse (large vertex counts), then rebuild level by level, anchoring
-  the pendants of each level on center path vertices.
+  pendant doubling inductively, through one halving recursion: shed half
+  the vertices as pendant edges of the center path, down to a bundled base
+  labeling, then rebuild level by level, anchoring the pendants of each
+  level on center path vertices.  The pipelines differ only in their cut
+  rule: shed evenly (small diameters), or strip one end bare first (large
+  vertex counts).
 * four_copies quadruples a labeled tree: the 4k+3 w-sequence, closed-form
   two-bit prefixes over the k labels of the u-v path, labels the long path
   through the four copies, and two-bit prefixes propagate outward from it.
@@ -28,10 +30,8 @@ verifies only if every level below it did.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,7 +50,6 @@ from .errors import (
     TooSmall,
     _as_tuple,
 )
-from .gf2 import echelon_basis
 from .pairing import PairingInstance, solve_pairing
 from .trees import (
     CaterpillarSpec,
@@ -64,7 +63,6 @@ from .trees import (
 
 __all__ = [
     "PREFIX_MAP",
-    "SPAN_DIM_CAP",
     "MAX_SMALL_DIAMETER",
     "BASE_CATERPILLARS",
     "PendantPlan",
@@ -82,10 +80,6 @@ __all__ = [
 #: makes the four copies of every off-path value pairwise distinct.
 PREFIX_MAP = {0b00: 0b00, 0b01: 0b10, 0b10: 0b11, 0b11: 0b01}
 
-#: Hard ceiling on dim(span(center-path labels)) at every rebuild step of
-#: label_small_diameter; exceeding it means the construction left its theory.
-SPAN_DIM_CAP = 6
-
 #: Largest diameter label_small_diameter covers.
 MAX_SMALL_DIAMETER = 18
 
@@ -102,17 +96,6 @@ BASE_CATERPILLARS = (
     (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
 )
 
-#: Fixture degree lists the halving recursion sheds toward at 32 vertices,
-#: keyed by target diameter.
-_SHED_TARGETS = {
-    11: (3, 3, 3, 2, 2, 2, 2, 2, 2, 3),
-    12: (3, 3, 3, 2, 2, 2, 2, 2, 2, 3),
-    13: (3, 3, 3, 2, 2, 2, 2, 2, 2, 3),
-    14: (3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
-    15: (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
-    16: (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
-}
-
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -125,10 +108,12 @@ def fixtures_dir() -> Path:
 
 def load_fixture(name: str) -> tuple[Tree, Labeling]:
     """Load and re-verify a bundled labeled tree by file name."""
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise PreconditionViolated(f"fixture name must be a plain file name, got {name!r}")
     path = fixtures_dir() / name
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise PreconditionViolated(f"cannot read fixture {path}: {exc}") from exc
     try:
         tree, lab = tree_from_json(text)
@@ -292,14 +277,7 @@ def add_pendants(base: Tree, lab: Labeling, plan: PendantPlan) -> tuple[Tree, La
 
 
 # ---------------------------------------------------------------------------
-# caterpillar halving recursions
-
-
-def _pendant_neighbors(edges: list[tuple[int, int]], vertex: int) -> list[int]:
-    """The leaves adjacent to vertex, smallest id first."""
-    deg = Counter(chain.from_iterable(edges))
-    nbrs = (b if a == vertex else a for a, b in edges if vertex in (a, b))
-    return sorted(x for x in nbrs if deg[x] == 1)
+# caterpillar halving recursion
 
 
 def _shed(degrees: tuple[int, ...], tight: list[int], loose: list[int], amount: int) -> list[int]:
@@ -308,13 +286,13 @@ def _shed(degrees: tuple[int, ...], tight: list[int], loose: list[int], amount: 
     Sheds within the tight caps while they suffice, else within the loose
     ones: the caller's tight caps keep every vertex at degree 3 or more (so
     the diameter survives), its loose caps let end vertices collapse to
-    path leaves.  Negative caps count as 0.
+    path leaves.
     """
-    caps = tight if sum(c for c in tight if c > 0) >= amount else loose
+    caps = tight if sum(tight) >= amount else loose
     removals = [0] * len(degrees)
     rest = amount
     for i in sorted(range(len(degrees)), key=lambda i: (-degrees[i], i)):
-        take = min(max(caps[i], 0), rest)
+        take = min(caps[i], rest)
         removals[i] = take
         rest -= take
         if not rest:
@@ -341,56 +319,42 @@ def _fixture_shed(degrees: tuple[int, ...], target: tuple[int, ...]) -> list[int
     )
 
 
-def _rebuild(
-    degrees: tuple[int, ...],
-    removals: list[int],
-    rec: Callable[[tuple[int, ...]], tuple[_Labeled, list[int]]],
+def _halve(
+    degrees: tuple[int, ...], cut: Callable[[tuple[int, ...]], list[int] | None]
 ) -> tuple[_Labeled, list[int]]:
-    """The rebuilt level and the target's center ids: rec's labeling, pendants hung back.
+    """A labeling of T[degrees] and its center path ids, by halving with cut.
 
-    An end entry the removals take down to 1 is a pad: rec labels it as a
-    leaf of the smaller caterpillar's end center vertex, and it rejoins the
-    center path once its pendants are hung back.  Hanging keeps every old
-    label, so the small-diameter recursion measures the center-path span on
-    each rebuilt level.
+    A base degree list (either orientation) is its bundled fixture.  Else
+    cut gives the pendant edges to remove per center position, or None to
+    build the reversed list and read its center ids backward.  An end entry
+    the removals take down to 1 is a pad: the core below labels it as a
+    leaf of its end center vertex (off the path every vertex is a leaf, so
+    it is that vertex's smallest neighbor not on the path yet), and it
+    rejoins the center path once the removed pendants are hung back.
     """
+    if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
+        return _load_base_caterpillar(degrees)
+    removals = cut(degrees)
+    if removals is None:
+        labeled, center = _halve(degrees[::-1], cut)
+        return labeled, center[::-1]
     padded = [d - r for d, r in zip(degrees, removals)]
     left = len(padded) > 1 and padded[0] == 1
     right = len(padded) > 1 and padded[-1] == 1
-    core = padded[1 if left else 0 : len(padded) - 1 if right else len(padded)]
-    sub, sub_center = rec(tuple(core))
-    center = list(sub_center)
+    sub, center = _halve(tuple(padded[left : len(padded) - right]), cut)
+
+    def pad(v: int) -> int:
+        return min(a + b - v for a, b in sub[0] if v in (a, b) and a + b - v not in center)
+
     if left:
-        center.insert(0, _pendant_neighbors(sub[0], sub_center[0])[0])
+        center.insert(0, pad(center[0]))
     if right:
-        leaves = _pendant_neighbors(sub[0], sub_center[-1])
-        center.append([x for x in leaves if x not in center][0])
+        center.append(pad(center[-1]))
     if len(center) != len(degrees):
         raise InternalSearchFailed("padded center does not match the target length")
     # The center path ids survive the hanging.
     anchors = [v for v, r in zip(center, removals) for _ in range(r)]
     return _hang_pendants(sub, anchors), center
-
-
-def _small_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
-    if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
-        return _load_base_caterpillar(degrees)
-    spec = CaterpillarSpec(degrees)
-    if spec.vertex_count == 32 and spec.diameter >= 11:
-        removals = _fixture_shed(degrees, _SHED_TARGETS[spec.diameter])
-    else:
-        # Even removal counts taking the vertex count to half, degrees kept odd.
-        k = len(degrees)
-        tight = [d - 3 for d in degrees]
-        loose = [d - 1 if i in (0, k - 1) else d - 3 for i, d in enumerate(degrees)]
-        removals = _shed(degrees, tight, loose, spec.vertex_count // 2)
-    labeled, center = _rebuild(degrees, removals, _small_rec)
-    span = len(echelon_basis([labeled[2][v] for v in center], labeled[1]))
-    if span > SPAN_DIM_CAP:
-        raise InternalSearchFailed(
-            f"center-path span dimension {span} exceeds the cap {SPAN_DIM_CAP}"
-        )
-    return labeled, center
 
 
 def _validate_odd_power(spec: CaterpillarSpec) -> int:
@@ -405,45 +369,60 @@ def _validate_odd_power(spec: CaterpillarSpec) -> int:
     return count
 
 
+def _small_cut(degrees: tuple[int, ...]) -> list[int]:
+    """The small-diameter cut: a padded base fixture at 32 vertices and
+    diameter >= 11, else half the vertices shed within tight or loose caps.
+    """
+    spec = CaterpillarSpec(degrees)
+    if spec.vertex_count == 32 and spec.diameter >= 11:
+        # The longest base whose center path is shorter than the target's.
+        target = max((b for b in BASE_CATERPILLARS if len(b) < spec.diameter), key=len)
+        return _fixture_shed(degrees, target)
+    # Even removal counts taking the vertex count to half, degrees kept odd.
+    k = len(degrees)
+    tight = [d - 3 for d in degrees]
+    loose = [d - 1 if i in (0, k - 1) else d - 3 for i, d in enumerate(degrees)]
+    return _shed(degrees, tight, loose, spec.vertex_count // 2)
+
+
 def label_small_diameter(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
     """Verified labeling of an all-odd caterpillar with diameter <= 18.
 
     Works down from the target: repeatedly remove half the vertices as
     pendant edges of the center path (landing on a bundled base labeling),
     then rebuild upward by pendant doubling, anchoring only center-path
-    vertices.  The dimension of the span of the center-path labels is
-    measured on each rebuilt level; above SPAN_DIM_CAP the call raises
-    InternalSearchFailed.  Only the finished tree is built and verified.
+    vertices.  Every level's anchor labels fit in 6 bits, the coset routes'
+    span bound: a level of k <= 17 center vertices sheds within its tight
+    caps exactly when |V| >= 4k + 4, so from 128 vertices up no pad joins
+    the center path, and every center label is one of the 32-vertex level
+    or one of its leaves promoted at 64.  Only the finished tree is built
+    and verified.
     """
     _validate_odd_power(spec)
     if spec.diameter > MAX_SMALL_DIAMETER:
         raise OutOfRange(
             f"{spec} has diameter {spec.diameter} > {MAX_SMALL_DIAMETER}"
         )
-    labeled, _center = _small_rec(spec.degrees)
+    labeled, _center = _halve(spec.degrees, _small_cut)
     return _finish(labeled, "small-diameter construction")
 
 
-def _large_rec(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
-    spec = CaterpillarSpec(degrees)
-    if spec.diameter <= 2 or degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
-        return _small_rec(degrees)
+def _large_cut(degrees: tuple[int, ...]) -> list[int] | None:
+    """The large cut: a star's is the small one; else the lighter end is
+    stripped bare (None when it is the last entry: build the reversal) and
+    the rest of the half shed, degrees kept odd.
+    """
+    if len(degrees) == 1:
+        return _small_cut(degrees)
     if degrees[0] > degrees[-1]:
-        labeled, center = _large_rec(degrees[::-1])
-        return labeled, center[::-1]
-    k = len(degrees)
-    half = spec.vertex_count // 2
-    removals = [0] * k
-    removals[0] = degrees[0] - 1
-    rest = half - removals[0]
-    if rest < 0:
-        raise InternalSearchFailed(
-            f"first vertex of {list(degrees)} holds more than half the tree"
-        )
+        return None
+    half = CaterpillarSpec(degrees).vertex_count // 2
     tight = [0] + [d - 3 for d in degrees[1:]]
-    extra = _shed(degrees, tight, tight[:-1] + [degrees[-1] - 1], rest)
-    removals = [r + e for r, e in zip(removals, extra)]
-    return _rebuild(degrees, removals, _large_rec)
+    # d_0 <= d_last and |V| >= d_0 + d_last, so the rest is at least 1.  Both
+    # caps at position 0 are 0: the shed leaves the stripped end alone.
+    removals = _shed(degrees, tight, tight[:-1] + [degrees[-1] - 1], half - degrees[0] + 1)
+    removals[0] = degrees[0] - 1
+    return removals
 
 
 def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
@@ -459,7 +438,7 @@ def label_large_caterpillar(spec: CaterpillarSpec) -> tuple[Tree, Labeling]:
         raise TooFewVertices(
             f"{spec} has {count} vertices, needs at least 2^{spec.diameter - 1}"
         )
-    labeled, _center = _large_rec(spec.degrees)
+    labeled, _center = _halve(spec.degrees, _large_cut)
     return _finish(labeled, "large-caterpillar construction")
 
 

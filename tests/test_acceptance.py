@@ -59,6 +59,11 @@ HIGH_DIAMETER_DIGEST = "dd43cbb715bd945f59ec561d9eb1f3c0263d54c1cd9d890d388a6aee
 #: the large one where it applies.
 ODD_SPINES_DIGEST = "eccea8ec5bef562613d8692792fd9dacda33ac08992a008bf2f2538c308fece4"
 
+#: sha256 of the concatenated JSON documents of the sampled all-odd
+#: caterpillars at 64-1,024 vertices, in stream order: each label_auto
+#: label, then the large one where it applies.
+UNIFORM_ODD_DIGEST = "5c7ad235aa47ef27afb0a11058f202f41cf209624c60a6d0598fa34453fe991e"
+
 
 def entry_table(tree: Tree, lab: Labeling) -> list[int]:
     """The displayed labeling: vertex entries then edge entries."""
@@ -410,8 +415,10 @@ def test_uniform_odd_caterpillars_from_64_to_1024_vertices():
     # tuples of its stratum, for every diameter the theorem covers at
     # 64-1,024 vertices (2-18; the large condition adds none there).  Each
     # gets a verified labeling of the right diameter from label_auto, and
-    # from the large pipeline where |V| >= 2^(diameter - 1).
+    # from the large pipeline where |V| >= 2^(diameter - 1); the stream of
+    # labelings is pinned.
     rng = random.Random(19)
+    digest = hashlib.sha256()
     for exponent in range(6, 11):
         count = 1 << exponent
         for diam in range(2, 19):
@@ -424,6 +431,8 @@ def test_uniform_odd_caterpillars_from_64_to_1024_vertices():
                 for tree, lab in labeled:
                     assert verify_set_sequential(tree, lab).valid, spec
                     assert diameter(tree) == diam, spec
+                    digest.update(tree_to_json(tree, lab).encode())
+    assert digest.hexdigest() == UNIFORM_ODD_DIGEST
 
 
 def test_odd_caterpillar_sampler_is_uniform():

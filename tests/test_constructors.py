@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -340,15 +340,18 @@ def test_fixture_shed_band():
         assert diameter(tree) == diam
 
 
-def test_center_span_cap_is_enforced(monkeypatch):
-    # The 64-vertex build rebuilds through levels whose center paths span
-    # more than two dimensions, so a cap of 2 must stop it by name.
-    monkeypatch.setattr(constructors, "SPAN_DIM_CAP", 2)
-    with pytest.raises(InternalSearchFailed, match="exceeds the cap 2"):
-        label_small_diameter(CaterpillarSpec((5,) * 15 + (3,)))
+def test_small_diameter_sweep(monkeypatch):
+    # Every level's center labels span at most 6 dimensions, so each
+    # pairing goes through one of the two coset routes.
+    routes: Counter[str] = Counter()
+    solve = constructors.solve_pairing
 
+    def recording(inst):
+        part, route = solve(inst)
+        routes[route.tag] += 1
+        return part, route
 
-def test_small_diameter_sweep():
+    monkeypatch.setattr(constructors, "solve_pairing", recording)
     rng = random.Random(7)
     for diam in range(2, 19):
         for _ in range(3):
@@ -360,6 +363,7 @@ def test_small_diameter_sweep():
             tree, lab = label_small_diameter(spec)
             assert covers_exactly_once(tree, lab)
             assert diameter(tree) == diam
+    assert set(routes) == {"Dim5Coset", "Dim6EvenCoset"}, routes
 
 
 def test_small_diameter_is_deterministic():
@@ -650,6 +654,14 @@ def test_load_fixture_names_a_missing_malformed_or_unlabeled_file(tmp_path, monk
     (tmp_path / "malformed.json").write_text("{")
     (tmp_path / "unlabeled.json").write_text(tree_to_json(Tree.of(4, [(0, 1), (0, 2), (0, 3)])))
     for name, message in [
+        (None, "fixture name must be a plain file name, got None"),
+        ("", "fixture name must be a plain file name, got ''"),
+        (".", "fixture name must be a plain file name, got '.'"),
+        ("..", "fixture name must be a plain file name, got '..'"),
+        ("../__init__.py", "fixture name must be a plain file name"),
+        ("sub/malformed.json", "fixture name must be a plain file name"),
+        (str(tmp_path / "malformed.json"), "fixture name must be a plain file name"),
+        ("nul\0.json", "cannot read fixture .*: embedded null byte"),
         ("absent.json", "cannot read fixture"),
         ("malformed.json", "fixture malformed.json is malformed: not valid JSON"),
         ("unlabeled.json", "fixture unlabeled.json carries no labels"),
