@@ -156,24 +156,14 @@ def _finish(labeled: _Labeled, what: str) -> tuple[Tree, Labeling]:
 
 
 def _load_base_caterpillar(degrees: tuple[int, ...]) -> tuple[_Labeled, list[int]]:
-    """Fixture edges and labels, and center path ids, for a base degree list.
-
-    Accepts the stored orientation or its reversal; the returned center ids
-    follow the caller's orientation either way.
-    """
-    if degrees in BASE_CATERPILLARS:
-        stored, flipped = degrees, False
-    else:
-        stored, flipped = degrees[::-1], True
-    spec = CaterpillarSpec(stored)
+    """Fixture edges and labels, and center path ids, for a stored base degree list."""
+    spec = CaterpillarSpec(degrees)
     tree, lab = load_fixture(f"{spec}.json")
     if tree != build_caterpillar(spec):
         raise PreconditionViolated(
             f"fixture for {spec} does not use the canonical vertex numbering"
         )
-    center = list(range(len(degrees)))
-    labeled = (list(tree.edges), lab.n, _int_labels(tree, lab))
-    return labeled, center[::-1] if flipped else center
+    return (list(tree.edges), lab.n, _int_labels(tree, lab)), list(range(len(degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +314,18 @@ def _halve(
 ) -> tuple[_Labeled, list[int]]:
     """A labeling of T[degrees] and its center path ids, by halving with cut.
 
-    A base degree list (either orientation) is its bundled fixture.  Else
-    cut gives the pendant edges to remove per center position, or None to
-    build the reversed list and read its center ids backward.  An end entry
+    A stored base degree list is its bundled fixture.  Else cut gives the
+    pendant edges to remove per center position, or None to build the
+    reversed list and read its center ids backward, which is also how a
+    reversed base is built.  An end entry
     the removals take down to 1 is a pad: the core below labels it as a
     leaf of its end center vertex (off the path every vertex is a leaf, so
     it is that vertex's smallest neighbor not on the path yet), and it
     rejoins the center path once the removed pendants are hung back.
     """
-    if degrees in BASE_CATERPILLARS or degrees[::-1] in BASE_CATERPILLARS:
+    if degrees in BASE_CATERPILLARS:
         return _load_base_caterpillar(degrees)
-    removals = cut(degrees)
+    removals = None if degrees[::-1] in BASE_CATERPILLARS else cut(degrees)
     if removals is None:
         labeled, center = _halve(degrees[::-1], cut)
         return labeled, center[::-1]

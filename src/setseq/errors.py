@@ -8,7 +8,6 @@ from __future__ import annotations
 
 __all__ = [
     "SetseqError",
-    "NoSuchSubset",
     "BudgetExhausted",
     "Infeasible",
     "CaseNotApplicable",
@@ -30,10 +29,6 @@ __all__ = [
 
 class SetseqError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class NoSuchSubset(SetseqError):
-    """No subset satisfying the requested size/parity/XOR constraints exists."""
 
 
 class BudgetExhausted(SetseqError):

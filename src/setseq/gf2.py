@@ -13,7 +13,9 @@ rows of a span as a tuple whose length is the rank, and BitVec, a
 fixed-width wrapper, is only the element type of
 trees.Labeling.vertex_labels.  These check their arguments.
 
-The underscore kernels serve pairing alone and trust its arguments.  One
+The underscore kernels serve pairing alone and trust its arguments.  A
+kernel with no answer returns None; a broken invariant raises
+InternalSearchFailed, which no caller in the package catches.  One
 reduced row-echelon pass, _rref, serves every elimination: spans, coset
 frames and parity systems.  One table, _span_table, evaluates every linear
 map: coset representatives, coordinate frames and changes of basis are all
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InternalSearchFailed, NoSuchSubset, PreconditionViolated, _as_tuple
+from .errors import InternalSearchFailed, PreconditionViolated, _as_tuple
 
 MAX_DIM = 30
 
@@ -116,7 +118,7 @@ def _lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], 
     """
     rows = _rref(values)
     if not len(rows) <= rank <= dim:
-        raise PreconditionViolated(f"frame rank {rank!r} outside {len(rows)}..{dim}")
+        raise InternalSearchFailed(f"frame rank {rank!r} outside {len(rows)}..{dim}")
     # Leading bits are all distinct, so value order is leading-bit order.
     # The smallest vector of each coset is the one that vanishes on them.
     pivots = {r.bit_length() - 1 for r in rows}
@@ -125,55 +127,32 @@ def _lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], 
     return sorted(rows + free[:take], reverse=True), _span_table(free[take:])
 
 
-def _subset_reach_tables(
-    values: Sequence[int], cap: int
-) -> list[set[tuple[int, int]]]:
-    """Per-prefix sets of reachable (cardinality, XOR) subset states.
+def _zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...] | None:
+    """Indices of a subset with XOR 0 and the first size in sizes that one can have.
 
-    Exact dynamic program over subsets of the input in order; state count is
-    bounded by cap times the span size, so this is meant for small working
-    sets (the sizes that arise in the splitting routines), not for bulk data.
+    sizes is a nonempty run of sizes >= 1; None when no size in it is
+    reachable.  tables[i] holds the (size, XOR) states the first i values
+    reach, sizes capped at the largest wanted, so one exact pass serves
+    every candidate; it is meant for the small working sets of the splits.
     """
+    cap = min(max(sizes), len(values))
     tables: list[set[tuple[int, int]]] = [{(0, 0)}]
     for v in values:
         prev = tables[-1]
-        cur = set(prev)
-        for c, x in prev:
-            if c < cap:
-                cur.add((c + 1, x ^ v))
-        tables.append(cur)
-    return tables
-
-
-def _reconstruct_subset(
-    values: Sequence[int], tables: list[set[tuple[int, int]]], goal: tuple[int, int]
-) -> tuple[int, ...]:
+        tables.append(prev | {(c + 1, x ^ v) for c, x in prev if c < cap})
+    size = next((s for s in sizes if (s, 0) in tables[-1]), None)
+    if size is None:
+        return None
     # Walk backwards preferring "not taken" so the result is deterministic.
     picked: list[int] = []
-    cur = goal
+    cur = (size, 0)
     for i in range(len(values) - 1, -1, -1):
-        if cur in tables[i]:
-            continue
-        count, x = cur
-        cur = (count - 1, x ^ values[i])
-        picked.append(i)
+        if cur not in tables[i]:
+            cur = (cur[0] - 1, cur[1] ^ values[i])
+            picked.append(i)
     if cur != (0, 0):
         raise InternalSearchFailed("subset reconstruction walked off the table")
     return tuple(reversed(picked))
-
-
-def _zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...]:
-    """Indices of a subset with XOR 0 and the first size in sizes that one can have.
-
-    sizes is a nonempty run of sizes >= 1.  One reach table, capped at the
-    largest size, serves every candidate.  Raises NoSuchSubset when no size
-    in sizes is reachable.
-    """
-    tables = _subset_reach_tables(values, min(max(sizes), len(values)))
-    for size in sizes:
-        if (size, 0) in tables[-1]:
-            return _reconstruct_subset(values, tables, (size, 0))
-    raise NoSuchSubset(f"no zero-sum subset of any size in {sizes!r}")
 
 
 def _span_table(rows: Sequence[int]) -> list[int]:

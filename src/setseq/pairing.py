@@ -23,6 +23,10 @@ call, from a memo that lives for that call; a nested lift composes its
 coset map with its caller's, so each pair is mapped once, into F_2^n.
 Target order is restored once, at the public boundary: the k-th
 occurrence of a target takes the k-th pair of its queue.
+
+The private kernels here and in gf2 share one contract: a search with no
+answer returns None, and a step the theory guarantees raises
+InternalSearchFailed when it fails, which nothing in the package catches.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .errors import (
     CaseNotApplicable,
     Infeasible,
     InternalSearchFailed,
-    NoSuchSubset,
     NotCovered,
     PreconditionViolated,
     _as_tuple,
@@ -141,7 +144,7 @@ def partition_errors(inst: PairingInstance, part: PairPartition) -> list[str]:
     pairs that are not a sequence.
     """
     if part.n != inst.n:
-        return [f"dimension mismatch: partition n={part.n}, instance n={inst.n}"]
+        return [f"dimension mismatch: partition n={part.n!r}, instance n={inst.n!r}"]
     try:
         count = len(part.pairs)
     except TypeError:
@@ -346,7 +349,7 @@ def _split_halves(hist: Mapping[int, int]) -> tuple[dict[int, int], dict[int, in
     odds = [u for u, c in items if c & 1]
     _ensure(len(odds) % 2 == 0, "a zero-sum multiset has an even number of odd values")
     _ensure(len(odds) <= half or size == 32, "odd values outnumber half a group only at level 6")
-    moved = set(_split_odds_level6(odds)[1]) if len(odds) > half else set()
+    moved = set(_split_odds_level6(odds)) if len(odds) > half else set()
     need = half - len(odds) + len(moved)
     _ensure(need % 2 == 0, "odd values left an odd gap")
     first: dict[int, int] = {}
@@ -376,25 +379,20 @@ def _deal(pool: Mapping[int, int], need: int, first: Counter, second: Counter) -
             second[u] += count - take
 
 
-def _split_odds_level6(odds: list[int]) -> tuple[list[int], list[int]]:
-    """Balance 18..28 distinct odd values at level 6 into two sets of at most 16.
+def _split_odds_level6(odds: list[int]) -> list[int]:
+    """The odd values moved to the second half when 18..28 distinct ones meet at level 6.
 
-    A zero-sum subset of even size s in max(6, l - 16)..16 moves to the
-    second half.  Every zero-sum set of 26 or 28 distinct nonzero vectors of
-    F_2^5 has one of size l - 16, and for l <= 24 a counting argument over
-    4-vector blocks gives one of size 6..12, so a miss means a precondition
-    was violated upstream.
+    They are a zero-sum subset of even size s in max(6, l - 16)..16, so
+    both halves keep at most 16.  Every zero-sum set of 26 or 28 distinct
+    nonzero vectors of F_2^5 has one of size l - 16, and for l <= 24 a
+    counting argument over 4-vector blocks gives one of size 6..12, so a
+    miss means a precondition was violated upstream.
     """
     l = len(odds)
     _ensure(18 <= l <= 28 and l % 2 == 0, "level-6 odd split outside 18..28 even values")
-    try:
-        chosen = set(_zero_sum_subset(odds, range(max(6, l - 16), 17, 2)))
-    except NoSuchSubset:
-        raise InternalSearchFailed(f"no balancing transfer for {l} odd values at level 6") from None
-    return (
-        [u for i, u in enumerate(odds) if i not in chosen],
-        [u for i, u in enumerate(odds) if i in chosen],
-    )
+    chosen = _zero_sum_subset(odds, range(max(6, l - 16), 17, 2))
+    _ensure(chosen is not None, f"no balancing transfer for {l} odd values at level 6")
+    return [odds[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +608,7 @@ _ALLOCATION_TRIES = 20_000
 
 def _allocate(
     pool: Mapping[int, int], vessels: list[tuple[int, int, set[int]]], tries: Iterator[int]
-) -> list[Counter]:
+) -> list[Counter] | None:
     """Deal even per-value counts into vessels (need, cap, present) by backtracking.
 
     Largest counts go first.  Each is split into even parts over the
@@ -621,7 +619,7 @@ def _allocate(
     goes on where that leaves a value with no room.  Each split tried takes
     one item of tries, a budget the caller may share between calls.  This
     finds an allocation wherever one exists unless the budget runs out
-    first; either failure raises InternalSearchFailed.
+    first; either miss returns None.
     """
     order = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))
     _ensure(all(c > 0 and c % 2 == 0 for _, c in order), "pool counts must be positive and even")
@@ -656,7 +654,8 @@ def _allocate(
             key=lambda i: (u not in present[i], -needs[i], i),
         )
         for parts in splits([needs[i] for i in takers], c):
-            _ensure(next(tries, None) is not None, "allocation search ran out of tries")
+            if next(tries, None) is None:
+                return False
             placed = [(i, x) for i, x in zip(takers, parts) if x]
             fresh = [i for i, _ in placed if u not in present[i]]
             for i, x in placed:
@@ -673,9 +672,7 @@ def _allocate(
                 present[i].discard(u)
         return False
 
-    if not place(0):
-        raise InternalSearchFailed("no allocation of the even pool fits the vessels")
-    return alloc
+    return alloc if place(0) else None
 
 
 def _two_coset_recurse(
@@ -805,11 +802,9 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
                     (fills[1], n - 2, set(group2) | {head2}),
                     (fills[2], n - 1, {u for u in (a, b) if hist[u] > 1}),
                 ]
-                try:
-                    alloc = _allocate(pool, vessels, tries)
-                except InternalSearchFailed:
-                    continue
-                return a, b, lam2, group1, group2, head1, head2, alloc
+                alloc = _allocate(pool, vessels, tries)
+                if alloc is not None:
+                    return a, b, lam2, group1, group2, head1, head2, alloc
         raise InternalSearchFailed("no separated pair admits a feasible coset layout")
 
     a, b, lam2, group1, group2, head1, head2, alloc = first_layout()
@@ -925,15 +920,14 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
             side1[pin1], side2[pin2] = hist[pin1], hist[pin2]
             trace.append(f"pinned-split n={n} m={m} pin1={pin1} pin2={pin2}")
         else:
-            try:
-                picked = set(_zero_sum_subset(odds, range(2, m, 2)))
-            except NoSuchSubset:
+            picked = _zero_sum_subset(odds, range(2, m, 2))
+            if picked is None:
                 return _case_three_coset(n, hist, odds, trace)
             # The singles of a proper even-size zero-sum subset seed side
             # one and the rest side two.  Each side also takes the leftover
             # copies of one of its own odd values or of an even value, a
             # different one per side, so the opposite side misses it.
-            subset = [u for i, u in enumerate(odds) if i in picked]
+            subset = [odds[i] for i in picked]
             comp = [u for i, u in enumerate(odds) if i not in picked]
 
             def pins(own: list[int]) -> list[int]:

@@ -247,6 +247,11 @@ def test_partition_checker_messages():
     assert partition_errors(build(2, [1, 1]), PairPartition(2, 5)) == [
         "pairs are not a sequence: 5"
     ]
+    # A dimension of another type is told apart from the int it prints as.
+    text_n = PairPartition("2", ((0, 1), (2, 3)))
+    assert partition_errors(build(2, [1, 1]), text_n) == [
+        "dimension mismatch: partition n='2', instance n=2"
+    ]
 
 
 def test_format_partition_lines():
@@ -450,7 +455,8 @@ def test_split_odds_level6_balances_every_densest_set():
             if instgen.xor_all(gone):
                 continue
             odds = [u for u in nonzero if u not in gone]
-            first, second = _split_odds_level6(odds)
+            second = _split_odds_level6(odds)
+            first = [u for u in odds if u not in second]
             assert len(first) <= 16 and len(second) <= 16
             assert len(first) % 2 == 0
             assert instgen.xor_all(first) == 0 and instgen.xor_all(second) == 0
@@ -1002,6 +1008,22 @@ def test_allocate_takes_the_greedy_fill_first(problem):
     tries = iter(range(len(pool)))
     assert pairing._allocate(pool, vessels, tries) == want
     assert next(tries, None) is None
+
+
+def test_allocate_returns_none_once_the_tries_are_spent():
+    assert pairing._allocate({3: 2}, [(2, 2, set())], iter(())) is None
+
+
+def test_three_coset_raises_when_the_shared_tries_run_out(monkeypatch):
+    # 12 carries 27 copies, so every layout the walk reaches leaves at least
+    # 26 of them in its even pool, and each fill needs a try to start.
+    monkeypatch.setattr(pairing, "_ALLOCATION_TRIES", 0)
+    calls = counting_allocator(monkeypatch)
+    inst = build(6, [1, 2, 3, 4, 8] + [12] * 27)
+    message = "no separated pair admits a feasible coset layout"
+    with pytest.raises(InternalSearchFailed, match=message):
+        at_most_n_values(inst)
+    assert calls and all(values > 0 and spent == 0 for values, spent in calls)
 
 
 def test_coset_group_splits_skip_zero_xor_groups():
