@@ -18,11 +18,16 @@ Either way the caller gets the route's trace of the reductions that fired.
 Every internal solver works on a multiset, not a list.  It takes a target
 histogram and returns a function of that histogram alone: a map from each
 target to its queue of pairs.  Solving never looks at the order the targets
-were listed in, so a coset lift solves each distinct group once per public
-call, from a memo that lives for that call; a nested lift composes its
-coset map with its caller's, so each pair is mapped once, into F_2^n.
-Target order is restored once, at the public boundary: the k-th
-occurrence of a target takes the k-th pair of its queue.
+were listed in, so a coset lift splits, maps and solves each distinct group
+once per call, from memos that live for that call: a halving round splits
+each distinct group object once and hands equal halves on as one object,
+the lift maps each distinct group object into frame coordinates once, and
+solves each distinct histogram once.  A nested lift composes its coset map
+with its caller's, so each pair is mapped once, into F_2^n.  Target order
+is restored once, at the public boundary: the k-th occurrence of a target
+takes the k-th pair of its queue.  The router core, _solve_routed, does
+neither the instance check nor the partition check, so the pipelines that
+call it level by level pay for one check of their finished labeling only.
 
 The private kernels here and in gf2 share one contract: a search with no
 answer returns None, and a step the theory guarantees raises
@@ -304,10 +309,19 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
     return out
 
 
-def _restore(values: Iterable[int], queues: _Queues) -> list[tuple[int, int]]:
-    """Target order, restored: the k-th occurrence of a target takes the k-th pair of its queue."""
+def _restore(values: Sequence[int], queues: _Queues) -> list[tuple[int, int]]:
+    """Target order, restored: the k-th occurrence of a target takes the k-th pair of its queue.
+
+    Raises InternalSearchFailed when a target has no queue or too short a one.
+    """
     heads = dict(zip(queues, map(iter, queues.values())))
-    return list(map(next, map(heads.__getitem__, values)))
+    try:
+        pairs = list(map(next, map(heads.__getitem__, values)))
+    except KeyError:
+        pairs = []
+    # A short queue ends map(next, ...) early.
+    _ensure(len(pairs) == len(values), "solver left a target without a pair")
+    return pairs
 
 
 #: Where a lift writes: the caller's queues, a _span_table (or range, the
@@ -402,10 +416,21 @@ def _split_odds_level6(odds: list[int]) -> list[int]:
 def _halve_rounds(
     hist: Mapping[int, int], rounds: int, split: Callable[[Mapping[int, int]], tuple[dict, dict]]
 ) -> list[Mapping[int, int]]:
-    """Split every group in two, rounds times over, leaving 2^rounds groups."""
+    """Split every group in two, rounds times over, leaving 2^rounds groups.
+
+    Each round splits each distinct group object once, and two equal halves
+    come back as one object, so repeated groups share it from then on.  The
+    memo is keyed by identity: every group it names stays in the list, so no
+    id is reused within a round.
+    """
     groups = [hist]
     for _ in range(rounds):
-        groups = [half for g in groups for half in split(g)]
+        halves: dict[int, tuple[dict, dict]] = {}
+        for g in groups:
+            if id(g) not in halves:
+                first, second = split(g)
+                halves[id(g)] = (first, first) if first == second else (first, second)
+        groups = [half for g in groups for half in halves[id(g)]]
     return groups
 
 
@@ -422,7 +447,8 @@ def _lift_groups(
     and solve(sub, (out, table, outer[t] ^ shift)) gets group i's histogram
     in frame coordinates and writes each pair once, into the caller's
     queues: each target's queue holds its pairs group by group, in group
-    order.
+    order.  Each distinct group object is mapped into frame coordinates
+    once, and its repeats hand solve that same histogram.
     """
     out, outer, shift = into
     rows, reps = frame
@@ -431,8 +457,12 @@ def _lift_groups(
     span = _span_table(rows)
     index = {v: c for c, v in enumerate(span)}
     table = [outer[x] for x in span]
+    subs: dict[int, dict[int, int]] = {}
     for g, t in zip(groups, reps):
-        solve({index[v]: c for v, c in g.items()}, (out, table, outer[t] ^ shift))
+        sub = subs.get(id(g))
+        if sub is None:
+            sub = subs[id(g)] = {index[v]: c for v, c in g.items()}
+        solve(sub, (out, table, outer[t] ^ shift))
     return out
 
 
@@ -952,12 +982,7 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
 
 def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
     """The one check of every public solver's output, put in target order first."""
-    try:
-        raw = _restore(inst.values, queues)
-    except KeyError:
-        raw = []
-    if len(raw) != len(inst.values):  # a short queue ends _restore's map(next, ...) early
-        raise InternalSearchFailed("solver left a target without a pair")
+    raw = _restore(inst.values, queues)
     part = PairPartition(inst.n, tuple([pq if pq[0] < pq[1] else pq[::-1] for pq in raw]))
     errs = partition_errors(inst, part)
     if errs:
@@ -1041,6 +1066,28 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
 ROUTE_TAGS = tuple(tag for tag, _, _ in _ROUTES)
 
 
+def _solve_routed(
+    n: int, hist: Counter, route: str | None = None
+) -> tuple[str, _Queues, list[str]]:
+    """The router without the checks: the route's tag, its queues and its trace.
+
+    hist is a valid instance's target histogram and route None or one of
+    ROUTE_TAGS.  Raises CaseNotApplicable and NotCovered as solve_pairing
+    does; the pipelines that double labelings call it directly and restore
+    target order themselves, since their one final check covers every level.
+    """
+    span = echelon_basis(hist, n)
+    rows = _ROUTES if route is None else [row for row in _ROUTES if row[0] == route]
+    for tag, hypothesis, solve in rows:
+        reason = hypothesis(n, hist, span)
+        if reason is None:
+            trace: list[str] = []
+            return tag, solve(n, hist, span, trace), trace
+        if route is not None:
+            raise CaseNotApplicable(reason)
+    raise NotCovered(f"no constructive case applies and n={n} > 6")
+
+
 def solve_pairing(
     inst: PairingInstance, route: str | None = None
 ) -> tuple[PairPartition, SolverRoute]:
@@ -1052,14 +1099,5 @@ def solve_pairing(
     """
     if route is not None and route not in ROUTE_TAGS:
         raise PreconditionViolated(f"unknown route {route!r}; expected one of {ROUTE_TAGS}")
-    hist = Counter(inst.values)
-    span = echelon_basis(hist, inst.n)
-    rows = _ROUTES if route is None else [row for row in _ROUTES if row[0] == route]
-    for tag, hypothesis, solve in rows:
-        reason = hypothesis(inst.n, hist, span)
-        if reason is None:
-            trace: list[str] = []
-            return _finish(inst, solve(inst.n, hist, span, trace)), SolverRoute(tag, tuple(trace))
-        if route is not None:
-            raise CaseNotApplicable(reason)
-    raise NotCovered(f"no constructive case applies and n={inst.n} > 6")
+    tag, queues, trace = _solve_routed(inst.n, Counter(inst.values), route)
+    return _finish(inst, queues), SolverRoute(tag, tuple(trace))

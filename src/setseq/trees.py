@@ -13,7 +13,9 @@ trusting the theory.
 Labeled trees travel as JSON documents with keys in the order n, vertices,
 edges and one space of indent per level, the layout of json.dumps with
 indent=1.  The tests pin digests of emitted documents, so the layout is
-behaviour; tree_to_json writes it directly.
+behaviour; tree_to_json writes it directly.  tree_from_json screens the
+parsed entries at C speed and walks them one by one only to name the
+first fault of a document the screen rejects.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -486,10 +489,11 @@ def tree_to_json(t: Tree, lab: Labeling | None = None) -> str:
     """
     width = lab.n if lab is not None else _label_width(t)
     get = (lab.labels if lab is not None else {}).get
+    bits = f"0{width}b"
     vertices = ",\n".join(
         f'  {{\n   "id": {v}\n  }}'
         if (x := get(v)) is None
-        else f'  {{\n   "id": {v},\n   "label": "{x:0{width}b}"\n  }}'
+        else f'  {{\n   "id": {v},\n   "label": "{x:{bits}}"\n  }}'
         for v in range(t.vertex_count)
     )
     edges = ",\n".join(f"  [\n   {a},\n   {b}\n  ]" for a, b in t.edges)
@@ -525,31 +529,74 @@ def tree_from_json(text: str) -> tuple[Tree, Labeling | None]:
     for key in ("vertices", "edges"):
         if not isinstance(doc[key], list):
             raise PreconditionViolated(f"field {key!r} must be a list")
-    labels: dict[int, int] = {}
+    read = _read_entries(n, doc["vertices"], doc["edges"])
+    if read is None:
+        raise PreconditionViolated(_entry_error(n, doc["vertices"], doc["edges"]))
+    count, labels, edges = read
+    return Tree(count, edges), (Labeling(n, labels) if labels else None)
+
+
+#: Deletes the bit characters: a string of bits translates to "".
+_NOT_BITS = str.maketrans("", "", "01")
+
+
+def _read_entries(
+    n: int, vertices: list, edges: list
+) -> tuple[int, dict[int, int], tuple[tuple[int, int], ...]] | None:
+    """Vertex count, labels and small-id-first edges of a document's lists, or None.
+
+    Type sets, lengths and one translate of the joined labels screen every
+    entry at C speed, and accept exactly the lists in which _entry_error
+    finds no fault.
+    """
+    if set(map(type, vertices)) - {dict}:
+        return None
+    ids = list(map(dict.get, vertices, repeat("id")))
+    labeled = list(map(dict.__contains__, vertices, repeat("label")))
+    texts = list(map(dict.__getitem__, compress(vertices, labeled), repeat("label")))
+    if (
+        set(map(type, ids)) - {int}
+        or set(map(type, texts)) - {str}
+        or set(map(len, texts)) - {n}
+        or "".join(texts).translate(_NOT_BITS)
+        or sorted(ids) != list(range(len(ids)))
+        or set(map(type, edges)) - {list}
+        or set(map(len, edges)) - {2}
+        or set(map(type, chain.from_iterable(edges))) - {int}
+    ):
+        return None
+    labels = dict(zip(compress(ids, labeled), map(int, texts, repeat(2))))
+    # Freed before the edges are built, so that they do not raise the peak.
+    del labeled, texts
+    return len(ids), labels, tuple([(a, b) if a < b else (b, a) for a, b in edges])
+
+
+def _entry_error(n: int, vertices: list, edges: list) -> str | None:
+    """The first fault of a document's vertex and edge lists, in document order, or None."""
     ids: list[int] = []
-    for entry in doc["vertices"]:
+    for entry in vertices:
         if type(entry) is not dict or type(v := entry.get("id")) is not int:
-            raise PreconditionViolated(f"bad vertex entry {entry!r}")
+            return f"bad vertex entry {entry!r}"
         ids.append(v)
         if "label" in entry:
             label = entry["label"]
             if type(label) is not str:
-                raise PreconditionViolated(f"label of vertex {v} is not a string")
-            labels[v] = parse_bits(label, n)
+                return f"label of vertex {v} is not a string"
+            try:
+                parse_bits(label, n)
+            except PreconditionViolated as exc:
+                return str(exc)
     if sorted(ids) != list(range(len(ids))):
-        raise PreconditionViolated("vertex ids must be exactly 0..count-1")
-    edges: list[tuple[int, int]] = []
-    for entry in doc["edges"]:
+        return "vertex ids must be exactly 0..count-1"
+    for entry in edges:
         if (
             type(entry) is not list
             or len(entry) != 2
             or type(entry[0]) is not int
             or type(entry[1]) is not int
         ):
-            raise PreconditionViolated(f"bad edge entry {entry!r}")
-        a, b = entry
-        edges.append((a, b) if a < b else (b, a))
-    return Tree(len(ids), tuple(edges)), (Labeling(n, labels) if labels else None)
+            return f"bad edge entry {entry!r}"
+    return None
 
 
 def tree_to_dot(t: Tree, lab: Labeling | None = None) -> str:

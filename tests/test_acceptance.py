@@ -453,14 +453,14 @@ def test_large_caterpillars_reach_the_bounded_value_route(monkeypatch):
     # level through AtMostNValues, whose two-coset split lifts each side
     # onto a hyperplane coset; one caterpillar per seed, output pinned.
     routes: list[str] = []
-    solve = constructors.solve_pairing
+    solve = constructors._solve_routed
 
-    def recording(inst):
-        part, route = solve(inst)
-        routes.append(route.tag)
-        return part, route
+    def recording(n, hist):
+        tag, queues, trace = solve(n, hist)
+        routes.append(tag)
+        return tag, queues, trace
 
-    monkeypatch.setattr(constructors, "solve_pairing", recording)
+    monkeypatch.setattr(constructors, "_solve_routed", recording)
     docs = []
     for seed, (exponent, diam) in enumerate(((13, 14), (14, 14), (14, 15))):
         spec = odd_caterpillar(1 << exponent, diam, random.Random(seed))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setseq import constructors
+from setseq import constructors, pairing
 from setseq.constructors import (
     BASE_CATERPILLARS,
     PREFIX_MAP,
@@ -36,6 +36,7 @@ from setseq.errors import (
     TooSmall,
 )
 from setseq.gf2 import BitVec, echelon_basis
+from setseq.pairing import partition_errors
 from setseq.trees import (
     CaterpillarSpec,
     Labeling,
@@ -344,14 +345,14 @@ def test_small_diameter_sweep(monkeypatch):
     # Every level's center labels span at most 6 dimensions, so each
     # pairing goes through one of the two coset routes.
     routes: Counter[str] = Counter()
-    solve = constructors.solve_pairing
+    solve = constructors._solve_routed
 
-    def recording(inst):
-        part, route = solve(inst)
-        routes[route.tag] += 1
-        return part, route
+    def recording(n, hist):
+        tag, queues, trace = solve(n, hist)
+        routes[tag] += 1
+        return tag, queues, trace
 
-    monkeypatch.setattr(constructors, "solve_pairing", recording)
+    monkeypatch.setattr(constructors, "_solve_routed", recording)
     rng = random.Random(7)
     for diam in range(2, 19):
         for _ in range(3):
@@ -443,18 +444,49 @@ def test_large_sweep():
 )
 def test_each_pipeline_verifies_its_input_and_its_output_once(pipeline, args, monkeypatch):
     # One check of the fixture or base going in, one of the result coming
-    # out; the levels in between run unchecked.
+    # out; the levels in between run unchecked, and no level checks its
+    # pair partition.
     calls = []
+    partition_checks = []
 
     def counting(tree, lab):
         calls.append(tree.vertex_count)
         return verify_set_sequential(tree, lab)
 
+    def counting_partition_errors(inst, part):
+        partition_checks.append(inst.n)
+        return partition_errors(inst, part)
+
     monkeypatch.setattr(constructors, "verify_set_sequential", counting)
+    monkeypatch.setattr(pairing, "partition_errors", counting_partition_errors)
     tree, lab = pipeline(*args)
     assert len(calls) == 2
     assert calls[-1] == tree.vertex_count
+    assert partition_checks == []
     assert verify_set_sequential(tree, lab).valid
+
+
+def test_large_labeling_splits_each_distinct_group_once(monkeypatch):
+    # At 2^16 vertices and diameter 5 the top level pairs 32,768 targets of
+    # at most four values, halved into 2,048 groups.  Each halving round
+    # splits each distinct group object once, and equal halves stay one
+    # object: splitting every group separately took 3,581 calls here.
+    split = pairing._split_halves
+    calls = []
+
+    def counting_split(hist):
+        calls.append(sum(hist.values()))
+        return split(hist)
+
+    monkeypatch.setattr(pairing, "_split_halves", counting_split)
+    spec = odd_spec(1 << 16, 5, random.Random(1))
+    tree, lab = label_large_caterpillar(spec)
+    assert tree.vertex_count == 1 << 16
+    assert len(calls) == 166
+    # The memos live for one call: the same spec again splits as often.
+    calls.clear()
+    assert label_large_caterpillar(spec) == (tree, lab)
+    assert len(calls) == 166
 
 
 def test_a_pipeline_builds_one_tree_beyond_its_fixture(monkeypatch):
