@@ -34,9 +34,12 @@ from .errors import (
 from .gf2 import MAX_DIM, parse_bits
 from .pairing import (
     PairingInstance,
-    exact_pairing_solver,
+    _exact_in_frame,
+    _finish,
+    # Unused here; kept as cli.exact_pairing_solver and cli.partition_errors,
+    # which bench/tracing.py wraps.
+    exact_pairing_solver,  # noqa: F401
     format_partition,
-    # Unused here; kept as cli.partition_errors, which bench/tracing.py wraps.
     partition_errors,  # noqa: F401
     solve_pairing,
 )
@@ -237,12 +240,18 @@ def _sweep_instances(n: int):
 
 
 def _sweep(n: int) -> tuple[int, list[str]]:
-    """Solve every instance; exact_pairing_solver checks each partition."""
+    """Solve and check every instance.
+
+    Each frame form is solved once, by exact search with one memo for the
+    whole sweep, and each instance's partition is mapped from its form's
+    and checked on its own by _finish.
+    """
     checked = 0
     failures: list[str] = []
+    memo: dict = {}
     for combo in _sweep_instances(n):
         try:
-            exact_pairing_solver(PairingInstance.of(n, combo))
+            _finish(PairingInstance.of(n, combo), _exact_in_frame(n, combo, memo))
         except SetseqError as exc:
             targets = ",".join(f"{v:0{n}b}" for v in combo)
             failures.append(f"{targets} -> {type(exc).__name__}: {exc}")
@@ -324,9 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # The parser is a web of reference cycles; held through a long
+        # command such as a sweep, it ages into the collector's oldest
+        # generation and waits there long after the call returns.
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -345,7 +346,14 @@ def _halve(
     sub, center = _halve(tuple(padded[left : len(padded) - right]), cut)
 
     def pad(v: int) -> int:
-        return min(a + b - v for a, b in sub[0] if v in (a, b) and a + b - v not in center)
+        # Edge j joins vertex j + 1 to a smaller id (build_caterpillar's
+        # numbering, which _hang_pendants extends), so v's neighbors come
+        # smallest first from edge v - 1 on, and the first match is the least.
+        return next(
+            a + b - v
+            for a, b in islice(sub[0], max(v - 1, 0), None)
+            if v in (a, b) and a + b - v not in center
+        )
 
     if left:
         center.insert(0, pad(center[0]))

@@ -28,6 +28,8 @@ is restored once, at the public boundary: the k-th occurrence of a target
 takes the k-th pair of its queue.  The router core, _solve_routed, does
 neither the instance check nor the partition check, so the pipelines that
 call it level by level pay for one check of their finished labeling only.
+The sweep's _exact_in_frame solves each frame form once per call and maps
+its partition onto every instance of that form, which _finish then checks.
 
 The private kernels here and in gf2 share one contract: a search with no
 answer returns None, and a step the theory guarantees raises
@@ -1014,6 +1016,51 @@ def exact_pairing_solver(
         raise CaseNotApplicable(reason)
     deadline = time.monotonic() + budget_seconds
     return _finish(inst, _exact(inst.n, Counter(inst.values), deadline))
+
+
+def _exact_in_frame(
+    n: int, values: Sequence[int], memo: dict[tuple[int, ...], bytes | str]
+) -> _Queues:
+    """A valid instance's queues, mapped from one exact solve of its frame form.
+
+    The frame is the targets that raise the rank, in listed order, then unit
+    vectors at the free pivots; the form is the sorted tuple of the targets'
+    coordinates in it.  An invertible map carries a partition for the form to
+    one for the targets, and a proof that none exists back, so memo, kept by
+    the caller for one call, holds each form's Infeasible message or its
+    partition, as bytes (n <= 6): the first vector p of form entry c's pair
+    (p, p ^ c), which keeps the memo small.  Each instance of the form maps
+    the pairs back by the frame's _span_table.  A search out of budget is not
+    kept: each instance gets its own.  Nothing here checks the result; the
+    caller's _finish does.
+    """
+    lead: dict[int, int] = {}
+    rows = []
+    for v in dict.fromkeys(values):
+        r = v
+        while r and (row := lead.get(r.bit_length())):
+            r ^= row
+        if r:
+            lead[r.bit_length()] = r
+            rows.append(v)
+    rows += [1 << (b - 1) for b in range(n, 0, -1) if b not in lead]
+    table = _span_table(rows)
+    form = tuple(sorted(map(_inverse_table(table).__getitem__, values)))
+    hit = memo.get(form)
+    if hit is None:
+        try:
+            queues = _exact(n, Counter(form), time.monotonic() + _EXACT_BUDGET_S)
+        except Infeasible as exc:
+            hit = str(exc)
+        else:
+            hit = bytes([p for p, _ in _restore(form, queues)])
+        memo[form] = hit
+    if isinstance(hit, str):
+        raise Infeasible(hit)
+    out: _Queues = {}
+    for c, p in zip(form, hit):
+        out.setdefault(table[c], []).append((table[p], table[p ^ c]))
+    return out
 
 
 def _odd_reason(hist: Counter) -> str | None:

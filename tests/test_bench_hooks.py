@@ -45,7 +45,7 @@ def test_every_counter_hook_is_owned():
 def test_package_has_no_unused_imports():
     # A module-level import that its module never reads is dead code, unless
     # __all__ re-exports it or the traced benchmark wraps it there by name
-    # (cli.partition_errors).
+    # (cli.exact_pairing_solver and cli.partition_errors).
     hooked = {(owner.__name__, attr) for owner, attr, *_ in tracing.SPANS + tracing.COUNTERS}
     found = []
     for path in sorted(Path(setseq.__file__).parent.glob("*.py")):

@@ -29,7 +29,7 @@ import setseq
 from setseq import cli, pairing
 from setseq.cli import _label_auto, _sweep_instances, build_parser, main, parse_duration
 from setseq.constructors import fixtures_dir
-from setseq.errors import InternalSearchFailed, SetseqError
+from setseq.errors import Infeasible, InternalSearchFailed, SetseqError
 from setseq.trees import (
     CaterpillarSpec,
     Labeling,
@@ -520,9 +520,47 @@ def test_sweep_enumerates_zero_sum_multisets_in_order(n, count):
     assert list(_sweep_instances(n)) == expected
 
 
+@pytest.mark.parametrize("n, count, forms", [(3, 35, 3), (4, 20295, 255)])
+def test_sweep_searches_each_frame_form_once(capsys, monkeypatch, n, count, forms):
+    # Each instance maps its partition from its frame form's, and only the
+    # distinct forms reach the exact search.
+    solved = []
+    exact = pairing._exact
+
+    def counted(m, hist, deadline=None):
+        solved.append(tuple(sorted(hist.elements())))
+        return exact(m, hist, deadline)
+
+    monkeypatch.setattr(pairing, "_exact", counted)
+    assert run(capsys, "sweep", "--conjecture2", "--n", str(n)) == (
+        0, f"instances={count} failures=0\n", ""
+    )
+    assert len(solved) == len(set(solved)) == forms
+
+
+def test_sweep_reports_a_failed_form_on_each_of_its_instances(capsys, monkeypatch):
+    # A form's error is kept like its partition: the search runs once per form,
+    # and each instance of the form gets a failure line with its own targets.
+    solved = []
+
+    def infeasible(m, hist, deadline=None):
+        solved.append(tuple(sorted(hist.elements())))
+        raise Infeasible("no partition")
+
+    monkeypatch.setattr(pairing, "_exact", infeasible)
+    code, out, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")
+    assert code == 1
+    expected = [
+        "failure: " + ",".join(f"{v:03b}" for v in combo) + " -> Infeasible: no partition"
+        for combo in _sweep_instances(3)
+    ]
+    assert out.splitlines() == expected + ["instances=35 failures=35"]
+    assert len(solved) == len(set(solved)) == 3
+
+
 def test_sweep_reports_invalid_solver_output(capsys, monkeypatch):
-    # The sweep checks each partition once, inside the solver: a wrong answer
-    # still surfaces as a failure line, never as a pass.
+    # The sweep checks each instance's partition once, in _finish: a wrong
+    # answer still surfaces as a failure line, never as a pass.
     restore = pairing._restore
     monkeypatch.setattr(pairing, "_restore", lambda values, queues: restore(values, queues)[::-1])
     code, out, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")

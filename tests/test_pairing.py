@@ -36,12 +36,13 @@ from setseq.pairing import (
     solve_pairing,
 )
 # Tested directly: the infeasible branch, the coset lift's halving and
-# even-lift steps, the half-dimension case's three-value splitting and the
-# three-coset case's layout candidates, which no public call exposes on
-# their own.
+# even-lift steps, the half-dimension case's three-value splitting, the
+# three-coset case's layout candidates and the sweep's frame-form solve,
+# which no public call exposes on their own.
 from setseq.pairing import (
     _coset_group_splits,
     _exact,
+    _exact_in_frame,
     _halve_rounds,
     _lift_even,
     _restore,
@@ -373,6 +374,27 @@ def test_exact_random_instances_n4(seed):
     n, values = instgen.any_valid_instance(random.Random(seed), 4)
     inst = build(n, values)
     assert_valid(inst, exact_pairing_solver(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 10**6), st.booleans())
+def test_frame_form_partition_maps_onto_the_instance(n, seed, low_span):
+    # The partition solved for the frame form, mapped back, is the
+    # instance's own; a full-rank instance's image under an invertible map
+    # has the same form, so it maps from the memo without a second solve.
+    rng = random.Random(seed)
+    make = instgen.dim_le5_instance if low_span else instgen.any_valid_instance
+    _, values = make(rng, n)
+    memo = {}
+    images = [values]
+    if instgen.rank_of(values) == n:
+        table = instgen.span_of(instgen.random_independent(rng, n, n))
+        images.append([table[v] for v in values])
+    for image in images:
+        queues = _exact_in_frame(n, image, memo)
+        part = PairPartition(n, tuple(_restore(image, queues)))
+        assert partition_errors(build(n, image), part) == []
+    assert len(memo) == 1
 
 
 # ---------------------------------------------------------------------------
