@@ -35,7 +35,6 @@ from .gf2 import MAX_DIM, parse_bits
 from .pairing import (
     PairingInstance,
     _exact_in_frame,
-    _finish,
     # Unused here; kept as cli.exact_pairing_solver and cli.partition_errors,
     # which bench/tracing.py wraps.
     exact_pairing_solver,  # noqa: F401
@@ -242,16 +241,16 @@ def _sweep_instances(n: int):
 def _sweep(n: int) -> tuple[int, list[str]]:
     """Solve and check every instance.
 
-    Each frame form is solved once, by exact search with one memo for the
-    whole sweep, and each instance's partition is mapped from its form's
-    and checked on its own by _finish.
+    One memo for the whole sweep keeps each frame's tables and each frame
+    form's exact solution, so an instance costs a frame lookup, one pass
+    that maps its form's pairs into its target order, and its own check.
     """
     checked = 0
     failures: list[str] = []
     memo: dict = {}
     for combo in _sweep_instances(n):
         try:
-            _finish(PairingInstance.of(n, combo), _exact_in_frame(n, combo, memo))
+            _exact_in_frame(PairingInstance.of(n, combo), memo)
         except SetseqError as exc:
             targets = ",".join(f"{v:0{n}b}" for v in combo)
             failures.append(f"{targets} -> {type(exc).__name__}: {exc}")

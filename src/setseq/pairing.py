@@ -29,7 +29,8 @@ takes the k-th pair of its queue.  The router core, _solve_routed, does
 neither the instance check nor the partition check, so the pipelines that
 call it level by level pay for one check of their finished labeling only.
 The sweep's _exact_in_frame solves each frame form once per call and maps
-its partition onto every instance of that form, which _finish then checks.
+its pairs straight into each instance's target order, for _checked, the
+check _finish runs after _restore.
 
 The private kernels here and in gf2 share one contract: a search with no
 answer returns None, and a step the theory guarantees raises
@@ -983,8 +984,12 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
 
 
 def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
-    """The one check of every public solver's output, put in target order first."""
-    raw = _restore(inst.values, queues)
+    """A solver's queues, put in target order and checked."""
+    return _checked(inst, _restore(inst.values, queues))
+
+
+def _checked(inst: PairingInstance, raw: Iterable[tuple[int, int]]) -> PairPartition:
+    """The one check of every public solver's output: pairs in target order, each small first."""
     part = PairPartition(inst.n, tuple([pq if pq[0] < pq[1] else pq[::-1] for pq in raw]))
     errs = partition_errors(inst, part)
     if errs:
@@ -1019,9 +1024,9 @@ def exact_pairing_solver(
 
 
 def _exact_in_frame(
-    n: int, values: Sequence[int], memo: dict[tuple[int, ...], bytes | str]
-) -> _Queues:
-    """A valid instance's queues, mapped from one exact solve of its frame form.
+    inst: PairingInstance, memo: dict[bytes | tuple[int, ...], bytes | str]
+) -> PairPartition:
+    """A valid instance's checked partition, mapped from one exact solve of its frame form.
 
     The frame is the targets that raise the rank, in listed order, then unit
     vectors at the free pivots; the form is the sorted tuple of the targets'
@@ -1029,11 +1034,14 @@ def _exact_in_frame(
     one for the targets, and a proof that none exists back, so memo, kept by
     the caller for one call, holds each form's Infeasible message or its
     partition, as bytes (n <= 6): the first vector p of form entry c's pair
-    (p, p ^ c), which keeps the memo small.  Each instance of the form maps
-    the pairs back by the frame's _span_table.  A search out of budget is not
-    kept: each instance gets its own.  Nothing here checks the result; the
-    caller's _finish does.
+    (p, p ^ c).  Keyed by the bytes of its rows, never a form's key, memo
+    holds each frame's _span_table then _inverse_table, as one bytes.  A
+    stable sort of the coordinates gives the k-th occurrence of a target
+    the k-th form position holding it, as _restore would, so one pass maps
+    the pairs by the table straight into target order for _checked.  A
+    search out of budget is not kept: each instance gets its own.
     """
+    n, values = inst.n, inst.values
     lead: dict[int, int] = {}
     rows = []
     for v in dict.fromkeys(values):
@@ -1043,9 +1051,18 @@ def _exact_in_frame(
         if r:
             lead[r.bit_length()] = r
             rows.append(v)
-    rows += [1 << (b - 1) for b in range(n, 0, -1) if b not in lead]
-    table = _span_table(rows)
-    form = tuple(sorted(map(_inverse_table(table).__getitem__, values)))
+            if len(rows) == n:
+                break
+    else:  # short of full rank
+        rows += [1 << (b - 1) for b in range(n, 0, -1) if b not in lead]
+    frame = bytes(rows)
+    tables = memo.get(frame)
+    if tables is None:
+        table = _span_table(rows)
+        tables = memo[frame] = bytes(table + _inverse_table(table))
+    size = 1 << n
+    coords = [tables[size + v] for v in values]
+    form = tuple(sorted(coords))
     hit = memo.get(form)
     if hit is None:
         try:
@@ -1057,10 +1074,10 @@ def _exact_in_frame(
         memo[form] = hit
     if isinstance(hit, str):
         raise Infeasible(hit)
-    out: _Queues = {}
-    for c, p in zip(form, hit):
-        out.setdefault(table[c], []).append((table[p], table[p ^ c]))
-    return out
+    raw: list = [None] * len(values)
+    for i, c, p in zip(sorted(range(len(coords)), key=coords.__getitem__), form, hit):
+        raw[i] = (tables[p], tables[p ^ c])
+    return _checked(inst, raw)
 
 
 def _odd_reason(hist: Counter) -> str | None:

@@ -520,22 +520,36 @@ def test_sweep_enumerates_zero_sum_multisets_in_order(n, count):
     assert list(_sweep_instances(n)) == expected
 
 
-@pytest.mark.parametrize("n, count, forms", [(3, 35, 3), (4, 20295, 255)])
-def test_sweep_searches_each_frame_form_once(capsys, monkeypatch, n, count, forms):
+@pytest.mark.parametrize(
+    "n, count, forms, frames",
+    [(2, 3, 1, 3), (3, 35, 3, 29), (4, 20295, 255, 1324)],
+    ids=["2-3-1", "3-35-3", "4-20295-255"],
+)
+def test_sweep_searches_each_frame_form_once(capsys, monkeypatch, n, count, forms, frames):
     # Each instance maps its partition from its frame form's, and only the
-    # distinct forms reach the exact search.
+    # distinct forms reach the exact search.  Each distinct frame builds its
+    # tables once, n = 2 included, where a frame has as many rows as a form
+    # has entries and one memo keeps both.
     solved = []
+    built = []
     exact = pairing._exact
+    span_table = pairing._span_table
 
     def counted(m, hist, deadline=None):
         solved.append(tuple(sorted(hist.elements())))
         return exact(m, hist, deadline)
 
+    def counted_table(rows):
+        built.append(tuple(rows))
+        return span_table(rows)
+
     monkeypatch.setattr(pairing, "_exact", counted)
+    monkeypatch.setattr(pairing, "_span_table", counted_table)
     assert run(capsys, "sweep", "--conjecture2", "--n", str(n)) == (
         0, f"instances={count} failures=0\n", ""
     )
     assert len(solved) == len(set(solved)) == forms
+    assert len(built) == len(set(built)) == frames
 
 
 def test_sweep_reports_a_failed_form_on_each_of_its_instances(capsys, monkeypatch):
@@ -559,10 +573,10 @@ def test_sweep_reports_a_failed_form_on_each_of_its_instances(capsys, monkeypatc
 
 
 def test_sweep_reports_invalid_solver_output(capsys, monkeypatch):
-    # The sweep checks each instance's partition once, in _finish: a wrong
-    # answer still surfaces as a failure line, never as a pass.
-    restore = pairing._restore
-    monkeypatch.setattr(pairing, "_restore", lambda values, queues: restore(values, queues)[::-1])
+    # The sweep checks each instance's mapped pairs once, in _checked: a
+    # wrong answer still surfaces as a failure line, never as a pass.
+    checked = pairing._checked
+    monkeypatch.setattr(pairing, "_checked", lambda inst, raw: checked(inst, list(raw)[::-1]))
     code, out, _ = run(capsys, "sweep", "--conjecture2", "--n", "3")
     lines = out.strip().splitlines()
     assert code == 1

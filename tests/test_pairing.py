@@ -390,11 +390,43 @@ def test_frame_form_partition_maps_onto_the_instance(n, seed, low_span):
     if instgen.rank_of(values) == n:
         table = instgen.span_of(instgen.random_independent(rng, n, n))
         images.append([table[v] for v in values])
-    for image in images:
-        queues = _exact_in_frame(n, image, memo)
-        part = PairPartition(n, tuple(_restore(image, queues)))
-        assert partition_errors(build(n, image), part) == []
-    assert len(memo) == 1
+    solved = []
+    exact = pairing._exact
+
+    def spy(m, hist, deadline=None):
+        solved.append(hist)
+        return exact(m, hist, deadline)
+
+    pairing._exact = spy
+    try:
+        for image in images:
+            inst = build(n, image)
+            part = _exact_in_frame(inst, memo)
+            assert part.n == n and partition_errors(inst, part) == []
+    finally:
+        pairing._exact = exact
+    assert len(solved) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10**6), st.booleans())
+def test_frame_pairs_come_in_the_order_restore_gives(n, seed, low_span):
+    # _exact_in_frame writes each pair straight into target order; that
+    # order is the one _restore gives the form's pairs kept as per-target
+    # queues, the k-th occurrence of a target taking the k-th pair of its
+    # queue.  At n = 2 the two targets are equal, so every instance is
+    # already of low span, and dim_le5_instance needs n >= 3.
+    rng = random.Random(seed)
+    make = instgen.dim_le5_instance if low_span and n > 2 else instgen.any_valid_instance
+    _, values = make(rng, n)
+    memo = {}
+    part = _exact_in_frame(build(n, values), memo)
+    (tables,) = [memo[key] for key in memo if type(key) is bytes]
+    ((form, firsts),) = [(key, memo[key]) for key in memo if type(key) is tuple]
+    queues = {}
+    for c, p in zip(form, firsts):
+        queues.setdefault(tables[c], []).append((tables[p], tables[p ^ c]))
+    assert [sorted(pq) for pq in part.pairs] == [sorted(pq) for pq in _restore(values, queues)]
 
 
 # ---------------------------------------------------------------------------
