@@ -30,6 +30,7 @@ from .errors import (
     PreconditionViolated,
     SetseqError,
     TooFewVertices,
+    _as_int,
 )
 from .gf2 import MAX_DIM, parse_bits
 from .pairing import (
@@ -99,6 +100,14 @@ def _seed(text: str) -> int:
     if not text.isdecimal() or not int(text) < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be an int in 0..2**64-1, got {text!r}")
     return int(text)
+
+
+def _int(text: str) -> int:
+    """An int option as int() reads it, except that "1_0" is invalid, not 10."""
+    try:
+        return _as_int(text, f"invalid int value: {text!r}")
+    except PreconditionViolated as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_document(path: str) -> str:
@@ -307,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     pendants.set_defaults(run=_run_construct_pendants)
     copies = construct_sub.add_parser("four-copies", help="quadruple via the long-path sequence")
     copies.add_argument("--base", required=True, metavar="JSON")
-    copies.add_argument("--u", type=int, required=True)
-    copies.add_argument("--v", type=int, required=True)
+    copies.add_argument("--u", type=_int, required=True)
+    copies.add_argument("--v", type=_int, required=True)
     copies.set_defaults(run=_run_construct_four_copies)
 
     search = sub.add_parser("search", help="randomized or exhaustive labeling search")
@@ -326,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--conjecture2", action="store_true", required=True)
     # Above n = 4 the instance count explodes (about 3e10 at n = 5) and the
     # sweep has no time budget, so it refuses rather than run unbounded.
-    sweep.add_argument("--n", type=int, choices=range(1, 5), required=True)
+    sweep.add_argument("--n", type=_int, choices=range(1, 5), required=True)
     sweep.set_defaults(run=_run_sweep)
     return parser
 

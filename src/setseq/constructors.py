@@ -51,6 +51,7 @@ from .errors import (
     TargetSumNonzero,
     TooFewVertices,
     TooSmall,
+    _as_int,
     _as_tuple,
 )
 from .pairing import (
@@ -213,10 +214,8 @@ class PendantPlan:
             head, sep, tail = part.strip().partition(":")
             if not sep:
                 raise PreconditionViolated(f"expected id:count, got {part.strip()!r}")
-            try:
-                anchors.append((int(head), int(tail)))
-            except ValueError as exc:
-                raise PreconditionViolated(f"bad id:count pair {part.strip()!r}") from exc
+            what = f"bad id:count pair {part.strip()!r}"
+            anchors.append((_as_int(head, what), _as_int(tail, what)))
         return cls(tuple(anchors))
 
     def total(self) -> int:

@@ -55,6 +55,16 @@ def _as_tuple(items: object, what: str) -> tuple:
         raise PreconditionViolated(f"{what}, got {type(items).__name__}") from None
 
 
+def _as_int(text: str, what: str) -> int:
+    """int(text), or PreconditionViolated(what): no int, or one written with int()'s "_"."""
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise PreconditionViolated(what)
+
+
 class NotCovered(SetseqError):
     """The instance falls outside every implemented constructive case."""
 

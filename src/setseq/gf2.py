@@ -16,12 +16,13 @@ trees.Labeling.vertex_labels.  These check their arguments.
 The underscore kernels serve pairing alone and trust its arguments.  A
 kernel with no answer returns None; a broken invariant raises
 InternalSearchFailed, which no caller in the package catches.  One
-reduced row-echelon pass, _rref, serves every elimination: spans, coset
-frames and parity systems.  One table, _span_table, evaluates every linear
-map: coset representatives, coordinate frames and changes of basis are all
-lookups in it, and _inverse_table inverts a change of basis.  One call,
-_lift_frame, builds every coset frame: the rows of a subspace containing a
-span and the smallest representative of each of its cosets.
+reduced row-echelon pass, _rref, serves spans, coset frames and parity
+systems, and one kernel, _basis_from, completes every basis.  One table,
+_span_table, evaluates every linear map: coset representatives,
+coordinate frames and changes of basis are all lookups in it, and
+_inverse_table inverts a change of basis.  One call, _lift_frame, builds
+every coset frame: the rows of a subspace containing a span and the
+smallest representative of each of its cosets.
 """
 from __future__ import annotations
 
@@ -106,6 +107,24 @@ def echelon_basis(values: Iterable[int], dim: int) -> tuple[int, ...]:
     return tuple(_rref(values))
 
 
+def _basis_from(values: Iterable[int], dim: int) -> list[int]:
+    """A basis of F_2^dim: the values that raise the rank, in listed order, then
+    the units at the positions no leading bit takes, most significant first.
+    """
+    lead: dict[int, int] = {}
+    rows: list[int] = []
+    for v in values:
+        r = v
+        while r and (row := lead.get(r.bit_length())):
+            r ^= row
+        if r:
+            lead[r.bit_length()] = r
+            rows.append(v)
+            if len(rows) == dim:
+                return rows
+    return rows + [1 << (b - 1) for b in range(dim, 0, -1) if b not in lead]
+
+
 def _lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], list[int]]:
     """A rank-dimensional frame containing the span of values, and its cosets.
 
@@ -121,10 +140,8 @@ def _lift_frame(values: Iterable[int], dim: int, rank: int) -> tuple[list[int], 
         raise InternalSearchFailed(f"frame rank {rank!r} outside {len(rows)}..{dim}")
     # Leading bits are all distinct, so value order is leading-bit order.
     # The smallest vector of each coset is the one that vanishes on them.
-    pivots = {r.bit_length() - 1 for r in rows}
-    free = [1 << p for p in range(dim - 1, -1, -1) if p not in pivots]
-    take = rank - len(rows)
-    return sorted(rows + free[:take], reverse=True), _span_table(free[take:])
+    basis = _basis_from(rows, dim)
+    return sorted(basis[:rank], reverse=True), _span_table(basis[rank:])
 
 
 def _zero_sum_subset(values: Sequence[int], sizes: Sequence[int]) -> tuple[int, ...] | None:

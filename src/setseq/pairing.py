@@ -59,6 +59,7 @@ from .errors import (
 )
 from .gf2 import (
     MAX_DIM,
+    _basis_from,
     _inverse_table,
     _lift_frame,
     _solve_parity_system,
@@ -571,7 +572,7 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
             break
     else:
         raise InternalSearchFailed("no anchor for the even lift")
-    back = _span_table((u, *(r for r in _lift_frame([u], n, n)[0] if r != u)))
+    back = _span_table(_basis_from([u], n))
     fwd = _inverse_table(back)
     e1 = 1 << (n - 1)
     s = fwd[pair_sum] & (e1 - 1)
@@ -842,12 +843,7 @@ def _case_three_coset(n: int, hist: Counter, odds: list[int], trace: list[str]) 
 
     a, b, lam2, group1, group2, head1, head2, alloc = first_layout()
 
-    rows = [lam1, lam2]
-    for unit in (1 << p for p in range(n - 1, -1, -1)):
-        if len(rows) == n:
-            break
-        if len(echelon_basis([*rows, unit], n)) > len(rows):
-            rows.append(unit)
+    rows = _basis_from([lam1, lam2, *(1 << p for p in range(n - 1, -1, -1))], n)
     # x maps to its functional values: bit n - 1 - i of its image is
     # parity(rows[i] & x).  The unit at bit n - 1 - j maps to column j of rows.
     cols = [
@@ -1028,33 +1024,20 @@ def _exact_in_frame(
 ) -> PairPartition:
     """A valid instance's checked partition, mapped from one exact solve of its frame form.
 
-    The frame is the targets that raise the rank, in listed order, then unit
-    vectors at the free pivots; the form is the sorted tuple of the targets'
-    coordinates in it.  An invertible map carries a partition for the form to
-    one for the targets, and a proof that none exists back, so memo, kept by
-    the caller for one call, holds each form's Infeasible message or its
-    partition, as bytes (n <= 6): the first vector p of form entry c's pair
-    (p, p ^ c).  Keyed by the bytes of its rows, never a form's key, memo
-    holds each frame's _span_table then _inverse_table, as one bytes.  A
-    stable sort of the coordinates gives the k-th occurrence of a target
-    the k-th form position holding it, as _restore would, so one pass maps
-    the pairs by the table straight into target order for _checked.  A
+    The frame is _basis_from's basis for the distinct targets; the form is the
+    sorted tuple of the targets' coordinates in it.  An invertible map carries
+    a partition for the form to one for the targets, and a proof that none
+    exists back, so memo, kept by the caller for one call, holds each form's
+    Infeasible message or its partition, as bytes (n <= 6): the first vector p
+    of form entry c's pair (p, p ^ c).  Keyed by the bytes of its rows, never a
+    form's key, memo holds each frame's _span_table then _inverse_table, as
+    one bytes.  A stable sort of the coordinates gives the k-th occurrence of
+    a target the k-th form position holding it, as _restore would, so one pass
+    maps the pairs by the table straight into target order for _checked.  A
     search out of budget is not kept: each instance gets its own.
     """
     n, values = inst.n, inst.values
-    lead: dict[int, int] = {}
-    rows = []
-    for v in dict.fromkeys(values):
-        r = v
-        while r and (row := lead.get(r.bit_length())):
-            r ^= row
-        if r:
-            lead[r.bit_length()] = r
-            rows.append(v)
-            if len(rows) == n:
-                break
-    else:  # short of full rank
-        rows += [1 << (b - 1) for b in range(n, 0, -1) if b not in lead]
+    rows = _basis_from(dict.fromkeys(values), n)
     frame = bytes(rows)
     tables = memo.get(frame)
     if tables is None:

@@ -28,7 +28,7 @@ from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError, _as_tuple
+from .errors import NonCanonical, OutOfRange, PreconditionViolated, SetseqError, _as_int, _as_tuple
 from .gf2 import MAX_DIM, BitVec, parse_bits
 
 __all__ = [
@@ -189,12 +189,8 @@ class CaterpillarSpec:
         s = text.strip()
         if not (s.startswith("T[") and s.endswith("]")):
             raise PreconditionViolated(f"expected T[d1,...,dk], got {text!r}")
-        body = s[2:-1]
-        try:
-            degrees = tuple(int(p.strip()) for p in body.split(","))
-        except ValueError as exc:
-            raise PreconditionViolated(f"bad degree list in {text!r}") from exc
-        return cls(degrees)
+        what = f"bad degree list in {text!r}"
+        return cls(tuple(_as_int(p.strip(), what) for p in s[2:-1].split(",")))
 
     def __str__(self) -> str:
         return "T[" + ",".join(str(d) for d in self.degrees) + "]"

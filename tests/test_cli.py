@@ -355,6 +355,16 @@ def test_verify_reports_violations(capsys, tmp_path):
     assert any("DuplicateValue" in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("command", [["verify"], ["label", "--tree"]])
+def test_a_document_that_is_not_utf8_is_a_precondition_error(capsys, tmp_path, command):
+    doc = tmp_path / "bytes.json"
+    doc.write_bytes(b"\xff")
+    code, out, err = run(capsys, *command, str(doc))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error=PreconditionViolated: {doc}: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+
+
 def verify_in_subprocess(doc):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -596,6 +606,10 @@ def test_sweep_usage(capsys):
     assert run(capsys, "sweep", "--conjecture2", "--n", "0")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "5")[0] == 2
     assert run(capsys, "sweep", "--conjecture2", "--n", "1")[1] == "instances=0 failures=0\n"
+    # int() alone reads "0_2" as 2.
+    code, _, err = run(capsys, "sweep", "--conjecture2", "--n", "0_2")
+    assert code == 2
+    assert err.splitlines()[-1].endswith("argument --n: invalid int value: '0_2'")
 
 
 # ---------------------------------------------------------------------------

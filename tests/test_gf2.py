@@ -20,6 +20,7 @@ from setseq import errors
 from setseq.errors import InternalSearchFailed, PreconditionViolated
 from setseq.gf2 import (
     BitVec,
+    _basis_from,
     _inverse_table,
     _lift_frame,
     _solve_parity_system,
@@ -291,6 +292,47 @@ def test_lift_frame_reps_cover_everything_once(n, seed):
         seen |= coset
     assert seen == set(range(1 << n))
     assert reps == sorted(reps)
+
+
+# ---------------------------------------------------------------------------
+# _basis_from
+
+
+@given(st.data())
+def test_basis_from_keeps_the_rank_raising_values_then_the_free_units(data):
+    n = data.draw(st.integers(1, 8))
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    rows = _basis_from(values, n)
+    assert len(rows) == rank_oracle(rows, n) == n
+    prefix = []
+    for v in values:
+        if len(prefix) < n and rank_oracle(prefix + [v], n) > len(prefix):
+            prefix.append(v)
+    assert rows[: len(prefix)] == prefix
+    pivots = {r.bit_length() - 1 for r in echelon_basis(values, n)}
+    assert rows[len(prefix) :] == [1 << p for p in range(n - 1, -1, -1) if p not in pivots]
+
+
+def test_basis_from_one_value_is_the_old_lift_frame_filter():
+    # The even lift's frame was _lift_frame's rows with u moved to the front.
+    for n in range(1, 7):
+        for u in range(1, 1 << n):
+            rest = [r for r in _lift_frame([u], n, n)[0] if r != u]
+            assert _basis_from([u], n) == [u, *rest]
+
+
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_basis_from_listed_units_is_the_old_greedy_unit_loop(n, seed):
+    # The three-coset frame was two functionals, then each unit, most
+    # significant first, that echelon_basis showed raises the rank.
+    lam1, lam2 = random.Random(seed).sample(range(1, 1 << n), 2)
+    rows = [lam1, lam2]
+    for unit in (1 << p for p in range(n - 1, -1, -1)):
+        if len(rows) == n:
+            break
+        if len(echelon_basis([*rows, unit], n)) > len(rows):
+            rows.append(unit)
+    assert _basis_from([lam1, lam2, *(1 << p for p in range(n - 1, -1, -1))], n) == rows
 
 
 # ---------------------------------------------------------------------------

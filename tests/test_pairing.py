@@ -699,9 +699,8 @@ def test_lift_solves_each_distinct_group_once(monkeypatch):
     assert len(calls) == 84
 
 
-def test_lift_frames_build_no_basis(monkeypatch):
-    # The same DimHalfEven solve calls echelon_basis once, for the router's
-    # span: every coset frame of its nested lifts comes from gf2.lift_frame.
+def count_echelon_bases(monkeypatch):
+    """Wrap pairing.echelon_basis; the returned list grows by one dim per call."""
     made = []
     echelon_basis = pairing.echelon_basis
 
@@ -710,11 +709,31 @@ def test_lift_frames_build_no_basis(monkeypatch):
         return echelon_basis(values, dim)
 
     monkeypatch.setattr(pairing, "echelon_basis", counting_echelon_basis)
+    return made
+
+
+def test_lift_frames_build_no_basis(monkeypatch):
+    # The same DimHalfEven solve calls echelon_basis once, for the router's
+    # span: every coset frame of its nested lifts comes from gf2.lift_frame.
+    made = count_echelon_bases(monkeypatch)
     inst = build(*instgen.even_span_instance(random.Random(14), 14, 7))
     part, route = solve_pairing(inst)
     assert route.tag == "DimHalfEven"
     assert_valid(inst, part)
     assert made == [14]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_three_coset_frame_builds_no_basis(monkeypatch, n):
+    # The three-coset case completes its functional frame with
+    # gf2._basis_from, so the router's span is the only basis the solve
+    # builds.
+    made = count_echelon_bases(monkeypatch)
+    inst = build(*instgen.three_coset_instance(random.Random(n), n))
+    part, route = solve_pairing(inst, "AtMostNValues")
+    assert_valid(inst, part)
+    assert any(entry.startswith(f"three-coset n={n} ") for entry in route.trace)
+    assert made == [n]
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ def test_spec_parse_and_str_roundtrip():
 
 
 def test_spec_parse_rejects_garbage():
-    for bad in ("T[]", "T[3,3", "[3,3]", "T[a]", "T"):
+    # "T[3_3]": int() alone would read the digit separator as T[33].
+    for bad in ("T[]", "T[3,3", "[3,3]", "T[a]", "T", "T[3_3]"):
         with pytest.raises(PreconditionViolated):
             CaterpillarSpec.parse(bad)
 
