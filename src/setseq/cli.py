@@ -74,7 +74,7 @@ _TAG_TO_FLAG = {tag: flag for flag, tag in ROUTE_FLAGS.items()}
 #: Flag vocabulary for search --strategy.
 _STRATEGY_FLAGS = {"greedy": GREEDY_RESTART, "exhaustive": BACKTRACKING}
 
-_DURATION = re.compile(r"(\d+(?:\.\d+)?)([sm]?)\Z")
+_DURATION = re.compile(r"(\d+(?:\.\d+)?)([sm]?)\Z", re.ASCII)
 
 
 def parse_duration(text: str) -> float:
@@ -90,14 +90,14 @@ def parse_duration(text: str) -> float:
 
 def _dimension(text: str) -> int:
     """The n of pair-solve: an int in 2..MAX_DIM, checked before any target is read."""
-    if not text.isdecimal() or not 2 <= int(text) <= MAX_DIM:
+    if not (text.isascii() and text.isdecimal()) or not 2 <= int(text) <= MAX_DIM:
         raise argparse.ArgumentTypeError(f"n must be an int in 2..{MAX_DIM}, got {text!r}")
     return int(text)
 
 
 def _seed(text: str) -> int:
     """The search seed: an int in 0..2^64-1, checked before the tree is read."""
-    if not text.isdecimal() or not int(text) < 1 << 64:
+    if not (text.isascii() and text.isdecimal()) or not int(text) < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be an int in 0..2**64-1, got {text!r}")
     return int(text)
 

@@ -19,19 +19,18 @@ Three ways to manufacture verified set-sequential labelings:
 Inside a pipeline, a labeled tree is a plain edge list, the label width n
 and one int label per vertex id (so the vertex count is the label count).
 No intermediate tree or labeling is built or verified, and no level goes
-through solve_pairing: each calls pairing's router core, which neither
-validates the instance nor checks the partition, and only restores target
-order.  Each public call verifies its input (the base labeling or the
-bundled fixture) once, then builds and verifies the one Tree and Labeling
-it returns, raising InternalSearchFailed rather than returning anything
-unchecked.  One final check is enough: pendant doubling keeps every old
-label as the 0-prefixed part of the new labeling, so the output verifies
-only if every level below it did.
+through solve_pairing: each hands its targets to pairing's router core,
+which returns the pairs in target order but neither validates the instance
+nor checks the partition.  Each public call verifies its input (the base
+labeling or the bundled fixture) once, then builds and verifies the one
+Tree and Labeling it returns, raising InternalSearchFailed rather than
+returning anything unchecked.  One final check is enough: pendant
+doubling keeps every old label as the 0-prefixed part of the new
+labeling, so the output verifies only if every level below it did.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
@@ -55,7 +54,6 @@ from .errors import (
     _as_tuple,
 )
 from .pairing import (
-    _restore,
     _solve_routed,
     # Unused here; kept as constructors.solve_pairing, which bench/tracing.py wraps.
     solve_pairing,  # noqa: F401
@@ -227,16 +225,16 @@ def _hang_pendants(labeled: _Labeled, anchors: list[int]) -> _Labeled:
 
     Old labels keep their value (a 0 prefix at width n + 1); the i-th new
     pendant vertex gets p_i | 2^n, so its edge gets q_i | 2^n, where
-    (p_i, q_i) is the i-th pair of a partition of F_2^n targeted at the
-    anchor labels.  New pendant ids start at |V(base)| and follow the
-    anchor order.  p_i is the smaller vector of its pair.  Neither the
-    targets nor the partition are checked here: the caller's one final
-    verification covers every level.
+    (p_i, q_i) is the i-th pair, in target order, that the router core
+    returns for the anchor labels.  New pendant ids start at |V(base)| and
+    follow the anchor order.  p_i is the smaller vector of its pair.
+    Neither the targets nor the partition are checked here: the caller's
+    one final verification covers every level.
     """
     edges, n, labels = labeled
     targets = list(map(labels.__getitem__, anchors))
     try:
-        _tag, queues, _trace = _solve_routed(n, Counter(targets))
+        _tag, pairs, _trace = _solve_routed(n, targets)
     except NotCovered as exc:
         raise PairingNotCovered(str(exc)) from exc
     first = len(labels)
@@ -244,7 +242,7 @@ def _hang_pendants(labeled: _Labeled, anchors: list[int]) -> _Labeled:
     return (
         edges + list(zip(anchors, range(first, first + len(anchors)))),
         n + 1,
-        labels + [(p if p < q else q) | top for p, q in _restore(targets, queues)],
+        labels + [(p if p < q else q) | top for p, q in pairs],
     )
 
 

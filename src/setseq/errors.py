@@ -56,8 +56,8 @@ def _as_tuple(items: object, what: str) -> tuple:
 
 
 def _as_int(text: str, what: str) -> int:
-    """int(text), or PreconditionViolated(what): no int, or one written with int()'s "_"."""
-    if "_" not in text:
+    """int(text), or PreconditionViolated(what): no int, or one with "_" or non-ASCII digits."""
+    if "_" not in text and text.isascii():
         try:
             return int(text)
         except ValueError:

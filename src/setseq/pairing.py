@@ -23,14 +23,14 @@ once per call, from memos that live for that call: a halving round splits
 each distinct group object once and hands equal halves on as one object,
 the lift maps each distinct group object into frame coordinates once, and
 solves each distinct histogram once.  A nested lift composes its coset map
-with its caller's, so each pair is mapped once, into F_2^n.  Target order
-is restored once, at the public boundary: the k-th occurrence of a target
-takes the k-th pair of its queue.  The router core, _solve_routed, does
-neither the instance check nor the partition check, so the pipelines that
-call it level by level pay for one check of their finished labeling only.
-The sweep's _exact_in_frame solves each frame form once per call and maps
-its pairs straight into each instance's target order, for _checked, the
-check _finish runs after _restore.
+with its caller's, so each pair is mapped once, into F_2^n.  The router
+core, _solve_routed, is the one way into the route solvers.  It restores
+target order once (the k-th occurrence of a target takes the k-th pair of
+its queue) and checks nothing, so the pipelines that call it level by
+level pay for one check of their finished labeling only, and solve_pairing
+and exact_pairing_solver run _checked on its pairs.  The sweep's
+_exact_in_frame solves each frame form once per call and maps its pairs
+straight into each instance's target order, for the same _checked.
 
 The private kernels here and in gf2 share one contract: a search with no
 answer returns None, and a step the theory guarantees raises
@@ -196,8 +196,8 @@ def format_partition(part: PairPartition) -> str:
 # exact backtracking solver
 
 # All internal helpers below work on plain ints.  Every solver takes a target
-# histogram and returns per-target queues of pairs; _finish restores the
-# instance's target order and checks the result once, at the public boundary.
+# histogram and returns per-target queues of pairs; _solve_routed restores
+# the instance's target order.
 
 
 #: Each target's pairs in queue order; the solution of one instance or group.
@@ -229,12 +229,12 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
     A node adds the masks by carry-save into bit planes p0, p1, p2 and high,
     one per binary digit of each vector's count of usable targets, and
     narrows to the least count top plane first.  The root, with every
-    target nonzero and none needing more than the space, gives all vectors
-    one count and takes vector 0 uncounted.  A child clears the pair and its
-    partners from each mask with _BIT lookups.  The last target left is
-    feasible exactly when its mask is the free set; its pairs go straight
-    into the queues.  Every node is counted, so the search tree and node
-    count are those of a scan of every free vector against every target.
+    target nonzero, gives all vectors one count and takes vector 0
+    uncounted.  A child clears the pair and its partners from each mask
+    with _BIT lookups.  The last target left is feasible exactly when its
+    mask is the free set; its pairs go straight into the queues.  Every
+    node is counted, so the search tree and node count are those of a scan
+    of every free vector against every target.
     """
     out: _Queues = {v: [] for v in hist}
     full = (1 << (1 << n)) - 1
@@ -307,7 +307,7 @@ def _exact(n: int, hist: Counter, deadline: float | None = None) -> _Queues:
 
     vals = sorted(hist)
     needs = [2 * hist[v] for v in vals]
-    flat_root = vals[0] != 0 and max(needs) <= 1 << n
+    flat_root = vals[0] != 0
     if not rec(full, vals, needs, [full if v else 0 for v in vals]):
         raise Infeasible(f"search space exhausted for n={n} after {nodes} nodes")
     return out
@@ -522,9 +522,9 @@ def _small_dim(
 
 
 def _expand_slots(
-    n: int, table: list[int], slots: list[tuple[int, int]], solve: Callable[[Counter], _Queues]
+    n: int, table: list[int], slots: list[tuple[int, int]], trace: list[str]
 ) -> _Queues:
-    """Solve the slots' targets at level n - 1 and expand each pair into two.
+    """Solve the slots' targets at level n - 1 by _solve_few and expand each pair into two.
 
     A slot (image, down) is one pair of equal targets: image is the target
     in the frame whose _span_table is table, down its target one level down.
@@ -536,7 +536,7 @@ def _expand_slots(
     down = [d for _, d in slots]
     _ensure(all(down), "a slot went down to zero")
     out: _Queues = {}
-    for (image, _), (p, q) in zip(slots, _restore(down, solve(Counter(down)))):
+    for (image, _), (p, q) in zip(slots, _restore(down, _solve_few(n - 1, Counter(down), trace))):
         if image == e1:
             pairs = ((p, p ^ e1), (q, q ^ e1))
         elif image & e1:
@@ -558,7 +558,8 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     exactly when pair_sum is 0 or u, so u serves when t is odd and S != 0,
     when t is even and positive, or when t = 0 and S = 0.  The values of
     multiplicity 2, then 1 .. 2^n - 1, are tried in ascending order, and one
-    serves for every histogram at n >= 3.  Exact search solves level n - 1.
+    serves for every histogram at n >= 3.  _expand_slots solves level n - 1,
+    at most 5, so by exact search.
     """
     _ensure(3 <= n <= 6, "even lift solves by exact search, so needs 3 <= n <= 6")
     _ensure(all(c % 2 == 0 for c in hist.values()), "even lift needs even multiplicities")
@@ -582,7 +583,7 @@ def _lift_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
         if v != u:
             slots += [(fwd[v], fwd[v] & (e1 - 1))] * (hist[v] // 2)
     trace.append(f"even-lift n={n} slots={len(slots)}")
-    return _expand_slots(n, back, slots, lambda sub: _exact(n - 1, sub))
+    return _expand_slots(n, back, slots, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +756,7 @@ def _exactly_n_even(n: int, hist: Counter, trace: list[str]) -> _Queues:
     slots = [(unit[v], unit[v]) for v in us if v != u1 for _ in range(hist[v] // 2)]
     slots += [(e1, unit[v]) for v in top_values]
     trace.append(f"exactly-n-even n={n} top-slots={tops} fixes={len(fix_values)}")
-    return _expand_slots(n, _span_table(frame), slots, lambda sub: _solve_few(n - 1, sub, trace))
+    return _expand_slots(n, _span_table(frame), slots, trace)
 
 
 def _coset_group_splits(
@@ -979,11 +980,6 @@ def _solve_few(n: int, hist: Counter, trace: list[str]) -> _Queues:
 # public operations
 
 
-def _finish(inst: PairingInstance, queues: _Queues) -> PairPartition:
-    """A solver's queues, put in target order and checked."""
-    return _checked(inst, _restore(inst.values, queues))
-
-
 def _checked(inst: PairingInstance, raw: Iterable[tuple[int, int]]) -> PairPartition:
     """The one check of every public solver's output: pairs in target order, each small first."""
     part = PairPartition(inst.n, tuple([pq if pq[0] < pq[1] else pq[::-1] for pq in raw]))
@@ -997,26 +993,17 @@ def _checked(inst: PairingInstance, raw: Iterable[tuple[int, int]]) -> PairParti
 _EXACT_BUDGET_S = 60.0
 
 
-def _exact_reason(n: int) -> str | None:
-    """Why exact search does not apply, or None when it may."""
-    return f"exact search needs n <= 6, got n={n}" if n > 6 else None
-
-
 def exact_pairing_solver(
     inst: PairingInstance, budget_seconds: float = _EXACT_BUDGET_S
 ) -> PairPartition:
-    """Plain backtracking over uncovered vectors, the ExactSearch route with a budget.
+    """The ExactSearch route, run under budget_seconds rather than the router's default.
 
-    Like that route it refuses n > 6 with CaseNotApplicable.
+    Its row's hypothesis refuses n > 6 with CaseNotApplicable.
     """
     # Above the largest float, the deadline's sum would raise OverflowError.
     if type(budget_seconds) not in (int, float) or not 0 <= budget_seconds <= sys.float_info.max:
         raise PreconditionViolated(f"budget must be a finite number >= 0, got {budget_seconds!r}")
-    reason = _exact_reason(inst.n)
-    if reason is not None:
-        raise CaseNotApplicable(reason)
-    deadline = time.monotonic() + budget_seconds
-    return _finish(inst, _exact(inst.n, Counter(inst.values), deadline))
+    return _checked(inst, _solve_routed(inst.n, inst.values, "ExactSearch", budget_seconds)[1])
 
 
 def _exact_in_frame(
@@ -1069,15 +1056,17 @@ def _odd_reason(hist: Counter) -> str | None:
 
 
 #: The routes in automatic order, as (tag, hypothesis, solver) rows.  Both
-#: take n, the target histogram and its echelon_basis rows; a hypothesis gives
-#: None when its route covers the instance, else the reason it does not.
+#: take n, the target histogram and its echelon_basis rows, and a solver also
+#: the trace it appends to and the call's deadline, which only ExactSearch
+#: reads; a hypothesis gives None when its route covers the instance, else
+#: the reason it does not.
 _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ...] = (
     (
         "Dim5Coset",
         lambda n, hist, span: (
             f"targets span {len(span)} dimensions, more than 5" if len(span) > 5 else None
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 5, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace, deadline: _small_dim(n, hist, span, 5, trace, {}, _fresh(n)),
     ),
     (
         "Dim6EvenCoset",
@@ -1086,26 +1075,26 @@ _ROUTES: tuple[tuple[str, Callable[..., str | None], Callable[..., _Queues]], ..
             else f"targets span {len(span)} dimensions, more than 6" if len(span) > 6
             else _odd_reason(hist)
         ),
-        lambda n, hist, span, trace: _small_dim(n, hist, span, 6, trace, {}, _fresh(n)),
+        lambda n, hist, span, trace, deadline: _small_dim(n, hist, span, 6, trace, {}, _fresh(n)),
     ),
     (
         "AtMostNValues",
         lambda n, hist, span: (
             f"{len(hist)} distinct values exceed n={n}" if len(hist) > n else None
         ),
-        lambda n, hist, span, trace: _solve_few(n, hist, trace),
+        lambda n, hist, span, trace, deadline: _solve_few(n, hist, trace),
     ),
     (
         "DimHalfEven",
         lambda n, hist, span: _odd_reason(hist) or (
             f"span dimension {len(span)} exceeds n/2" if 2 * len(span) > n else None
         ),
-        _dim_half,
+        lambda n, hist, span, trace, deadline: _dim_half(n, hist, span, trace),
     ),
     (
         "ExactSearch",
-        lambda n, hist, span: _exact_reason(n),
-        lambda n, hist, span, trace: _exact(n, hist, time.monotonic() + _EXACT_BUDGET_S),
+        lambda n, hist, span: f"exact search needs n <= 6, got n={n}" if n > 6 else None,
+        lambda n, hist, span, trace, deadline: _exact(n, hist, deadline),
     ),
 )
 
@@ -1114,22 +1103,25 @@ ROUTE_TAGS = tuple(tag for tag, _, _ in _ROUTES)
 
 
 def _solve_routed(
-    n: int, hist: Counter, route: str | None = None
-) -> tuple[str, _Queues, list[str]]:
-    """The router without the checks: the route's tag, its queues and its trace.
+    n: int, values: Sequence[int], route: str | None = None, budget_s: float = _EXACT_BUDGET_S
+) -> tuple[str, list[tuple[int, int]], list[str]]:
+    """The router without the checks: the route's tag, its pairs in target order and its trace.
 
-    hist is a valid instance's target histogram and route None or one of
-    ROUTE_TAGS.  Raises CaseNotApplicable and NotCovered as solve_pairing
-    does; the pipelines that double labelings call it directly and restore
-    target order themselves, since their one final check covers every level.
+    values are a valid instance's targets and route None or one of
+    ROUTE_TAGS; an exact search gets budget_s seconds from the call.
+    Raises CaseNotApplicable and NotCovered as solve_pairing does.  The
+    public solvers check the pairs; the pipelines that double labelings
+    use them unchecked, since their one final check covers every level.
     """
+    deadline = time.monotonic() + budget_s
+    hist = Counter(values)
     span = echelon_basis(hist, n)
     rows = _ROUTES if route is None else [row for row in _ROUTES if row[0] == route]
     for tag, hypothesis, solve in rows:
         reason = hypothesis(n, hist, span)
         if reason is None:
             trace: list[str] = []
-            return tag, solve(n, hist, span, trace), trace
+            return tag, _restore(values, solve(n, hist, span, trace, deadline)), trace
         if route is not None:
             raise CaseNotApplicable(reason)
     raise NotCovered(f"no constructive case applies and n={n} > 6")
@@ -1146,5 +1138,5 @@ def solve_pairing(
     """
     if route is not None and route not in ROUTE_TAGS:
         raise PreconditionViolated(f"unknown route {route!r}; expected one of {ROUTE_TAGS}")
-    tag, queues, trace = _solve_routed(inst.n, Counter(inst.values), route)
-    return _finish(inst, queues), SolverRoute(tag, tuple(trace))
+    tag, pairs, trace = _solve_routed(inst.n, inst.values, route)
+    return _checked(inst, pairs), SolverRoute(tag, tuple(trace))

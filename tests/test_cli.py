@@ -88,7 +88,7 @@ def test_pair_solve_rejects_malformed_targets(capsys):
     assert "error=PreconditionViolated" in err
 
 
-@pytest.mark.parametrize("n", ["0", "1", "31", "x"])
+@pytest.mark.parametrize("n", ["0", "1", "31", "x", "٣"])
 def test_pair_solve_checks_n_before_the_targets(capsys, n):
     # --n is checked before any target is read, so a bad n is named as
     # such and not reported as a target of the wrong width.
@@ -610,6 +610,10 @@ def test_sweep_usage(capsys):
     code, _, err = run(capsys, "sweep", "--conjecture2", "--n", "0_2")
     assert code == 2
     assert err.splitlines()[-1].endswith("argument --n: invalid int value: '0_2'")
+    # int() alone reads the Arabic-Indic "٢" as 2.
+    code, _, err = run(capsys, "sweep", "--conjecture2", "--n", "٢")
+    assert code == 2
+    assert err.splitlines()[-1].endswith("argument --n: invalid int value: '٢'")
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +630,10 @@ def test_duration_parsing():
     assert parse_duration("5m") == 300.0
     with pytest.raises(Exception):
         parse_duration("ten minutes")
+    # Only ASCII digits: float() and \d alone would read these as 3 s and 180 s.
+    for text in ("٣s", "３m"):
+        with pytest.raises(argparse.ArgumentTypeError, match="bad duration"):
+            parse_duration(text)
     for text in ("0", "0s", "0m", "0.0", "9" * 400):
         with pytest.raises(argparse.ArgumentTypeError, match="above zero and finite"):
             parse_duration(text)
@@ -640,6 +648,8 @@ def test_duration_parsing():
         ("--seed", "-1", "seed must be an int in 0..2**64-1, got '-1'"),
         ("--seed", str(1 << 64), f"seed must be an int in 0..2**64-1, got '{1 << 64}'"),
         ("--seed", "1.5", "seed must be an int in 0..2**64-1, got '1.5'"),
+        ("--seed", "٣", "seed must be an int in 0..2**64-1, got '٣'"),
+        ("--budget", "٣s", "bad duration '٣s'; use e.g. 10s or 5m"),
     ],
 )
 def test_search_usage_errors_exit_2_before_the_tree_is_read(capsys, flag, value, message):

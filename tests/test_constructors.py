@@ -108,7 +108,7 @@ def test_plan_parse_round_trip():
     assert plan.total() == 8
 
 
-@pytest.mark.parametrize("text", ["", "0", "0:", ":3", "0:x", "0;3", "0:1_6"])
+@pytest.mark.parametrize("text", ["", "0", "0:", ":3", "0:x", "0;3", "0:1_6", "٠:١"])
 def test_plan_parse_rejects_garbage(text):
     with pytest.raises(PreconditionViolated):
         PendantPlan.parse(text)

@@ -30,6 +30,7 @@ from setseq.errors import (
 from setseq.pairing import (
     PairingInstance,
     PairPartition,
+    SolverRoute,
     exact_pairing_solver,
     format_partition,
     partition_errors,
@@ -1285,6 +1286,53 @@ def test_route_agrees_with_exact_on_small_instances(seed):
 
 # ---------------------------------------------------------------------------
 # target order
+
+
+#: Each route forced on a stream of its hypothesis, and automatic routing,
+#: with the instgen streams of the determinism tests and one n each.
+ROUTED_CASES = [
+    ("Dim5Coset", instgen.dim_le5_instance, 7),
+    ("Dim6EvenCoset", instgen.dim6_even_instance, 8),
+    ("AtMostNValues", instgen.at_most_n_instance, 9),
+    ("DimHalfEven", instgen.dim_half_even_instance, 10),
+    ("ExactSearch", instgen.any_valid_instance, 5),
+    (None, instgen.dim_le5_instance, 8),
+    (None, instgen.at_most_n_instance, 9),
+]
+
+
+@pytest.mark.parametrize(
+    "route, stream, n",
+    ROUTED_CASES,
+    ids=[f"{route}-{stream.__name__}" for route, stream, _ in ROUTED_CASES],
+)
+def test_router_core_returns_pairs_in_target_order(route, stream, n):
+    # The router core takes the target list and hands back pair i for
+    # target i: the pairs solve_pairing checks, before it orients them.
+    rng = random.Random(11)
+    for _ in range(3):
+        n, values = stream(rng, n)
+        tag, pairs, trace = pairing._solve_routed(n, values, route)
+        assert [p ^ q for p, q in pairs] == values
+        part, solved = solve_pairing(build(n, values), route)
+        assert [tuple(sorted(pq)) for pq in pairs] == list(part.pairs)
+        assert SolverRoute(tag, tuple(trace)) == solved
+
+
+def test_exact_solver_runs_the_exact_search_row(monkeypatch):
+    # exact_pairing_solver is the router core's ExactSearch row under its
+    # own budget, so the row's hypothesis is its one refusal of n > 6.
+    calls = []
+    solve = pairing._solve_routed
+
+    def spy(n, values, *rest):
+        calls.append((n, *rest))
+        return solve(n, values, *rest)
+
+    monkeypatch.setattr(pairing, "_solve_routed", spy)
+    with pytest.raises(CaseNotApplicable, match=r"^exact search needs n <= 6, got n=7$"):
+        exact_pairing_solver(build(7, [1] * 64), budget_seconds=5)
+    assert calls == [(7, "ExactSearch", 5)]
 
 
 def by_target(values, pairs):

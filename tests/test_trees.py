@@ -250,8 +250,8 @@ def test_spec_parse_and_str_roundtrip():
 
 
 def test_spec_parse_rejects_garbage():
-    # "T[3_3]": int() alone would read the digit separator as T[33].
-    for bad in ("T[]", "T[3,3", "[3,3]", "T[a]", "T", "T[3_3]"):
+    # int() alone would read "T[3_3]" as T[33] and "T[٣,３]" as T[3,3].
+    for bad in ("T[]", "T[3,3", "[3,3]", "T[a]", "T", "T[3_3]", "T[٣,３]"):
         with pytest.raises(PreconditionViolated):
             CaterpillarSpec.parse(bad)
 
